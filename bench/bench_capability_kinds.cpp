@@ -94,6 +94,7 @@ BENCHMARK(Cap_Checksum)->Range(1 << 10, 1 << 20);
 BENCHMARK(Cap_CompressRle)->Range(1 << 10, 1 << 20);
 BENCHMARK(Cap_CompressLz)->Range(1 << 10, 1 << 20);
 BENCHMARK(Cap_CompressLzRandom)->Range(1 << 10, 1 << 20);
+BENCHMARK(Memcpy)->Arg(1 << 18);
 
 }  // namespace
 }  // namespace ohpx::bench

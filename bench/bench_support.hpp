@@ -15,7 +15,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -61,6 +63,23 @@ inline void run_echo_series(benchmark::State& state,
                       (total_seconds * 1e6);
   state.counters["Mbps"] = mbps;
   state.counters["bytes"] = bytes_per_iter / 2.0;  // one-way payload size
+}
+
+/// The byte-cost floor: memcpy of state.range(0) bytes between two warm
+/// buffers.  Every bench with per-byte arms registers it, so the bytes
+/// gate (tools/check_bench_json.py bytes) can express each arm as a
+/// bytes/s ratio against a memcpy measured in the same run.
+inline void Memcpy(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint8_t> src(n, 0xab);
+  std::vector<std::uint8_t> dst(n);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
 }
 
 // ---------------------------------------------------------------------------

@@ -79,11 +79,13 @@ void FrameEncodeDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-BENCHMARK(EncodeIntArray)->Range(16, 1 << 20);
-BENCHMARK(DecodeIntArray)->Range(16, 1 << 20);
+// Powers of 4 so 65,536 elements (256 KiB, the cap_bulk payload) is an arm.
+BENCHMARK(EncodeIntArray)->RangeMultiplier(4)->Range(16, 1 << 20);
+BENCHMARK(DecodeIntArray)->RangeMultiplier(4)->Range(16, 1 << 20);
 BENCHMARK(EncodeString)->Range(64, 1 << 20);
 BENCHMARK(RoundTripStringMap);
 BENCHMARK(FrameEncodeDecode)->Range(64, 1 << 20);
+BENCHMARK(Memcpy)->Arg(1 << 18);
 
 }  // namespace
 }  // namespace ohpx::bench

@@ -28,10 +28,10 @@ Bytes AuthenticationCapability::call_binding(const CallContext& call) const {
 
 void AuthenticationCapability::process(wire::Buffer& payload,
                                        const CallContext& call) {
-  // MAC over payload ‖ binding; only the tag travels.
-  wire::Buffer material(payload.bytes());
-  material.append(BytesView(call_binding(call)));
-  const Bytes tag = crypto::mac_tag(key_, material.view());
+  // MAC over payload ‖ binding, streamed over both in place; only the tag
+  // travels.
+  const crypto::MacTag tag =
+      crypto::mac_tag(key_, payload.view(), call_binding(call));
   payload.append(BytesView(tag));
 }
 
@@ -43,11 +43,8 @@ void AuthenticationCapability::unprocess(wire::Buffer& payload,
   }
   const std::size_t body_size = payload.size() - crypto::kMacTagSize;
   const BytesView tag = payload.view(body_size, crypto::kMacTagSize);
-
-  wire::Buffer material;
-  material.append(payload.view(0, body_size));
-  material.append(BytesView(call_binding(call)));
-  if (!crypto::mac_verify(key_, material.view(), tag)) {
+  if (!crypto::mac_verify(key_, payload.view(0, body_size), call_binding(call),
+                          tag)) {
     throw CapabilityDenied(ErrorCode::capability_auth_failed,
                            "authentication tag mismatch for principal '" +
                                principal_ + "'");

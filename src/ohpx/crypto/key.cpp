@@ -1,19 +1,11 @@
 #include "ohpx/crypto/key.hpp"
 
 #include "ohpx/common/bytes.hpp"
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/rng.hpp"
 
 namespace ohpx::crypto {
-namespace {
-
-std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
 
 std::uint64_t Key128::lo() const noexcept { return load_le64(bytes.data()); }
 std::uint64_t Key128::hi() const noexcept { return load_le64(bytes.data() + 8); }

@@ -1,5 +1,7 @@
 #include "ohpx/crypto/stream_cipher.hpp"
 
+#include "ohpx/common/endian.hpp"
+
 namespace ohpx::crypto {
 namespace {
 
@@ -21,35 +23,41 @@ StreamCipher::StreamCipher(const Key128& key, std::uint64_t nonce) noexcept {
   for (auto& word : state_) word = splitmix(seed);
 }
 
-std::uint64_t StreamCipher::next_word() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 void StreamCipher::apply(std::span<std::uint8_t> data) noexcept {
+  // The generator state is copied into locals for the loop: written back
+  // through `this` on every step, it would be reloaded after each store to
+  // `data`, which may alias it as far as the compiler knows.
+  std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+  auto next_word = [&]() noexcept {
+    const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    return result;
+  };
+
+  // Keystream byte b of a word is (word >> 8b): whole 8-byte blocks XOR as
+  // one little-endian word.
+  std::uint8_t* p = data.data();
   std::size_t i = 0;
-  // Whole 8-byte blocks.
   for (; i + 8 <= data.size(); i += 8) {
-    const std::uint64_t ks = next_word();
-    for (int b = 0; b < 8; ++b) {
-      data[i + static_cast<std::size_t>(b)] ^=
-          static_cast<std::uint8_t>(ks >> (8 * b));
-    }
+    store_le64(p + i, load_le64(p + i) ^ next_word());
   }
   // Tail.
   if (i < data.size()) {
     const std::uint64_t ks = next_word();
     for (int b = 0; i < data.size(); ++i, ++b) {
-      data[i] ^= static_cast<std::uint8_t>(ks >> (8 * b));
+      p[i] ^= static_cast<std::uint8_t>(ks >> (8 * b));
     }
   }
+  state_[0] = s0;
+  state_[1] = s1;
+  state_[2] = s2;
+  state_[3] = s3;
 }
 
 void stream_crypt(const Key128& key, std::uint64_t nonce,

@@ -23,8 +23,6 @@ class StreamCipher {
   void apply(std::span<std::uint8_t> data) noexcept;
 
  private:
-  std::uint64_t next_word() noexcept;
-
   std::uint64_t state_[4];
 };
 

@@ -326,8 +326,8 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
 
   std::shared_ptr<GlueBinding> binding;
   if (header.flags & wire::kFlagGlueProcessed) {
-    payload = wire::Buffer(body.data(), body.size());
-    const std::uint32_t glue_id = proto::strip_glue_id(payload);
+    BytesView processed = body;
+    const std::uint32_t glue_id = proto::strip_glue_id(processed);
     binding = find_glue(glue_id);
     if (!binding) {
       throw CapabilityDenied(ErrorCode::capability_unknown,
@@ -339,6 +339,10 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
           ErrorCode::capability_denied,
           "glue binding does not belong to the addressed object");
     }
+    // The chain transforms in place, so the body past the glue id is
+    // copied once, into a pooled buffer recycled after dispatch.
+    payload = wire::BufferPool::local().acquire(processed.size());
+    payload.append(processed);
     binding->chain.process_inbound(payload, call);
     payload_view = payload.view();
   }
@@ -381,6 +385,7 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
       servant->dispatch(header.method_or_code, in, out);
     }
   }
+  wire::BufferPool::local().release(std::move(payload));
 
   wire::MessageHeader reply_header;
   reply_header.type = wire::MessageType::reply;

@@ -411,7 +411,8 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     const bool may_retry = attempt + 1 < max_attempts;
     wire::Buffer retry_stash;
     if (may_retry && !protocol->preserves_payload()) {
-      retry_stash = wire::Buffer(args.bytes());
+      retry_stash = wire::BufferPool::local().acquire(args.size());
+      retry_stash.append(args.view());
     }
 
     proto::ReplyMessage reply;
@@ -507,6 +508,9 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
         registry.latency_handle(metrics::names::kRmiLatency)
             ->record(cost.total());
       }
+      auto& pool = wire::BufferPool::local();
+      pool.release(std::move(retry_stash));
+      pool.release(std::move(args));
       return std::move(reply.payload);
     }
 

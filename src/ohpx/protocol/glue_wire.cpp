@@ -1,5 +1,8 @@
 #include "ohpx/protocol/glue_wire.hpp"
 
+#include <cstring>
+
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/wire/serialize.hpp"
 
@@ -26,30 +29,25 @@ GlueProtoData decode_glue_proto_data(BytesView raw) {
 }
 
 void prepend_glue_id(wire::Buffer& payload, std::uint32_t glue_id) {
-  Bytes with_prefix;
-  with_prefix.reserve(payload.size() + 4);
-  with_prefix.push_back(static_cast<std::uint8_t>(glue_id >> 24));
-  with_prefix.push_back(static_cast<std::uint8_t>(glue_id >> 16));
-  with_prefix.push_back(static_cast<std::uint8_t>(glue_id >> 8));
-  with_prefix.push_back(static_cast<std::uint8_t>(glue_id));
-  const Bytes body = payload.release();
-  with_prefix.insert(with_prefix.end(), body.begin(), body.end());
-  payload.assign(std::move(with_prefix));
+  // In place: grow by four bytes and slide the body up inside the same
+  // allocation (no reallocation when the capacity allows it).
+  const std::size_t body_size = payload.size();
+  payload.resize(body_size + kGlueIdSize);
+  std::uint8_t* p = payload.data();
+  std::memmove(p + kGlueIdSize, p, body_size);
+  const std::uint32_t wire_id = big_endian(glue_id);
+  std::memcpy(p, &wire_id, kGlueIdSize);
 }
 
-std::uint32_t strip_glue_id(wire::Buffer& payload) {
-  if (payload.size() < 4) {
+std::uint32_t strip_glue_id(BytesView& payload) {
+  if (payload.size() < kGlueIdSize) {
     throw WireError(ErrorCode::wire_truncated,
                     "glue payload too short for glue id");
   }
-  const BytesView head = payload.view(0, 4);
-  const std::uint32_t glue_id = (static_cast<std::uint32_t>(head[0]) << 24) |
-                                (static_cast<std::uint32_t>(head[1]) << 16) |
-                                (static_cast<std::uint32_t>(head[2]) << 8) |
-                                static_cast<std::uint32_t>(head[3]);
-  Bytes rest(payload.bytes().begin() + 4, payload.bytes().end());
-  payload.assign(std::move(rest));
-  return glue_id;
+  std::uint32_t wire_id = 0;
+  std::memcpy(&wire_id, payload.data(), kGlueIdSize);
+  payload = payload.subspan(kGlueIdSize);
+  return big_endian(wire_id);
 }
 
 }  // namespace ohpx::proto

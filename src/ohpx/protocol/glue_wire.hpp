@@ -28,10 +28,14 @@ struct GlueProtoData {
 Bytes encode_glue_proto_data(const GlueProtoData& data);
 GlueProtoData decode_glue_proto_data(BytesView raw);
 
-/// Prepends the clear-text glue id to a processed request payload.
+/// Size of the clear-text glue id prefix (u32, big-endian).
+inline constexpr std::size_t kGlueIdSize = 4;
+
+/// Prepends the clear-text glue id to a processed request payload, in place.
 void prepend_glue_id(wire::Buffer& payload, std::uint32_t glue_id);
 
-/// Splits the glue id off a request payload; throws WireError if too short.
-std::uint32_t strip_glue_id(wire::Buffer& payload);
+/// Splits the glue id off a request payload view, advancing the view past
+/// it (no copy); throws WireError if too short.
+std::uint32_t strip_glue_id(BytesView& payload);
 
 }  // namespace ohpx::proto

@@ -5,9 +5,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "ohpx/common/bytes.hpp"
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 
 namespace ohpx::wire {
@@ -95,12 +97,10 @@ class Decoder {
   template <typename T>
   T get_big_endian() {
     require(sizeof(T));
-    T value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      value = static_cast<T>((value << 8) | data_[pos_ + i]);
-    }
+    T wire_value = 0;
+    std::memcpy(&wire_value, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
-    return value;
+    return big_endian(wire_value);
   }
 
   BytesView data_;

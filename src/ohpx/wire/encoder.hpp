@@ -8,6 +8,7 @@
 #include <cstring>
 #include <string_view>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/wire/buffer.hpp"
 
 namespace ohpx::wire {
@@ -59,11 +60,9 @@ class Encoder {
  private:
   template <typename T>
   void put_big_endian(T value) {
-    std::uint8_t bytes[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes[i] = static_cast<std::uint8_t>(value >> (8 * (sizeof(T) - 1 - i)));
-    }
-    out_.append(BytesView(bytes, sizeof(T)));
+    const T wire_value = big_endian(value);
+    out_.append(BytesView(reinterpret_cast<const std::uint8_t*>(&wire_value),
+                          sizeof(T)));
   }
 
   Buffer& out_;

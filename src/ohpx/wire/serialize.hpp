@@ -2,7 +2,10 @@
 //
 // Built-in support: bool, integral and floating scalars, std::string,
 // Bytes, std::vector<T>, std::array<T,N>, std::pair, std::map,
-// std::optional.  User types opt in by providing member functions
+// std::optional.  Vectors of arithmetic scalars marshal in bulk (one
+// resize or bounds check, then a byte-swap pass) to the same bytes as the
+// element-wise path every other element type takes.  User types opt in by
+// providing member functions
 //   void wire_serialize(wire::Encoder&) const;
 //   static T wire_deserialize(wire::Decoder&);
 // which the WireSerializable concept detects.
@@ -12,8 +15,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -21,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
 
@@ -31,6 +37,47 @@ concept WireSerializable = requires(const T& cv, T& v, Encoder& enc, Decoder& de
   { cv.wire_serialize(enc) } -> std::same_as<void>;
   { T::wire_deserialize(dec) } -> std::same_as<T>;
 };
+
+// ---- element traits ----------------------------------------------------
+
+/// Element types whose vectors take the bulk path: fixed-width arithmetic
+/// scalars other than bool (which the wire restricts to 0/1 per byte).
+template <typename T>
+concept BulkScalar = std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
+                     (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 ||
+                      sizeof(T) == 8);
+
+/// The unsigned word a BulkScalar travels as (its IEEE-754 bits for floats).
+template <BulkScalar T>
+using WireWord = std::conditional_t<
+    sizeof(T) == 1, std::uint8_t,
+    std::conditional_t<sizeof(T) == 2, std::uint16_t,
+                       std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                          std::uint64_t>>>;
+
+template <typename T>
+inline constexpr bool kLengthPrefixed = false;
+template <>
+inline constexpr bool kLengthPrefixed<std::string> = true;
+template <typename T>
+inline constexpr bool kLengthPrefixed<std::vector<T>> = true;  // and Bytes
+template <typename K, typename V>
+inline constexpr bool kLengthPrefixed<std::map<K, V>> = true;
+
+/// Fewest bytes one value of T can encode to: the decoders' bound on how
+/// many elements the remaining input can possibly hold.
+template <typename T>
+constexpr std::size_t min_encoded_size() noexcept {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_enum_v<T>) {
+    return sizeof(std::underlying_type_t<T>);
+  } else if constexpr (kLengthPrefixed<T>) {
+    return 4;  // u32 length or count
+  } else {
+    return 1;
+  }
+}
 
 // ---- scalars ---------------------------------------------------------
 
@@ -75,7 +122,23 @@ inline void serialize(Encoder& enc, const Bytes& v) { enc.put_bytes(v); }
 template <typename T>
 void serialize(Encoder& enc, const std::vector<T>& v) {
   enc.put_u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& item : v) serialize(enc, item);
+  if constexpr (BulkScalar<T>) {
+    // One resize and one byte-swap pass; the bytes are the element-wise
+    // encoder's: each element big-endian, back to back.
+    using Word = WireWord<T>;
+    const std::size_t n = v.size();
+    const T* src = v.data();
+    Buffer& out = enc.buffer();
+    const std::size_t at = out.size();
+    out.resize(at + n * sizeof(T));
+    std::uint8_t* dst = out.data() + at;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Word word = big_endian(std::bit_cast<Word>(src[i]));
+      std::memcpy(dst + i * sizeof(T), &word, sizeof(T));
+    }
+  } else {
+    for (const auto& item : v) serialize(enc, item);
+  }
 }
 
 template <typename T, std::size_t N>
@@ -175,15 +238,31 @@ template <typename T>
 struct Deserializer<std::vector<T>> {
   static std::vector<T> get(Decoder& dec) {
     const std::uint32_t n = dec.get_u32();
-    // Guard against hostile counts: never pre-reserve more elements than
-    // bytes remain in the buffer (each element costs at least one byte).
-    if (n > dec.remaining() && sizeof(T) >= 1) {
+    // Guard against hostile counts before allocating: each element takes
+    // at least min_encoded_size<T>() bytes, so a count the remaining bytes
+    // cannot hold is a truncated frame.  A scalar vector's claim is checked
+    // exactly, so it never allocates more than the frame carries.
+    if (std::uint64_t{n} * min_encoded_size<T>() > dec.remaining()) {
       throw WireError(ErrorCode::wire_truncated,
                       "vector count exceeds remaining bytes");
     }
     std::vector<T> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(Deserializer<T>::get(dec));
+    if constexpr (BulkScalar<T>) {
+      using Word = WireWord<T>;
+      const std::uint8_t* src = dec.get_raw(n * sizeof(T)).data();
+      out.resize(n);
+      T* dst = out.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        Word word = 0;
+        std::memcpy(&word, src + i * sizeof(T), sizeof(T));
+        dst[i] = std::bit_cast<T>(big_endian(word));
+      }
+    } else {
+      out.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        out.push_back(Deserializer<T>::get(dec));
+      }
+    }
     return out;
   }
 };

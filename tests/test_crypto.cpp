@@ -82,6 +82,66 @@ TEST(SipHash, LongerMessagesStable) {
   EXPECT_NE(siphash24(key, message), h1);
 }
 
+// ---- pinned wire bytes -------------------------------------------------------
+//
+// The reference vectors above stop at 7 bytes and the cipher tests only check
+// involution, so a kernel rewrite that changed the tag or the keystream would
+// pass them.  These values were captured from the byte-at-a-time kernels and
+// pin the bytes a peer sees.
+
+Bytes seeded_bytes(std::uint64_t seed, std::size_t n) {
+  Xoshiro256 rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+// FNV-1a 64: a digest independent of the SipHash under test.
+std::uint64_t fnv1a(BytesView data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : data) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SipHash, GoldenSeededMessages) {
+  const Key128 key = Key128::from_seed(0x5eed);
+  EXPECT_EQ(siphash24(key, seeded_bytes(1, 1024)), 0x913ee24169c42f55ull);
+  EXPECT_EQ(siphash24(key, seeded_bytes(2, 256 * 1024 + 3)),
+            0x10682eb94bc6eee6ull);
+  EXPECT_EQ(to_hex(mac_tag(key, seeded_bytes(1, 1024))), "552fc46941e23e91");
+}
+
+TEST(SipHash, TwoSpanMatchesOneShotAtEverySplit) {
+  const Key128 key = Key128::from_seed(0x5eed);
+  const Bytes message = seeded_bytes(4, 1024 + 5);
+  // Every length up to three words, split at every offset: covers every
+  // residue of the head and the tail, and the empty head and tail.
+  for (std::size_t n = 0; n <= 24; ++n) {
+    const BytesView whole(message.data(), n);
+    const std::uint64_t expected = siphash24(key, whole);
+    for (std::size_t split = 0; split <= n; ++split) {
+      EXPECT_EQ(siphash24(key, whole.first(split), whole.subspan(split)),
+                expected)
+          << "length " << n << " split at " << split;
+    }
+  }
+  // A long payload with a short binding, the authentication capability's
+  // shape, and the reverse.
+  const std::uint64_t expected = siphash24(key, message);
+  for (std::size_t cut = 0; cut <= 24; ++cut) {
+    const BytesView whole(message);
+    EXPECT_EQ(siphash24(key, whole.first(message.size() - cut),
+                        whole.last(cut)),
+              expected)
+        << "tail of " << cut;
+    EXPECT_EQ(siphash24(key, whole.first(cut), whole.subspan(cut)), expected)
+        << "head of " << cut;
+  }
+}
+
 // ---- MAC tags --------------------------------------------------------------------
 
 TEST(Mac, TagAndVerify) {
@@ -117,6 +177,26 @@ TEST(Mac, EmptyMessageHasValidTag) {
   const Key128 key = Key128::from_seed(3);
   const Bytes tag = mac_tag(key, {});
   EXPECT_TRUE(mac_verify(key, {}, tag));
+}
+
+TEST(Mac, TwoSpanTagCoversTheConcatenation) {
+  const Key128 key = Key128::from_seed(9);
+  const Bytes payload = seeded_bytes(5, 300);
+  const Bytes binding = bytes_of("request 7 / object 3 / principal");
+  Bytes joined = payload;
+  joined.insert(joined.end(), binding.begin(), binding.end());
+
+  const MacTag tag = mac_tag(key, payload, binding);
+  EXPECT_EQ(Bytes(tag.begin(), tag.end()), mac_tag(key, joined));
+  EXPECT_TRUE(mac_verify(key, payload, binding, tag));
+  EXPECT_TRUE(mac_verify(key, joined, tag));
+  // The tag covers the concatenation, wherever it is split.
+  EXPECT_TRUE(mac_verify(key, BytesView(joined).first(10),
+                         BytesView(joined).subspan(10), tag));
+  Bytes tampered = binding;
+  tampered.back() ^= 1;
+  EXPECT_FALSE(mac_verify(key, payload, tampered, tag));
+  EXPECT_FALSE(mac_verify(key, payload, binding, BytesView(tag).first(7)));
 }
 
 // ---- stream cipher ------------------------------------------------------------------
@@ -159,6 +239,21 @@ TEST(StreamCipherTest, EmptyAndTinyPayloads) {
   stream_crypt(key, 0, one);
   stream_crypt(key, 0, one);
   EXPECT_EQ(one, orig);
+}
+
+TEST(StreamCipherTest, GoldenKeystream) {
+  const Key128 key = Key128::from_seed(0xc1f3);
+  constexpr std::uint64_t kNonce = 0x0123456789abcdefull;
+  Bytes zeros(64, 0);
+  stream_crypt(key, kNonce, zeros);
+  EXPECT_EQ(to_hex(zeros),
+            "196c62036b12d512686c849ebbec126d007bb3054a9c6d3d513bb934db3fb062"
+            "a5ffc68a5eed272c35e160118e1097ad9f6a62d5491ad71d1806663d0afdfab8");
+
+  // 4099 = 512 words and a 3-byte tail.
+  Bytes data = seeded_bytes(3, 4099);
+  stream_crypt(key, kNonce, data);
+  EXPECT_EQ(fnv1a(data), 0x7f591052939df6cbull);
 }
 
 TEST(StreamCipherTest, NonBlockSizesRoundTrip) {

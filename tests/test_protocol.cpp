@@ -91,13 +91,27 @@ TEST(GlueWire, GlueIdPrefixRoundTrip) {
   wire::Buffer payload(Bytes{10, 20, 30});
   prepend_glue_id(payload, 0x01020304);
   EXPECT_EQ(payload.size(), 7u);
-  EXPECT_EQ(strip_glue_id(payload), 0x01020304u);
-  EXPECT_EQ(payload.bytes(), (Bytes{10, 20, 30}));
+  EXPECT_EQ(payload.bytes(), (Bytes{1, 2, 3, 4, 10, 20, 30}));
+  BytesView rest = payload.view();
+  EXPECT_EQ(strip_glue_id(rest), 0x01020304u);
+  EXPECT_EQ(Bytes(rest.begin(), rest.end()), (Bytes{10, 20, 30}));
+  EXPECT_EQ(rest.data(), payload.data() + kGlueIdSize);  // no copy
+}
+
+TEST(GlueWire, PrependToEmptyPayload) {
+  wire::Buffer payload;
+  prepend_glue_id(payload, 0xa1b2c3d4);
+  EXPECT_EQ(payload.bytes(), (Bytes{0xa1, 0xb2, 0xc3, 0xd4}));
+  BytesView rest = payload.view();
+  EXPECT_EQ(strip_glue_id(rest), 0xa1b2c3d4u);
+  EXPECT_TRUE(rest.empty());
 }
 
 TEST(GlueWire, StripFromShortPayloadThrows) {
-  wire::Buffer payload(Bytes{1, 2});
+  const Bytes raw{1, 2};
+  BytesView payload(raw);
   EXPECT_THROW(strip_glue_id(payload), WireError);
+  EXPECT_EQ(payload.size(), 2u);  // left untouched
 }
 
 // ---- applicability of concrete protocols ---------------------------------------------

@@ -319,6 +319,136 @@ TEST(Decoder, LengthPrefixNearU32MaxRejectedWithoutOverflow) {
   }
 }
 
+ErrorCode decode_error_of(const Buffer& buf, auto decode) {
+  try {
+    Decoder dec(buf.view());
+    decode(dec);
+  } catch (const WireError& e) {
+    return e.code();
+  }
+  return ErrorCode::ok;
+}
+
+TEST(Decoder, HostileScalarVectorCountRejectedBeforeAllocating) {
+  // 100 eight-byte elements claimed, 400 bytes present: fewer than the
+  // claim needs, though more than one byte per element.
+  Buffer buf;
+  Encoder enc(buf);
+  enc.put_u32(100);
+  for (int i = 0; i < 400; ++i) enc.put_u8(0);
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<std::vector<std::uint64_t>>(dec);
+                            }),
+            ErrorCode::wire_truncated);
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<std::vector<double>>(dec);
+                            }),
+            ErrorCode::wire_truncated);
+  // 100 two-byte elements fit in 400 bytes.
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<std::vector<std::int16_t>>(dec);
+                            }),
+            ErrorCode::ok);
+  for (const std::uint32_t hostile : {0xffffffffu, 0x80000000u, 0x40000000u}) {
+    Buffer near_max;
+    Encoder near_enc(near_max);
+    near_enc.put_u32(hostile);
+    near_enc.put_u64(0);
+    EXPECT_EQ(decode_error_of(near_max,
+                              [](Decoder& dec) {
+                                deserialize<std::vector<std::uint64_t>>(dec);
+                              }),
+              ErrorCode::wire_truncated)
+        << hostile;
+  }
+}
+
+TEST(Decoder, HostileLengthPrefixedVectorCountRejected) {
+  // Each string, byte block or vector element needs at least its 4-byte
+  // length; 10 elements cannot fit in 12 bytes.
+  Buffer buf;
+  Encoder enc(buf);
+  enc.put_u32(10);
+  for (int i = 0; i < 12; ++i) enc.put_u8(0);
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<std::vector<std::string>>(dec);
+                            }),
+            ErrorCode::wire_truncated);
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<std::vector<Bytes>>(dec);
+                            }),
+            ErrorCode::wire_truncated);
+  using Nested = std::vector<std::vector<std::int32_t>>;
+  EXPECT_EQ(decode_error_of(buf,
+                            [](Decoder& dec) {
+                              deserialize<Nested>(dec);
+                            }),
+            ErrorCode::wire_truncated);
+  // Three empty strings fit exactly.
+  Buffer fits;
+  Encoder fits_enc(fits);
+  fits_enc.put_u32(3);
+  for (int i = 0; i < 3; ++i) fits_enc.put_u32(0);
+  EXPECT_EQ(decode_value<std::vector<std::string>>(fits.view()),
+            (std::vector<std::string>{"", "", ""}));
+}
+
+// ---- bulk scalar vectors: the same bytes as the element-wise encoder --------
+
+template <typename T>
+class BulkVectorEncoding : public ::testing::Test {};
+
+using BulkScalarTypes =
+    ::testing::Types<std::int16_t, std::int32_t, std::uint64_t, float, double>;
+TYPED_TEST_SUITE(BulkVectorEncoding, BulkScalarTypes);
+
+TYPED_TEST(BulkVectorEncoding, MatchesElementWiseEncoder) {
+  using T = TypeParam;
+  Xoshiro256 rng(0xb01c);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{65536}}) {
+    std::vector<T> values(n);
+    for (auto& v : values) {
+      if constexpr (std::is_floating_point_v<T>) {
+        v = static_cast<T>((rng.next_double() - 0.5) * 1e9);
+      } else {
+        v = static_cast<T>(rng.next());
+      }
+    }
+    Buffer element_wise;
+    Encoder enc(element_wise);
+    enc.put_u32(static_cast<std::uint32_t>(n));
+    for (const T v : values) serialize(enc, v);
+
+    const Buffer bulk = encode_value(values);
+    EXPECT_EQ(bulk.bytes(), element_wise.bytes()) << "length " << n;
+    EXPECT_EQ(decode_value<std::vector<T>>(element_wise.view()), values)
+        << "length " << n;
+  }
+}
+
+TYPED_TEST(BulkVectorEncoding, AppendsAfterEarlierFieldsAtAnyOffset) {
+  using T = TypeParam;
+  const std::vector<T> values{T(1), T(2), T(3)};
+  for (std::size_t pad = 0; pad < 8; ++pad) {
+    Buffer buf;
+    Encoder enc(buf);
+    for (std::size_t i = 0; i < pad; ++i) enc.put_u8(0xa5);
+    serialize(enc, values);
+    enc.put_u8(0x5a);
+    Decoder dec(buf.view());
+    for (std::size_t i = 0; i < pad; ++i) EXPECT_EQ(dec.get_u8(), 0xa5);
+    EXPECT_EQ(deserialize<std::vector<T>>(dec), values);
+    EXPECT_EQ(dec.get_u8(), 0x5a);
+    EXPECT_TRUE(dec.at_end());
+  }
+}
+
 TEST(Crc, SplitAtEveryOffsetMatchesOneShot) {
   Bytes data(37);
   Xoshiro256 rng(0x5eed);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """check_bench_json: gate benchmark JSON emitted by the bench suite.
 
-Two gates, both expressed as *within-run ratios* rather than absolute
+Every gate is expressed as a *within-run ratio* rather than absolute
 nanoseconds: CI runners (and shared-host dev boxes) differ wildly in raw
 speed and in neighbor noise, but both arms of a ratio share the same run,
 the same machine, and the same noise — so the ratio is the portable
@@ -22,6 +22,16 @@ quantity.
             the healthy path: a 2-endpoint client's fresh resolve may cost
             at most --max-multiendpoint-ratio times a 1-endpoint client's.
 
+  bytes     BENCH_bytes.json pins the per-byte cost of the bulk call path:
+            authentication and encryption over 256 KiB, and encode/decode
+            of 65,536 int32.  Each arm is taken as a bytes/s ratio to the
+            Memcpy/262144 arm of the same bench run (bench_wire and
+            bench_capability_kinds each register one), and must stay within
+            --tolerance of the committed ratio.  A kernel falling back to a
+            byte loop, or a copy creeping back in, drops its ratio; a slow
+            runner drops memcpy with it.  --update rewrites the baseline
+            from the given runs instead of gating.
+
   fastpath  BENCH_fastpath.json must keep the selection cache's
             cached-over-uncached speedup within --tolerance of the
             committed baseline's speedup.  A hot-path regression that
@@ -37,12 +47,15 @@ Usage:
       [--max-multiendpoint-ratio 1.2]
   python3 tools/check_bench_json.py fastpath FRESH.json BASELINE.json \
       [--tolerance 0.05]
+  python3 tools/check_bench_json.py bytes BASELINE.json FRESH.json... \
+      [--tolerance 0.3] [--update]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 
 
@@ -158,6 +171,73 @@ def check_fastpath(options: argparse.Namespace) -> int:
     return 0
 
 
+# The arms the bytes gate holds, and the memcpy arm each is measured
+# against (registered in every bench binary with per-byte arms).
+BYTES_ARMS = ("Cap_Authentication/262144", "Cap_Encryption/262144",
+              "EncodeIntArray/65536", "DecodeIntArray/65536")
+MEMCPY_ARM = "Memcpy/262144"
+
+
+def bytes_ratios(paths: list) -> dict:
+    """Maps each gated arm found in `paths` to its record, with the ratio
+    of its bytes/s to the memcpy arm of the same file."""
+    found = {}
+    for path in paths:
+        records = load_records(path)
+        arms = [name for name in BYTES_ARMS if name in records]
+        if not arms:
+            continue
+        memcpy = record_value(records, path, MEMCPY_ARM, "bytes_per_second")
+        if memcpy <= 0:
+            raise SystemExit(fail(f"{path}: {MEMCPY_ARM} bytes_per_second "
+                                  f"is not positive"))
+        for name in arms:
+            rate = record_value(records, path, name, "bytes_per_second")
+            found[name] = {"name": name, "over_memcpy": rate / memcpy,
+                           "bytes_per_second": rate,
+                           "memcpy_bytes_per_second": memcpy}
+    missing = [name for name in BYTES_ARMS if name not in found]
+    if missing:
+        raise SystemExit(fail(f"no run holds {', '.join(missing)}"))
+    return found
+
+
+def check_bytes(options: argparse.Namespace) -> int:
+    fresh = bytes_ratios(options.fresh)
+    if options.update:
+        with open(options.fresh[0], "r", encoding="utf-8") as handle:
+            run_context = json.load(handle).get("context", {})
+        context = {key: run_context[key]
+                   for key in ("num_cpus", "mhz_per_cpu")
+                   if key in run_context}
+        context.update(machine=platform.machine(), memcpy_arm=MEMCPY_ARM)
+        doc = {"context": context,
+               "benchmarks": [fresh[name] for name in BYTES_ARMS]}
+        with open(options.baseline, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2)
+            handle.write("\n")
+        print(f"check_bench_json: wrote {options.baseline}")
+        return 0
+    base = load_records(options.baseline)
+    failures = []
+    for name in BYTES_ARMS:
+        base_ratio = record_value(base, options.baseline, name, "over_memcpy")
+        floor = base_ratio * (1.0 - options.tolerance)
+        ratio = fresh[name]["over_memcpy"]
+        verdict = "ok" if ratio >= floor else "BELOW FLOOR"
+        print(f"  {name:28s} {ratio:.4f} x memcpy (baseline {base_ratio:.4f}, "
+              f"floor {floor:.4f}) {verdict}")
+        if ratio < floor:
+            failures.append(name)
+    if failures:
+        return fail(f"per-byte cost regressed on {', '.join(failures)} "
+                    f"(more than {options.tolerance:.0%} below the committed "
+                    f"bytes/s-over-memcpy ratio)")
+    print(f"check_bench_json: OK: bytes arms within {options.tolerance:.0%} "
+          f"of the committed ratios")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -194,6 +274,18 @@ def main() -> int:
                           help="allowed relative speedup loss "
                                "(default 0.05 = 5%%)")
     fastpath.set_defaults(run=check_fastpath)
+
+    bytes_gate = sub.add_parser("bytes", help="gate BENCH_bytes.json")
+    bytes_gate.add_argument("baseline", help="committed baseline JSON")
+    bytes_gate.add_argument("fresh", nargs="+",
+                            help="fresh bench_wire / bench_capability_kinds "
+                                 "JSON runs")
+    bytes_gate.add_argument("--tolerance", type=float, default=0.3,
+                            help="allowed relative loss of an arm's "
+                                 "bytes/s-over-memcpy ratio (default 0.3)")
+    bytes_gate.add_argument("--update", action="store_true",
+                            help="rewrite the baseline from the fresh runs")
+    bytes_gate.set_defaults(run=check_bytes)
 
     options = parser.parse_args()
     return options.run(options)
