@@ -1,26 +1,20 @@
 // Massive fan-in benchmark: aggregate calls/sec against a real loopback
-// TCP server, blocking bearer vs. the epoll reactor, at matched
-// concurrency.
+// TCP server through the epoll reactor, one call in flight vs. many.
 //
-// The blocking bearer admits exactly one call per connection — "blocking
-// TCP at N concurrent calls" therefore means N caller threads, each
-// parked on its own connection (the connection-per-peer, thread-per-call
-// shape the reactor replaces).  Three arms over the identical world
-// (tcp-only protocol table):
-//   blocking_serial — one thread, one connection, one call in flight:
-//                     the per-call roundtrip floor, for reference;
-//   blocking        — N threads, each with its own stub and therefore its
-//                     own blocking channel: N concurrent calls the
-//                     thread-per-call way;
-//   reactor         — one thread with N call_async futures in flight:
-//                     frames coalesce into gathered sendmsg batches and
-//                     replies demux by correlation id.
-// The headline number is the reactor/blocking speedup at 1k+ concurrency.
+// Two arms over the identical world (tcp-only protocol table), both on
+// one client thread and one multiplexed connection:
+//   serial  — sync pings, one at a time: each call parks on its future,
+//             so this is the per-call roundtrip floor;
+//   reactor — N call_async futures in flight: frames coalesce into
+//             gathered sendmsg batches and replies demux by correlation
+//             id.
+// The headline number is the reactor/serial speedup at 1k concurrency:
+// how much of the per-call cost pipelining hides.
 //
-// Hand-rolled main (not google-benchmark): the fan-in arms need a
-// sliding window of futures / a thread fleet, not a per-iteration
-// callable.  Flags: --smoke (short run for CI), --json <path> (defaults
-// to BENCH_fanin.json in the working directory), --metrics-port N
+// Hand-rolled main (not google-benchmark): the fan-in arm needs a
+// sliding window of futures, not a per-iteration callable.  Flags:
+// --smoke (short run for CI), --json <path> (defaults to
+// BENCH_fanin.json in the working directory), --metrics-port N
 // (serve the live introspection exposition on N while the bench runs —
 // CI scrapes it mid-soak to validate the exporter under real load),
 // --metrics-hold SEC (keep the process and exporter alive that long
@@ -37,10 +31,8 @@
 #include "bench_support.hpp"
 #include "ohpx/introspect/http_exporter.hpp"
 #include "ohpx/orb/ref_builder.hpp"
-#include "ohpx/protocol/tcp_proto.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
-#include "ohpx/transport/reactor.hpp"
 
 namespace ohpx::bench {
 namespace {
@@ -54,60 +46,21 @@ struct Arm {
   std::uint64_t inflight = 0;
 };
 
-Arm run_blocking_serial(scenario::EchoStub& stub, std::size_t warmup,
-                        std::size_t calls) {
-  proto::TcpProtocol::set_blocking_fallback(true);
+Arm run_serial(scenario::EchoStub& stub, std::size_t warmup,
+               std::size_t calls) {
   for (std::size_t i = 0; i < warmup; ++i) stub.ping();
 
   const auto start = Clock::now();
   for (std::size_t i = 0; i < calls; ++i) stub.ping();
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  proto::TcpProtocol::set_blocking_fallback(false);
 
   Arm arm;
-  arm.name = "fanin/blocking_serial";
+  arm.name = "fanin/serial";
   arm.calls = calls;
   arm.inflight = 1;
   arm.calls_per_sec =
       seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
-  return arm;
-}
-
-Arm run_blocking(orb::Context& client_ctx, const orb::ObjectRef& ref,
-                 std::size_t threads, std::size_t calls) {
-  proto::TcpProtocol::set_blocking_fallback(true);
-  // One stub per caller thread: its own CallCore, its own TcpProtocol
-  // instance, its own blocking channel.  The warmup ping doubles as the
-  // connection establishment, serialized off the clock so the listener
-  // backlog never sees a thousand simultaneous SYNs.
-  std::vector<std::unique_ptr<scenario::EchoStub>> stubs;
-  stubs.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    stubs.push_back(std::make_unique<scenario::EchoStub>(client_ctx, ref));
-    stubs.back()->ping();
-  }
-
-  const std::size_t per_thread = calls / threads;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&stubs, t, per_thread] {
-      for (std::size_t i = 0; i < per_thread; ++i) stubs[t]->ping();
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  proto::TcpProtocol::set_blocking_fallback(false);
-
-  Arm arm;
-  arm.name = "fanin/blocking";
-  arm.calls = per_thread * threads;
-  arm.inflight = threads;
-  arm.calls_per_sec =
-      seconds > 0.0 ? static_cast<double>(arm.calls) / seconds : 0.0;
   return arm;
 }
 
@@ -169,13 +122,12 @@ int run(int argc, char** argv) {
                 static_cast<unsigned>(exporter->port()));
     std::fflush(stdout);
   }
-  // The concurrent arms run >=1k calls in flight (the reactor window
-  // defaults to 1024, so 1000 never trips backpressure); the blocking
-  // arms are slower per call, so they run fewer total calls for
-  // comparable wall time.
+  // The fan-in arm runs 1k calls in flight (the reactor window defaults
+  // to 1024, so 1000 never trips backpressure); the serial arm is slower
+  // per call, so it runs fewer total calls for comparable wall time.
   const std::size_t inflight = smoke ? 256 : 1000;
   const std::size_t warmup = smoke ? 200 : 2000;
-  const std::size_t blocking_calls = smoke ? 2048 : 20000;
+  const std::size_t serial_calls = smoke ? 2048 : 20000;
   const std::size_t reactor_calls = smoke ? 20000 : 200000;
 
   runtime::World world;
@@ -192,25 +144,24 @@ int run(int argc, char** argv) {
           .build();
   scenario::EchoStub stub(client_ctx, ref);
 
-  Arm serial = run_blocking_serial(stub, warmup, blocking_calls);
-  Arm blocking = run_blocking(client_ctx, ref, inflight, blocking_calls);
+  Arm serial = run_serial(stub, warmup, serial_calls);
   Arm reactor = run_reactor(stub, warmup, reactor_calls, inflight);
-  const double speedup = blocking.calls_per_sec > 0.0
-                             ? reactor.calls_per_sec / blocking.calls_per_sec
+  const double speedup = serial.calls_per_sec > 0.0
+                             ? reactor.calls_per_sec / serial.calls_per_sec
                              : 0.0;
 
   std::printf("fanin: tcp ping over loopback%s\n", smoke ? " (smoke)" : "");
-  for (const Arm* arm : {&serial, &blocking, &reactor}) {
+  for (const Arm* arm : {&serial, &reactor}) {
     std::printf("  %-22s %12.0f calls/s   (%llu calls, %llu in flight)\n",
                 arm->name.c_str(), arm->calls_per_sec,
                 static_cast<unsigned long long>(arm->calls),
                 static_cast<unsigned long long>(arm->inflight));
   }
-  std::printf("  speedup (reactor / blocking @ %zu in flight): %.2fx\n",
+  std::printf("  speedup (reactor / serial @ %zu in flight): %.2fx\n",
               inflight, speedup);
 
   std::vector<JsonRecord> records;
-  for (const Arm* arm : {&serial, &blocking, &reactor}) {
+  for (const Arm* arm : {&serial, &reactor}) {
     records.push_back(JsonRecord{
         arm->name,
         {{"calls_per_sec", arm->calls_per_sec},
@@ -218,7 +169,7 @@ int run(int argc, char** argv) {
          {"inflight", static_cast<double>(arm->inflight)}}});
   }
   records.push_back(JsonRecord{"fanin/speedup",
-                               {{"reactor_over_blocking", speedup},
+                               {{"reactor_over_serial", speedup},
                                 {"inflight", static_cast<double>(inflight)}}});
   if (!write_json_records(json_path, records)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -69,10 +69,10 @@ inline constexpr const char* kReactorLoopLag = "reactor.loop_lag";
 /// frame so the log2 buckets read as frame-count bands (see reactor.cpp).
 inline constexpr const char* kReactorBatchFrames = "reactor.batch_frames";
 /// Gauges (stored, not accumulated): current inflight calls and open
-/// connections across all shards, refreshed at the end of every tick.
+/// connections, refreshed at the end of every reactor tick.
 inline constexpr const char* kReactorInflight = "reactor.inflight";
 inline constexpr const char* kReactorConnections = "reactor.connections";
-/// Stall watchdog: ticks whose loop lag exceeded the configured
+/// Stall watchdog: ticks whose loop lag exceeded the stall
 /// threshold (each one also drops a flight-recorder entry).
 inline constexpr const char* kRmiReactorStall = "rmi.reactor.stall";
 

@@ -13,6 +13,66 @@
 #include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::orb {
+namespace {
+
+// Handles the breaker feed bumps.  Resolved once, on first use: the feed
+// also runs from static settlement continuations with no CallCore at hand.
+struct BreakerCounters {
+  metrics::MetricsRegistry::Counter* opened;
+  metrics::MetricsRegistry::Counter* closed;
+  metrics::MetricsRegistry::Counter* backpressure;
+};
+
+const BreakerCounters& breaker_counters() {
+  static const BreakerCounters counters = [] {
+    auto& registry = metrics::MetricsRegistry::global();
+    return BreakerCounters{
+        registry.counter_handle(metrics::names::kRmiBreakerOpened),
+        registry.counter_handle(metrics::names::kRmiBreakerClosed),
+        registry.counter_handle(metrics::names::kRmiBackpressure)};
+  }();
+  return counters;
+}
+
+}  // namespace
+
+void CallCore::feed_breaker(resilience::BreakerSet* breakers,
+                            std::size_t entry, std::string_view protocol,
+                            ErrorCode outcome) {
+  // Backpressure is the exception: a window-full refusal means the channel
+  // is *too* healthy to keep up, not broken — it must never push a breaker
+  // toward open (it would turn transient overload into failover).
+  if (outcome == ErrorCode::backpressure) {
+    breaker_counters().backpressure->fetch_add(1, std::memory_order_relaxed);
+    introspect::FlightRecorder::global().record(
+        introspect::EventKind::backpressure, outcome, protocol);
+    return;
+  }
+  if (breakers == nullptr) return;
+  if (outcome == ErrorCode::ok) {
+    // Any reply — even an error reply — proves the channel works; a
+    // half-open breaker closes on it.
+    if (breakers->at(entry).on_success() ==
+        resilience::CircuitBreaker::Transition::closed) {
+      breaker_counters().closed->fetch_add(1, std::memory_order_relaxed);
+      introspect::FlightRecorder::global().record(
+          introspect::EventKind::breaker_close, ErrorCode::ok, protocol);
+      trace::event("breaker.close", protocol);
+    }
+    return;
+  }
+  // The channel itself failed: a tripped breaker makes the entry
+  // inapplicable, so a retry — or the next call — fails over to the next
+  // table entry.
+  if (breakers->at(entry).on_failure() ==
+      resilience::CircuitBreaker::Transition::opened) {
+    breaker_counters().opened->fetch_add(1, std::memory_order_relaxed);
+    introspect::FlightRecorder::global().record(
+        introspect::EventKind::breaker_open, outcome, protocol);
+    trace::event("breaker.open", protocol);
+    breakers->notify_trip(entry);
+  }
+}
 
 CallCore::CallCore(Context& context, ObjectRef ref)
     : context_(context), ref_(std::move(ref)) {
@@ -39,11 +99,8 @@ CallCore::CallCore(Context& context, ObjectRef ref)
   cache_invalidate_ =
       registry.counter_handle(metrics::names::kRmiSelectCacheInvalidate);
   retries_ = registry.counter_handle(metrics::names::kRmiRetries);
-  backpressure_ = registry.counter_handle(metrics::names::kRmiBackpressure);
   deadline_exceeded_ =
       registry.counter_handle(metrics::names::kRmiDeadlineExceeded);
-  breaker_opened_ = registry.counter_handle(metrics::names::kRmiBreakerOpened);
-  breaker_closed_ = registry.counter_handle(metrics::names::kRmiBreakerClosed);
   async_deadline_cancelled_ =
       registry.counter_handle(metrics::names::kRmiAsyncDeadlineCancelled);
   latency_ = registry.latency_handle(metrics::names::kRmiLatency);
@@ -426,26 +483,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
       throw;
     } catch (const TransportError& e) {
-      // The channel itself failed: feed the entry's breaker (a tripped
-      // breaker makes the entry inapplicable, so the retry below — or the
-      // next call — fails over to the next table entry).  Backpressure is
-      // the exception: a window-full refusal means the channel is *too*
-      // healthy to keep up, not broken — it must never push a breaker
-      // toward open (it would turn transient overload into failover).
-      if (e.code() == ErrorCode::backpressure) {
-        backpressure_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::backpressure, e.code(), protocol->name());
-      } else if (breakers) {
-        const auto transition = breakers->at(entry_index).on_failure();
-        if (transition == resilience::CircuitBreaker::Transition::opened) {
-          breaker_opened_->fetch_add(1, std::memory_order_relaxed);
-          introspect::FlightRecorder::global().record(
-              introspect::EventKind::breaker_open, e.code(), protocol->name());
-          trace::event("breaker.open", protocol->name());
-          breakers->notify_trip(entry_index);
-        }
-      }
+      feed_breaker(breakers.get(), entry_index, protocol->name(), e.code());
       {
         sync::LockGuard lock(mutex_);
         cache_.reset();
@@ -488,18 +526,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       throw;
     }
 
-    // Any reply — even an error reply — proves the channel works; a
-    // half-open breaker closes on it.
-    if (breakers) {
-      const auto transition = breakers->at(entry_index).on_success();
-      if (transition == resilience::CircuitBreaker::Transition::closed) {
-        breaker_closed_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::breaker_close, ErrorCode::ok,
-            protocol->name());
-        trace::event("breaker.close", protocol->name());
-      }
-    }
+    feed_breaker(breakers.get(), entry_index, protocol->name(), ErrorCode::ok);
 
     if (reply.header.type == wire::MessageType::reply) {
       if (use_cache) {
@@ -637,18 +664,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     try {
       exchange = protocol->invoke_async(header, args, target);
     } catch (const TransportError& e) {
-      // Synchronous refusal.  Backpressure never feeds the breaker (the
-      // channel is saturated, not broken); real submit-time faults do.
-      if (e.code() == ErrorCode::backpressure) {
-        backpressure_->fetch_add(1, std::memory_order_relaxed);
-      } else if (breakers) {
-        const auto transition = breakers->at(entry_index).on_failure();
-        if (transition == resilience::CircuitBreaker::Transition::opened) {
-          breaker_opened_->fetch_add(1, std::memory_order_relaxed);
-          trace::event("breaker.open", protocol->name());
-          breakers->notify_trip(entry_index);
-        }
-      }
+      feed_breaker(breakers.get(), entry_index, protocol->name(), e.code());
       throw;
     }
     // The argument buffer was consumed by the (synchronous) frame encode
@@ -660,6 +676,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     // ticket may outlive this CallCore.
     ticket.breakers = breakers;
     ticket.entry_index = entry_index;
+    ticket.protocol = protocol->name();
     ticket.deadline_counter = deadline_exceeded_;
     ticket.expect_request_id = header.request_id;
     return exchange;
@@ -713,12 +730,9 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
         "async future cancelled past deadline");
     throw;
   } catch (const TransportError& e) {
-    if (ticket.breakers && e.code() != ErrorCode::backpressure) {
-      const auto transition =
-          ticket.breakers->at(ticket.entry_index).on_failure();
-      if (transition == resilience::CircuitBreaker::Transition::opened) {
-        ticket.breakers->notify_trip(ticket.entry_index);
-      }
+    if (!ticket.pipeline_complete) {
+      feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
+                   e.code());
     }
     throw;
   }
@@ -728,8 +742,8 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
     if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
     return std::move(reply.payload);
   }
-  // Any reply proves the channel works (even an error reply).
-  if (ticket.breakers) ticket.breakers->at(ticket.entry_index).on_success();
+  feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
+               ErrorCode::ok);
   if (reply.header.type == wire::MessageType::request) {
     throw ProtocolError(ErrorCode::protocol_unknown,
                         "request frame received where reply expected");

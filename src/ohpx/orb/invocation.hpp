@@ -82,6 +82,9 @@ class CallCore {
   struct AsyncReplyTicket {
     std::shared_ptr<resilience::BreakerSet> breakers;
     std::size_t entry_index = 0;
+    /// Protocol::name() of the selected entry (a string literal, so the
+    /// view outlives the CallCore) for the breaker feed's records.
+    std::string_view protocol;
     metrics::MetricsRegistry::Counter* deadline_counter = nullptr;
     /// Async-settlement instrumentation: completion latency (submit to
     /// settlement) and the deadline-cancellation count, recorded in
@@ -239,6 +242,17 @@ class CallCore {
   /// Breaker set snapshot (nullptr when breakers are off — the default).
   std::shared_ptr<resilience::BreakerSet> breaker_set() const;
 
+  /// The one breaker feed, shared by the sync pipeline, the async submit
+  /// refusal and the async settlement.  `outcome` is ErrorCode::ok when a
+  /// reply (even an error reply) arrived, else the transport fault.
+  /// Backpressure bumps rmi.backpressure and never reaches the breaker;
+  /// an opening or closing transition bumps rmi.breaker.opened / .closed
+  /// and writes a flight-recorder entry and a trace event, and an opening
+  /// fires the trip hook.  `breakers` may be null (breakers off).
+  static void feed_breaker(resilience::BreakerSet* breakers,
+                           std::size_t entry, std::string_view protocol,
+                           ErrorCode outcome);
+
   /// Waits out the policy backoff before a retry (no-op under the default
   /// zero-backoff policy); the schedule is created lazily on first use.
   void wait_backoff(std::optional<resilience::BackoffSchedule>& backoff,
@@ -268,10 +282,7 @@ class CallCore {
   metrics::MetricsRegistry::Counter* cache_misses_;
   metrics::MetricsRegistry::Counter* cache_invalidate_;
   metrics::MetricsRegistry::Counter* retries_;
-  metrics::MetricsRegistry::Counter* backpressure_;
   metrics::MetricsRegistry::Counter* deadline_exceeded_;
-  metrics::MetricsRegistry::Counter* breaker_opened_;
-  metrics::MetricsRegistry::Counter* breaker_closed_;
   metrics::MetricsRegistry::Counter* async_deadline_cancelled_;
   metrics::LatencyHistogram* latency_;
   metrics::LatencyHistogram* async_latency_;

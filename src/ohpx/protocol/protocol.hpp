@@ -34,7 +34,8 @@ class Protocol {
  public:
   virtual ~Protocol() = default;
 
-  /// Registry name, e.g. "shm", "nexus-tcp", "tcp", "glue".
+  /// Registry name, e.g. "shm", "nexus-tcp", "tcp", "glue".  Must view
+  /// static storage: async settlement records it after the call returns.
   virtual std::string_view name() const noexcept = 0;
 
   /// Whether this protocol can serve a call to `target` (paper §4.3: every

@@ -1,21 +1,15 @@
 #include "ohpx/protocol/tcp_proto.hpp"
 
-#include <atomic>
-
-#include "ohpx/sync/mutex.hpp"
 #include "ohpx/trace/trace.hpp"
 #include "ohpx/transport/reactor.hpp"
-#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::proto {
 namespace {
 
-std::atomic<bool> g_blocking_fallback{false};
-
 // The reactor already decoded the frame (header, body, CRC) on its loop
 // thread to demultiplex by correlation id — RawReply and ReplyMessage are
-// the same struct, so all that's left is the sanity the blocking path
-// gets from parse_reply_frame: right frame type, right request.
+// the same struct, so all that's left is the sanity parse_reply_frame
+// gives other protocols: right frame type, right request.
 ReplyMessage validate_reply(ReplyMessage reply,
                             std::uint64_t expect_request_id) {
   if (reply.header.type == wire::MessageType::request) {
@@ -31,40 +25,20 @@ ReplyMessage validate_reply(ReplyMessage reply,
 
 }  // namespace
 
-void TcpProtocol::set_blocking_fallback(bool on) noexcept {
-  g_blocking_fallback.store(on, std::memory_order_relaxed);
-}
-
-bool TcpProtocol::blocking_fallback() noexcept {
-  return g_blocking_fallback.load(std::memory_order_relaxed);
-}
-
 bool TcpProtocol::applicable(const CallTarget& target) const {
   return target.address.tcp_port != 0 && !target.address.tcp_host.empty();
-}
-
-std::shared_ptr<transport::TcpChannel> TcpProtocol::channel_for(
-    const std::string& host, std::uint16_t port) {
-  sync::LockGuard lock(mutex_);
-  auto& slot = channels_[{host, port}];
-  if (!slot) {
-    slot = std::make_shared<transport::TcpChannel>(host, port);
-  }
-  return slot;
 }
 
 ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
                                  wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
-  if (blocking_fallback()) {
-    return invoke_blocking(header, payload, target, ledger);
-  }
   // Sync bridge over the reactor: submit, then park on the future.  The
   // reactor throws backpressure/deadline refusals synchronously (before
   // anything is queued) and surfaces wire-level failures through the
-  // future — either way they leave this frame as ordinary exceptions, so
-  // the retry/breaker machinery above sees exactly what it would from a
-  // blocking channel.
+  // future — either way they leave this frame as ordinary exceptions for
+  // CallCore's retry/breaker machinery.  A connection gone stale (server
+  // restarted or migrated) fails this attempt; the reactor has already
+  // reaped it, so CallCore's retry re-dials fresh.
   trace::Span span(trace::SpanKind::transport, "proto.tcp");
   Future<transport::RawReply> future = transport::Reactor::global().submit(
       target.address.tcp_host, target.address.tcp_port, header,
@@ -73,20 +47,7 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
   transport::RawReply raw;
   {
     ScopedRealTime timer(ledger);
-    try {
-      raw = future.get();
-    } catch (const TransportError& e) {
-      // Same contract as the blocking path: a cached connection gone stale
-      // (server restarted / migrated) fails the call once; retry once and
-      // the reactor re-dials the reaped connection fresh.  Backpressure is
-      // not staleness — it must surface unretried for the caller to pace.
-      if (e.code() == ErrorCode::backpressure) throw;
-      trace::event("retry.reconnect", "stale tcp connection dropped");
-      raw = transport::Reactor::global()
-                .submit(target.address.tcp_host, target.address.tcp_port,
-                        header, payload.view())
-                .get();
-    }
+    raw = future.get();
   }
   ledger.add_bytes_received(raw.frame_size);
   return validate_reply(std::move(raw), header.request_id);
@@ -95,9 +56,6 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
 Future<ReplyMessage> TcpProtocol::invoke_async(
     const wire::MessageHeader& header, wire::Buffer& payload,
     const CallTarget& target) {
-  if (blocking_fallback()) {
-    return Protocol::invoke_async(header, payload, target);  // inline
-  }
   // RawReply *is* ReplyMessage: the reactor's future passes through with
   // no map stage — no shared-state allocation, no extra settlement, no
   // type-erased continuation per call.  Request-id validation happens in
@@ -105,27 +63,6 @@ Future<ReplyMessage> TcpProtocol::invoke_async(
   return transport::Reactor::global().submit(
       target.address.tcp_host, target.address.tcp_port, header,
       payload.view());
-}
-
-ReplyMessage TcpProtocol::invoke_blocking(const wire::MessageHeader& header,
-                                          wire::Buffer& payload,
-                                          const CallTarget& target,
-                                          CostLedger& ledger) {
-  trace::Span span(trace::SpanKind::transport, "proto.tcp");
-  auto channel = channel_for(target.address.tcp_host, target.address.tcp_port);
-  try {
-    return frame_roundtrip(*channel, header, payload, ledger);
-  } catch (const TransportError&) {
-    trace::event("retry.reconnect", "stale tcp channel dropped");
-    // Connection may be stale (server restarted / migrated).  Drop the
-    // cached channel and retry once on a fresh connection.
-    {
-      sync::LockGuard lock(mutex_);
-      channels_.erase({target.address.tcp_host, target.address.tcp_port});
-    }
-    channel = channel_for(target.address.tcp_host, target.address.tcp_port);
-    return frame_roundtrip(*channel, header, payload, ledger);
-  }
 }
 
 }  // namespace ohpx::proto

@@ -2,30 +2,17 @@
 // Used by integration tests and examples that want actual kernel sockets in
 // the path; benchmarks prefer the deterministic nexus-sim protocol.
 //
-// Two bearers, one wire format:
-//
-//   - reactor (default): calls go through the shared epoll event loop
-//     (transport/reactor.hpp) — one multiplexed connection per
-//     destination, correlation-id demux, sendmsg batching, a bounded
-//     inflight window surfacing ErrorCode::backpressure, and a real
-//     invoke_async() whose future settles off the event loop.  The
-//     synchronous invoke() is a bridge: submit + wait on the future, so
-//     every retry/breaker/deadline/trace behavior of the sync pipeline is
-//     preserved bit-for-bit.
-//
-//   - blocking fallback (set_blocking_fallback(true)): the original
-//     connection-per-peer TcpChannel with one in-flight call at a time —
-//     kept as the degraded-mode bearer and as the benchmark baseline the
-//     fan-in speedup is measured against.
+// One bearer: every call goes through the shared epoll event loop
+// (transport/reactor.hpp) — one multiplexed connection per destination,
+// correlation-id demux, sendmsg batching, a bounded inflight window
+// surfacing ErrorCode::backpressure, and a real invoke_async() whose
+// future settles off the event loop.  The synchronous invoke() is a
+// bridge: submit + wait on the future.  It never resends: a stale or dead
+// connection fails the attempt, and CallCore's counted retry is the only
+// retrier above it, so sync and async calls fail the same way here.
 #pragma once
 
-#include <map>
-#include <memory>
-
-#include "ohpx/common/annotations.hpp"
 #include "ohpx/protocol/protocol.hpp"
-#include "ohpx/sync/mutex.hpp"
-#include "ohpx/transport/tcp.hpp"
 
 namespace ohpx::proto {
 
@@ -39,32 +26,11 @@ class TcpProtocol final : public Protocol {
   ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 
-  bool supports_async() const noexcept override {
-    return !blocking_fallback();
-  }
+  bool supports_async() const noexcept override { return true; }
 
   Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
                                     wire::Buffer& payload,
                                     const CallTarget& target) override;
-
-  /// Process-wide bearer selection (default: reactor).  Flipping it only
-  /// affects calls issued afterwards; benchmarks use it to measure the
-  /// one-in-flight blocking baseline.
-  static void set_blocking_fallback(bool on) noexcept;
-  static bool blocking_fallback() noexcept;
-
- private:
-  ReplyMessage invoke_blocking(const wire::MessageHeader& header,
-                               wire::Buffer& payload, const CallTarget& target,
-                               CostLedger& ledger);
-
-  std::shared_ptr<transport::TcpChannel> channel_for(const std::string& host,
-                                                     std::uint16_t port);
-
-  sync::Mutex mutex_{"proto.tcp.channels"};
-  std::map<std::pair<std::string, std::uint16_t>,
-           std::shared_ptr<transport::TcpChannel>>
-      channels_ OHPX_GUARDED_BY(mutex_);
 };
 
 }  // namespace ohpx::proto

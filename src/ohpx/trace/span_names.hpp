@@ -33,7 +33,6 @@ inline constexpr const char* kRegistered[] = {
     "retry.backoff",     // resilience: backoff wait before re-attempt
     "retry.error",       // resilience: attempt failed, not retryable
     "retry.error_reply", // resilience: remote error reply decoded
-    "retry.reconnect",   // resilience: channel rebuild before retry
     "retry.stale_ref",   // resilience: re-resolve after migration race
     "retry.transport",   // resilience: transport fault worth a retry
     "rmi.invoke",        // orb: one logical remote method invocation

@@ -11,7 +11,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <functional>
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/log.hpp"
@@ -28,6 +27,13 @@ namespace {
 
 constexpr std::size_t kMaxFrameSize = 256u << 20;  // matches tcp.cpp's cap
 constexpr std::size_t kLenPrefixSize = 4;
+// Flush budget: at most this many frames / bytes per sendmsg batch, so one
+// destination's long queue cannot starve the loop.
+constexpr std::size_t kMaxBatchFrames = 256;
+constexpr std::size_t kMaxBatchBytes = 256u << 10;
+// Loop tick granularity while calls with deadlines are pending — the upper
+// bound on how late a deadline cancellation fires.
+constexpr int kPollGranularityMs = 5;
 
 void store_prefix(std::uint8_t* p, std::uint32_t size) noexcept {
   p[0] = static_cast<std::uint8_t>(size >> 24);
@@ -45,14 +51,8 @@ std::exception_ptr make_transport_error(ErrorCode code,
 
 // ---- lifecycle -------------------------------------------------------------
 
-Reactor::Reactor(ReactorConfig config)
-    : config_(config),
-      window_(config.inflight_window),
-      stall_threshold_(config.stall_threshold_ns) {
-  if (config_.shards == 0) config_.shards = 1;
-  if (config_.max_batch_frames == 0) config_.max_batch_frames = 1;
-
-  // Resolve handles before any loop thread exists: MetricsRegistry::global()
+Reactor::Reactor() {
+  // Resolve handles before the loop thread exists: MetricsRegistry::global()
   // is thereby constructed before this Reactor and outlives it.  The same
   // ordering argument pins the flight recorder the stall watchdog feeds.
   (void)introspect::FlightRecorder::global();
@@ -70,54 +70,39 @@ Reactor::Reactor(ReactorConfig config)
   loop_lag_ = registry.latency_handle(metrics::names::kReactorLoopLag);
   batch_frames_ = registry.latency_handle(metrics::names::kReactorBatchFrames);
 
-  shards_.reserve(config_.shards);
-  for (unsigned i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (shard->epoll_fd < 0) {
-      throw TransportError(ErrorCode::transport_io,
-                           std::string("epoll_create1: ") +
-                               std::strerror(errno));
-    }
-    shard->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (shard->event_fd < 0) {
-      ::close(shard->epoll_fd);
-      throw TransportError(ErrorCode::transport_io,
-                           std::string("eventfd: ") + std::strerror(errno));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = nullptr;  // nullptr marks the wakeup eventfd
-    ::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->event_fd, &ev);
-    shards_.push_back(std::move(shard));
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    throw TransportError(ErrorCode::transport_io,
+                         std::string("epoll_create1: ") + std::strerror(errno));
   }
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    raw->thread = std::thread([this, raw] { loop(*raw); });
+  event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (event_fd_ < 0) {
+    ::close(epoll_fd_);
+    throw TransportError(ErrorCode::transport_io,
+                         std::string("eventfd: ") + std::strerror(errno));
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = nullptr;  // nullptr marks the wakeup eventfd
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  thread_ = std::thread([this] { loop(); });
 }
 
 Reactor::~Reactor() {
   stop();
-  for (auto& shard : shards_) {
-    if (shard->event_fd >= 0) ::close(shard->event_fd);
-    if (shard->epoll_fd >= 0) ::close(shard->epoll_fd);
-  }
+  ::close(event_fd_);
+  ::close(epoll_fd_);
 }
 
 void Reactor::stop() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
-  for (auto& shard : shards_) {
-    {
-      sync::LockGuard lock(shard->mutex);
-      shard->stopping = true;
-    }
-    wake(*shard);
+  {
+    sync::LockGuard lock(mutex_);
+    stopping_ = true;
   }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
+  wake();
+  if (thread_.joinable()) thread_.join();
 }
 
 Reactor& Reactor::global() {
@@ -127,17 +112,10 @@ Reactor& Reactor::global() {
 
 // ---- submit (caller thread) ------------------------------------------------
 
-Reactor::Shard& Reactor::shard_for(const std::string& host,
-                                   std::uint16_t port) noexcept {
-  const std::size_t h =
-      std::hash<std::string>{}(host) * 31 + std::hash<std::uint16_t>{}(port);
-  return *shards_[h % shards_.size()];
-}
-
-void Reactor::wake(Shard& shard) noexcept {
+void Reactor::wake() noexcept {
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n =
-      ::write(shard.event_fd, &one, sizeof(one));  // EAGAIN = already armed
+      ::write(event_fd_, &one, sizeof(one));  // EAGAIN = already armed
 }
 
 Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
@@ -148,10 +126,9 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
     throw DeadlineExceeded("deadline exceeded before transport send");
   }
 
-  Shard& shard = shard_for(host, port);
   Promise<RawReply> promise;
 
-  // Encode before taking the shard mutex: the loop thread holds it for
+  // Encode before taking the reactor mutex: the loop thread holds it for
   // whole processing passes, so every cycle spent under it by a submitter
   // is a lock handoff waiting to happen.  A window-full refusal wastes
   // this encode — acceptable for the exceptional path.
@@ -166,11 +143,11 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
   bool window_full = false;
   std::size_t window_now = 0;
   {
-    sync::LockGuard lock(shard.mutex);
-    if (shard.stopping) {
+    sync::LockGuard lock(mutex_);
+    if (stopping_) {
       throw TransportError(ErrorCode::transport_closed, "reactor stopped");
     }
-    auto& slot = shard.conns[{host, port}];
+    auto& slot = conns_[{host, port}];
     if (!slot) {
       slot = std::make_unique<Connection>();
       slot->host = host;
@@ -189,7 +166,7 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
       pending.deadline_ns = deadline;
       conn.inflight.emplace(stamped.correlation_id, std::move(pending));
       if (deadline != resilience::kNoDeadline) ++conn.deadline_count;
-      shard.submit_seq.fetch_add(1, std::memory_order_seq_cst);
+      submit_seq_.fetch_add(1, std::memory_order_seq_cst);
     }
   }
   if (window_full) {
@@ -203,7 +180,7 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
   // Wake elision: while the loop is awake it services submissions at the
   // end of its tick anyway, so the eventfd write (a syscall per call under
   // fan-in) is only needed to interrupt an epoll_wait.
-  if (shard.asleep.load(std::memory_order_seq_cst)) wake(shard);
+  if (asleep_.load(std::memory_order_seq_cst)) wake();
   return promise.future();
 }
 
@@ -225,40 +202,32 @@ Nanoseconds Reactor::stall_threshold() const noexcept {
 
 std::size_t Reactor::pending_calls() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    sync::LockGuard lock(shard->mutex);
-    for (const auto& [key, conn] : shard->conns) {
-      total += conn->inflight.size();
-    }
-  }
+  sync::LockGuard lock(mutex_);
+  for (const auto& [key, conn] : conns_) total += conn->inflight.size();
   return total;
 }
 
 std::vector<Reactor::ConnectionStats> Reactor::connection_stats() const {
   std::vector<ConnectionStats> out;
-  for (const auto& shard : shards_) {
-    sync::LockGuard lock(shard->mutex);
-    for (const auto& [key, conn] : shard->conns) {
-      ConnectionStats stats;
-      stats.host = conn->host;
-      stats.port = conn->port;
-      stats.inflight = conn->inflight.size();
-      stats.queued = conn->outq.size();
-      stats.connected = conn->fd >= 0 && !conn->connecting;
-      stats.reconnects = conn->reconnects;
-      out.push_back(std::move(stats));
-    }
+  sync::LockGuard lock(mutex_);
+  for (const auto& [key, conn] : conns_) {
+    ConnectionStats stats;
+    stats.host = conn->host;
+    stats.port = conn->port;
+    stats.inflight = conn->inflight.size();
+    stats.queued = conn->outq.size();
+    stats.connected = conn->fd >= 0 && !conn->connecting;
+    stats.reconnects = conn->reconnects;
+    out.push_back(std::move(stats));
   }
   return out;
 }
 
-void Reactor::poke() noexcept {
-  for (auto& shard : shards_) wake(*shard);
-}
+void Reactor::poke() noexcept { wake(); }
 
 // ---- event loop ------------------------------------------------------------
 
-void Reactor::loop(Shard& shard) {
+void Reactor::loop() {
   std::vector<epoll_event> events(64);
   std::vector<Settlement> settled;
   std::uint64_t serviced_seq = 0;
@@ -267,27 +236,28 @@ void Reactor::loop(Shard& shard) {
     int timeout_ms = -1;
     bool exiting = false;
     {
-      sync::LockGuard lock(shard.mutex);
-      if (shard.stopping) {
+      sync::LockGuard lock(mutex_);
+      if (stopping_) {
         // Drain: every queued or awaiting call fails closed, connections
         // close, and the thread exits after settling outside the lock.
-        for (auto& [key, conn] : shard.conns) {
-          fail_connection(shard, *conn, ErrorCode::transport_closed,
+        for (auto& [key, conn] : conns_) {
+          fail_connection(*conn, ErrorCode::transport_closed,
                           "reactor stopped", settled);
         }
-        shard.conns.clear();
+        conns_.clear();
         exiting = true;
       } else {
-        for (const auto& [key, conn] : shard.conns) {
+        for (const auto& [key, conn] : conns_) {
           if (conn->deadline_count > 0) {
-            timeout_ms = config_.poll_granularity_ms;
+            timeout_ms = kPollGranularityMs;
             break;
           }
         }
       }
     }
     if (exiting) {
-      publish_gauges(shard, 0, 0);
+      inflight_gauge_->store(0, std::memory_order_relaxed);
+      connections_gauge_->store(0, std::memory_order_relaxed);
       for (auto& s : settled) s.settle();
       settled.clear();
       return;
@@ -297,13 +267,13 @@ void Reactor::loop(Shard& shard) {
     // sleep, then re-check for submissions that raced the declaration —
     // they saw asleep == false and skipped the eventfd, so poll instead
     // of parking.
-    shard.asleep.store(true, std::memory_order_seq_cst);
-    if (shard.submit_seq.load(std::memory_order_seq_cst) != serviced_seq) {
+    asleep_.store(true, std::memory_order_seq_cst);
+    if (submit_seq_.load(std::memory_order_seq_cst) != serviced_seq) {
       timeout_ms = 0;
     }
-    const int n = ::epoll_wait(shard.epoll_fd, events.data(),
+    const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
-    shard.asleep.store(false, std::memory_order_seq_cst);
+    asleep_.store(false, std::memory_order_seq_cst);
     if (n < 0 && errno != EINTR) {
       log_warn("reactor", "epoll_wait failed: ", std::strerror(errno));
       return;
@@ -317,40 +287,40 @@ void Reactor::loop(Shard& shard) {
     std::size_t connections_now = 0;
 
     {
-      sync::LockGuard lock(shard.mutex);
+      sync::LockGuard lock(mutex_);
       for (int i = 0; i < (n < 0 ? 0 : n); ++i) {
         if (events[i].data.ptr == nullptr) {
           std::uint64_t drained = 0;
           [[maybe_unused]] ssize_t r =
-              ::read(shard.event_fd, &drained, sizeof(drained));
+              ::read(event_fd_, &drained, sizeof(drained));
           continue;
         }
         auto* conn = static_cast<Connection*>(events[i].data.ptr);
         if (conn->fd < 0) continue;  // failed earlier in this batch
         const std::uint32_t ev = events[i].events;
         if (conn->connecting && (ev & (EPOLLOUT | EPOLLERR | EPOLLHUP))) {
-          finish_connect(shard, *conn, settled);
+          finish_connect(*conn, settled);
           continue;
         }
-        if (ev & EPOLLIN) read_ready(shard, *conn, settled);
-        if (conn->fd >= 0 && (ev & EPOLLOUT)) flush(shard, *conn, settled);
+        if (ev & EPOLLIN) read_ready(*conn, settled);
+        if (conn->fd >= 0 && (ev & EPOLLOUT)) flush(*conn, settled);
         if (conn->fd >= 0 && (ev & (EPOLLERR | EPOLLHUP))) {
-          fail_connection(shard, *conn, ErrorCode::transport_closed,
+          fail_connection(*conn, ErrorCode::transport_closed,
                           "connection reset", settled);
         }
       }
-      // Everything enqueued up to this point (we hold the shard mutex, and
+      // Everything enqueued up to this point (we hold the reactor mutex, and
       // submit bumps the sequence inside it) is serviced by this pass.
-      serviced_seq = shard.submit_seq.load(std::memory_order_relaxed);
-      service_submissions(shard, settled);
-      cancel_expired(shard, settled);
+      serviced_seq = submit_seq_.load(std::memory_order_relaxed);
+      service_submissions(settled);
+      cancel_expired(settled);
 
       // Reap connections that failed during this tick (fd already closed;
       // the record only lingered so epoll_event pointers stayed valid).
-      for (auto it = shard.conns.begin(); it != shard.conns.end();) {
+      for (auto it = conns_.begin(); it != conns_.end();) {
         if (it->second->fd < 0 && it->second->inflight.empty() &&
             it->second->outq.empty()) {
-          it = shard.conns.erase(it);
+          it = conns_.erase(it);
         } else {
           inflight_now += it->second->inflight.size();
           ++connections_now;
@@ -358,33 +328,17 @@ void Reactor::loop(Shard& shard) {
         }
       }
     }
-    publish_gauges(shard, inflight_now, connections_now);
+    // Gauges: store(), not fetch_add — at most one tick stale.
+    inflight_gauge_->store(inflight_now, std::memory_order_relaxed);
+    connections_gauge_->store(connections_now, std::memory_order_relaxed);
     for (auto& s : settled) s.settle();
     settled.clear();
     note_tick_lag(tick_watch.elapsed());
   }
 }
 
-void Reactor::publish_gauges(Shard& shard, std::size_t inflight,
-                             std::size_t connections) noexcept {
-  // Each shard refreshes its own contribution, then stores the cross-shard
-  // sum — the last writer wins with a value at most one tick stale, which
-  // is exactly what a gauge promises.
-  shard.gauge_inflight.store(inflight, std::memory_order_relaxed);
-  shard.gauge_connections.store(connections, std::memory_order_relaxed);
-  std::size_t total_inflight = 0;
-  std::size_t total_connections = 0;
-  for (const auto& other : shards_) {
-    total_inflight += other->gauge_inflight.load(std::memory_order_relaxed);
-    total_connections +=
-        other->gauge_connections.load(std::memory_order_relaxed);
-  }
-  inflight_gauge_->store(total_inflight, std::memory_order_relaxed);
-  connections_gauge_->store(total_connections, std::memory_order_relaxed);
-}
-
 // Stall watchdog: a tick that kept the loop busy past the threshold means
-// every other connection on this shard waited that long for service — the
+// every other connection waited that long for service — the
 // reactor-side equivalent of a blocked event loop.  Cheap path first: the
 // histogram record is three relaxed adds, the threshold probe one load.
 void Reactor::note_tick_lag(Nanoseconds lag) {
@@ -409,26 +363,25 @@ void Reactor::note_tick_lag(Nanoseconds lag) {
 // Gives every connection with staged work a socket and a flush: called
 // once per tick, so frames submitted while the loop was busy leave in one
 // coalesced batch (flush-on-idle).
-void Reactor::service_submissions(Shard& shard,
-                                  std::vector<Settlement>& out) {
-  for (auto& [key, conn] : shard.conns) {
+void Reactor::service_submissions(std::vector<Settlement>& out) {
+  for (auto& [key, conn] : conns_) {
     if (conn->outq.empty()) continue;
     if (conn->fd < 0) {
-      open_connection(shard, *conn, out);
+      open_connection(*conn, out);
       if (conn->fd < 0 || conn->connecting) continue;
     }
     if (!conn->connecting && !conn->want_write) {
-      flush(shard, *conn, out);
+      flush(*conn, out);
     }
   }
 }
 
-void Reactor::open_connection(Shard& shard, Connection& conn,
+void Reactor::open_connection(Connection& conn,
                               std::vector<Settlement>& out) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
   if (fd < 0) {
-    fail_connection(shard, conn, ErrorCode::transport_connect_failed,
+    fail_connection(conn, ErrorCode::transport_connect_failed,
                     std::string("socket: ") + std::strerror(errno), out);
     return;
   }
@@ -439,7 +392,7 @@ void Reactor::open_connection(Shard& shard, Connection& conn,
     addr.sin_addr = resolve_ipv4(conn.host);
   } catch (const TransportError& e) {
     ::close(fd);
-    fail_connection(shard, conn, ErrorCode::transport_connect_failed,
+    fail_connection(conn, ErrorCode::transport_connect_failed,
                     e.what(), out);
     return;
   }
@@ -448,7 +401,7 @@ void Reactor::open_connection(Shard& shard, Connection& conn,
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     if (errno != EINPROGRESS) {
-      fail_connection(shard, conn, ErrorCode::transport_connect_failed,
+      fail_connection(conn, ErrorCode::transport_connect_failed,
                       std::string("connect: ") + std::strerror(errno), out);
       return;
     }
@@ -456,7 +409,7 @@ void Reactor::open_connection(Shard& shard, Connection& conn,
   }
   if (!conn.connecting) note_connected(conn);  // loopback connect can
                                                // complete synchronously
-  update_interest(shard, conn, /*want_write=*/conn.connecting);
+  update_interest(conn, /*want_write=*/conn.connecting);
 }
 
 void Reactor::note_connected(Connection& conn) noexcept {
@@ -467,7 +420,7 @@ void Reactor::note_connected(Connection& conn) noexcept {
   conn.ever_connected = true;
 }
 
-void Reactor::finish_connect(Shard& shard, Connection& conn,
+void Reactor::finish_connect(Connection& conn,
                              std::vector<Settlement>& out) {
   int err = 0;
   socklen_t len = sizeof(err);
@@ -475,21 +428,21 @@ void Reactor::finish_connect(Shard& shard, Connection& conn,
     err = errno;
   }
   if (err != 0) {
-    fail_connection(shard, conn, ErrorCode::transport_connect_failed,
+    fail_connection(conn, ErrorCode::transport_connect_failed,
                     std::string("connect: ") + std::strerror(err), out);
     return;
   }
   conn.connecting = false;
   note_connected(conn);
-  update_interest(shard, conn, /*want_write=*/false);
-  flush(shard, conn, out);
+  update_interest(conn, /*want_write=*/false);
+  flush(conn, out);
 }
 
 // Drains the outbound queue in gather-write batches.  Each sendmsg carries
-// up to max_batch_frames (prefix, frame) iovec pairs within
-// max_batch_bytes (flush-on-budget); a short write advances out_offset
+// up to kMaxBatchFrames (prefix, frame) iovec pairs within
+// kMaxBatchBytes (flush-on-budget); a short write advances out_offset
 // into the front entry, EAGAIN arms EPOLLOUT and yields.
-void Reactor::flush(Shard& shard, Connection& conn,
+void Reactor::flush(Connection& conn,
                     std::vector<Settlement>& out) {
   while (!conn.outq.empty()) {
     iovec iov[512];
@@ -498,8 +451,8 @@ void Reactor::flush(Shard& shard, Connection& conn,
     std::size_t batch_frames = 0;
     std::size_t skip = conn.out_offset;
     for (auto it = conn.outq.begin();
-         it != conn.outq.end() && batch_frames < config_.max_batch_frames &&
-         iov_count + 2 <= 512 && batch_bytes < config_.max_batch_bytes;
+         it != conn.outq.end() && batch_frames < kMaxBatchFrames &&
+         iov_count + 2 <= 512 && batch_bytes < kMaxBatchBytes;
          ++it, ++batch_frames) {
       const std::uint8_t* prefix = it->prefix;
       std::size_t prefix_len = kLenPrefixSize;
@@ -538,10 +491,10 @@ void Reactor::flush(Shard& shard, Connection& conn,
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        update_interest(shard, conn, /*want_write=*/true);
+        update_interest(conn, /*want_write=*/true);
         return;
       }
-      fail_connection(shard, conn, ErrorCode::transport_io,
+      fail_connection(conn, ErrorCode::transport_io,
                       std::string("sendmsg: ") + std::strerror(errno), out);
       return;
     }
@@ -565,14 +518,14 @@ void Reactor::flush(Shard& shard, Connection& conn,
       frames_->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (conn.want_write) update_interest(shard, conn, /*want_write=*/false);
+  if (conn.want_write) update_interest(conn, /*want_write=*/false);
 }
 
 // Parses every complete length-prefixed frame out of conn.inbuf, settling
 // the pending call each one correlates to.  Replies whose call was already
 // cancelled (deadline) demux to nothing and are dropped.  Returns false
 // when the connection was failed (unsyncable stream).
-bool Reactor::drain_inbuf(Shard& shard, Connection& conn,
+bool Reactor::drain_inbuf(Connection& conn,
                           std::vector<Settlement>& out) {
   std::size_t consumed = 0;
   while (conn.inbuf.size() - consumed >= kLenPrefixSize) {
@@ -582,7 +535,7 @@ bool Reactor::drain_inbuf(Shard& shard, Connection& conn,
                                    (static_cast<std::size_t>(p[2]) << 8) |
                                    static_cast<std::size_t>(p[3]);
     if (frame_size > kMaxFrameSize) {
-      fail_connection(shard, conn, ErrorCode::transport_io,
+      fail_connection(conn, ErrorCode::transport_io,
                       "frame exceeds size cap", out);
       return false;
     }
@@ -617,7 +570,7 @@ bool Reactor::drain_inbuf(Shard& shard, Connection& conn,
       out.push_back(std::move(s));
     } catch (const WireError& e) {
       // A corrupt frame on a byte stream cannot be resynchronized.
-      fail_connection(shard, conn, ErrorCode::transport_io,
+      fail_connection(conn, ErrorCode::transport_io,
                       std::string("corrupt reply frame: ") + e.what(), out);
       return false;
     }
@@ -631,7 +584,7 @@ bool Reactor::drain_inbuf(Shard& shard, Connection& conn,
 
 // Reads until EAGAIN in bulk chunks — one recv covers many pipelined
 // replies — parsing frames out of the buffer after each chunk.
-void Reactor::read_ready(Shard& shard, Connection& conn,
+void Reactor::read_ready(Connection& conn,
                          std::vector<Settlement>& out) {
   constexpr std::size_t kReadChunk = 256u << 10;
   for (;;) {
@@ -643,27 +596,27 @@ void Reactor::read_ready(Shard& shard, Connection& conn,
       conn.inbuf.resize(old_size);
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      fail_connection(shard, conn, ErrorCode::transport_io,
+      fail_connection(conn, ErrorCode::transport_io,
                       std::string("recv: ") + std::strerror(errno), out);
       return;
     }
     if (n == 0) {
       conn.inbuf.resize(old_size);
-      fail_connection(shard, conn, ErrorCode::transport_closed,
+      fail_connection(conn, ErrorCode::transport_closed,
                       old_size == 0 ? "connection closed"
                                     : "connection closed mid-frame",
                       out);
       return;
     }
     conn.inbuf.resize(old_size + static_cast<std::size_t>(n));
-    if (!drain_inbuf(shard, conn, out)) return;
+    if (!drain_inbuf(conn, out)) return;
   }
 }
 
 // Fails every pending call on `conn` and closes its socket.  The record
 // stays in the map (fd = -1) until the end of the tick so epoll_event
 // pointers from this batch remain valid; a later submit() reuses it.
-void Reactor::fail_connection(Shard& shard, Connection& conn, ErrorCode code,
+void Reactor::fail_connection(Connection& conn, ErrorCode code,
                               const std::string& message,
                               std::vector<Settlement>& out) {
   const std::string described =
@@ -686,7 +639,7 @@ void Reactor::fail_connection(Shard& shard, Connection& conn, ErrorCode code,
   conn.inbuf.clear();
   if (conn.fd >= 0) {
     if (conn.registered) {
-      ::epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
     }
     ::close(conn.fd);
   }
@@ -700,9 +653,9 @@ void Reactor::fail_connection(Shard& shard, Connection& conn, ErrorCode code,
 // pending call whose deadline has passed settles with DeadlineExceeded.
 // The reply may still arrive; it then finds no inflight entry and is
 // dropped — settlement stays once-only either way.
-void Reactor::cancel_expired(Shard& shard, std::vector<Settlement>& out) {
+void Reactor::cancel_expired(std::vector<Settlement>& out) {
   bool any = false;
-  for (const auto& [key, conn] : shard.conns) {
+  for (const auto& [key, conn] : conns_) {
     if (conn->deadline_count > 0) {
       any = true;
       break;
@@ -711,7 +664,7 @@ void Reactor::cancel_expired(Shard& shard, std::vector<Settlement>& out) {
   if (!any) return;
   std::size_t cancelled = 0;
   const std::int64_t now = resilience::now_ns();
-  for (auto& [key, conn] : shard.conns) {
+  for (auto& [key, conn] : conns_) {
     if (conn->deadline_count == 0) continue;
     for (auto it = conn->inflight.begin(); it != conn->inflight.end();) {
       if (it->second.deadline_ns != resilience::kNoDeadline &&
@@ -738,14 +691,14 @@ void Reactor::cancel_expired(Shard& shard, std::vector<Settlement>& out) {
   }
 }
 
-void Reactor::update_interest(Shard& shard, Connection& conn,
+void Reactor::update_interest(Connection& conn,
                               bool want_write) {
   if (conn.registered && conn.want_write == want_write) return;
   epoll_event ev{};
   ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
   ev.data.ptr = &conn;
   const int op = conn.registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-  if (::epoll_ctl(shard.epoll_fd, op, conn.fd, &ev) < 0) {
+  if (::epoll_ctl(epoll_fd_, op, conn.fd, &ev) < 0) {
     log_warn("reactor", "epoll_ctl failed: ", std::strerror(errno));
   }
   conn.registered = true;

@@ -1,7 +1,6 @@
-// Event-driven async TCP transport: one epoll loop (optionally sharded)
-// owns every outbound connection, so a single client thread can keep
-// thousands of calls in flight where the blocking TcpChannel holds exactly
-// one.
+// Event-driven async TCP transport: one epoll loop owns every outbound
+// connection, so a single client thread can keep thousands of calls in
+// flight.  It is the only TCP client path: sync calls park on its futures.
 //
 // Shape of the machine (DESIGN-level summary; docs/transport.md has the
 // full walkthrough):
@@ -13,12 +12,12 @@
 //     returns the Future.  No socket syscall happens on the caller.
 //
 //   - the loop thread owns all I/O.  Queued frames to the same destination
-//     coalesce into one sendmsg gather write (up to max_batch_frames /
-//     max_batch_bytes per syscall) — flush-on-idle: whatever accumulated
-//     while the loop was busy goes out in one batch; flush-on-budget: a
-//     long queue is cut into budget-sized syscalls so one destination
-//     cannot starve the loop.  Replies demultiplex by the echoed
-//     correlation id, in whatever order the server produces them.
+//     coalesce into one sendmsg gather write (up to 256 frames / 256 KiB
+//     per syscall) — flush-on-idle: whatever accumulated while the loop
+//     was busy goes out in one batch; flush-on-budget: a long queue is
+//     cut into budget-sized syscalls so one destination cannot starve the
+//     loop.  Replies demultiplex by the echoed correlation id, in
+//     whatever order the server produces them.
 //
 //   - every connection carries a bounded inflight window (queued + on the
 //     wire, awaiting reply).  A submit() into a full window is refused
@@ -28,14 +27,13 @@
 //
 //   - deadlines cancel futures: each pending call remembers the ambient
 //     deadline at submit time; the loop scans pending deadlines every tick
-//     (bounded epoll timeout while any exist) on the *resilience* clock,
+//     (a 5 ms epoll timeout while any exist) on the *resilience* clock,
 //     so ManualClock-driven tests work — advance the clock, poke(), and
 //     the future settles with DeadlineExceeded.  A reply racing the
 //     cancellation loses: settlement is once-only (ohpx::Future).
 //
-// The blocking TcpChannel remains the fallback bearer (and the baseline
-// the fan-in benchmark measures against); both speak the same length-
-// prefixed framing against the same TcpListener.
+// The peer is a TcpListener (tcp.hpp) speaking the same length-prefixed
+// framing.
 #pragma once
 
 #include <atomic>
@@ -68,40 +66,15 @@ namespace ohpx::transport {
 /// passes the settled future upward with no per-layer repack stage.
 using RawReply = wire::ReplyEnvelope;
 
-struct ReactorConfig {
-  /// Event-loop shards; connections hash to a shard by (host, port).  One
-  /// shard saturates loopback comfortably; shard when one loop thread
-  /// becomes the bottleneck across many destinations.
-  unsigned shards = 1;
-  /// Per-connection inflight window: queued + awaiting-reply calls beyond
-  /// this are refused with ErrorCode::backpressure.  Tunable at runtime
-  /// via set_inflight_window().
-  std::size_t inflight_window = 1024;
-  /// Flush budget: at most this many frames / bytes per sendmsg batch.
-  std::size_t max_batch_frames = 256;
-  std::size_t max_batch_bytes = 256u << 10;
-  /// Loop tick granularity while calls with deadlines are pending — the
-  /// upper bound on how late a deadline cancellation fires.
-  int poll_granularity_ms = 5;
-
-  /// Stall watchdog: a loop tick whose processing time (everything between
-  /// an epoll_wait return and the next sleep decision — time *parked* in
-  /// epoll_wait never counts) reaches this threshold bumps
-  /// rmi.reactor.stall and drops a flight-recorder entry; the first stall
-  /// additionally logs a full recorder dump.  0 disables the watchdog.
-  /// Tunable at runtime via set_stall_threshold().
-  std::int64_t stall_threshold_ns = 500'000'000;
-};
-
 class Reactor {
  public:
-  explicit Reactor(ReactorConfig config = {});
+  Reactor();
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Process-wide reactor used by the tcp protocol's async path.
+  /// Process-wide reactor the tcp protocol submits every call to.
   static Reactor& global();
 
   /// Queues one call to host:port.  Stamps a fresh correlation id (the
@@ -117,12 +90,18 @@ class Reactor {
                           const wire::MessageHeader& header,
                           BytesView payload);
 
-  /// Dynamic window tuning (tests shrink it to force backpressure).
+  /// Per-connection inflight window (default 1024): queued + awaiting-reply
+  /// calls beyond it are refused with ErrorCode::backpressure.  Tests
+  /// shrink it to force backpressure.
   void set_inflight_window(std::size_t window) noexcept;
   std::size_t inflight_window() const noexcept;
 
-  /// Stall-watchdog threshold tuning (tests shrink it to force a stall;
-  /// 0 disables).  See ReactorConfig::stall_threshold_ns.
+  /// Stall watchdog (default 500 ms; 0 disables): a loop tick whose
+  /// processing time — everything between an epoll_wait return and the
+  /// next sleep decision, never time parked in epoll_wait — reaches the
+  /// threshold bumps rmi.reactor.stall and drops a flight-recorder entry;
+  /// the first stall also logs a full recorder dump.  Tests shrink it to
+  /// force a stall.
   void set_stall_threshold(Nanoseconds threshold) noexcept;
   Nanoseconds stall_threshold() const noexcept;
 
@@ -139,16 +118,16 @@ class Reactor {
     std::uint64_t reconnects = 0;
   };
 
-  /// Every live connection across all shards (order unspecified).
+  /// Every live connection (order unspecified).
   std::vector<ConnectionStats> connection_stats() const;
 
-  /// Wakes every shard for an immediate tick — after advancing a
+  /// Wakes the loop for an immediate tick — after advancing a
   /// ManualClock, this makes deadline cancellation prompt instead of
   /// waiting out the poll granularity.
   void poke() noexcept;
 
   /// Fails all pending calls (transport_closed), closes every connection
-  /// and joins the loop threads.  Idempotent; the destructor calls it.
+  /// and joins the loop thread.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -171,7 +150,7 @@ class Reactor {
     std::uint16_t port = 0;
     int fd = -1;
     bool connecting = false;  // nonblocking connect() in progress
-    bool registered = false;  // fd added to the shard's epoll set
+    bool registered = false;  // fd added to the epoll set
     bool want_write = false;  // EPOLLOUT currently requested
 
     // Write side: frames not yet (fully) handed to the kernel.
@@ -200,32 +179,8 @@ class Reactor {
     std::size_t deadline_count = 0;
   };
 
-  struct Shard {
-    int epoll_fd = -1;
-    int event_fd = -1;
-    std::thread thread;
-    // Wake elision: submit() pays the eventfd write syscall only while the
-    // loop is (about to be) parked in epoll_wait.  The loop publishes
-    // asleep=true immediately before sleeping and then re-checks
-    // submit_seq (a Dekker handshake, both seq_cst): either the submitter
-    // observes asleep and writes the eventfd, or the loop observes the
-    // new sequence number and skips the sleep — a wakeup is never lost.
-    std::atomic<bool> asleep{false};
-    std::atomic<std::uint64_t> submit_seq{0};
-    mutable sync::Mutex mutex{"transport.reactor.shard"};
-    // This shard's contribution to the reactor.inflight / .connections
-    // gauges, refreshed at the end of every tick (the loop sums across
-    // shards and stores the totals into the metrics registry).
-    std::atomic<std::size_t> gauge_inflight{0};
-    std::atomic<std::size_t> gauge_connections{0};
-    bool stopping OHPX_GUARDED_BY(mutex) = false;
-    std::map<std::pair<std::string, std::uint16_t>,
-             std::unique_ptr<Connection>>
-        conns OHPX_GUARDED_BY(mutex);
-  };
-
   // A settled call carried out of the locked region: promises are
-  // fulfilled *after* the shard mutex drops, so a continuation that
+  // fulfilled *after* the reactor mutex drops, so a continuation that
   // re-enters submit() cannot deadlock.
   struct Settlement {
     Promise<RawReply> promise;
@@ -241,44 +196,52 @@ class Reactor {
     }
   };
 
-  Shard& shard_for(const std::string& host, std::uint16_t port) noexcept;
-  void wake(Shard& shard) noexcept;
-  void loop(Shard& shard);
-  void service_submissions(Shard& shard, std::vector<Settlement>& out)
-      OHPX_REQUIRES(shard.mutex);
-  void open_connection(Shard& shard, Connection& conn,
-                       std::vector<Settlement>& out)
-      OHPX_REQUIRES(shard.mutex);
-  void finish_connect(Shard& shard, Connection& conn,
-                      std::vector<Settlement>& out) OHPX_REQUIRES(shard.mutex);
-  void flush(Shard& shard, Connection& conn, std::vector<Settlement>& out)
-      OHPX_REQUIRES(shard.mutex);
-  void read_ready(Shard& shard, Connection& conn,
-                  std::vector<Settlement>& out) OHPX_REQUIRES(shard.mutex);
-  bool drain_inbuf(Shard& shard, Connection& conn,
-                   std::vector<Settlement>& out) OHPX_REQUIRES(shard.mutex);
-  void fail_connection(Shard& shard, Connection& conn, ErrorCode code,
+  void wake() noexcept;
+  void loop();
+  void service_submissions(std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  void open_connection(Connection& conn, std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  void finish_connect(Connection& conn, std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  void flush(Connection& conn, std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  void read_ready(Connection& conn, std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  bool drain_inbuf(Connection& conn, std::vector<Settlement>& out)
+      OHPX_REQUIRES(mutex_);
+  void fail_connection(Connection& conn, ErrorCode code,
                        const std::string& message,
-                       std::vector<Settlement>& out)
-      OHPX_REQUIRES(shard.mutex);
-  void cancel_expired(Shard& shard, std::vector<Settlement>& out)
-      OHPX_REQUIRES(shard.mutex);
-  void update_interest(Shard& shard, Connection& conn, bool want_write)
-      OHPX_REQUIRES(shard.mutex);
+                       std::vector<Settlement>& out) OHPX_REQUIRES(mutex_);
+  void cancel_expired(std::vector<Settlement>& out) OHPX_REQUIRES(mutex_);
+  void update_interest(Connection& conn, bool want_write)
+      OHPX_REQUIRES(mutex_);
   void note_connected(Connection& conn) noexcept;
-  void publish_gauges(Shard& shard, std::size_t inflight,
-                      std::size_t connections) noexcept;
   void note_tick_lag(Nanoseconds lag);
 
-  ReactorConfig config_;
-  std::atomic<std::size_t> window_;
-  std::atomic<std::int64_t> stall_threshold_{0};
+  int epoll_fd_ = -1;
+  int event_fd_ = -1;
+  // Wake elision: submit() pays the eventfd write syscall only while the
+  // loop is (about to be) parked in epoll_wait.  The loop publishes
+  // asleep_=true immediately before sleeping and then re-checks
+  // submit_seq_ (a Dekker handshake, both seq_cst): either the submitter
+  // observes asleep_ and writes the eventfd, or the loop observes the new
+  // sequence number and skips the sleep — a wakeup is never lost.
+  std::atomic<bool> asleep_{false};
+  std::atomic<std::uint64_t> submit_seq_{0};
+  mutable sync::Mutex mutex_{"transport.reactor"};
+  bool stopping_ OHPX_GUARDED_BY(mutex_) = false;
+  std::map<std::pair<std::string, std::uint16_t>, std::unique_ptr<Connection>>
+      conns_ OHPX_GUARDED_BY(mutex_);
+
+  std::atomic<std::size_t> window_{1024};
+  std::atomic<std::int64_t> stall_threshold_{500'000'000};
   std::atomic<bool> stall_dump_logged_{false};
   std::atomic<std::uint64_t> next_correlation_{1};
   std::atomic<bool> stopped_{false};
 
   // Resolved once in the constructor, which runs after (and therefore
-  // destructs before) MetricsRegistry::global() — loop threads may bump
+  // destructs before) MetricsRegistry::global() — the loop thread may bump
   // these until stop() completes.
   metrics::MetricsRegistry::Counter* batches_ = nullptr;
   metrics::MetricsRegistry::Counter* frames_ = nullptr;
@@ -294,7 +257,8 @@ class Reactor {
   metrics::LatencyHistogram* loop_lag_ = nullptr;
   metrics::LatencyHistogram* batch_frames_ = nullptr;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // The loop thread, last: it uses every member above.
+  std::thread thread_;
 };
 
 }  // namespace ohpx::transport

@@ -14,7 +14,6 @@
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/log.hpp"
-#include "ohpx/resilience/deadline.hpp"
 #include "ohpx/sync/mutex.hpp"
 
 namespace ohpx::transport {
@@ -86,25 +85,6 @@ void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
   replies.clear();
 }
 
-/// Returns false on clean EOF at a frame boundary (start == true).
-bool read_full(int fd, std::uint8_t* data, std::size_t size, bool eof_ok) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(ErrorCode::transport_io, "recv");
-    }
-    if (n == 0) {
-      if (eof_ok && got == 0) return false;
-      throw TransportError(ErrorCode::transport_closed,
-                           "connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 in_addr resolve_ipv4(const std::string& host) {
@@ -130,47 +110,6 @@ in_addr resolve_ipv4(const std::string& host) {
   addr = reinterpret_cast<sockaddr_in*>(result->ai_addr)->sin_addr;
   ::freeaddrinfo(result);
   return addr;
-}
-
-// One gather write of length-prefix + frame instead of two sends: without
-// the single syscall, the 4-byte prefix used to go out as its own segment
-// whenever the kernel flushed between the calls, and a short second send
-// (under memory pressure) could interleave with another writer's prefix.
-// TCP_NODELAY stays on (set at connect/accept), so small frames are not
-// delayed waiting for an ACK — this path is the blocking *fallback* bearer;
-// the reactor (reactor.hpp) batches many frames per sendmsg on top of the
-// same framing.
-void tcp_write_frame(int fd, const wire::Buffer& frame) {
-  std::uint8_t len[4];
-  const std::uint32_t size = static_cast<std::uint32_t>(frame.size());
-  len[0] = static_cast<std::uint8_t>(size >> 24);
-  len[1] = static_cast<std::uint8_t>(size >> 16);
-  len[2] = static_cast<std::uint8_t>(size >> 8);
-  len[3] = static_cast<std::uint8_t>(size);
-  iovec iov[2];
-  iov[0].iov_base = len;
-  iov[0].iov_len = sizeof(len);
-  iov[1].iov_base = const_cast<std::uint8_t*>(frame.data());
-  iov[1].iov_len = frame.size();
-  sendmsg_full(fd, iov, frame.size() > 0 ? 2 : 1);
-}
-
-wire::Buffer tcp_read_frame(int fd) {
-  std::uint8_t len[4];
-  if (!read_full(fd, len, 4, /*eof_ok=*/true)) {
-    throw TransportError(ErrorCode::transport_closed, "connection closed");
-  }
-  const std::size_t size = (static_cast<std::size_t>(len[0]) << 24) |
-                           (static_cast<std::size_t>(len[1]) << 16) |
-                           (static_cast<std::size_t>(len[2]) << 8) |
-                           static_cast<std::size_t>(len[3]);
-  if (size > kMaxFrameSize) {
-    throw TransportError(ErrorCode::transport_io, "frame exceeds size cap");
-  }
-  wire::Buffer frame;
-  frame.resize(size);
-  read_full(fd, frame.data(), size, /*eof_ok=*/false);
-  return frame;
 }
 
 // ---- TcpListener ---------------------------------------------------------
@@ -352,62 +291,6 @@ void TcpListener::serve_connection(int fd) {
   } catch (...) {
     log_warn("tcp", "connection handler error: non-standard exception");
   }
-}
-
-// ---- TcpChannel ------------------------------------------------------------
-
-TcpChannel::TcpChannel(const std::string& host, std::uint16_t port)
-    : host_(host), port_(port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr = resolve_ipv4(host);
-  addr.sin_port = htons(port);
-
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) throw_errno(ErrorCode::transport_connect_failed, "socket");
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd_);
-    throw_errno(ErrorCode::transport_connect_failed, "connect");
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-TcpChannel::~TcpChannel() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-wire::Buffer TcpChannel::roundtrip(const wire::Buffer& request,
-                                   CostLedger& ledger) {
-  sync::LockGuard lock(io_mutex_);
-  // Honor the ambient deadline on a real socket: refuse a send whose
-  // budget is spent, and bound the reply wait by the remaining budget so
-  // a stuck server cannot hold the caller past its deadline.
-  const std::int64_t deadline = resilience::current_deadline_ns();
-  if (resilience::deadline_expired(deadline)) {
-    throw DeadlineExceeded("deadline exceeded before transport send");
-  }
-  if (deadline != resilience::kNoDeadline) {
-    const auto remaining = resilience::deadline_remaining(deadline);
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(remaining.count() / 1'000'000'000);
-    tv.tv_usec = static_cast<suseconds_t>((remaining.count() / 1000) % 1'000'000);
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  } else {
-    timeval tv{};  // zero = no timeout
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  ledger.add_bytes_sent(request.size());
-  ScopedRealTime timer(ledger);
-  tcp_write_frame(fd_, request);
-  wire::Buffer reply = tcp_read_frame(fd_);
-  ledger.add_bytes_received(reply.size());
-  return reply;
-}
-
-std::string TcpChannel::describe() const {
-  return "tcp:" + host_ + ":" + std::to_string(port_);
 }
 
 }  // namespace ohpx::transport

@@ -1,10 +1,11 @@
-// Real TCP transport built directly on the POSIX socket API.  Stream
-// framing: u32 big-endian payload length + payload.  This is the
-// "Nexus-based TCP protocol" bearer when running against a real network
-// stack (the benchmark suite instead uses the netsim-timed channel so
-// results are deterministic — see DESIGN.md §2).  Listeners default to
-// loopback but can bind any local interface, which is what lets a World
-// span OS processes and machines (docs/deployment.md).
+// Accepting side of the real TCP transport, built directly on the POSIX
+// socket API.  Stream framing: u32 big-endian payload length + payload.
+// Every outbound call rides the epoll reactor (reactor.hpp), which speaks
+// the same framing against this listener; the benchmark suite instead
+// uses the netsim-timed channel so results are deterministic (DESIGN.md
+// §2).  Listeners default to loopback but can bind any local interface,
+// which is what lets a World span OS processes and machines
+// (docs/deployment.md).
 #pragma once
 
 #include <netinet/in.h>
@@ -62,29 +63,5 @@ class TcpListener {
   std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
   std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
 };
-
-/// Connecting side: one persistent connection, one in-flight request at a
-/// time (callers serialize through an internal mutex).
-class TcpChannel final : public Channel {
- public:
-  TcpChannel(const std::string& host, std::uint16_t port);
-  ~TcpChannel() override;
-
-  TcpChannel(const TcpChannel&) = delete;
-  TcpChannel& operator=(const TcpChannel&) = delete;
-
-  wire::Buffer roundtrip(const wire::Buffer& request, CostLedger& ledger) override;
-  std::string describe() const override;
-
- private:
-  int fd_ = -1;
-  std::string host_;
-  std::uint16_t port_;
-  sync::Mutex io_mutex_{"transport.tcp.io"};
-};
-
-/// Frame I/O helpers shared by both sides (exposed for tests).
-void tcp_write_frame(int fd, const wire::Buffer& frame);
-wire::Buffer tcp_read_frame(int fd);
 
 }  // namespace ohpx::transport

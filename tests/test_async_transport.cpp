@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "ohpx/introspect/flight_recorder.hpp"
+#include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/resilience/clock.hpp"
@@ -210,6 +212,45 @@ TEST_F(AsyncTransportFixture, BackpressureDoesNotTripBreakers) {
   // With the window free again the same stub's calls flow — and succeed
   // through the still-closed breaker.
   EXPECT_EQ(caller.call<std::uint64_t>(GatedServant::kPing), 1u);
+}
+
+// ---- an async transport fault feeds the breaker like a sync one -----------
+
+TEST_F(AsyncTransportFixture, AsyncTransportFaultOpensBreakerWithRecords) {
+  // A tcp-only reference to a port nothing listens on: the reactor's
+  // connect is refused on the loop thread, so the fault arrives through
+  // the future and the settlement is what feeds the breaker.
+  proto::ServerAddress dead_address;
+  dead_address.machine = netsim::kInvalidMachine;
+  dead_address.tcp_host = "127.0.0.1";
+  dead_address.tcp_port = 1;  // reserved port: nothing listens
+  proto::ProtoTable table;
+  table.add(proto::ProtocolEntry{"tcp", {}});
+  EchoStub stub(*client_ctx_,
+                orb::ObjectRef(0x0dead2, "Echo", dead_address, table));
+  resilience::BreakerConfig breaker;
+  breaker.failure_threshold = 1;
+  stub.set_breaker_config(breaker);
+
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
+  const std::uint64_t opened_before =
+      counter_value(metrics::names::kRmiBreakerOpened);
+
+  auto future = stub.call_async<std::uint64_t>(EchoServant::kPing);
+  EXPECT_THROW(future.get(), TransportError);
+
+  EXPECT_EQ(counter_value(metrics::names::kRmiBreakerOpened),
+            opened_before + 1);
+  EXPECT_EQ(stub.breaker_state(0), resilience::CircuitBreaker::State::open);
+  std::size_t breaker_open_records = 0;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::breaker_open) {
+      ++breaker_open_records;
+    }
+  }
+  EXPECT_EQ(breaker_open_records, 1u);
+  recorder.clear();
 }
 
 // ---- deadlines cancel pending futures, exactly once -----------------------

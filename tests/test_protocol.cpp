@@ -1,11 +1,19 @@
 // Unit tests for the protocol layer: tables, pools, selection semantics,
-// glue proto-data, glue protocol behaviour over a fake delegate, and the
-// protocol registry.
+// glue proto-data, glue protocol behaviour over a fake delegate, the tcp
+// protocol over a real listener, and the protocol registry.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "ohpx/capability/builtin/checksum.hpp"
 #include "ohpx/capability/builtin/encryption.hpp"
 #include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
+#include "ohpx/orb/stub.hpp"
 #include "ohpx/protocol/glue.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/protocol/nexus_sim.hpp"
@@ -14,6 +22,8 @@
 #include "ohpx/protocol/select.hpp"
 #include "ohpx/protocol/shm.hpp"
 #include "ohpx/protocol/tcp_proto.hpp"
+#include "ohpx/runtime/world.hpp"
+#include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/serialize.hpp"
 
 namespace ohpx::proto {
@@ -344,42 +354,100 @@ TEST(Glue, DescribeShowsChainAndDelegate) {
   EXPECT_EQ(glue.describe(), "glue[quota]->recording");
 }
 
-// ---- tcp protocol reconnect ------------------------------------------------------------
+// ---- tcp protocol: one bearer, CallCore the only retrier ---------------------------------
 
-TEST(TcpProtocolRecovery, ReconnectsAfterServerRestart) {
-  // A cached connection goes stale when the server restarts; the protocol
-  // must drop it and retry once on a fresh connection.
-  auto echo_handler = [](const wire::Buffer& frame) {
-    BytesView body;
-    const wire::MessageHeader header = wire::decode_frame(frame.view(), body);
-    wire::MessageHeader reply = header;
-    reply.type = wire::MessageType::reply;
-    return wire::encode_frame(reply, body);
-  };
+// Answers every request frame with a reply frame carrying the same body:
+// a call marshalling one value gets that value back.
+wire::Buffer echo_frame(const wire::Buffer& frame) {
+  BytesView body;
+  wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+  header.type = wire::MessageType::reply;
+  return wire::encode_frame(header, body);
+}
 
-  auto first = std::make_unique<transport::TcpListener>(0, echo_handler);
-  const std::uint16_t port = first->port();
+// A reference naming a raw TCP endpoint through the tcp protocol alone.
+orb::ObjectRef tcp_ref_to(std::uint16_t port) {
+  ServerAddress address;
+  address.machine = netsim::kInvalidMachine;
+  address.tcp_host = "127.0.0.1";
+  address.tcp_port = port;
+  ProtoTable table;
+  table.add(ProtocolEntry{"tcp", {}});
+  return orb::ObjectRef(0x7c9001, "Echo", address, table);
+}
 
+std::uint64_t retries_now() {
+  return metrics::MetricsRegistry::global()
+      .counter_handle(metrics::names::kRmiRetries)
+      ->load(std::memory_order_relaxed);
+}
+
+class TcpStubFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    client_ctx_ = &world_.create_context(
+        world_.add_machine("client", world_.add_lan("lan")));
+  }
+
+  runtime::World world_;
+  orb::Context* client_ctx_ = nullptr;
+};
+
+TEST(TcpProtocolTest, InvokeChargesTheLedger) {
+  transport::TcpListener listener(0, echo_frame);
   TcpProtocol tcp;
+  EXPECT_TRUE(tcp.supports_async());
   CallTarget target;
   target.address.tcp_host = "127.0.0.1";
-  target.address.tcp_port = port;
+  target.address.tcp_port = listener.port();
 
   wire::MessageHeader header;
-  header.request_id = 1;
+  header.request_id = 7;
   CostLedger ledger;
-  wire::Buffer first_payload(Bytes{1, 2});
-  auto reply = tcp.invoke(header, first_payload, target, ledger);
-  EXPECT_EQ(reply.payload.size(), 2u);
+  wire::Buffer payload(Bytes{1, 2, 3});
+  const ReplyMessage reply = tcp.invoke(header, payload, target, ledger);
+  EXPECT_EQ(reply.payload.bytes(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(reply.header.request_id, 7u);
+  EXPECT_GT(ledger.real().count(), 0);
+  EXPECT_EQ(ledger.bytes_sent(), wire::kHeaderSize + 3u);
+  EXPECT_EQ(ledger.bytes_received(), reply.frame_size);
+}
 
-  // Restart the server on the same port; the cached channel is now dead.
+TEST_F(TcpStubFixture, ReconnectsAfterServerRestart) {
+  // A cached connection goes stale when the server restarts.  The tcp
+  // protocol never resends: either the reactor saw the close first and the
+  // call dials fresh, or the attempt fails and CallCore's counted retry
+  // dials fresh — at most one retry, and the call succeeds either way.
+  auto first = std::make_unique<transport::TcpListener>(0, echo_frame);
+  const std::uint16_t port = first->port();
+  orb::ObjectStub stub(*client_ctx_, tcp_ref_to(port));
+  EXPECT_EQ(stub.call<std::string>(1, std::string("before")), "before");
+
   first.reset();
-  transport::TcpListener second(port, echo_handler);
+  transport::TcpListener second(port, echo_frame);
 
-  header.request_id = 2;
-  wire::Buffer second_payload(Bytes{3, 4, 5});
-  reply = tcp.invoke(header, second_payload, target, ledger);
-  EXPECT_EQ(reply.payload.size(), 3u);
+  const std::uint64_t retries_before = retries_now();
+  EXPECT_EQ(stub.call<std::string>(1, std::string("after")), "after");
+  EXPECT_LE(retries_now() - retries_before, 1u);
+}
+
+TEST_F(TcpStubFixture, WireAttemptsNeverExceedMaxAttempts) {
+  // An endpoint that reads one frame per connection and then drops it: the
+  // handler counts, then throws, and the listener closes the connection.
+  std::atomic<int> handled{0};
+  transport::TcpListener listener(
+      0, [&handled](const wire::Buffer&) -> wire::Buffer {
+        ++handled;
+        throw std::runtime_error("drop the connection");
+      });
+  orb::ObjectStub stub(*client_ctx_, tcp_ref_to(listener.port()));
+  ASSERT_EQ(resilience::RetryPolicy{}.max_attempts, 3);
+
+  const std::uint64_t retries_before = retries_now();
+  EXPECT_THROW(stub.call<std::string>(1, std::string("x")), TransportError);
+  // One frame on the wire per CallCore attempt, two of them retries.
+  EXPECT_EQ(handled.load(), 3);
+  EXPECT_EQ(retries_now() - retries_before, 2u);
 }
 
 // ---- registry ------------------------------------------------------------------------------

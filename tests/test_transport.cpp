@@ -1,12 +1,15 @@
 // Unit tests for the transport layer: endpoint registry, in-process
 // channel, simulated-network channel cost accounting, and the real TCP
-// listener/channel pair (loopback sockets).
+// listener driven by the reactor (loopback sockets).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
+#include "ohpx/sync/mutex.hpp"
 #include "ohpx/transport/inproc.hpp"
+#include "ohpx/transport/reactor.hpp"
 #include "ohpx/transport/sim.hpp"
 #include "ohpx/transport/tcp.hpp"
 
@@ -126,45 +129,85 @@ TEST(SimChannelTest, LinkProviderReevaluatedPerCall) {
 }
 
 // ---- real TCP ---------------------------------------------------------------------------
+//
+// The listener serves wire frames; the client side is the reactor, the one
+// TCP client path.  Replies echo the request header (and therefore its
+// correlation id) with the body upper-cased, so a passing exchange proves
+// the server, not a loopback of the request, produced the reply.
+
+FrameHandler frame_upper_caser() {
+  return [](const wire::Buffer& frame) {
+    BytesView body;
+    wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+    header.type = wire::MessageType::reply;
+    wire::Buffer reply_body(body.data(), body.size());
+    for (auto& b : reply_body.mutable_view()) {
+      if (b >= 'a' && b <= 'z') b = static_cast<std::uint8_t>(b - 'a' + 'A');
+    }
+    return wire::encode_frame(header, reply_body.view());
+  };
+}
+
+Future<RawReply> submit(std::uint16_t port, std::string_view text,
+                        std::uint64_t request_id = 1) {
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = request_id;
+  return Reactor::global().submit(
+      "127.0.0.1", port, header,
+      BytesView(reinterpret_cast<const std::uint8_t*>(text.data()),
+                text.size()));
+}
+
+wire::Buffer roundtrip(std::uint16_t port, std::string_view text) {
+  return submit(port, text).get().payload;
+}
 
 TEST(TcpTest, RoundTripOverLoopback) {
-  TcpListener listener(0, upper_caser());
+  TcpListener listener(0, frame_upper_caser());
   ASSERT_GT(listener.port(), 0);
 
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
-  wire::Buffer reply = channel.roundtrip(make_payload("hello tcp"), ledger);
-  EXPECT_EQ(reply.bytes(), bytes_of("HELLO TCP"));
-  EXPECT_GT(ledger.real().count(), 0);
-  EXPECT_EQ(ledger.bytes_sent(), 9u);
+  const RawReply reply = submit(listener.port(), "hello tcp", 42).get();
+  EXPECT_EQ(reply.payload.bytes(), bytes_of("HELLO TCP"));
+  EXPECT_EQ(reply.header.type, wire::MessageType::reply);
+  EXPECT_EQ(reply.header.request_id, 42u);
+  EXPECT_EQ(reply.frame_size, wire::kHeaderSize + 9u + /*correlation*/ 8u);
 }
 
 TEST(TcpTest, LargeFrames) {
-  TcpListener listener(0, [](const wire::Buffer& request) { return request; });
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
-
-  std::string big(4 * 1024 * 1024, 'z');
-  wire::Buffer reply = channel.roundtrip(make_payload(big), ledger);
-  EXPECT_EQ(reply.size(), big.size());
+  TcpListener listener(0, frame_upper_caser());
+  const std::string big(4 * 1024 * 1024, 'z');
+  const wire::Buffer reply = roundtrip(listener.port(), big);
+  ASSERT_EQ(reply.size(), big.size());
+  EXPECT_EQ(reply.data()[0], 'Z');
+  EXPECT_EQ(reply.data()[big.size() - 1], 'Z');
 }
 
 TEST(TcpTest, SequentialRequestsOnOneConnection) {
-  std::atomic<int> served{0};
-  TcpListener listener(0, [&served](const wire::Buffer& request) {
-    ++served;
-    return request;
+  // The listener serves each connection on its own thread, so one serving
+  // thread across all 50 calls means one connection carried them all.
+  sync::Mutex mutex{"test.serving_threads"};
+  std::set<std::thread::id> serving_threads;
+  int served = 0;
+  const FrameHandler echo = frame_upper_caser();
+  TcpListener listener(0, [&](const wire::Buffer& frame) {
+    {
+      sync::LockGuard lock(mutex);
+      serving_threads.insert(std::this_thread::get_id());
+      ++served;
+    }
+    return echo(frame);
   });
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
   for (int i = 0; i < 50; ++i) {
-    channel.roundtrip(make_payload("ping"), ledger);
+    EXPECT_EQ(roundtrip(listener.port(), "ping").bytes(), bytes_of("PING"));
   }
-  EXPECT_EQ(served.load(), 50);
+  sync::LockGuard lock(mutex);
+  EXPECT_EQ(served, 50);
+  EXPECT_EQ(serving_threads.size(), 1u);
 }
 
 TEST(TcpTest, ConcurrentClients) {
-  TcpListener listener(0, upper_caser());
+  TcpListener listener(0, frame_upper_caser());
   const std::uint16_t port = listener.port();
 
   std::atomic<int> failures{0};
@@ -172,13 +215,8 @@ TEST(TcpTest, ConcurrentClients) {
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([port, &failures] {
       try {
-        TcpChannel channel("127.0.0.1", port);
-        CostLedger ledger;
         for (int i = 0; i < 20; ++i) {
-          if (channel.roundtrip(make_payload("abc"), ledger).bytes() !=
-              bytes_of("ABC")) {
-            ++failures;
-          }
+          if (roundtrip(port, "abc").bytes() != bytes_of("ABC")) ++failures;
         }
       } catch (...) {
         ++failures;
@@ -193,13 +231,11 @@ TEST(TcpTest, ConnectToDeadPortFails) {
   // Grab an ephemeral port, then close the listener so nothing listens.
   std::uint16_t dead_port;
   {
-    TcpListener listener(0, upper_caser());
+    TcpListener listener(0, frame_upper_caser());
     dead_port = listener.port();
   }
   try {
-    TcpChannel channel("127.0.0.1", dead_port);
-    CostLedger ledger;
-    channel.roundtrip(make_payload("x"), ledger);
+    roundtrip(dead_port, "x");
     FAIL() << "expected connect failure";
   } catch (const TransportError& e) {
     EXPECT_TRUE(e.code() == ErrorCode::transport_connect_failed ||
@@ -209,48 +245,39 @@ TEST(TcpTest, ConnectToDeadPortFails) {
 }
 
 TEST(TcpTest, BadAddressRejected) {
-  EXPECT_THROW(TcpChannel("not-an-ip", 1234), TransportError);
+  EXPECT_THROW(resolve_ipv4("not-an-ip"), TransportError);
 }
 
 TEST(TcpTest, ListenerStopIsIdempotent) {
-  TcpListener listener(0, upper_caser());
+  TcpListener listener(0, frame_upper_caser());
   listener.stop();
   listener.stop();
 }
 
-TEST(TcpTest, ServerStopClosesClients) {
-  auto listener = std::make_unique<TcpListener>(0, upper_caser());
-  TcpChannel channel("127.0.0.1", listener->port());
-  CostLedger ledger;
-  channel.roundtrip(make_payload("a"), ledger);
+TEST(TcpTest, ServerStopFailsTheNextCall) {
+  auto listener = std::make_unique<TcpListener>(0, frame_upper_caser());
+  const std::uint16_t port = listener->port();
+  EXPECT_EQ(roundtrip(port, "a").bytes(), bytes_of("A"));
   listener.reset();  // server goes away
-  EXPECT_THROW(
-      {
-        channel.roundtrip(make_payload("b"), ledger);
-        channel.roundtrip(make_payload("c"), ledger);
-      },
-      TransportError);
+  // Either the reactor already saw the close (the re-dial is refused) or
+  // the call rides the dead connection; both fail, and nothing resends.
+  EXPECT_THROW(roundtrip(port, "b"), TransportError);
 }
 
 // ---- handler errors don't kill the server ------------------------------------------------
 
 TEST(TcpTest, HandlerExceptionDropsConnectionOnly) {
   std::atomic<int> calls{0};
-  TcpListener listener(0, [&calls](const wire::Buffer& request) {
+  const FrameHandler echo = frame_upper_caser();
+  TcpListener listener(0, [&calls, &echo](const wire::Buffer& frame) {
     if (++calls == 1) throw std::runtime_error("boom");
-    return request;
+    return echo(frame);
   });
 
-  {
-    TcpChannel first("127.0.0.1", listener.port());
-    CostLedger ledger;
-    EXPECT_THROW(first.roundtrip(make_payload("x"), ledger), TransportError);
-  }
-  // A fresh connection still works.
-  TcpChannel second("127.0.0.1", listener.port());
-  CostLedger ledger;
-  EXPECT_EQ(second.roundtrip(make_payload("ok"), ledger).bytes(),
-            bytes_of("ok"));
+  EXPECT_THROW(roundtrip(listener.port(), "x"), TransportError);
+  // The reactor re-dials, and the fresh connection still works.
+  EXPECT_EQ(roundtrip(listener.port(), "ok").bytes(), bytes_of("OK"));
+  EXPECT_EQ(calls.load(), 2);
 }
 
 }  // namespace

@@ -24,8 +24,9 @@ Rules:
                      above transport.  A lock held across a network
                      roundtrip serializes the caller on a peer's latency
                      — copy what you need under the lock, drop it, then
-                     send.  src/ohpx/transport/ itself is exempt: a
-                     channel serializing its own fd (TcpChannel::io_mutex_)
+                     send.  src/ohpx/transport/ itself is exempt: there a
+                     lock guards the transport's own fds and queues (the
+                     reactor's mutex, a listener's connection set), which
                      is that lock's entire point.
   blocking-socket    global-scope blocking socket syscalls (::connect,
                      ::send, ::recv, ::read, ::write, ::accept, ::poll,
@@ -525,9 +526,10 @@ class ConsistencyChecker:
                         source, lineno, "blocking-socket",
                         f"::{match.group(1)}() outside src/ohpx/transport/ "
                         "— socket I/O and accepting listeners belong to "
-                        "the transport layer (Reactor::submit for async, "
-                        "Channel for the sync bearer, TcpListener for "
-                        "accepting sockets); a raw syscall parks a thread "
+                        "the transport layer (Reactor::submit for outbound "
+                        "TCP, a Channel for in-process and simulated calls, "
+                        "TcpListener for accepting sockets); a raw syscall "
+                        "parks a thread "
                         "or owns an fd the reactor cannot see")
 
     def check_metric_names(self, findings: Findings) -> None:
@@ -697,7 +699,7 @@ TRANSPORT_TCP_CPP = """\
 #include "ohpx/transport/channel.hpp"
 extern "C" long send(int, const void*, unsigned long, int);
 namespace ohpx::transport {
-class TcpChannel : public Channel {
+class FdChannel : public Channel {
  public:
   Buffer roundtrip(const Buffer& request) override {
     sync::LockGuard lock(io_mutex_);  // exempt: serializes this fd
@@ -706,7 +708,7 @@ class TcpChannel : public Channel {
     return reply;
   }
  private:
-  sync::Mutex io_mutex_{"transport.tcp.io"};
+  sync::Mutex io_mutex_{"transport.fd.io"};
   int fd_ = -1;
 };
 }  // namespace ohpx::transport
