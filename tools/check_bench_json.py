@@ -245,9 +245,9 @@ def main() -> int:
 
     fanin = sub.add_parser("fanin", help="gate BENCH_fanin.json")
     fanin.add_argument("json", help="fanin bench JSON")
-    fanin.add_argument("--min-speedup", type=float, default=5.0,
+    fanin.add_argument("--min-speedup", type=float, default=2.0,
                        help="minimum reactor/serial speedup "
-                            "(default 5.0)")
+                            "(default 2.0)")
     fanin.set_defaults(run=check_fanin)
 
     naming = sub.add_parser("naming", help="gate BENCH_naming.json")
