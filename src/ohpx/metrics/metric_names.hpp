@@ -3,9 +3,9 @@
 // Metric names are a cross-file contract, exactly like span names
 // (trace/span_names.hpp): the exporter maps them to Prometheus families,
 // ohpx-top keys its table on them, tests assert on them, and dashboards
-// break silently when one drifts.  ohpx-lint's AST tier
-// (tools/ohpx_lint_ast.py, rule metric-names) bans raw metric-name string
-// literals at registry call sites anywhere in src/ outside this header —
+// break silently when one drifts.  ohpx-lint (tools/ohpx_lint.py, rule
+// metric-names) bans raw metric-name string literals and `+`-built names
+// at registry call sites anywhere in src/ outside src/ohpx/metrics/ —
 // every counter_handle()/latency_handle()/increment()/record_latency()/
 // ScopedLatency site must reach its name through these constants or the
 // derived-name helpers below.

@@ -29,7 +29,7 @@ void bump_revision() noexcept {
 
 // Exhaustive on purpose — no default — so adding an ErrorCode without
 // deciding its retry class is a compile warning here and an ohpx-lint
-// error (error-consistency rule in tools/ohpx_lint_ast.py).
+// error (error-consistency rule in tools/ohpx_lint.py).
 bool is_retryable(ErrorCode code) noexcept {
   switch (code) {
     // Channel faults: the endpoint may rebind, a breaker may fail over.

@@ -1,7 +1,7 @@
 // ohpx::sync — the repo's only sanctioned mutex vocabulary.
 //
 // Raw std::mutex / std::lock_guard are banned outside this directory
-// (ohpx-lint's AST tier enforces it) for two reasons:
+// (ohpx-lint's naked-mutex rule enforces it) for two reasons:
 //
 //   1. *Visibility to the analysis.*  libstdc++'s lock types carry no
 //      thread-safety attributes, so Clang's -Wthread-safety cannot see a

@@ -3,10 +3,10 @@
 // Span names are a cross-file contract: the exporter groups by them, the
 // timeline tests assert on them, and dashboards key on them — so a name
 // that exists only at one call site is either a typo or an undocumented
-// stage.  ohpx-lint's AST tier (tools/ohpx_lint_ast.py, rule
-// error-consistency) checks both directions against this list: every
-// literal passed to trace::Span / trace::event in src/ must be registered
-// here, and every registered name must still have a call site.
+// stage.  ohpx-lint (tools/ohpx_lint.py, rule span-names) checks both
+// directions against this list: every name passed to trace::Span /
+// trace::event in src/ outside trace/ must be a single string literal
+// registered here, and every registered name must still have a call site.
 //
 // Adding a span?  Add its name here (keep the array sorted) in the same
 // change that introduces the call site.

@@ -4,8 +4,8 @@
 // connection, loopback only — enough for `curl :port/metrics`, a
 // Prometheus scrape, and ohpx-top's polling, and nothing more.  It lives
 // in transport/ because that is the one directory allowed to make
-// blocking socket syscalls (tools/ohpx_lint_ast.py, rule
-// blocking-sockets); everything above hands in a path->response callback.
+// blocking socket syscalls (tools/ohpx_lint.py, rule
+// blocking-socket); everything above hands in a path->response callback.
 #pragma once
 
 #include <atomic>
