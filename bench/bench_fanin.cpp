@@ -8,8 +8,14 @@
 //   reactor — N call_async futures in flight: frames coalesce into
 //             gathered sendmsg batches and replies demux by correlation
 //             id.
-// The headline number is the reactor/serial speedup at 1k concurrency:
-// how much of the per-call cost pipelining hides.
+// A third arm runs without the ORB:
+//   bare    — a frame the size of the ping request echoed over a plain
+//             blocking loopback TCP pair between two threads, no reactor:
+//             the transport's own round trip.
+// The headline numbers are the reactor/serial speedup at 1k concurrency
+// (how much of the per-call cost pipelining hides) and serial/bare, the
+// share of the sync TCP bearer's rate the ORB keeps: end to end over the
+// bare round trip, HAM's measure of ORB overhead.
 //
 // Hand-rolled main (not google-benchmark): the fan-in arm needs a
 // sliding window of futures, not a per-iteration callable.  Flags:
@@ -19,6 +25,11 @@
 // CI scrapes it mid-soak to validate the exporter under real load),
 // --metrics-hold SEC (keep the process and exporter alive that long
 // after the arms finish, so a scraper always has a window).
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +44,8 @@
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/tcp.hpp"
+#include "ohpx/wire/message.hpp"
 
 namespace ohpx::bench {
 namespace {
@@ -61,6 +74,91 @@ Arm run_serial(scenario::EchoStub& stub, std::size_t warmup,
   arm.inflight = 1;
   arm.calls_per_sec =
       seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
+  return arm;
+}
+
+bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool recv_all(int fd, std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::recv(fd, data, size, 0);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// The bare round trip.  The message is what the reactor puts on the wire
+// for a ping: length prefix, header, correlation id, no arguments (the
+// bench sets no deadline and no trace sink).  The echo thread returns
+// each message as it arrives; TCP_NODELAY on both ends, as in the ORB.
+Arm run_bare(std::size_t warmup, std::size_t calls) {
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.flags = wire::kFlagCorrelation;
+  header.correlation_id = 1;
+  header.method_or_code = scenario::EchoServant::kPing;
+  const wire::Buffer frame = wire::encode_frame(header, {});
+  std::vector<std::uint8_t> message(transport::kFramePrefixSize);
+  transport::store_frame_prefix(message.data(),
+                                static_cast<std::uint32_t>(frame.size()));
+  message.insert(message.end(), frame.data(), frame.data() + frame.size());
+
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ::bind(listener, reinterpret_cast<sockaddr*>(&addr), len);
+  ::listen(listener, 1);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int connected =
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  const int server = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  const int one = 1;
+  ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+  std::thread echo([server, size = message.size()] {
+    std::vector<std::uint8_t> in(size);
+    while (recv_all(server, in.data(), size) &&
+           send_all(server, in.data(), size)) {
+    }
+    ::close(server);
+  });
+
+  std::vector<std::uint8_t> reply(message.size());
+  bool ok = connected == 0 && server >= 0;
+  auto round_trip = [&] {
+    ok = ok && send_all(client, message.data(), message.size()) &&
+         recv_all(client, reply.data(), reply.size());
+  };
+  for (std::size_t i = 0; i < warmup; ++i) round_trip();
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < calls; ++i) round_trip();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  ::shutdown(client, SHUT_RDWR);
+  ::close(client);
+  echo.join();
+
+  Arm arm;
+  arm.name = "fanin/bare";
+  arm.calls = calls;
+  arm.inflight = 1;
+  arm.calls_per_sec =
+      ok && seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
   return arm;
 }
 
@@ -145,13 +243,17 @@ int run(int argc, char** argv) {
   scenario::EchoStub stub(client_ctx, ref);
 
   Arm serial = run_serial(stub, warmup, serial_calls);
+  Arm bare = run_bare(warmup, serial_calls);
   Arm reactor = run_reactor(stub, warmup, reactor_calls, inflight);
   const double speedup = serial.calls_per_sec > 0.0
                              ? reactor.calls_per_sec / serial.calls_per_sec
                              : 0.0;
+  const double serial_over_bare =
+      bare.calls_per_sec > 0.0 ? serial.calls_per_sec / bare.calls_per_sec
+                               : 0.0;
 
   std::printf("fanin: tcp ping over loopback%s\n", smoke ? " (smoke)" : "");
-  for (const Arm* arm : {&serial, &reactor}) {
+  for (const Arm* arm : {&serial, &bare, &reactor}) {
     std::printf("  %-22s %12.0f calls/s   (%llu calls, %llu in flight)\n",
                 arm->name.c_str(), arm->calls_per_sec,
                 static_cast<unsigned long long>(arm->calls),
@@ -159,9 +261,10 @@ int run(int argc, char** argv) {
   }
   std::printf("  speedup (reactor / serial @ %zu in flight): %.2fx\n",
               inflight, speedup);
+  std::printf("  serial / bare round trip: %.3f\n", serial_over_bare);
 
   std::vector<JsonRecord> records;
-  for (const Arm* arm : {&serial, &reactor}) {
+  for (const Arm* arm : {&serial, &bare, &reactor}) {
     records.push_back(JsonRecord{
         arm->name,
         {{"calls_per_sec", arm->calls_per_sec},
@@ -170,6 +273,7 @@ int run(int argc, char** argv) {
   }
   records.push_back(JsonRecord{"fanin/speedup",
                                {{"reactor_over_serial", speedup},
+                                {"serial_over_bare", serial_over_bare},
                                 {"inflight", static_cast<double>(inflight)}}});
   if (!write_json_records(json_path, records)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -25,8 +25,6 @@
 namespace ohpx::transport {
 namespace {
 
-constexpr std::size_t kMaxFrameSize = 256u << 20;  // matches tcp.cpp's cap
-constexpr std::size_t kLenPrefixSize = 4;
 // Flush budget: at most this many frames / bytes per sendmsg batch, so one
 // destination's long queue cannot starve the loop.
 constexpr std::size_t kMaxBatchFrames = 256;
@@ -34,13 +32,6 @@ constexpr std::size_t kMaxBatchBytes = 256u << 10;
 // Loop tick granularity while calls with deadlines are pending — the upper
 // bound on how late a deadline cancellation fires.
 constexpr int kPollGranularityMs = 5;
-
-void store_prefix(std::uint8_t* p, std::uint32_t size) noexcept {
-  p[0] = static_cast<std::uint8_t>(size >> 24);
-  p[1] = static_cast<std::uint8_t>(size >> 16);
-  p[2] = static_cast<std::uint8_t>(size >> 8);
-  p[3] = static_cast<std::uint8_t>(size);
-}
 
 std::exception_ptr make_transport_error(ErrorCode code,
                                         const std::string& message) {
@@ -138,7 +129,8 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
       next_correlation_.fetch_add(1, std::memory_order_relaxed);
   OutFrame out;
   wire::encode_frame_into(out.frame, stamped, payload);
-  store_prefix(out.prefix, static_cast<std::uint32_t>(out.frame.size()));
+  store_frame_prefix(out.prefix,
+                     static_cast<std::uint32_t>(out.frame.size()));
 
   bool window_full = false;
   std::size_t window_now = 0;
@@ -455,7 +447,7 @@ void Reactor::flush(Connection& conn,
          iov_count + 2 <= 512 && batch_bytes < kMaxBatchBytes;
          ++it, ++batch_frames) {
       const std::uint8_t* prefix = it->prefix;
-      std::size_t prefix_len = kLenPrefixSize;
+      std::size_t prefix_len = kFramePrefixSize;
       const std::uint8_t* body = it->frame.data();
       std::size_t body_len = it->frame.size();
       if (skip > 0) {  // only ever nonzero for the front entry
@@ -507,11 +499,11 @@ void Reactor::flush(Connection& conn,
     conn.out_offset += sent;
     while (!conn.outq.empty()) {
       const std::size_t entry_size =
-          kLenPrefixSize + conn.outq.front().frame.size();
+          kFramePrefixSize + conn.outq.front().frame.size();
       if (conn.out_offset < entry_size) break;
       conn.out_offset -= entry_size;
       // Fully on the wire: recycle the frame allocation through this
-      // thread's pool, where drain_inbuf's reply-body acquisitions pick
+      // thread's pool, where demux_replies' reply-body acquisitions pick
       // it right back up.
       wire::BufferPool::local().release(std::move(conn.outq.front().frame));
       conn.outq.pop_front();
@@ -521,30 +513,17 @@ void Reactor::flush(Connection& conn,
   if (conn.want_write) update_interest(conn, /*want_write=*/false);
 }
 
-// Parses every complete length-prefixed frame out of conn.inbuf, settling
-// the pending call each one correlates to.  Replies whose call was already
-// cancelled (deadline) demux to nothing and are dropped.  Returns false
-// when the connection was failed (unsyncable stream).
-bool Reactor::drain_inbuf(Connection& conn,
-                          std::vector<Settlement>& out) {
-  std::size_t consumed = 0;
-  while (conn.inbuf.size() - consumed >= kLenPrefixSize) {
-    const std::uint8_t* p = conn.inbuf.data() + consumed;
-    const std::size_t frame_size = (static_cast<std::size_t>(p[0]) << 24) |
-                                   (static_cast<std::size_t>(p[1]) << 16) |
-                                   (static_cast<std::size_t>(p[2]) << 8) |
-                                   static_cast<std::size_t>(p[3]);
-    if (frame_size > kMaxFrameSize) {
-      fail_connection(conn, ErrorCode::transport_io,
-                      "frame exceeds size cap", out);
-      return false;
-    }
-    if (conn.inbuf.size() - consumed - kLenPrefixSize < frame_size) break;
-    const BytesView frame_view(p + kLenPrefixSize, frame_size);
-    consumed += kLenPrefixSize + frame_size;
-    try {
+// Settles the pending call each complete reply frame in conn.reader
+// correlates to.  Replies whose call was already cancelled (deadline)
+// demux to nothing and are dropped.  Returns false when the connection
+// was failed: an over-cap prefix or a corrupt frame leaves a byte stream
+// that cannot be resynchronised.
+bool Reactor::demux_replies(Connection& conn,
+                            std::vector<Settlement>& out) {
+  try {
+    while (const std::optional<BytesView> frame = conn.reader.next()) {
       BytesView body;
-      const wire::MessageHeader header = wire::decode_frame(frame_view, body);
+      const wire::MessageHeader header = wire::decode_frame(*frame, body);
       if (!header.has_correlation()) {
         log_warn("reactor", "reply without correlation id dropped");
         continue;
@@ -560,7 +539,7 @@ bool Reactor::drain_inbuf(Connection& conn,
       Settlement s;
       s.promise = std::move(it->second.promise);
       s.reply.header = header;
-      s.reply.frame_size = frame_size;
+      s.reply.frame_size = frame->size();
       s.reply.payload = wire::BufferPool::local().acquire(body.size());
       s.reply.payload.append(body);
       if (it->second.deadline_ns != resilience::kNoDeadline) {
@@ -568,48 +547,39 @@ bool Reactor::drain_inbuf(Connection& conn,
       }
       conn.inflight.erase(it);
       out.push_back(std::move(s));
-    } catch (const WireError& e) {
-      // A corrupt frame on a byte stream cannot be resynchronized.
-      fail_connection(conn, ErrorCode::transport_io,
-                      std::string("corrupt reply frame: ") + e.what(), out);
-      return false;
     }
-  }
-  if (consumed > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
+  } catch (const TransportError& e) {
+    fail_connection(conn, e.code(), e.what(), out);
+    return false;
+  } catch (const WireError& e) {
+    fail_connection(conn, ErrorCode::transport_io,
+                    std::string("corrupt reply frame: ") + e.what(), out);
+    return false;
   }
   return true;
 }
 
-// Reads until EAGAIN in bulk chunks — one recv covers many pipelined
-// replies — parsing frames out of the buffer after each chunk.
+// Reads until EAGAIN — one recv covers many pipelined replies — settling
+// replies after each chunk.
 void Reactor::read_ready(Connection& conn,
                          std::vector<Settlement>& out) {
-  constexpr std::size_t kReadChunk = 256u << 10;
   for (;;) {
-    const std::size_t old_size = conn.inbuf.size();
-    conn.inbuf.resize(old_size + kReadChunk);
-    const ssize_t n = ::recv(conn.fd, conn.inbuf.data() + old_size,
-                             kReadChunk, 0);
+    const ssize_t n = conn.reader.fill(conn.fd);
     if (n < 0) {
-      conn.inbuf.resize(old_size);
-      if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       fail_connection(conn, ErrorCode::transport_io,
                       std::string("recv: ") + std::strerror(errno), out);
       return;
     }
     if (n == 0) {
-      conn.inbuf.resize(old_size);
       fail_connection(conn, ErrorCode::transport_closed,
-                      old_size == 0 ? "connection closed"
-                                    : "connection closed mid-frame",
+                      conn.reader.buffered() == 0
+                          ? "connection closed"
+                          : "connection closed mid-frame",
                       out);
       return;
     }
-    conn.inbuf.resize(old_size + static_cast<std::size_t>(n));
-    if (!drain_inbuf(conn, out)) return;
+    if (!demux_replies(conn, out)) return;
   }
 }
 
@@ -636,7 +606,7 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
   conn.deadline_count = 0;
   conn.outq.clear();
   conn.out_offset = 0;
-  conn.inbuf.clear();
+  conn.reader = FrameReader{};
   if (conn.fd >= 0) {
     if (conn.registered) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);

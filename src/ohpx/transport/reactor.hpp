@@ -33,7 +33,9 @@
 //     cancellation loses: settlement is once-only (ohpx::Future).
 //
 // The peer is a TcpListener (tcp.hpp) speaking the same length-prefixed
-// framing.
+// framing, and replies are parsed by the same FrameReader the listener
+// parses requests with: it recvs into uninitialised room and owns the one
+// frame cap.
 #pragma once
 
 #include <atomic>
@@ -52,6 +54,7 @@
 #include "ohpx/common/future.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/sync/mutex.hpp"
+#include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/buffer.hpp"
 #include "ohpx/wire/message.hpp"
 
@@ -141,7 +144,7 @@ class Reactor {
   // kept separate so the flush path gather-writes (prefix, frame) iovec
   // pairs without copying the frame behind a prefix.
   struct OutFrame {
-    std::uint8_t prefix[4];
+    std::uint8_t prefix[kFramePrefixSize];
     wire::Buffer frame;
   };
 
@@ -158,11 +161,11 @@ class Reactor {
     std::deque<OutFrame> outq;
     std::size_t out_offset = 0;
 
-    // Read side: bulk receive buffer.  Each readable tick recvs big
-    // chunks and parses every complete length-prefixed frame out; the
-    // tail (a partial frame, if any) stays for the next tick.  One
+    // Read side: the framing's one receive buffer (tcp.hpp), shared with
+    // the listener.  Each readable tick recvs big chunks and settles every
+    // complete reply; a partial frame stays for the next tick.  One
     // syscall covers many replies under fan-in.
-    std::vector<std::uint8_t> inbuf;
+    FrameReader reader;
 
     // Reconnect bookkeeping: ever_connected marks the first successful
     // handshake, so later successes count as re-establishments.
@@ -208,7 +211,7 @@ class Reactor {
       OHPX_REQUIRES(mutex_);
   void read_ready(Connection& conn, std::vector<Settlement>& out)
       OHPX_REQUIRES(mutex_);
-  bool drain_inbuf(Connection& conn, std::vector<Settlement>& out)
+  bool demux_replies(Connection& conn, std::vector<Settlement>& out)
       OHPX_REQUIRES(mutex_);
   void fail_connection(Connection& conn, ErrorCode code,
                        const std::string& message,

@@ -15,11 +15,16 @@
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/log.hpp"
 #include "ohpx/sync/mutex.hpp"
+#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::transport {
 namespace {
 
-constexpr std::size_t kMaxFrameSize = 256u << 20;  // 256 MiB sanity cap
+std::size_t load_frame_prefix(const std::uint8_t* p) noexcept {
+  return (static_cast<std::size_t>(p[0]) << 24) |
+         (static_cast<std::size_t>(p[1]) << 16) |
+         (static_cast<std::size_t>(p[2]) << 8) | static_cast<std::size_t>(p[3]);
+}
 
 [[noreturn]] void throw_errno(ErrorCode code, const char* what) {
   throw TransportError(code, std::string(what) + ": " + std::strerror(errno));
@@ -57,21 +62,17 @@ void sendmsg_full(int fd, iovec* iov, std::size_t iov_count) {
 /// from ~3 to ~2/batch, which is most of the fan-in speedup server-side.
 void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
   constexpr std::size_t kMaxBatch = 256;
-  std::uint8_t prefixes[kMaxBatch][4];
+  std::uint8_t prefixes[kMaxBatch][kFramePrefixSize];
   iovec iov[kMaxBatch * 2];
   std::size_t next = 0;
   while (next < replies.size()) {
     std::size_t iov_count = 0, batched = 0;
     for (; batched < kMaxBatch && next + batched < replies.size(); ++batched) {
       const wire::Buffer& reply = replies[next + batched];
-      const std::uint32_t size = static_cast<std::uint32_t>(reply.size());
       std::uint8_t* prefix = prefixes[batched];
-      prefix[0] = static_cast<std::uint8_t>(size >> 24);
-      prefix[1] = static_cast<std::uint8_t>(size >> 16);
-      prefix[2] = static_cast<std::uint8_t>(size >> 8);
-      prefix[3] = static_cast<std::uint8_t>(size);
+      store_frame_prefix(prefix, static_cast<std::uint32_t>(reply.size()));
       iov[iov_count].iov_base = prefix;
-      iov[iov_count].iov_len = 4;
+      iov[iov_count].iov_len = kFramePrefixSize;
       ++iov_count;
       if (!reply.empty()) {
         iov[iov_count].iov_base = const_cast<std::uint8_t*>(reply.data());
@@ -86,6 +87,74 @@ void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
 }
 
 }  // namespace
+
+void store_frame_prefix(std::uint8_t* prefix, std::uint32_t size) noexcept {
+  prefix[0] = static_cast<std::uint8_t>(size >> 24);
+  prefix[1] = static_cast<std::uint8_t>(size >> 16);
+  prefix[2] = static_cast<std::uint8_t>(size >> 8);
+  prefix[3] = static_cast<std::uint8_t>(size);
+}
+
+// ---- FrameReader ---------------------------------------------------------
+//
+// The recv lands in room nobody has written.  Growing a std::vector by
+// kReadChunk before each recv instead value-initialises the chunk: a sync
+// call would zero-fill ~768 KiB across both ends to receive ~100 bytes
+// (docs/transport.md, "Receive path").
+
+ssize_t FrameReader::fill(int fd) {
+  make_room();
+  const std::size_t room = std::min(capacity_ - end_, kReadChunk);
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf_.get() + end_, room, 0);
+    if (n > 0) end_ += static_cast<std::size_t>(n);
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+// An empty buffer rewinds for free.  Otherwise the recv lands in whatever
+// room is left past end_, and only a full buffer does work: it moves the
+// partial frame to the front or, when that frame is larger than the whole
+// buffer, grows (doubling, capped at the frame's size, so a lying prefix
+// costs no more than the bytes that actually arrive).
+void FrameReader::make_room() {
+  if (begin_ == end_) begin_ = end_ = 0;
+  if (!buf_) {
+    buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
+    capacity_ = kReadChunk;
+  }
+  if (end_ < capacity_) return;
+  const std::size_t pending = end_ - begin_;
+  const std::size_t frame =
+      pending >= kFramePrefixSize
+          ? kFramePrefixSize + load_frame_prefix(buf_.get() + begin_)
+          : 0;
+  const std::size_t needed = std::max(frame, pending + 1);
+  if (needed <= capacity_) {
+    std::memmove(buf_.get(), buf_.get() + begin_, pending);
+  } else {
+    const std::size_t grown = std::min(needed, 2 * capacity_);
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+    std::memcpy(bigger.get(), buf_.get() + begin_, pending);
+    buf_ = std::move(bigger);
+    capacity_ = grown;
+  }
+  begin_ = 0;
+  end_ = pending;
+}
+
+std::optional<BytesView> FrameReader::next() {
+  const std::size_t pending = end_ - begin_;
+  if (pending < kFramePrefixSize) return std::nullopt;
+  const std::uint8_t* p = buf_.get() + begin_;
+  const std::size_t size = load_frame_prefix(p);
+  if (size > kMaxFrameSize) {
+    throw TransportError(ErrorCode::transport_io, "frame exceeds size cap");
+  }
+  if (pending - kFramePrefixSize < size) return std::nullopt;
+  begin_ += kFramePrefixSize + size;
+  return BytesView(p + kFramePrefixSize, size);
+}
 
 in_addr resolve_ipv4(const std::string& host) {
   in_addr addr{};
@@ -241,48 +310,27 @@ void TcpListener::serve_connection(int fd) {
     // prevents deadlock — the client may be waiting on these replies).
     // One call at a time still costs one recv + one send, exactly the old
     // behaviour; a reactor fan-in burst costs two syscalls per *batch*.
-    constexpr std::size_t kReadChunk = 256u << 10;
-    std::vector<std::uint8_t> inbuf;
+    FrameReader reader;
     std::vector<wire::Buffer> replies;
+    wire::BufferPool& pool = wire::BufferPool::local();
     while (!stopping_.load(std::memory_order_relaxed)) {
-      std::size_t consumed = 0;
-      while (inbuf.size() - consumed >= 4) {
-        const std::uint8_t* p = inbuf.data() + consumed;
-        const std::size_t size = (static_cast<std::size_t>(p[0]) << 24) |
-                                 (static_cast<std::size_t>(p[1]) << 16) |
-                                 (static_cast<std::size_t>(p[2]) << 8) |
-                                 static_cast<std::size_t>(p[3]);
-        if (size > kMaxFrameSize) {
-          throw TransportError(ErrorCode::transport_io,
-                               "frame exceeds size cap");
-        }
-        if (inbuf.size() - consumed - 4 < size) break;
-        wire::Buffer request;
-        request.resize(size);
-        std::memcpy(request.data(), p + 4, size);
-        consumed += 4 + size;
+      while (const std::optional<BytesView> frame = reader.next()) {
+        // FrameHandler takes a wire::Buffer; the copy reuses a pooled
+        // allocation instead of zero-filling a fresh one.
+        wire::Buffer request = pool.acquire(frame->size());
+        request.append(*frame);
         replies.push_back(handler_(request));
-      }
-      if (consumed > 0) {
-        inbuf.erase(inbuf.begin(),
-                    inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
+        pool.release(std::move(request));
       }
       if (!replies.empty()) write_reply_batch(fd, replies);
 
-      const std::size_t old_size = inbuf.size();
-      inbuf.resize(old_size + kReadChunk);
-      const ssize_t n = ::recv(fd, inbuf.data() + old_size, kReadChunk, 0);
-      if (n < 0) {
-        inbuf.resize(old_size);
-        if (errno == EINTR) continue;
-        throw_errno(ErrorCode::transport_io, "recv");
-      }
+      const ssize_t n = reader.fill(fd);
+      if (n < 0) throw_errno(ErrorCode::transport_io, "recv");
       if (n == 0) {
-        if (old_size == 0) break;  // clean EOF at a frame boundary
+        if (reader.buffered() == 0) break;  // clean EOF at a frame boundary
         throw TransportError(ErrorCode::transport_closed,
                              "connection closed mid-frame");
       }
-      inbuf.resize(old_size + static_cast<std::size_t>(n));
     }
   } catch (const TransportError&) {
     // Peer closed or I/O failed; drop the connection quietly.

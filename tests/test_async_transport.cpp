@@ -1,12 +1,15 @@
 // Async transport semantics over the epoll reactor: backpressure when the
 // inflight window fills, its interplay with retry policies and circuit
 // breakers (window-full is "too busy", never "broken"), deadline
-// cancellation of pending futures, and correlation-id demux under heavy
-// overlap.  All timing runs on the resilience ManualClock — no sleeps.
+// cancellation of pending futures, correlation-id demux under heavy
+// overlap, and reply framing edge cases from a raw accepting socket.  All
+// timing runs on the resilience ManualClock — no sleeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,9 @@
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
 #include "ohpx/transport/reactor.hpp"
+#include "ohpx/transport/tcp.hpp"
+#include "ohpx/wire/message.hpp"
+#include "raw_socket.hpp"
 
 namespace ohpx {
 namespace {
@@ -360,6 +366,102 @@ TEST_F(AsyncTransportFixture, AsyncDeadlineCancellationCounted) {
   EXPECT_EQ(histogram->count(), samples_before);
 
   servant->release();
+}
+
+// ---- reply framing edge cases from a raw accepting socket -----------------
+//
+// The test plays the server: it accepts the reactor's connection, reads
+// the requests to learn their correlation ids, and writes the replies in
+// whatever pieces the case needs.  Each case listens on its own port, so
+// it gets a connection of its own.
+
+Future<transport::RawReply> submit_text(std::uint16_t port,
+                                        std::string_view text) {
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = 7;
+  return transport::Reactor::global().submit("127.0.0.1", port, header,
+                                             bytes_of(text));
+}
+
+// The replies echo the request bodies; framed for the stream.
+std::vector<Bytes> answer_requests(testutil::RawSocket& peer,
+                                   std::size_t count) {
+  std::vector<Bytes> replies = testutil::echo_replies(peer, count);
+  for (Bytes& reply : replies) reply = testutil::framed(reply);
+  return replies;
+}
+
+bool settles(Future<transport::RawReply>& future) {
+  return future.wait_for(std::chrono::seconds(10));
+}
+
+TEST(ReactorReplyFramingTest, ReplySentOneBytePerWriteSettles) {
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  auto future = submit_text(acceptor.port(), "bytewise");
+  testutil::RawSocket peer = acceptor.accept_one();
+  ASSERT_TRUE(peer.valid());
+  const std::vector<Bytes> replies = answer_requests(peer, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(peer.send_bytewise(replies[0]));
+  ASSERT_TRUE(settles(future));
+  EXPECT_EQ(future.get().payload.bytes(), bytes_of("bytewise"));
+}
+
+TEST(ReactorReplyFramingTest, TwoRepliesInOneWriteSettleBoth) {
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  auto first = submit_text(acceptor.port(), "first");
+  auto second = submit_text(acceptor.port(), "second");
+  testutil::RawSocket peer = acceptor.accept_one();
+  ASSERT_TRUE(peer.valid());
+  const std::vector<Bytes> replies = answer_requests(peer, 2);
+  ASSERT_EQ(replies.size(), 2u);
+  // Second reply first: the correlation ids, not the order, pick futures.
+  Bytes both = replies[1];
+  both.insert(both.end(), replies[0].begin(), replies[0].end());
+  ASSERT_TRUE(peer.send_all(both));
+  ASSERT_TRUE(settles(first));
+  ASSERT_TRUE(settles(second));
+  EXPECT_EQ(first.get().payload.bytes(), bytes_of("first"));
+  EXPECT_EQ(second.get().payload.bytes(), bytes_of("second"));
+}
+
+TEST(ReactorReplyFramingTest, OverCapPrefixFailsEveryPendingCallThenRedials) {
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  std::vector<Future<transport::RawReply>> futures;
+  for (const std::string_view text : {"a", "b", "c"}) {
+    futures.push_back(submit_text(acceptor.port(), text));
+  }
+  testutil::RawSocket peer = acceptor.accept_one();
+  ASSERT_TRUE(peer.valid());
+  ASSERT_EQ(answer_requests(peer, futures.size()).size(), futures.size());
+  std::uint8_t prefix[transport::kFramePrefixSize];
+  transport::store_frame_prefix(prefix,
+                                transport::FrameReader::kMaxFrameSize + 1);
+  ASSERT_TRUE(peer.send_all(BytesView(prefix, sizeof(prefix))));
+  for (auto& future : futures) {
+    ASSERT_TRUE(settles(future));
+    try {
+      (void)future.get();
+      FAIL() << "an over-cap prefix must fail the pending call";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::transport_io) << e.what();
+    }
+  }
+  EXPECT_TRUE(peer.closed_by_peer());
+
+  // The next submit dials a fresh connection.
+  auto again = submit_text(acceptor.port(), "again");
+  testutil::RawSocket redialed = acceptor.accept_one();
+  ASSERT_TRUE(redialed.valid());
+  const std::vector<Bytes> replies = answer_requests(redialed, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(redialed.send_all(replies[0]));
+  ASSERT_TRUE(settles(again));
+  EXPECT_EQ(again.get().payload.bytes(), bytes_of("again"));
 }
 
 }  // namespace

@@ -96,14 +96,22 @@ TEST(Registry, ScopedLatencyViaInternedHandle) {
 }
 
 TEST(Registry, ScopedLatencyRecords) {
+  // Bracketed by two stopwatches on the same steady clock: the sample
+  // spans at least the one started inside the scope and at most the one
+  // started before it, so it is the scope's own elapsed time.
   MetricsRegistry registry;
+  Nanoseconds inside{0};
+  const Stopwatch outside;
   {
     ScopedLatency sample(registry, "scoped");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const Stopwatch inner;
+    inside = inner.elapsed();
   }
+  const Nanoseconds bound = outside.elapsed();
   ASSERT_NE(registry.histogram("scoped"), nullptr);
   EXPECT_EQ(registry.histogram("scoped")->count(), 1u);
-  EXPECT_GE(registry.histogram("scoped")->mean().count(), 500'000);
+  EXPECT_GE(registry.histogram("scoped")->total(), inside);
+  EXPECT_LE(registry.histogram("scoped")->total(), bound);
 }
 
 TEST(Registry, ThreadSafeIncrements) {

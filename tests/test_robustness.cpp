@@ -1,8 +1,12 @@
 // Robustness sweeps: the server pipeline must survive arbitrary byte-level
 // corruption — every mutated frame yields a well-formed reply frame (error
 // or success), never a crash or an unframed blob.  Same discipline for the
-// client decoding mutated replies: typed exceptions only.
+// client decoding mutated replies: typed exceptions only, on the reactor's
+// demux path too, where mutated reply streams arrive over a real socket.
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <optional>
 
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/compression.hpp"
@@ -15,7 +19,10 @@
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/reactor.hpp"
+#include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/serialize.hpp"
+#include "raw_socket.hpp"
 
 namespace ohpx {
 namespace {
@@ -144,6 +151,144 @@ TEST_P(RandomFrameFuzz, RandomMutationsOfValidFramesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFrameFuzz,
                          ::testing::Values(0xa, 0xb, 0xc, 0xd));
+
+// ---- mutated reply streams on the reactor's demux path -----------------------
+//
+// The test plays the server.  Each round it accepts the reactor's
+// connection, reads 1-4 requests, encodes a valid reply frame for each
+// with wire::encode_frame, mutates the stream (bit flips, truncation,
+// length-prefix edits, two-frame splices), writes it and closes.  Every
+// pending future must settle — with a value or a typed ohpx::Error — and a
+// last, unmutated round must still be answered in full.
+
+Bytes reply_stream(const std::vector<Bytes>& frames,
+                   std::optional<std::size_t> edited = std::nullopt,
+                   std::uint32_t edited_prefix = 0) {
+  Bytes stream;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::size_t at = stream.size();
+    const Bytes framed = testutil::framed(frames[i]);
+    stream.insert(stream.end(), framed.begin(), framed.end());
+    if (edited == i) {
+      transport::store_frame_prefix(&stream[at], edited_prefix);
+    }
+  }
+  return stream;
+}
+
+Bytes mutate_reply_stream(std::vector<Bytes> frames, Xoshiro256& rng) {
+  switch (rng.next_below(4)) {
+    case 0: {  // bit flips anywhere: prefixes, headers, correlation, body
+      Bytes stream = reply_stream(frames);
+      for (std::uint64_t flips = 1 + rng.next_below(8); flips > 0; --flips) {
+        stream[rng.next_below(stream.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      return stream;
+    }
+    case 1: {  // truncation
+      Bytes stream = reply_stream(frames);
+      stream.resize(rng.next_below(stream.size()));
+      return stream;
+    }
+    case 2: {  // one length prefix rewritten
+      const std::size_t victim = rng.next_below(frames.size());
+      const auto size = static_cast<std::uint32_t>(frames[victim].size());
+      const auto cap =
+          static_cast<std::uint32_t>(transport::FrameReader::kMaxFrameSize);
+      const std::uint32_t choices[] = {
+          0, 1, size - 1, size + 1, size + 64,
+          static_cast<std::uint32_t>(rng.next_below(1u << 16)),
+          cap, cap + 1, 0xffffffffu};
+      return reply_stream(frames, victim,
+                          choices[rng.next_below(std::size(choices))]);
+    }
+    default: {  // the head of one frame spliced onto the tail of another
+      const std::size_t a = rng.next_below(frames.size());
+      const std::size_t b = rng.next_below(frames.size());
+      const Bytes& head = frames[a];
+      const Bytes& tail = frames[b];
+      Bytes spliced(head.begin(),
+                    head.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next_below(head.size() + 1)));
+      spliced.insert(spliced.end(),
+                     tail.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.next_below(tail.size() + 1)),
+                     tail.end());
+      frames[a] = std::move(spliced);
+      return reply_stream(frames);
+    }
+  }
+}
+
+struct RoundOutcome {
+  std::size_t values = 0;
+  std::size_t errors = 0;
+};
+
+// One connection: `calls` requests, their replies mutated by `rng` (or
+// left valid when it is null), then close.
+RoundOutcome serve_round(std::size_t calls, Xoshiro256* rng) {
+  RoundOutcome outcome;
+  testutil::RawAcceptor acceptor;  // a fresh port: a fresh connection
+  EXPECT_NE(acceptor.port(), 0);
+  std::vector<Future<transport::RawReply>> futures;
+  for (std::size_t i = 0; i < calls; ++i) {
+    wire::MessageHeader header;
+    header.type = wire::MessageType::request;
+    header.request_id = i + 1;
+    header.object_id = 99;
+    header.method_or_code = EchoServant::kEcho;
+    const Bytes body(1 + i * 5, static_cast<std::uint8_t>('a' + i));
+    futures.push_back(transport::Reactor::global().submit(
+        "127.0.0.1", acceptor.port(), header, body));
+  }
+  {
+    testutil::RawSocket peer = acceptor.accept_one();
+    EXPECT_TRUE(peer.valid());
+    const std::vector<Bytes> frames = testutil::echo_replies(peer, calls);
+    EXPECT_EQ(frames.size(), calls);
+    if (!frames.empty()) {
+      const Bytes stream =
+          rng ? mutate_reply_stream(frames, *rng) : reply_stream(frames);
+      (void)peer.send_all(stream);  // the reactor may hang up first
+    }
+  }  // closes: whatever the stream left pending fails at EOF
+  for (auto& future : futures) {
+    if (!future.wait_for(std::chrono::seconds(10))) {
+      ADD_FAILURE() << "a pending call never settled";
+      continue;
+    }
+    try {
+      (void)future.get();
+      ++outcome.values;
+    } catch (const Error&) {
+      ++outcome.errors;
+    }
+  }
+  return outcome;
+}
+
+class ReplyStreamFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReplyStreamFuzz, EveryPendingCallSettlesWithAValueOrATypedError) {
+  Xoshiro256 rng(GetParam());
+  RoundOutcome total;
+  for (int round = 0; round < 24; ++round) {
+    const RoundOutcome outcome = serve_round(1 + rng.next_below(4), &rng);
+    total.values += outcome.values;
+    total.errors += outcome.errors;
+  }
+  EXPECT_GT(total.errors, 0u) << "no mutation reached the demux path";
+
+  const RoundOutcome clean = serve_round(3, nullptr);
+  EXPECT_EQ(clean.values, 3u);
+  EXPECT_EQ(clean.errors, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplyStreamFuzz,
+                         ::testing::Values(0x11, 0x12, 0x13, 0x14, 0x15, 0x16,
+                                           0x17, 0x18));
 
 // ---- migration racing live traffic --------------------------------------------
 

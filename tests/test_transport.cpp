@@ -1,17 +1,24 @@
 // Unit tests for the transport layer: endpoint registry, in-process
 // channel, simulated-network channel cost accounting, and the real TCP
-// listener driven by the reactor (loopback sockets).
+// listener driven by the reactor (loopback sockets), and the framing both
+// ends share: FrameReader unit cases over a socketpair, then the
+// listener's edge cases from a raw client socket.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <cctype>
+#include <cstring>
 #include <set>
 #include <thread>
 
+#include "ohpx/common/error.hpp"
 #include "ohpx/sync/mutex.hpp"
 #include "ohpx/transport/inproc.hpp"
 #include "ohpx/transport/reactor.hpp"
 #include "ohpx/transport/sim.hpp"
 #include "ohpx/transport/tcp.hpp"
+#include "raw_socket.hpp"
 
 namespace ohpx::transport {
 namespace {
@@ -278,6 +285,240 @@ TEST(TcpTest, HandlerExceptionDropsConnectionOnly) {
   // The reactor re-dials, and the fresh connection still works.
   EXPECT_EQ(roundtrip(listener.port(), "ok").bytes(), bytes_of("OK"));
   EXPECT_EQ(calls.load(), 2);
+}
+
+// ---- FrameReader over a socketpair -------------------------------------------------------
+//
+// One thread writes exactly the bytes the case needs before each fill(),
+// so every partial-prefix, compaction and growth path runs
+// deterministically.
+
+class SocketPair {
+ public:
+  SocketPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    writer_ = testutil::RawSocket(fds[0]);
+    read_end_ = testutil::RawSocket(fds[1]);
+  }
+  testutil::RawSocket& writer() { return writer_; }
+  int reader_fd() const { return read_end_.fd(); }
+
+ private:
+  testutil::RawSocket writer_;
+  testutil::RawSocket read_end_;
+};
+
+Bytes patterned(std::size_t size, std::uint8_t seed) {
+  Bytes bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed + i * 7);
+  }
+  return bytes;
+}
+
+TEST(FrameReaderTest, PrefixAndBodySplitAcrossFills) {
+  SocketPair pair;
+  FrameReader reader;
+  const Bytes stream = testutil::framed(bytes_of("split"));
+  // Half the prefix, then the rest of it with two body bytes, then the rest.
+  std::size_t done = 0;
+  for (const std::size_t upto : {std::size_t{2}, std::size_t{6}}) {
+    ASSERT_TRUE(pair.writer().send_all(
+        BytesView(stream).subspan(done, upto - done)));
+    ASSERT_EQ(reader.fill(pair.reader_fd()),
+              static_cast<ssize_t>(upto - done));
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_EQ(reader.buffered(), upto);
+    done = upto;
+  }
+  ASSERT_TRUE(pair.writer().send_all(BytesView(stream).subspan(done)));
+  ASSERT_GT(reader.fill(pair.reader_fd()), 0);
+  const auto frame = reader.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(Bytes(frame->begin(), frame->end()), bytes_of("split"));
+  EXPECT_EQ(reader.buffered(), 0u);
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+TEST(FrameReaderTest, EmptyFrameIsAFrame) {
+  SocketPair pair;
+  FrameReader reader;
+  ASSERT_TRUE(pair.writer().send_all(testutil::framed({})));
+  ASSERT_EQ(reader.fill(pair.reader_fd()), 4);
+  const auto frame = reader.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(frame->empty());
+}
+
+TEST(FrameReaderTest, CompactsThePartialFrameAtTheBufferEnd) {
+  // 997-byte frames (1,001 on the wire) never tile the 256 KiB buffer, so
+  // the frame straddling its end must move to the front to complete.
+  SocketPair pair;
+  FrameReader reader;
+  constexpr std::size_t kFrames = 400;
+  constexpr std::size_t kPayload = 997;
+  Bytes stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Bytes frame =
+        testutil::framed(patterned(kPayload, static_cast<std::uint8_t>(i)));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  std::size_t sent = 0;
+  std::size_t received = 0;
+  while (received < kFrames) {
+    // Write a 64 KiB slice (within the socketpair's buffer), then drain it.
+    const std::size_t slice = std::min<std::size_t>(64u << 10,
+                                                    stream.size() - sent);
+    ASSERT_TRUE(pair.writer().send_all(BytesView(stream).subspan(sent, slice)));
+    sent += slice;
+    std::size_t pending = slice;
+    while (pending > 0) {
+      const ssize_t n = reader.fill(pair.reader_fd());
+      ASSERT_GT(n, 0);
+      pending -= static_cast<std::size_t>(n);
+      while (const auto frame = reader.next()) {
+        ASSERT_EQ(frame->size(), kPayload);
+        const Bytes expected =
+            patterned(kPayload, static_cast<std::uint8_t>(received));
+        ASSERT_EQ(std::memcmp(frame->data(), expected.data(), kPayload), 0)
+            << "frame " << received;
+        ++received;
+      }
+    }
+  }
+  EXPECT_EQ(sent, stream.size());
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameReaderTest, GrowsForAFrameLargerThanTheBuffer) {
+  SocketPair pair;
+  FrameReader reader;
+  const Bytes big = patterned(3 * FrameReader::kReadChunk + 123, 0x5a);
+  const Bytes stream = testutil::framed(big);
+  std::thread writer([&pair, &stream] {
+    EXPECT_TRUE(pair.writer().send_all(stream));
+  });
+  std::optional<BytesView> frame;
+  while (!(frame = reader.next())) {
+    ASSERT_GT(reader.fill(pair.reader_fd()), 0);
+  }
+  writer.join();
+  ASSERT_EQ(frame->size(), big.size());
+  EXPECT_EQ(std::memcmp(frame->data(), big.data(), big.size()), 0);
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameReaderTest, PrefixAboveTheCapThrowsAndTheCapItselfDoesNot) {
+  SocketPair pair;
+  std::uint8_t prefix[kFramePrefixSize];
+
+  FrameReader at_cap;
+  store_frame_prefix(prefix, FrameReader::kMaxFrameSize);
+  ASSERT_TRUE(pair.writer().send_all(BytesView(prefix, sizeof(prefix))));
+  ASSERT_EQ(at_cap.fill(pair.reader_fd()), 4);
+  EXPECT_FALSE(at_cap.next().has_value());  // legal, just not here yet
+
+  FrameReader over_cap;
+  store_frame_prefix(prefix, FrameReader::kMaxFrameSize + 1);
+  ASSERT_TRUE(pair.writer().send_all(BytesView(prefix, sizeof(prefix))));
+  ASSERT_EQ(over_cap.fill(pair.reader_fd()), 4);
+  try {
+    (void)over_cap.next();
+    FAIL() << "expected the cap to reject the prefix";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::transport_io);
+  }
+}
+
+// ---- listener framing edge cases from a raw client socket --------------------------------
+//
+// The handler upper-cases raw bytes, so these requests need no wire header.
+
+std::optional<Bytes> ask(testutil::RawSocket& client, std::string_view text) {
+  if (!client.send_all(testutil::framed(bytes_of(text)))) return std::nullopt;
+  return client.read_frame();
+}
+
+TEST(TcpFramingTest, LengthPrefixSplitAcrossTwoWrites) {
+  TcpListener listener(0, upper_caser());
+  testutil::RawSocket client = testutil::RawSocket::connect_to(listener.port());
+  ASSERT_TRUE(client.valid());
+  const Bytes stream = testutil::framed(bytes_of("split prefix"));
+  ASSERT_TRUE(client.send_all(BytesView(stream).first(2)));
+  ASSERT_TRUE(client.send_all(BytesView(stream).subspan(2)));
+  EXPECT_EQ(client.read_frame(), bytes_of("SPLIT PREFIX"));
+}
+
+TEST(TcpFramingTest, RequestSentOneBytePerSend) {
+  TcpListener listener(0, upper_caser());
+  testutil::RawSocket client = testutil::RawSocket::connect_to(listener.port());
+  ASSERT_TRUE(client.valid());
+  for (const std::string_view text : {"one byte at a time", "again"}) {
+    ASSERT_TRUE(client.send_bytewise(testutil::framed(bytes_of(text))));
+    std::string upper(text);
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(client.read_frame(), bytes_of(upper));
+  }
+}
+
+TEST(TcpFramingTest, SixtyFourFramesInOneWriteAnsweredInOrder) {
+  TcpListener listener(0, upper_caser());
+  testutil::RawSocket client = testutil::RawSocket::connect_to(listener.port());
+  ASSERT_TRUE(client.valid());
+  Bytes burst;
+  for (int i = 0; i < 64; ++i) {
+    const Bytes frame =
+        testutil::framed(bytes_of("frame-" + std::to_string(i) + "-x"));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.send_all(burst));
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(client.read_frame(),
+              bytes_of("FRAME-" + std::to_string(i) + "-X"))
+        << "reply " << i;
+  }
+}
+
+TEST(TcpFramingTest, OverCapPrefixDropsOnlyThatConnection) {
+  TcpListener listener(0, upper_caser());
+  testutil::RawSocket bad = testutil::RawSocket::connect_to(listener.port());
+  testutil::RawSocket good = testutil::RawSocket::connect_to(listener.port());
+  ASSERT_TRUE(bad.valid());
+  ASSERT_TRUE(good.valid());
+  EXPECT_EQ(ask(good, "before"), bytes_of("BEFORE"));
+
+  std::uint8_t prefix[kFramePrefixSize];
+  store_frame_prefix(prefix, FrameReader::kMaxFrameSize + 1);
+  ASSERT_TRUE(bad.send_all(BytesView(prefix, sizeof(prefix))));
+  EXPECT_TRUE(bad.closed_by_peer());
+
+  EXPECT_EQ(ask(good, "after"), bytes_of("AFTER"));
+}
+
+TEST(TcpFramingTest, EofMidFrameDropsTheConnectionUnanswered) {
+  std::atomic<int> calls{0};
+  const FrameHandler upper = upper_caser();
+  TcpListener listener(0, [&](const wire::Buffer& request) {
+    ++calls;
+    return upper(request);
+  });
+  const Bytes stream = testutil::framed(bytes_of("cut short"));
+  // Inside the prefix, then inside the body.
+  for (const std::size_t keep : {std::size_t{2}, stream.size() - 3}) {
+    testutil::RawSocket client =
+        testutil::RawSocket::connect_to(listener.port());
+    ASSERT_TRUE(client.valid());
+    ASSERT_TRUE(client.send_all(BytesView(stream).first(keep)));
+    client.shutdown_write();
+    EXPECT_TRUE(client.closed_by_peer()) << "kept " << keep << " bytes";
+  }
+  EXPECT_EQ(calls.load(), 0);
+
+  testutil::RawSocket next = testutil::RawSocket::connect_to(listener.port());
+  ASSERT_TRUE(next.valid());
+  EXPECT_EQ(ask(next, "ok"), bytes_of("OK"));
+  EXPECT_EQ(calls.load(), 1);
 }
 
 }  // namespace

@@ -97,12 +97,22 @@ from pathlib import Path
 # helpers
 
 
+def _digit_separator(text: str, i: int) -> bool:
+    """True when the `'` at `i` continues a token that starts with a digit:
+    a C++14 digit separator (104'000, 0x6f68'7078), not a char literal."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     """Blanks out comments and string/char literals, preserving newlines.
 
     Good enough for lint heuristics: handles //, /* */, "..." with escapes,
     '...' with escapes, and raw strings R"delim(...)delim" with any
-    delimiter (including the empty one).  Replaced characters become
+    delimiter (including the empty one).  A `'` inside a number is a digit
+    separator and stays code.  Replaced characters become
     spaces so line/column positions survive.  With `keep_strings` the
     literals stay verbatim, for scans whose subject is a string (span and
     metric names), but they are still lexed: a `//` inside "http://x"
@@ -140,6 +150,9 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
             j = n - len(closer) if j == -1 else j
             out.append(blank(text[i : j + len(closer)], literal=True))
             i = j + len(closer)
+        elif c == "'" and _digit_separator(text, i):
+            out.append(c)
+            i += 1
         elif c in ('"', "'"):
             quote = c
             j = i + 1
@@ -997,6 +1010,19 @@ FIXTURES = [
         "namespace ohpx::orb {\n"
         '/* registry.counter_handle("rmi.calls"); */\n'
         "}  // namespace ohpx::orb\n"}),
+    # -- a digit separator is not a char literal: what follows it stays
+    #    visible to every rule
+    (["[no-test-sleeps]"], {"tests/test_separated.cpp":
+        "void f() {\n"
+        "  const long total = 104'000;\n"
+        "  std::this_thread::sleep_for(kTick);\n"
+        "}\n"}),
+    (["[blocking-socket]"], {"src/ohpx/naming/magic.cpp":
+        'extern "C" int connect(int, const void*, unsigned int);\n'
+        "namespace ohpx::naming {\n"
+        "constexpr unsigned long long kMagic = 0x6f68'7078'2d6e'616dULL;\n"
+        "void dial(int fd, const void* addr) { ::connect(fd, addr, 16); }\n"
+        "}  // namespace ohpx::naming\n"}),
     (["[metric-names]"], {"src/ohpx/orb/endpoint.cpp":
         "namespace ohpx::orb {\n"
         "void f(metrics::MetricsRegistry& registry) {\n"
@@ -1135,6 +1161,16 @@ def self_test() -> int:
     for marker in ("a", "b", "c", "d"):
         expect(re.search(rf"\b{marker}\b", stripped) is not None,
                f"stripper ate code around raw strings: {stripped!r}")
+
+    # Digit separators stay code; char literals, prefixed or not, do not.
+    stripped = strip_comments_and_strings(
+        "a = 0x6f68'7078ULL; b = 1'000.5'0; c = u8'q'; d = L'\\''; e = '7';")
+    for kept in ("0x6f68'7078ULL", "1'000.5'0", "c = u8", "d = L", "e ="):
+        expect(kept in stripped,
+               f"stripper blanked code {kept!r}: {stripped!r}")
+    for blanked in ("'q'", "'7'", "\\'"):
+        expect(blanked not in stripped,
+               f"char literal {blanked!r} survived: {stripped!r}")
 
     if failures:
         for failure in failures:
