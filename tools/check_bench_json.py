@@ -12,7 +12,7 @@ quantity.
             at least --min-speedup (reactor/serial calls per second): the
             batching and correlation demux must hide most of the per-call
             roundtrip.  The sync calls must also keep at least
-            --min-serial-over-bare of the bare loopback round-trip rate
+            MIN_SERIAL_OVER_BARE of the bare loopback round-trip rate
             measured in the same run (serial/bare calls per second): the
             ORB's overhead on the sync TCP bearer, end to end minus the
             bare transport.
@@ -46,8 +46,7 @@ quantity.
             budget in ratio form.
 
 Usage:
-  python3 tools/check_bench_json.py fanin FANIN.json [--min-speedup 5.0] \
-      [--min-serial-over-bare 0.14]
+  python3 tools/check_bench_json.py fanin FANIN.json [--min-speedup 5.0]
   python3 tools/check_bench_json.py naming NAMING.json \
       [--max-find-ratio 8.0] [--min-cache-speedup 3.0] \
       [--max-multiendpoint-ratio 1.2]
@@ -92,6 +91,11 @@ def record_value(records: dict, path: str, name: str, key: str) -> float:
     return float(value)
 
 
+# Floor on fanin/speedup's serial_over_bare: under half the lowest of 24
+# smoke runs (0.284).  It catches a collapse of the sync TCP path.
+MIN_SERIAL_OVER_BARE = 0.14
+
+
 def check_fanin(options: argparse.Namespace) -> int:
     records = load_records(options.json)
     speedup = record_value(records, options.json, "fanin/speedup",
@@ -104,15 +108,15 @@ def check_fanin(options: argparse.Namespace) -> int:
         return fail(
             f"fanin speedup {speedup:.2f}x @ {inflight:.0f} in flight is "
             f"below the {options.min_speedup:.2f}x floor")
-    if serial_over_bare < options.min_serial_over_bare:
+    if serial_over_bare < MIN_SERIAL_OVER_BARE:
         return fail(
             f"fanin serial/bare {serial_over_bare:.3f} is below the "
-            f"{options.min_serial_over_bare:.3f} floor: the ORB's sync TCP "
+            f"{MIN_SERIAL_OVER_BARE:.3f} floor: the ORB's sync TCP "
             f"path lost ground against the bare loopback round trip")
     print(f"check_bench_json: OK: fanin reactor/serial {speedup:.2f}x "
           f"@ {inflight:.0f} in flight (floor {options.min_speedup:.2f}x), "
           f"serial/bare {serial_over_bare:.3f} "
-          f"(floor {options.min_serial_over_bare:.3f})")
+          f"(floor {MIN_SERIAL_OVER_BARE:.3f})")
     return 0
 
 
@@ -262,9 +266,6 @@ def main() -> int:
     fanin.add_argument("--min-speedup", type=float, default=2.0,
                        help="minimum reactor/serial speedup "
                             "(default 2.0)")
-    fanin.add_argument("--min-serial-over-bare", type=float, default=0.14,
-                       help="minimum serial/bare calls-per-second ratio "
-                            "(default 0.14)")
     fanin.set_defaults(run=check_fanin)
 
     naming = sub.add_parser("naming", help="gate BENCH_naming.json")
