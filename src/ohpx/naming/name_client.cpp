@@ -158,11 +158,6 @@ void NameClient::invalidate(const std::string& name) {
   cache_.erase(name);
 }
 
-void NameClient::invalidate_all() {
-  sync::LockGuard lock(mutex_);
-  cache_.clear();
-}
-
 std::optional<std::uint64_t> NameClient::cached_version(
     const std::string& name) const {
   sync::LockGuard lock(mutex_);

@@ -71,7 +71,6 @@ class NameClient {
 
   /// Drops one cached entry; the next resolve() re-asks the directory.
   void invalidate(const std::string& name);
-  void invalidate_all();
 
   /// Version the cache holds for `name` (nullopt = not cached).
   std::optional<std::uint64_t> cached_version(const std::string& name) const;

@@ -579,16 +579,6 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   }
 }
 
-Future<wire::Buffer> CallCore::invoke_async_raw(std::uint32_t method_id,
-                                                wire::Buffer args) {
-  AsyncReplyTicket ticket;
-  Future<proto::ReplyMessage> reply =
-      invoke_async_reply(method_id, std::move(args), ticket);
-  return reply.map<wire::Buffer>([ticket](Future<proto::ReplyMessage> settled) {
-    return finish_async_reply(std::move(settled), ticket);
-  });
-}
-
 Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     std::uint32_t method_id, wire::Buffer args, AsyncReplyTicket& ticket) {
   // Completion latency is measured submit-to-settlement: start the
@@ -744,14 +734,7 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
   }
   feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
                ErrorCode::ok);
-  if (reply.header.type == wire::MessageType::request) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "request frame received where reply expected");
-  }
-  if (reply.header.request_id != ticket.expect_request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "reply for a different request id");
-  }
+  proto::check_reply(reply.header, ticket.expect_request_id);
   if (reply.header.type == wire::MessageType::reply) {
     if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
     return std::move(reply.payload);

@@ -58,21 +58,6 @@ class CallCore {
   void invoke_oneway(std::uint32_t method_id, wire::Buffer args,
                      CostLedger* ledger);
 
-  /// Asynchronous invocation: selection, header build and submission run
-  /// on the calling thread; the returned future settles with the reply
-  /// payload (or the typed error) when the exchange completes — off the
-  /// reactor event loop when the selected protocol supports_async(), on a
-  /// shared worker thread otherwise.  Unlike the synchronous path there
-  /// is no retry loop: transient errors (including backpressure refusals,
-  /// which this method throws synchronously) surface to the caller, who
-  /// owns the re-submission decision for in-flight fan-in.  The ambient
-  /// deadline cancels pending futures; the ambient trace context is
-  /// stamped per call.  This CallCore must outlive settlement — callers
-  /// holding it through CallCorePtr (stubs do) get that for free by
-  /// capturing the pointer in a continuation.
-  Future<wire::Buffer> invoke_async_raw(std::uint32_t method_id,
-                                        wire::Buffer args);
-
   /// Per-call bookkeeping handed out by invoke_async_reply() and consumed
   /// by finish_async_reply(): which breaker entry the settlement feeds,
   /// the deadline-miss counter, and whether the reply already ran the full
@@ -94,20 +79,26 @@ class CallCore {
     metrics::MetricsRegistry::Counter* async_deadline_counter = nullptr;
     /// Started at submit (invoke_async_reply resets it on entry).
     Stopwatch watch;
-    /// Request id the reply must echo — the correlation sanity the sync
-    /// pipeline gets from parse_reply_frame, applied at settlement.
+    /// Request id the reply must echo: proto::check_reply, applied at
+    /// settlement as the sync pipeline applies it per exchange.
     std::uint64_t expect_request_id = 0;
     bool pipeline_complete = false;
   };
 
-  /// Split form of invoke_async_raw() for callers that decode the reply in
-  /// a continuation of their own (stubs do): the submission half returns
-  /// the protocol-level reply future and fills `ticket`; the caller folds
-  /// one finish_async_reply() call into its decode continuation.  Folding
-  /// matters under fan-in: every future stage is a shared-state
-  /// allocation, a settlement under its lock, and a type-erased
-  /// continuation — per call — so the stub path runs one merged stage
-  /// where invoke_async_raw() + map would run two.
+  /// Asynchronous invocation, submission half: selection, header build and
+  /// submission run on the calling thread, and the returned protocol-level
+  /// reply future settles when the exchange completes — off the reactor
+  /// event loop when the selected protocol supports_async(), on a shared
+  /// worker thread otherwise.  Fills `ticket`; the caller folds one
+  /// finish_async_reply() call into its own decode continuation (stubs
+  /// do), so fan-in pays one future stage per call, not two.  Unlike the
+  /// synchronous path there is no retry loop: transient errors (including
+  /// backpressure refusals, which this method throws synchronously)
+  /// surface to the caller, who owns the re-submission decision for
+  /// in-flight fan-in.  The ambient deadline cancels pending futures; the
+  /// ambient trace context is stamped per call.  This CallCore must
+  /// outlive settlement — callers holding it through CallCorePtr (stubs
+  /// do) get that for free by capturing the pointer in the continuation.
   Future<proto::ReplyMessage> invoke_async_reply(std::uint32_t method_id,
                                                  wire::Buffer args,
                                                  AsyncReplyTicket& ticket);

@@ -185,8 +185,7 @@ class ObjectStub {
     // its protocol objects) until the future settles.  The split
     // invoke_async_reply / finish_async_reply form folds the invocation
     // layer's settlement work (breaker feed, error decoding) into this one
-    // continuation — one future stage fewer per call than stacking a
-    // second map over invoke_async_raw.
+    // continuation — one future stage per call, not two.
     CallCorePtr core = core_;
     CallCore::AsyncReplyTicket ticket;
     Future<proto::ReplyMessage> raw =

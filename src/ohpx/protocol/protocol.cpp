@@ -25,23 +25,16 @@ Future<ReplyMessage> Protocol::invoke_async(const wire::MessageHeader& header,
   return promise.future();
 }
 
-ReplyMessage parse_reply_frame(const wire::Buffer& frame,
-                               std::uint64_t expect_request_id) {
-  auto& pool = wire::BufferPool::local();
-  BytesView body;
-  ReplyMessage reply;
-  reply.header = wire::decode_frame(frame.view(), body);
-  if (reply.header.type == wire::MessageType::request) {
+void check_reply(const wire::MessageHeader& header,
+                 std::uint64_t expect_request_id) {
+  if (header.type == wire::MessageType::request) {
     throw ProtocolError(ErrorCode::protocol_unknown,
                         "request frame received where reply expected");
   }
-  if (reply.header.request_id != expect_request_id) {
+  if (header.request_id != expect_request_id) {
     throw ProtocolError(ErrorCode::protocol_unknown,
                         "reply for a different request id");
   }
-  reply.payload = pool.acquire(body.size());
-  reply.payload.append(body);
-  return reply;
 }
 
 ReplyMessage frame_roundtrip(transport::Channel& channel,
@@ -71,14 +64,7 @@ ReplyMessage frame_roundtrip(transport::Channel& channel,
   BytesView body;
   ReplyMessage reply;
   reply.header = wire::decode_frame(reply_frame.view(), body);
-  if (reply.header.type == wire::MessageType::request) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "request frame received where reply expected");
-  }
-  if (reply.header.request_id != header.request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "reply for a different request id");
-  }
+  check_reply(reply.header, header.request_id);
   // Pool the body copy too: the stub releases it after decoding, so the
   // in-process loop (request frame, reply frame, reply body) runs
   // allocation-free at steady state.

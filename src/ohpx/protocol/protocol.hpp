@@ -94,10 +94,10 @@ ReplyMessage frame_roundtrip(transport::Channel& channel,
                              const wire::MessageHeader& header,
                              const wire::Buffer& payload, CostLedger& ledger);
 
-/// Parses and validates a raw reply frame (as delivered by the reactor)
-/// against the request it answers: rejects request-typed frames and
-/// request-id mismatches, and copies the body into a pooled buffer.
-ReplyMessage parse_reply_frame(const wire::Buffer& frame,
-                               std::uint64_t expect_request_id);
+/// The one check of a reply header against the request it answers:
+/// throws ProtocolError(protocol_unknown) for a request-typed frame or a
+/// reply for another request id.
+void check_reply(const wire::MessageHeader& header,
+                 std::uint64_t expect_request_id);
 
 }  // namespace ohpx::proto

@@ -64,14 +64,6 @@ bool ProtocolRegistry::contains(const std::string& name) const {
   return factories_.contains(name);
 }
 
-std::vector<std::string> ProtocolRegistry::names() const {
-  sync::LockGuard lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
 ProtocolPtr ProtocolRegistry::instantiate(const ProtocolEntry& entry) const {
   ProtocolFactory factory;
   {

@@ -26,7 +26,6 @@ class ProtocolRegistry {
 
   void register_factory(const std::string& name, ProtocolFactory factory);
   bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
 
   /// Instantiates one proto-object; throws ProtocolError(protocol_unknown)
   /// for unregistered names, protocol_bad_proto_data for malformed blobs.

@@ -4,26 +4,6 @@
 #include "ohpx/transport/reactor.hpp"
 
 namespace ohpx::proto {
-namespace {
-
-// The reactor already decoded the frame (header, body, CRC) on its loop
-// thread to demultiplex by correlation id — RawReply and ReplyMessage are
-// the same struct, so all that's left is the sanity parse_reply_frame
-// gives other protocols: right frame type, right request.
-ReplyMessage validate_reply(ReplyMessage reply,
-                            std::uint64_t expect_request_id) {
-  if (reply.header.type == wire::MessageType::request) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "request frame received where reply expected");
-  }
-  if (reply.header.request_id != expect_request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "reply for a different request id");
-  }
-  return reply;
-}
-
-}  // namespace
 
 bool TcpProtocol::applicable(const CallTarget& target) const {
   return target.address.tcp_port != 0 && !target.address.tcp_host.empty();
@@ -50,7 +30,11 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
     raw = future.get();
   }
   ledger.add_bytes_received(raw.frame_size);
-  return validate_reply(std::move(raw), header.request_id);
+  // The reactor already decoded the frame (header, body, CRC) on its loop
+  // thread to demultiplex by correlation id, and RawReply is ReplyMessage:
+  // all that is left is the reply check.
+  check_reply(raw.header, header.request_id);
+  return raw;
 }
 
 Future<ReplyMessage> TcpProtocol::invoke_async(

@@ -52,8 +52,19 @@ struct Held {
   Site site;
 };
 
+/// Raised when the calling thread's held-lock stack has been destroyed.
+/// The main thread's thread_locals die (__call_tls_dtors) before static
+/// destructors run, and those still lock validated mutexes
+/// (ThreadPool::shutdown, Reactor::stop): from then on the thread's
+/// acquisitions go untracked instead of touching the freed stack.
+/// constinit, so reading it never runs a TLS initialiser.
+constinit thread_local bool t_held_gone = false;
+
 /// The calling thread's stack of currently held checked mutexes.
-thread_local std::vector<Held> t_held;
+struct HeldStack : std::vector<Held> {
+  ~HeldStack() { t_held_gone = true; }
+};
+thread_local HeldStack t_held;
 
 std::string render_site(Site site) {
   std::string text = site.file != nullptr ? site.file : "";
@@ -166,6 +177,7 @@ void check_cycle_locked(Registry& reg, Node* holder, Node* acquired,
 }
 
 void record_acquisition(Node* node, Site site) {
+  if (t_held_gone) return;
   if (!t_held.empty()) {
     const Held& top = t_held.back();
     if (top.node != node) {
@@ -208,7 +220,7 @@ void on_try_acquire(Node* node, Site site) noexcept {
 }
 
 void on_release(Node* node) noexcept {
-  if (node == nullptr) return;
+  if (node == nullptr || t_held_gone) return;
   for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
     if (it->node == node) {
       t_held.erase(std::next(it).base());

@@ -1,17 +1,10 @@
 #include "ohpx/transport/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
+#include <sys/uio.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
-
-#include "ohpx/common/error.hpp"
-#include "ohpx/common/log.hpp"
+#include <exception>
 
 namespace ohpx::transport {
 namespace {
@@ -19,11 +12,6 @@ namespace {
 // Request heads larger than this are refused — nothing the introspection
 // plane serves needs more than a method line and a few headers.
 constexpr std::size_t kMaxRequestHead = 8u << 10;
-
-[[noreturn]] void throw_errno(const char* what) {
-  throw TransportError(ErrorCode::transport_io,
-                       std::string(what) + ": " + std::strerror(errno));
-}
 
 const char* reason_phrase(int status) noexcept {
   switch (status) {
@@ -40,183 +28,70 @@ const char* reason_phrase(int status) noexcept {
   }
 }
 
-void send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
 void send_response(int fd, const HttpResponse& response) {
   std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
                      reason_phrase(response.status) + "\r\n";
   head += "Content-Type: " + response.content_type + "\r\n";
   head += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   head += "Connection: close\r\n\r\n";
-  send_all(fd, head);
-  send_all(fd, response.body);
+  iovec iov[2] = {{head.data(), head.size()},
+                  {const_cast<char*>(response.body.data()),
+                   response.body.size()}};
+  sendmsg_full(fd, iov, 2);
 }
 
 }  // namespace
 
 HttpListener::HttpListener(std::uint16_t port, HttpHandler handler)
-    : handler_(std::move(handler)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(listen_fd_);
-    throw_errno("bind");
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) < 0) {
-    ::close(listen_fd_);
-    throw_errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-
-  if (::listen(listen_fd_, 16) < 0) {
-    ::close(listen_fd_);
-    throw_errno("listen");
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-HttpListener::~HttpListener() { stop(); }
-
-void HttpListener::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
-  {
-    sync::LockGuard lock(workers_mutex_);
-    workers.swap(workers_);
-    finished_.clear();
-    for (int fd : open_connections_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  for (auto& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void HttpListener::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed
-    }
-    sync::LockGuard lock(workers_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    reap_finished_locked();
-    open_connections_.insert(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-// Same reaping discipline as TcpListener: join workers whose connections
-// ended so a long-lived exporter does not accumulate finished threads.
-void HttpListener::reap_finished_locked() {
-  for (const std::thread::id id : finished_) {
-    const auto it =
-        std::find_if(workers_.begin(), workers_.end(),
-                     [id](const std::thread& t) { return t.get_id() == id; });
-    if (it != workers_.end()) {
-      it->join();
-      workers_.erase(it);
-    }
-  }
-  finished_.clear();
-}
+    : handler_(std::move(handler)),
+      listener_("127.0.0.1", port, [this](int fd) { serve_connection(fd); }) {}
 
 void HttpListener::serve_connection(int fd) {
-  struct ConnectionGuard {
-    HttpListener* listener;
-    int fd;
-    ~ConnectionGuard() {
-      {
-        sync::LockGuard lock(listener->workers_mutex_);
-        listener->open_connections_.erase(fd);
-        listener->finished_.push_back(std::this_thread::get_id());
-      }
-      ::close(fd);
-    }
-  } guard{this, fd};
-
-  try {
-    // Read until the end of the request head; the body (if any) is
-    // ignored — every introspection endpoint is a GET.
-    std::string head;
-    char chunk[2048];
-    while (head.find("\r\n\r\n") == std::string::npos) {
-      if (head.size() > kMaxRequestHead) {
-        send_response(fd, {400, "text/plain", "request head too large\n"});
-        return;
-      }
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;  // peer vanished mid-request
-      }
-      if (n == 0) return;  // EOF before a full request
-      head.append(chunk, static_cast<std::size_t>(n));
-    }
-
-    // Request line: METHOD SP PATH SP VERSION.
-    const std::size_t line_end = head.find("\r\n");
-    const std::string line = head.substr(0, line_end);
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos) {
-      send_response(fd, {400, "text/plain", "malformed request line\n"});
+  // Read until the end of the request head; the body (if any) is
+  // ignored — every introspection endpoint is a GET.
+  std::string head;
+  char chunk[2048];
+  while (head.find("\r\n\r\n") == std::string::npos) {
+    if (head.size() > kMaxRequestHead) {
+      send_response(fd, {400, "text/plain", "request head too large\n"});
       return;
     }
-    const std::string method = line.substr(0, sp1);
-    std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::size_t query = path.find('?');
-    if (query != std::string::npos) path.resize(query);
-    if (method != "GET") {
-      send_response(fd, {405, "text/plain", "only GET is served here\n"});
-      return;
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // peer vanished mid-request
     }
-
-    HttpResponse response;
-    try {
-      response = handler_(path);
-    } catch (const std::exception& e) {
-      response = {500, "text/plain", std::string("handler error: ") +
-                                         e.what() + "\n"};
-    }
-    send_response(fd, response);
-  } catch (const TransportError&) {
-    // Peer closed or I/O failed; drop the connection quietly.
-  } catch (const std::exception& e) {
-    log_warn("http", "connection handler error: ", e.what());
+    if (n == 0) return;  // EOF before a full request
+    head.append(chunk, static_cast<std::size_t>(n));
   }
+
+  // Request line: METHOD SP PATH SP VERSION.
+  const std::size_t line_end = head.find("\r\n");
+  const std::string line = head.substr(0, line_end);
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 =
+      sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    send_response(fd, {400, "text/plain", "malformed request line\n"});
+    return;
+  }
+  const std::string method = line.substr(0, sp1);
+  std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::size_t query = path.find('?');
+  if (query != std::string::npos) path.resize(query);
+  if (method != "GET") {
+    send_response(fd, {405, "text/plain", "only GET is served here\n"});
+    return;
+  }
+
+  HttpResponse response;
+  try {
+    response = handler_(path);
+  } catch (const std::exception& e) {
+    response = {500, "text/plain", std::string("handler error: ") +
+                                       e.what() + "\n"};
+  }
+  send_response(fd, response);
 }
 
 }  // namespace ohpx::transport

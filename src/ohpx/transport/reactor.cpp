@@ -192,13 +192,6 @@ Nanoseconds Reactor::stall_threshold() const noexcept {
   return Nanoseconds(stall_threshold_.load(std::memory_order_relaxed));
 }
 
-std::size_t Reactor::pending_calls() const {
-  std::size_t total = 0;
-  sync::LockGuard lock(mutex_);
-  for (const auto& [key, conn] : conns_) total += conn->inflight.size();
-  return total;
-}
-
 std::vector<Reactor::ConnectionStats> Reactor::connection_stats() const {
   std::vector<ConnectionStats> out;
   sync::LockGuard lock(mutex_);

@@ -108,9 +108,6 @@ class Reactor {
   void set_stall_threshold(Nanoseconds threshold) noexcept;
   Nanoseconds stall_threshold() const noexcept;
 
-  /// Calls queued or awaiting a reply, across all connections.
-  std::size_t pending_calls() const;
-
   /// Point-in-time health of one connection, for the introspection plane.
   struct ConnectionStats {
     std::string host;

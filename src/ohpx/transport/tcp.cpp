@@ -26,34 +26,9 @@ std::size_t load_frame_prefix(const std::uint8_t* p) noexcept {
          (static_cast<std::size_t>(p[2]) << 8) | static_cast<std::size_t>(p[3]);
 }
 
-[[noreturn]] void throw_errno(ErrorCode code, const char* what) {
-  throw TransportError(code, std::string(what) + ": " + std::strerror(errno));
-}
-
-// Gather-write of iovecs with full partial-write handling: a short send
-// advances into the iovec array and retries until every byte is out.
-// sendmsg (not writev) so MSG_NOSIGNAL applies — a dead peer must surface
-// as EPIPE/transport_io, never as a process-killing SIGPIPE.
-void sendmsg_full(int fd, iovec* iov, std::size_t iov_count) {
-  while (iov_count > 0) {
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = iov_count;
-    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(ErrorCode::transport_io, "sendmsg");
-    }
-    while (iov_count > 0 && static_cast<std::size_t>(n) >= iov[0].iov_len) {
-      n -= static_cast<ssize_t>(iov[0].iov_len);
-      ++iov;
-      --iov_count;
-    }
-    if (iov_count > 0 && n > 0) {
-      iov[0].iov_base = static_cast<std::uint8_t*>(iov[0].iov_base) + n;
-      iov[0].iov_len -= static_cast<std::size_t>(n);
-    }
-  }
+[[noreturn]] void throw_errno(const char* what) {
+  throw TransportError(ErrorCode::transport_io,
+                       std::string(what) + ": " + std::strerror(errno));
 }
 
 /// One sendmsg per <=256 replies: gathered (prefix, frame) iovec pairs.
@@ -87,6 +62,28 @@ void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
 }
 
 }  // namespace
+
+void sendmsg_full(int fd, iovec* iov, std::size_t iov_count) {
+  while (iov_count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("sendmsg");
+    }
+    while (iov_count > 0 && static_cast<std::size_t>(n) >= iov[0].iov_len) {
+      n -= static_cast<ssize_t>(iov[0].iov_len);
+      ++iov;
+      --iov_count;
+    }
+    if (iov_count > 0 && n > 0) {
+      iov[0].iov_base = static_cast<std::uint8_t*>(iov[0].iov_base) + n;
+      iov[0].iov_len -= static_cast<std::size_t>(n);
+    }
+  }
+}
 
 void store_frame_prefix(std::uint8_t* prefix, std::uint32_t size) noexcept {
   prefix[0] = static_cast<std::uint8_t>(size >> 24);
@@ -181,14 +178,11 @@ in_addr resolve_ipv4(const std::string& host) {
   return addr;
 }
 
-// ---- TcpListener ---------------------------------------------------------
+// ---- Listener ------------------------------------------------------------
 
-TcpListener::TcpListener(std::uint16_t port, FrameHandler handler)
-    : TcpListener("127.0.0.1", port, std::move(handler)) {}
-
-TcpListener::TcpListener(const std::string& host, std::uint16_t port,
-                         FrameHandler handler)
-    : handler_(std::move(handler)) {
+Listener::Listener(const std::string& host, std::uint16_t port,
+                   ConnectionFn serve)
+    : serve_(std::move(serve)) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr = resolve_ipv4(host);  // before socket(): a throw here
@@ -196,31 +190,31 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port,
   addr.sin_port = htons(port);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno(ErrorCode::transport_io, "socket");
+  if (listen_fd_ < 0) throw_errno("socket");
 
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(listen_fd_);
-    throw_errno(ErrorCode::transport_io, "bind");
+    throw_errno("bind");
   }
   socklen_t addr_len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len) < 0) {
     ::close(listen_fd_);
-    throw_errno(ErrorCode::transport_io, "getsockname");
+    throw_errno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
 
-  if (::listen(listen_fd_, 16) < 0) {
+  // A thread per accept falls behind a burst of connects; a backlog too
+  // short to queue it drops SYNs, each stalling its client 1 s.
+  if (::listen(listen_fd_, SOMAXCONN) < 0) {
     ::close(listen_fd_);
-    throw_errno(ErrorCode::transport_io, "listen");
+    throw_errno("listen");
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-TcpListener::~TcpListener() { stop(); }
-
-void TcpListener::stop() {
+void Listener::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) {
     return;  // already stopped
@@ -245,7 +239,7 @@ void TcpListener::stop() {
   }
 }
 
-void TcpListener::accept_loop() {
+void Listener::accept_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -259,7 +253,7 @@ void TcpListener::accept_loop() {
     }
     reap_finished_locked();
     open_connections_.insert(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
+    workers_.emplace_back([this, fd] { run_connection(fd); });
   }
 }
 
@@ -267,7 +261,7 @@ void TcpListener::accept_loop() {
 // not accumulate one joinable-but-finished thread per past connection.
 // Joining under the lock is safe: a thread registers in finished_ as its
 // last lock-holding act, so the join only waits for its final returns.
-void TcpListener::reap_finished_locked() {
+void Listener::reap_finished_locked() {
   for (const std::thread::id id : finished_) {
     const auto it =
         std::find_if(workers_.begin(), workers_.end(),
@@ -280,15 +274,13 @@ void TcpListener::reap_finished_locked() {
   finished_.clear();
 }
 
-void TcpListener::serve_connection(int fd) {
-  // Deregister-and-close exactly once, on *every* exit path.  Before this
-  // guard, an exception that escaped the catch clauses below (anything not
-  // derived from std::exception) unwound past the cleanup block: the fd
-  // stayed in open_connections_ forever — stop() would then shutdown() a
-  // number the kernel had recycled for an unrelated connection — and the
-  // worker thread was never reaped.
+void Listener::run_connection(int fd) {
+  // Deregister-and-close exactly once, on *every* exit path.  An fd left
+  // in open_connections_ would have stop() shutdown() a number the kernel
+  // had recycled for an unrelated connection, and its thread would never
+  // be reaped.
   struct ConnectionGuard {
-    TcpListener* listener;
+    Listener* listener;
     int fd;
     ~ConnectionGuard() {
       {
@@ -300,44 +292,58 @@ void TcpListener::serve_connection(int fd) {
     }
   } guard{this, fd};
 
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   try {
-    // Buffered request pipeline: each blocking recv takes whatever burst
-    // the client pipelined, every complete frame in the buffer is
-    // dispatched, and the accumulated replies flush as one gathered
-    // sendmsg before the next blocking read (flushing first is also what
-    // prevents deadlock — the client may be waiting on these replies).
-    // One call at a time still costs one recv + one send, exactly the old
-    // behaviour; a reactor fan-in burst costs two syscalls per *batch*.
-    FrameReader reader;
-    std::vector<wire::Buffer> replies;
-    wire::BufferPool& pool = wire::BufferPool::local();
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      while (const std::optional<BytesView> frame = reader.next()) {
-        // FrameHandler takes a wire::Buffer; the copy reuses a pooled
-        // allocation instead of zero-filling a fresh one.
-        wire::Buffer request = pool.acquire(frame->size());
-        request.append(*frame);
-        replies.push_back(handler_(request));
-        pool.release(std::move(request));
-      }
-      if (!replies.empty()) write_reply_batch(fd, replies);
-
-      const ssize_t n = reader.fill(fd);
-      if (n < 0) throw_errno(ErrorCode::transport_io, "recv");
-      if (n == 0) {
-        if (reader.buffered() == 0) break;  // clean EOF at a frame boundary
-        throw TransportError(ErrorCode::transport_closed,
-                             "connection closed mid-frame");
-      }
-    }
+    serve_(fd);
   } catch (const TransportError&) {
     // Peer closed or I/O failed; drop the connection quietly.
   } catch (const std::exception& e) {
-    log_warn("tcp", "connection handler error: ", e.what());
+    log_warn("transport", "connection handler error: ", e.what());
   } catch (...) {
-    log_warn("tcp", "connection handler error: non-standard exception");
+    log_warn("transport", "connection handler error: non-standard exception");
+  }
+}
+
+// ---- TcpListener ---------------------------------------------------------
+
+TcpListener::TcpListener(std::uint16_t port, FrameHandler handler)
+    : TcpListener("127.0.0.1", port, std::move(handler)) {}
+
+TcpListener::TcpListener(const std::string& host, std::uint16_t port,
+                         FrameHandler handler)
+    : handler_(std::move(handler)),
+      listener_(host, port, [this](int fd) { serve_connection(fd); }) {}
+
+void TcpListener::serve_connection(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // Buffered request pipeline: each blocking recv takes whatever burst
+  // the client pipelined, every complete frame in the buffer is
+  // dispatched, and the accumulated replies flush as one gathered
+  // sendmsg before the next blocking read (flushing first is also what
+  // prevents deadlock — the client may be waiting on these replies).
+  // One call at a time still costs one recv + one send, exactly the old
+  // behaviour; a reactor fan-in burst costs two syscalls per *batch*.
+  FrameReader reader;
+  std::vector<wire::Buffer> replies;
+  wire::BufferPool& pool = wire::BufferPool::local();
+  while (!listener_.stopping()) {
+    while (const std::optional<BytesView> frame = reader.next()) {
+      // FrameHandler takes a wire::Buffer; the copy reuses a pooled
+      // allocation instead of zero-filling a fresh one.
+      wire::Buffer request = pool.acquire(frame->size());
+      request.append(*frame);
+      replies.push_back(handler_(request));
+      pool.release(std::move(request));
+    }
+    if (!replies.empty()) write_reply_batch(fd, replies);
+
+    const ssize_t n = reader.fill(fd);
+    if (n < 0) throw_errno("recv");
+    if (n == 0) {
+      if (reader.buffered() == 0) break;  // clean EOF at a frame boundary
+      throw TransportError(ErrorCode::transport_closed,
+                           "connection closed mid-frame");
+    }
   }
 }
 

@@ -3,8 +3,10 @@
 // payload length + payload.  Both ends receive through one FrameReader:
 // the TcpListener below parses requests with it, and the epoll reactor
 // (reactor.hpp), which carries every outbound call, parses replies with
-// it; the one frame cap lives there.  The benchmark suite instead uses the
-// netsim-timed channel so results are deterministic (DESIGN.md §2).
+// it; the one frame cap lives there.  The accepting side is one Listener,
+// shared with the introspection plane's HttpListener (http.hpp).  The
+// benchmark suite instead uses the netsim-timed channel so results are
+// deterministic (DESIGN.md §2).
 // Listeners default to loopback but can bind any local interface, which
 // is what lets a World span OS processes and machines
 // (docs/deployment.md).
@@ -12,10 +14,12 @@
 
 #include <netinet/in.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -79,40 +83,79 @@ class FrameReader {
 /// TransportError(transport_connect_failed) for unresolvable hosts.
 in_addr resolve_ipv4(const std::string& host);
 
-/// Accepting side: binds `host`:`port` (port 0 = ephemeral, host "" /
-/// "0.0.0.0" = all interfaces), serves each connection on its own thread,
-/// dispatching frames into `handler`.  Each request is copied out of the
-/// connection's FrameReader into a buffer from the thread's BufferPool.
+/// Gather-writes every byte of `iov[0, iov_count)` to the blocking socket
+/// `fd`, resuming after short sends (the iovecs are consumed).  sendmsg
+/// with MSG_NOSIGNAL: a dead peer throws TransportError(transport_io)
+/// instead of raising a process-killing SIGPIPE.
+void sendmsg_full(int fd, iovec* iov, std::size_t iov_count);
+
+/// The accepting side every listener shares: binds `host`:`port` (port 0 =
+/// ephemeral, host "" / "0.0.0.0" = all interfaces) with SO_REUSEADDR and a
+/// SOMAXCONN backlog, accepts on its own thread, and runs `serve` for each
+/// connection on a thread of its own.  However `serve` leaves, the fd is
+/// deregistered and closed; a TransportError is dropped quietly, any other
+/// exception is logged.  Finished threads are joined on the next accept.
+class Listener {
+ public:
+  /// One connection's protocol; the Listener owns and closes `fd`.
+  using ConnectionFn = std::function<void(int fd)>;
+
+  Listener(const std::string& host, std::uint16_t port, ConnectionFn serve);
+  ~Listener() { stop(); }
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// The actual bound port (useful with port 0).
+  std::uint16_t port() const noexcept { return port_; }
+
+  /// True once stop() has begun.
+  bool stopping() const noexcept {
+    return stopping_.load(std::memory_order_relaxed);
+  }
+
+  /// Stops accepting, shuts every open connection down (its thread reads
+  /// EOF) and joins every thread.  Idempotent.
+  void stop();
+
+ private:
+  void accept_loop();
+  void run_connection(int fd);
+  void reap_finished_locked() OHPX_REQUIRES(workers_mutex_);
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  ConnectionFn serve_;
+  std::atomic<bool> stopping_{false};
+  std::thread accept_thread_;
+  sync::Mutex workers_mutex_{"transport.listener.workers"};
+  std::vector<std::thread> workers_ OHPX_GUARDED_BY(workers_mutex_);
+  std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
+  std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
+};
+
+/// Frame server on a Listener: dispatches each frame of a connection into
+/// `handler`, which runs on that connection's thread.  Each request is
+/// copied out of the connection's FrameReader into a buffer from the
+/// thread's BufferPool.
 class TcpListener {
  public:
   TcpListener(std::uint16_t port, FrameHandler handler);
   TcpListener(const std::string& host, std::uint16_t port,
               FrameHandler handler);
-  ~TcpListener();
-
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
 
   /// The actual bound port (useful with port 0).
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Stops accepting and joins all threads.  Idempotent.
-  void stop();
+  void stop() { listener_.stop(); }
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_finished_locked() OHPX_REQUIRES(workers_mutex_);
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   FrameHandler handler_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  sync::Mutex workers_mutex_{"transport.tcp.workers"};
-  std::vector<std::thread> workers_ OHPX_GUARDED_BY(workers_mutex_);
-  std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
-  std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
+  Listener listener_;  // last: destroyed first, joining every handler call
 };
 
 }  // namespace ohpx::transport

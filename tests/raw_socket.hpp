@@ -1,9 +1,10 @@
-// Plain blocking loopback sockets for the framing tests: the test plays
-// one end of the length-prefixed TCP stream and writes it in whatever
-// pieces it likes, so the other end's FrameReader sees split prefixes,
-// many frames per recv, over-cap prefixes and EOF inside a frame.  Every
-// socket carries a 10 s receive timeout, so a peer that never answers
-// fails the test instead of hanging it.
+// Plain blocking loopback sockets for the framing and listener tests: the
+// test plays one end of the length-prefixed TCP stream and writes it in
+// whatever pieces it likes, so the other end's FrameReader sees split
+// prefixes, many frames per recv, over-cap prefixes and EOF inside a
+// frame; the same sockets send raw HTTP request heads.  Every socket
+// carries a 10 s receive timeout, so a peer that never answers fails the
+// test instead of hanging it.
 #pragma once
 
 #include <arpa/inet.h>
@@ -16,6 +17,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -129,6 +131,25 @@ class RawSocket {
     Bytes frame(size);
     if (!recv_exact(frame.data(), size)) return std::nullopt;
     return frame;
+  }
+
+  /// Every byte the peer sends before it closes; nullopt when the receive
+  /// timeout expires first.  A reset ends the stream like EOF does: a
+  /// server that answers before reading the whole request closes with
+  /// bytes unread, and the kernel turns that close into a reset.
+  std::optional<std::string> read_to_close() {
+    std::string bytes;
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        bytes.append(chunk, static_cast<std::size_t>(n));
+      } else if (n == 0 || errno == ECONNRESET) {
+        return bytes;
+      } else if (errno != EINTR) {
+        return std::nullopt;
+      }
+    }
   }
 
   /// True once the peer has closed the connection: recv sees EOF or a

@@ -292,4 +292,26 @@ TEST_F(LockOrderTest, ReleaseMutexCompilesOutValidator) {
   EXPECT_EQ(lock_order::report_count(), 0u);
 }
 
+// ---- locking from a static destructor -------------------------------------
+//
+// At exit the main thread's thread_locals (the validator's held-lock stack
+// among them) are destroyed before static destructors run, and static
+// destructors still lock validated mutexes: ThreadPool::shutdown and
+// Reactor::stop do.  g_locks_at_exit is destroyed at exit and locks a
+// mutex the suite also locks on the main thread, so the validator must
+// stop tracking instead of pushing onto the freed stack.  ASan reports
+// that write as a heap-use-after-free after every test has passed; without
+// a sanitizer it corrupts the heap silently.
+
+OrderedMutex g_exit_mutex("lo.exit");
+
+TEST_F(LockOrderTest, MutexLockedOnTheMainThreadAndAgainAtExit) {
+  LockGuard lock(g_exit_mutex);
+  EXPECT_EQ(lock_order::report_count(), 0u);
+}
+
+struct LocksAtExit {
+  ~LocksAtExit() { LockGuard lock(g_exit_mutex); }
+} g_locks_at_exit;
+
 }  // namespace

@@ -450,6 +450,46 @@ TEST_F(TcpStubFixture, WireAttemptsNeverExceedMaxAttempts) {
   EXPECT_EQ(retries_now() - retries_before, 2u);
 }
 
+// A server whose reply the caller must refuse: a request-typed frame, or a
+// reply for another request id.  Either keeps the correlation id, so the
+// reactor settles the call with it and the refusal is the reply check's.
+class MismatchedReplyTest : public TcpStubFixture,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(MismatchedReplyTest, SyncAndAsyncCallsThrowProtocolUnknown) {
+  const bool request_typed = GetParam();
+  transport::TcpListener listener(
+      0, [request_typed](const wire::Buffer& frame) {
+        BytesView body;
+        wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+        if (!request_typed) {
+          header.type = wire::MessageType::reply;
+          ++header.request_id;
+        }
+        return wire::encode_frame(header, body);
+      });
+  orb::ObjectStub stub(*client_ctx_, tcp_ref_to(listener.port()));
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "call_async" : "call");
+    try {
+      if (async) {
+        (void)stub.call_async<std::string>(1, std::string("x")).get();
+      } else {
+        (void)stub.call<std::string>(1, std::string("x"));
+      }
+      ADD_FAILURE() << "the mismatched reply was accepted";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::protocol_unknown);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Replies, MismatchedReplyTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "RequestTyped"
+                                             : "OtherRequestId";
+                         });
+
 // ---- registry ------------------------------------------------------------------------------
 
 TEST(Registry, BuiltinsPresent) {

@@ -3,10 +3,15 @@
 // or success), never a crash or an unframed blob.  Same discipline for the
 // client decoding mutated replies: typed exceptions only, on the reactor's
 // demux path too, where mutated reply streams arrive over a real socket.
+// And for the HTTP listener's request-head parse: a well-formed response
+// or a close, for any bytes a scraper's connection carries.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <optional>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/compression.hpp"
@@ -19,6 +24,7 @@
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/http.hpp"
 #include "ohpx/transport/reactor.hpp"
 #include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/serialize.hpp"
@@ -289,6 +295,129 @@ TEST_P(ReplyStreamFuzz, EveryPendingCallSettlesWithAValueOrATypedError) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplyStreamFuzz,
                          ::testing::Values(0x11, 0x12, 0x13, 0x14, 0x15, 0x16,
                                            0x17, 0x18));
+
+// ---- mutated request heads on the HTTP listener -----------------------------
+//
+// Each round mutates a valid head (bit flips, truncation, a CR or LF
+// inserted or deleted, two heads spliced, padding past the 8 KiB cap),
+// sends it on a fresh connection and half-closes.  The listener must
+// answer with a status it serves and a Content-Length that matches the
+// body, or close with no bytes; a clean GET after every round still gets
+// 200.  A reset counts as a close: the listener may answer before it has
+// read the whole request.
+
+const std::string kValidHead =
+    "GET /path HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n";
+
+transport::HttpResponse route(const std::string& path) {
+  if (path == "/path") return {200, "text/plain", "ok\n"};
+  if (path.empty() || path.front() != '/') {
+    throw std::runtime_error("not an absolute path");
+  }
+  return {404, "text/plain", "no route\n"};
+}
+
+std::string mutate_head(Xoshiro256& rng) {
+  std::string head = kValidHead;
+  switch (rng.next_below(5)) {
+    case 0:  // bit flips
+      for (std::uint64_t flips = 1 + rng.next_below(8); flips > 0; --flips) {
+        head[rng.next_below(head.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+      }
+      return head;
+    case 1:  // truncation
+      head.resize(rng.next_below(head.size()));
+      return head;
+    case 2: {  // a CR or LF inserted, or one deleted
+      if (rng.next_below(2) == 0) {
+        head.insert(rng.next_below(head.size() + 1), 1,
+                    rng.next_below(2) == 0 ? '\r' : '\n');
+        return head;
+      }
+      std::vector<std::size_t> breaks;
+      for (std::size_t i = 0; i < head.size(); ++i) {
+        if (head[i] == '\r' || head[i] == '\n') breaks.push_back(i);
+      }
+      head.erase(breaks[rng.next_below(breaks.size())], 1);
+      return head;
+    }
+    case 3:  // the start of one head spliced onto the end of another
+      return head.substr(0, rng.next_below(head.size() + 1)) +
+             kValidHead.substr(rng.next_below(kValidHead.size() + 1));
+    default: {  // a header that pads the head past the cap
+      const std::size_t line_end = head.find("\r\n") + 2;
+      head.insert(line_end, "X-Pad: " +
+                                std::string((8 << 10) + rng.next_below(4096),
+                                            'p') +
+                                "\r\n");
+      return head;
+    }
+  }
+}
+
+// A response the listener may send: the status line of a status it
+// serves, then a head whose Content-Length matches the body.
+::testing::AssertionResult well_formed(const std::string& response) {
+  static const std::set<std::string> kServed = {"200", "400", "404", "405",
+                                                "500"};
+  if (response.rfind("HTTP/1.1 ", 0) != 0 ||
+      !kServed.contains(response.substr(9, 3))) {
+    return ::testing::AssertionFailure() << "bad status line: " << response;
+  }
+  const std::size_t head_end = response.find("\r\n\r\n");
+  const std::string length_field = "\r\nContent-Length: ";
+  const std::size_t field = response.find(length_field);
+  if (head_end == std::string::npos || field == std::string::npos ||
+      field > head_end) {
+    return ::testing::AssertionFailure() << "no Content-Length: " << response;
+  }
+  const std::size_t length =
+      std::stoul(response.substr(field + length_field.size()));
+  if (response.size() - (head_end + 4) != length) {
+    return ::testing::AssertionFailure()
+           << "body is not " << length << " bytes: " << response;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Sends `head` on a fresh connection, half-closes, and returns what the
+// listener sent before closing; nullopt when it never closed.
+std::optional<std::string> send_head(std::uint16_t port,
+                                     const std::string& head) {
+  testutil::RawSocket client = testutil::RawSocket::connect_to(port);
+  EXPECT_TRUE(client.valid());
+  (void)client.send_all(bytes_of(head));  // the listener may answer first
+  client.shutdown_write();
+  return client.read_to_close();
+}
+
+class HttpHeadFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HttpHeadFuzz, EveryConnectionGetsAWellFormedResponseOrAClose) {
+  transport::HttpListener listener(0, route);
+  Xoshiro256 rng(GetParam());
+  std::size_t answered = 0;
+  for (int round = 0; round < 24; ++round) {
+    const std::string head = mutate_head(rng);
+    const std::optional<std::string> response =
+        send_head(listener.port(), head);
+    ASSERT_TRUE(response.has_value()) << "round " << round << " never closed";
+    if (!response->empty()) {
+      ++answered;
+      EXPECT_TRUE(well_formed(*response)) << "round " << round;
+    }
+    const std::optional<std::string> clean =
+        send_head(listener.port(), kValidHead);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_EQ(clean->rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << *clean;
+  }
+  EXPECT_GT(answered, 0u) << "no mutated head reached the parse";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HttpHeadFuzz,
+                         ::testing::Values(0x21, 0x22, 0x23, 0x24, 0x25, 0x26,
+                                           0x27, 0x28));
 
 // ---- migration racing live traffic --------------------------------------------
 

@@ -2,18 +2,26 @@
 // channel, simulated-network channel cost accounting, and the real TCP
 // listener driven by the reactor (loopback sockets), and the framing both
 // ends share: FrameReader unit cases over a socketpair, then the
-// listener's edge cases from a raw client socket.
+// listener's edge cases from a raw client socket.  Last, the accepting
+// side both listeners share (connect bursts, reaping, stop) and every
+// branch of the HTTP listener's request-head parse.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/sync/mutex.hpp"
+#include "ohpx/transport/http.hpp"
 #include "ohpx/transport/inproc.hpp"
 #include "ohpx/transport/reactor.hpp"
 #include "ohpx/transport/sim.hpp"
@@ -519,6 +527,213 @@ TEST(TcpFramingTest, EofMidFrameDropsTheConnectionUnanswered) {
   ASSERT_TRUE(next.valid());
   EXPECT_EQ(ask(next, "ok"), bytes_of("OK"));
   EXPECT_EQ(calls.load(), 1);
+}
+
+// ---- the accepting side both listeners share --------------------------------
+
+TEST(TcpTest, ConnectBurstNeverWaitsForASynRetransmit) {
+  // 200 connects back to back, each closed at once.  The accept thread
+  // starts a thread per accept and falls behind the burst; a backlog too
+  // short to queue it makes the kernel drop a SYN, and the client only
+  // retransmits it after 1 s.
+  TcpListener listener(0, upper_caser());
+  for (int i = 0; i < 200; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    testutil::RawSocket client =
+        testutil::RawSocket::connect_to(listener.port());
+    const auto took = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(client.valid()) << "connect " << i;
+    EXPECT_LT(took, std::chrono::milliseconds(500)) << "connect " << i;
+  }
+}
+
+// Live threads of this process.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// Polls `done` until it holds or 10 s pass.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+HttpHandler routes() {
+  return [](const std::string& path) -> HttpResponse {
+    if (path == "/throw") throw std::runtime_error("boom");
+    if (path == "/ok") return {200, "text/plain", "ok\n"};
+    return {404, "text/plain", "no route\n"};
+  };
+}
+
+// The exact bytes the HTTP listener sends for a text/plain `body`.
+std::string http_response(std::string_view status, std::string_view body) {
+  return "HTTP/1.1 " + std::string(status) +
+         "\r\nContent-Type: text/plain\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+         std::string(body);
+}
+
+// Sends `request` on `client`, half-closes, and returns every byte the
+// server sends before it closes: "" for a close with no bytes.
+std::string http_exchange(testutil::RawSocket& client,
+                          std::string_view request) {
+  EXPECT_TRUE(client.send_all(bytes_of(request)));
+  client.shutdown_write();
+  return client.read_to_close().value_or("<receive timed out>");
+}
+
+std::string http_exchange(std::uint16_t port, std::string_view request) {
+  testutil::RawSocket client = testutil::RawSocket::connect_to(port);
+  EXPECT_TRUE(client.valid());
+  return http_exchange(client, request);
+}
+
+// Both listeners, each behind one fresh-connection exchange.  Their
+// handlers note the stack of the connection thread they run on.
+enum class ListenerKind { tcp, http };
+
+class ListenerTest : public ::testing::TestWithParam<ListenerKind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == ListenerKind::tcp) {
+      tcp_ = std::make_unique<TcpListener>(
+          0, [this, upper = upper_caser()](const wire::Buffer& request) {
+            note_stack();
+            return upper(request);
+          });
+    } else {
+      http_ = std::make_unique<HttpListener>(
+          0, [this, route = routes()](const std::string& path) {
+            note_stack();
+            return route(path);
+          });
+    }
+  }
+
+  std::uint16_t port() const { return tcp_ ? tcp_->port() : http_->port(); }
+  void stop() { tcp_ ? tcp_->stop() : http_->stop(); }
+
+  // Connect, one request and its reply, close.
+  bool exchange() const {
+    testutil::RawSocket client = testutil::RawSocket::connect_to(port());
+    if (!client.valid()) return false;
+    if (tcp_) return ask(client, "ping") == bytes_of("PING");
+    return http_exchange(client, "GET /ok HTTP/1.1\r\n\r\n") ==
+           http_response("200 OK", "ok\n");
+  }
+
+  // Distinct thread stacks the handlers have run on, by MiB.
+  std::size_t stacks_seen() {
+    sync::LockGuard lock(mutex_);
+    return stacks_.size();
+  }
+
+ private:
+  void note_stack() {
+    const auto frame =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    sync::LockGuard lock(mutex_);
+    stacks_.insert(frame >> 20);
+  }
+
+  sync::Mutex mutex_{"test.listener_stacks"};
+  std::set<std::uintptr_t> stacks_ OHPX_GUARDED_BY(mutex_);
+  std::unique_ptr<TcpListener> tcp_;  // after what the handlers touch
+  std::unique_ptr<HttpListener> http_;
+};
+
+TEST_P(ListenerTest, ConnectionThreadsEndAndAreJoined) {
+  // Each exchange ends before the next connect, so only threads on their
+  // way out overlap.  A thread that outlived its connection would keep the
+  // thread count from settling back.  A thread that exited but was never
+  // joined keeps its stack, so each connection would need a fresh one;
+  // joined stacks go back to the C library's cache and are handed out
+  // again.
+  const std::size_t threads_before = thread_count();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(exchange()) << "cycle " << i;
+  }
+  EXPECT_TRUE(eventually([&] { return thread_count() <= threads_before; }))
+      << thread_count() << " threads, " << threads_before << " before";
+  EXPECT_LT(stacks_seen(), 50u);
+}
+
+TEST_P(ListenerTest, StopShutsAnIdleConnectionAndReturns) {
+  const std::size_t threads_before = thread_count();
+  testutil::RawSocket idle = testutil::RawSocket::connect_to(port());
+  ASSERT_TRUE(idle.valid());
+  // Wait for the connection's own thread, parked in recv, so stop() has
+  // an open connection to shut down rather than one still in the backlog.
+  ASSERT_TRUE(eventually([&] { return thread_count() > threads_before; }));
+  stop();
+  EXPECT_EQ(idle.read_to_close(), std::string());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Listeners, ListenerTest,
+    ::testing::Values(ListenerKind::tcp, ListenerKind::http),
+    [](const ::testing::TestParamInfo<ListenerKind>& info) {
+      return info.param == ListenerKind::tcp ? "tcp" : "http";
+    });
+
+// ---- the HTTP listener's request-head parse ---------------------------------
+//
+// Every response is pinned byte for byte.
+
+TEST(HttpListenerTest, ServesTheRouteWithTheQueryStripped) {
+  HttpListener listener(0, routes());
+  EXPECT_EQ(http_exchange(listener.port(),
+                          "GET /ok?x=1 HTTP/1.1\r\nHost: localhost\r\n\r\n"),
+            http_response("200 OK", "ok\n"));
+  EXPECT_EQ(http_exchange(listener.port(), "GET /elsewhere HTTP/1.0\r\n\r\n"),
+            http_response("404 Not Found", "no route\n"));
+}
+
+TEST(HttpListenerTest, MalformedRequestLineGets400) {
+  HttpListener listener(0, routes());
+  EXPECT_EQ(http_exchange(listener.port(), "GET/ok\r\n\r\n"),
+            http_response("400 Bad Request", "malformed request line\n"));
+}
+
+TEST(HttpListenerTest, NonGetMethodGets405) {
+  HttpListener listener(0, routes());
+  EXPECT_EQ(
+      http_exchange(listener.port(), "POST /ok HTTP/1.1\r\n\r\n"),
+      http_response("405 Method Not Allowed", "only GET is served here\n"));
+}
+
+TEST(HttpListenerTest, HeadPastTheCapWithNoTerminatorGets400) {
+  // One byte past 8 KiB, all of it read before the answer, so the close
+  // after it is a clean one.
+  HttpListener listener(0, routes());
+  EXPECT_EQ(http_exchange(listener.port(), std::string((8 << 10) + 1, 'a')),
+            http_response("400 Bad Request", "request head too large\n"));
+}
+
+TEST(HttpListenerTest, ThrowingHandlerGets500) {
+  HttpListener listener(0, routes());
+  EXPECT_EQ(
+      http_exchange(listener.port(), "GET /throw HTTP/1.1\r\n\r\n"),
+      http_response("500 Internal Server Error", "handler error: boom\n"));
+}
+
+TEST(HttpListenerTest, EofBeforeAFullHeadClosesWithNoBytes) {
+  HttpListener listener(0, routes());
+  EXPECT_EQ(http_exchange(listener.port(), "GET /ok HTTP/1.1\r\nHost: loc"),
+            std::string());
+  EXPECT_EQ(http_exchange(listener.port(), ""), std::string());
 }
 
 }  // namespace
