@@ -1,21 +1,26 @@
 // Massive fan-in benchmark: aggregate calls/sec against a real loopback
 // TCP server through the epoll reactor, one call in flight vs. many.
 //
-// Two arms over the identical world (tcp-only protocol table), both on
-// one client thread and one multiplexed connection:
-//   serial  — sync pings, one at a time: each call parks on its future,
-//             so this is the per-call roundtrip floor;
-//   reactor — N call_async futures in flight: frames coalesce into
-//             gathered sendmsg batches and replies demux by correlation
-//             id.
-// A third arm runs without the ORB:
+// Three arms over the identical world, all on one client thread and one
+// multiplexed connection:
+//   serial  — sync pings, one at a time over a tcp-only table: each call
+//             parks on its future, so this is the per-call roundtrip
+//             floor;
+//   reactor — N call_async futures in flight over the same table: frames
+//             coalesce into gathered sendmsg batches and replies demux by
+//             correlation id;
+//   glue    — the reactor arm through glue[quota]->tcp: the capability
+//             chain wrapped around the same async exchange, its reply
+//             stage run where the reply settles.
+// A fourth arm runs without the ORB:
 //   bare    — a frame the size of the ping request echoed over a plain
 //             blocking loopback TCP pair between two threads, no reactor:
 //             the transport's own round trip.
 // The headline numbers are the reactor/serial speedup at 1k concurrency
 // (how much of the per-call cost pipelining hides) and serial/bare, the
 // share of the sync TCP bearer's rate the ORB keeps: end to end over the
-// bare round trip, HAM's measure of ORB overhead.
+// bare round trip, HAM's measure of ORB overhead.  reactor/glue is what
+// an async call pays for a capability chain (recorded, not gated).
 //
 // Hand-rolled main (not google-benchmark): the fan-in arm needs a
 // sliding window of futures, not a per-iteration callable.  Flags:
@@ -33,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,6 +46,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "ohpx/capability/builtin/quota.hpp"
 #include "ohpx/introspect/http_exporter.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/runtime/world.hpp"
@@ -162,8 +169,8 @@ Arm run_bare(std::size_t warmup, std::size_t calls) {
   return arm;
 }
 
-Arm run_reactor(scenario::EchoStub& stub, std::size_t warmup,
-                std::size_t calls, std::size_t inflight) {
+Arm run_reactor(std::string name, scenario::EchoStub& stub,
+                std::size_t warmup, std::size_t calls, std::size_t inflight) {
   for (std::size_t i = 0; i < warmup; ++i) stub.ping();
 
   // Sliding window: keep `inflight` futures outstanding; replies come
@@ -183,7 +190,7 @@ Arm run_reactor(scenario::EchoStub& stub, std::size_t warmup,
       std::chrono::duration<double>(Clock::now() - start).count();
 
   Arm arm;
-  arm.name = "fanin/reactor";
+  arm.name = std::move(name);
   arm.calls = calls;
   arm.inflight = inflight;
   arm.calls_per_sec =
@@ -220,7 +227,7 @@ int run(int argc, char** argv) {
                 static_cast<unsigned>(exporter->port()));
     std::fflush(stdout);
   }
-  // The fan-in arm runs 1k calls in flight (the reactor window defaults
+  // The fan-in arms run 1k calls in flight (the reactor window defaults
   // to 1024, so 1000 never trips backpressure); the serial arm is slower
   // per call, so it runs fewer total calls for comparable wall time.
   const std::size_t inflight = smoke ? 256 : 1000;
@@ -241,19 +248,33 @@ int run(int argc, char** argv) {
           .tcp()
           .build();
   scenario::EchoStub stub(client_ctx, ref);
+  // A quota the run never spends: admission runs on every call.
+  auto glue_ref =
+      orb::RefBuilder(server_ctx, std::make_shared<scenario::EchoServant>())
+          .glue({std::make_shared<cap::QuotaCapability>(
+                    std::numeric_limits<std::uint64_t>::max())},
+                "tcp")
+          .build();
+  scenario::EchoStub glue_stub(client_ctx, glue_ref);
 
   Arm serial = run_serial(stub, warmup, serial_calls);
   Arm bare = run_bare(warmup, serial_calls);
-  Arm reactor = run_reactor(stub, warmup, reactor_calls, inflight);
+  Arm reactor =
+      run_reactor("fanin/reactor", stub, warmup, reactor_calls, inflight);
+  Arm glue =
+      run_reactor("fanin/glue", glue_stub, warmup, reactor_calls, inflight);
   const double speedup = serial.calls_per_sec > 0.0
                              ? reactor.calls_per_sec / serial.calls_per_sec
                              : 0.0;
   const double serial_over_bare =
       bare.calls_per_sec > 0.0 ? serial.calls_per_sec / bare.calls_per_sec
                                : 0.0;
+  const double reactor_over_glue =
+      glue.calls_per_sec > 0.0 ? reactor.calls_per_sec / glue.calls_per_sec
+                               : 0.0;
 
   std::printf("fanin: tcp ping over loopback%s\n", smoke ? " (smoke)" : "");
-  for (const Arm* arm : {&serial, &bare, &reactor}) {
+  for (const Arm* arm : {&serial, &bare, &reactor, &glue}) {
     std::printf("  %-22s %12.0f calls/s   (%llu calls, %llu in flight)\n",
                 arm->name.c_str(), arm->calls_per_sec,
                 static_cast<unsigned long long>(arm->calls),
@@ -262,9 +283,10 @@ int run(int argc, char** argv) {
   std::printf("  speedup (reactor / serial @ %zu in flight): %.2fx\n",
               inflight, speedup);
   std::printf("  serial / bare round trip: %.3f\n", serial_over_bare);
+  std::printf("  reactor / glue[quota]->tcp: %.2fx\n", reactor_over_glue);
 
   std::vector<JsonRecord> records;
-  for (const Arm* arm : {&serial, &bare, &reactor}) {
+  for (const Arm* arm : {&serial, &bare, &reactor, &glue}) {
     records.push_back(JsonRecord{
         arm->name,
         {{"calls_per_sec", arm->calls_per_sec},
@@ -274,6 +296,7 @@ int run(int argc, char** argv) {
   records.push_back(JsonRecord{"fanin/speedup",
                                {{"reactor_over_serial", speedup},
                                 {"serial_over_bare", serial_over_bare},
+                                {"reactor_over_glue", reactor_over_glue},
                                 {"inflight", static_cast<double>(inflight)}}});
   if (!write_json_records(json_path, records)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -12,9 +12,11 @@
 //     cancel wins; later attempts return false and are dropped);
 //   - get() waits, then returns the value or rethrows the stored
 //     exception; it may be called once (the value is moved out);
-//   - on_ready() runs the callback on the settling thread — or inline
-//     when the future already settled.  Callbacks must be cheap and must
-//     not block: on the reactor path they run on the event loop.
+//   - map() runs its stage on the thread that settles the future: the
+//     reactor loop for tcp, the caller for the in-process bearers (their
+//     futures settle before invoke_async returns, so the stage runs
+//     inline when it is mapped).  Stages must be cheap and must not
+//     block: on the reactor path they run on the event loop.
 //
 // Waiting uses a condition variable on real time: a Future is a
 // cross-thread rendezvous, not a modeled-cost actor, so the resilience
@@ -124,13 +126,6 @@ class FutureState {
     }
   }
 
-  /// The stored exception, or nullptr when settled with a value (or not
-  /// yet settled).
-  std::exception_ptr error() const {
-    sync::LockGuard lock(mutex_);
-    return error_;
-  }
-
   void on_ready(std::function<void()> continuation) {
     bool run_now = false;
     {
@@ -184,22 +179,11 @@ class Future {
     return state_->wait_for(timeout);
   }
 
-  /// Runs `fn` on the settling thread once this future settles (inline if
-  /// it already has).  `fn` receives this future's shared state via a
-  /// fresh Future handle; it must not block.
-  void on_ready(std::function<void(Future<T>)> fn) {
-    ensure_valid();
-    auto state = state_;
-    state_->on_ready([state, fn = std::move(fn)] { fn(Future<T>(state)); });
-  }
-
   /// Maps this future into a Future<U> by running `fn` on the settling
   /// thread.  `fn` takes the settled Future<T> and returns U (or throws);
   /// exceptions — stored or thrown by `fn` — flow into the result.
   /// Registers the continuation on the shared state directly: one
-  /// type-erased callable per stage, not two — under reactor fan-in the
-  /// map chain runs per call, so the extra std::function wrapper showed
-  /// up as an allocation per stage.
+  /// type-erased callable, so one allocation, per stage and call.
   template <typename U, typename F>
   Future<U> map(F fn) {
     ensure_valid();
@@ -262,8 +246,6 @@ class Promise {
       return state_->set_exception(std::current_exception());
     }
   }
-
-  bool settled() const { return state_->ready(); }
 
  private:
   std::shared_ptr<detail::FutureState<T>> state_;

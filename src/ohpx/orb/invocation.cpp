@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ohpx/common/log.hpp"
-#include "ohpx/common/thread_pool.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/protocol/registry.hpp"
@@ -32,6 +31,28 @@ const BreakerCounters& breaker_counters() {
         registry.counter_handle(metrics::names::kRmiBackpressure)};
   }();
   return counters;
+}
+
+// An error reply, decoded and counted under rmi.errors.<code>: every error
+// reply counts, a retried one too.
+ErrorCode decode_error_reply(const proto::ReplyMessage& reply,
+                             std::string& message) {
+  std::uint32_t code_raw = 0;
+  wire::decode_error_body(reply.payload.view(), code_raw, message);
+  const ErrorCode code = static_cast<ErrorCode>(code_raw);
+  metrics::MetricsRegistry::global()
+      .counter_handle(metrics::names::rmi_error(to_string(code)))
+      ->fetch_add(1, std::memory_order_relaxed);
+  return code;
+}
+
+// The error reply that ends a call: one flight-recorder entry, then the
+// typed exception.
+[[noreturn]] void raise_error_reply(ErrorCode code,
+                                    const std::string& message) {
+  introspect::FlightRecorder::global().record(introspect::EventKind::error,
+                                              code, message);
+  throw_error(code, message);
 }
 
 }  // namespace
@@ -392,17 +413,10 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   std::optional<resilience::BackoffSchedule> backoff;
 
   for (int attempt = 0;; ++attempt) {
-    if (resilience::deadline_expired(deadline)) {
-      // The budget bounds the *logical* call, retries and backoff waits
-      // included — an expired budget ends the loop no matter how many
-      // attempts the retry policy would still allow.
-      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-      introspect::FlightRecorder::global().record(
-          introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
-          "budget spent after " + std::to_string(attempt) + " attempt(s)");
-      throw DeadlineExceeded("call deadline exceeded after " +
-                             std::to_string(attempt) + " attempt(s)");
-    }
+    // The budget bounds the *logical* call, retries and backoff waits
+    // included — an expired budget ends the loop no matter how many
+    // attempts the retry policy would still allow.
+    if (resilience::deadline_expired(deadline)) deadline_spent(attempt);
 
     const bool use_cache =
         cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
@@ -424,33 +438,9 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     }
     select_span.end();
 
-    wire::MessageHeader header;
-    header.type =
-        oneway ? wire::MessageType::oneway : wire::MessageType::request;
-    header.request_id = context_.next_request_id();
-    header.object_id = ref_.object_id();
-    header.method_or_code = method_id;
-
-    // Propagate the trace over the wire: the current span here is the
-    // rmi.invoke span (the selection span already ended), so server-side
-    // spans parent directly under the client call.
-    if (const trace::TraceContext tctx = trace::TraceSink::active()
-                                             ? trace::current_context()
-                                             : trace::TraceContext{};
-        tctx.valid()) {
-      header.flags |= wire::kFlagTraceContext;
-      header.trace_hi = tctx.trace_hi;
-      header.trace_lo = tctx.trace_lo;
-      header.trace_parent_span = tctx.span_id;
-      header.trace_flags = wire::kTraceFlagSampled;
-    }
-
-    // Propagate the deadline over the wire so the server refuses dispatch
-    // (and servants inherit the budget) once it has passed.
-    if (deadline != resilience::kNoDeadline) {
-      header.flags |= wire::kFlagDeadline;
-      header.deadline_ns = deadline;
-    }
+    const wire::MessageHeader header = request_header(
+        oneway ? wire::MessageType::oneway : wire::MessageType::request,
+        method_id, deadline);
 
     if (use_cache) {
       calls_total_->fetch_add(1, std::memory_order_relaxed);
@@ -541,12 +531,8 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       return std::move(reply.payload);
     }
 
-    std::uint32_t code_raw = 0;
     std::string message;
-    wire::decode_error_body(reply.payload.view(), code_raw, message);
-    const ErrorCode code = static_cast<ErrorCode>(code_raw);
-    registry.counter_handle(metrics::names::rmi_error(to_string(code)))
-        ->fetch_add(1, std::memory_order_relaxed);
+    const ErrorCode code = decode_error_reply(reply, message);
     if (may_retry && resilience::is_retryable(code)) {
       {
         // A failed attempt must never leave its selection memoized (for
@@ -573,9 +559,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       if (!protocol->preserves_payload()) args = std::move(retry_stash);
       continue;
     }
-    introspect::FlightRecorder::global().record(introspect::EventKind::error,
-                                                code, message);
-    throw_error(code, message);
+    raise_error_reply(code, message);
   }
 }
 
@@ -583,7 +567,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     std::uint32_t method_id, wire::Buffer args, AsyncReplyTicket& ticket) {
   // Completion latency is measured submit-to-settlement: start the
   // ticket's stopwatch before any pipeline work so the recorded value
-  // covers selection, submit and the reactor round-trip.
+  // covers selection, submit and the round trip.
   ticket.watch = Stopwatch();
   ticket.latency = async_latency_;
   ticket.async_deadline_counter = async_deadline_cancelled_;
@@ -596,10 +580,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     deadline_scope.emplace(resilience::now_ns() + budget);
   }
   const std::int64_t deadline = resilience::current_deadline_ns();
-  if (resilience::deadline_expired(deadline)) {
-    deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded("call deadline exceeded before async submit");
-  }
+  if (resilience::deadline_expired(deadline)) deadline_spent(0);
 
   // Root-or-join, per call: each async submission stamps its own trace
   // context into its own header — a thousand in-flight calls are a
@@ -621,86 +602,33 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
   const bool use_cache =
       cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
-  Selection sel = select_for_call(use_cache, breakers);
-  proto::Protocol* const protocol = sel.protocol;
-  const proto::CallTarget& target = sel.target();
-  const std::size_t entry_index = sel.entry_index;
-
+  const Selection sel = select_for_call(use_cache, breakers);
   calls_total_->fetch_add(1, std::memory_order_relaxed);
   sel.proto_counter->fetch_add(1, std::memory_order_relaxed);
 
-  wire::MessageHeader header;
-  header.type = wire::MessageType::request;
-  header.request_id = context_.next_request_id();
-  header.object_id = ref_.object_id();
-  header.method_or_code = method_id;
-  if (const trace::TraceContext tctx = trace::TraceSink::active()
-                                           ? trace::current_context()
-                                           : trace::TraceContext{};
-      tctx.valid()) {
-    header.flags |= wire::kFlagTraceContext;
-    header.trace_hi = tctx.trace_hi;
-    header.trace_lo = tctx.trace_lo;
-    header.trace_parent_span = tctx.span_id;
-    header.trace_flags = wire::kTraceFlagSampled;
+  const wire::MessageHeader header =
+      request_header(wire::MessageType::request, method_id, deadline);
+  Future<proto::ReplyMessage> exchange;
+  try {
+    exchange = sel.protocol->invoke_async(header, args, sel.target());
+  } catch (const TransportError& e) {
+    feed_breaker(breakers.get(), sel.entry_index, sel.protocol->name(),
+                 e.code());
+    throw;
   }
-  if (deadline != resilience::kNoDeadline) {
-    header.flags |= wire::kFlagDeadline;
-    header.deadline_ns = deadline;
-  }
-
-  if (protocol->supports_async()) {
-    Future<proto::ReplyMessage> exchange;
-    try {
-      exchange = protocol->invoke_async(header, args, target);
-    } catch (const TransportError& e) {
-      feed_breaker(breakers.get(), entry_index, protocol->name(), e.code());
-      throw;
-    }
-    // The argument buffer was consumed by the (synchronous) frame encode
-    // inside invoke_async; recycle it for the caller's next marshal.
-    wire::BufferPool::local().release(std::move(args));
-    // Settlement-side bookkeeping (breaker feed, error decoding) moves
-    // into the caller's continuation via the ticket — counters live in
-    // the global registry and the breaker set is shared ownership, so the
-    // ticket may outlive this CallCore.
-    ticket.breakers = breakers;
-    ticket.entry_index = entry_index;
-    ticket.protocol = protocol->name();
-    ticket.deadline_counter = deadline_exceeded_;
-    ticket.expect_request_id = header.request_id;
-    return exchange;
-  }
-
-  // Worker-thread fallback for protocols without an event-driven bearer:
-  // the full synchronous pipeline (retries included, breakers fed, error
-  // replies re-raised) runs on a shared pool thread, with the caller's
-  // deadline and trace context carried across explicitly (thread-ambient
-  // state does not follow the task).  The ticket records that nothing is
-  // left for finish_async_reply() but handing over the payload.
-  ticket.pipeline_complete = true;
-  auto args_holder = std::make_shared<wire::Buffer>(std::move(args));
-  const trace::TraceContext tctx = trace::TraceSink::active()
-                                       ? trace::current_context()
-                                       : trace::TraceContext{};
-  Promise<proto::ReplyMessage> promise;
-  ThreadPool::shared().submit(
-      [this, method_id, args_holder, promise, deadline, tctx]() mutable {
-        try {
-          resilience::DeadlineScope scope(deadline);
-          std::optional<trace::ContextScope> trace_join;
-          if (tctx.valid()) trace_join.emplace(tctx);
-          proto::ReplyMessage done;
-          done.header.type = wire::MessageType::reply;
-          done.payload = invoke_internal(method_id, std::move(*args_holder),
-                                         /*ledger=*/nullptr,
-                                         /*oneway=*/false);
-          promise.set_value(std::move(done));
-        } catch (...) {
-          promise.set_exception(std::current_exception());
-        }
-      });
-  return promise.future();
+  // invoke_async is done with the argument buffer once it returns;
+  // recycle it for the caller's next marshal.
+  wire::BufferPool::local().release(std::move(args));
+  // Settlement-side bookkeeping (breaker feed, error decoding) moves
+  // into the caller's continuation via the ticket — counters live in
+  // the global registry and the breaker set is shared ownership, so the
+  // ticket may outlive this CallCore.
+  ticket.breakers = breakers;
+  ticket.entry_index = sel.entry_index;
+  ticket.protocol = sel.protocol->name();
+  ticket.deadline_counter = deadline_exceeded_;
+  ticket.expect_request_id = header.request_id;
+  return exchange;
 }
 
 wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
@@ -720,17 +648,9 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
         "async future cancelled past deadline");
     throw;
   } catch (const TransportError& e) {
-    if (!ticket.pipeline_complete) {
-      feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
-                   e.code());
-    }
+    feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
+                 e.code());
     throw;
-  }
-  // The fallback pipeline already fed breakers and re-raised error
-  // replies; the async bearer hands those duties to this continuation.
-  if (ticket.pipeline_complete) {
-    if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
-    return std::move(reply.payload);
   }
   feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
                ErrorCode::ok);
@@ -739,10 +659,49 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
     if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
     return std::move(reply.payload);
   }
-  std::uint32_t code_raw = 0;
   std::string message;
-  wire::decode_error_body(reply.payload.view(), code_raw, message);
-  throw_error(static_cast<ErrorCode>(code_raw), message);
+  raise_error_reply(decode_error_reply(reply, message), message);
+}
+
+wire::MessageHeader CallCore::request_header(wire::MessageType type,
+                                             std::uint32_t method_id,
+                                             std::int64_t deadline) const {
+  wire::MessageHeader header;
+  header.type = type;
+  header.request_id = context_.next_request_id();
+  header.object_id = ref_.object_id();
+  header.method_or_code = method_id;
+
+  // Propagate the trace over the wire: the current span here is the
+  // rmi.invoke span (the selection span already ended), so server-side
+  // spans parent directly under the client call.
+  if (const trace::TraceContext tctx = trace::TraceSink::active()
+                                           ? trace::current_context()
+                                           : trace::TraceContext{};
+      tctx.valid()) {
+    header.flags |= wire::kFlagTraceContext;
+    header.trace_hi = tctx.trace_hi;
+    header.trace_lo = tctx.trace_lo;
+    header.trace_parent_span = tctx.span_id;
+    header.trace_flags = wire::kTraceFlagSampled;
+  }
+
+  // Propagate the deadline over the wire so the server refuses dispatch
+  // (and servants inherit the budget) once it has passed.
+  if (deadline != resilience::kNoDeadline) {
+    header.flags |= wire::kFlagDeadline;
+    header.deadline_ns = deadline;
+  }
+  return header;
+}
+
+void CallCore::deadline_spent(int attempts) {
+  deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
+  introspect::FlightRecorder::global().record(
+      introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
+      "budget spent after " + std::to_string(attempts) + " attempt(s)");
+  throw DeadlineExceeded("call deadline exceeded after " +
+                         std::to_string(attempts) + " attempt(s)");
 }
 
 std::string CallCore::last_protocol() const {

@@ -59,11 +59,11 @@ class CallCore {
                      CostLedger* ledger);
 
   /// Per-call bookkeeping handed out by invoke_async_reply() and consumed
-  /// by finish_async_reply(): which breaker entry the settlement feeds,
-  /// the deadline-miss counter, and whether the reply already ran the full
-  /// synchronous pipeline (worker-thread fallback — nothing left to do but
-  /// hand over the payload).  Copyable by design: continuations capture it
-  /// by value.
+  /// by finish_async_reply(): which breaker entry the settlement feeds and
+  /// the deadline-miss counter.  Copyable by design: continuations capture
+  /// it by value.  Its size sets the stub's per-call continuation
+  /// allocation, and fan-in throughput has moved twofold with that size
+  /// (allocator size classes): change it only with a fan-in measurement.
   struct AsyncReplyTicket {
     std::shared_ptr<resilience::BreakerSet> breakers;
     std::size_t entry_index = 0;
@@ -82,20 +82,18 @@ class CallCore {
     /// Request id the reply must echo: proto::check_reply, applied at
     /// settlement as the sync pipeline applies it per exchange.
     std::uint64_t expect_request_id = 0;
-    bool pipeline_complete = false;
   };
 
   /// Asynchronous invocation, submission half: selection, header build and
-  /// submission run on the calling thread, and the returned protocol-level
-  /// reply future settles when the exchange completes — off the reactor
-  /// event loop when the selected protocol supports_async(), on a shared
-  /// worker thread otherwise.  Fills `ticket`; the caller folds one
-  /// finish_async_reply() call into its own decode continuation (stubs
-  /// do), so fan-in pays one future stage per call, not two.  Unlike the
-  /// synchronous path there is no retry loop: transient errors (including
-  /// backpressure refusals, which this method throws synchronously)
-  /// surface to the caller, who owns the re-submission decision for
-  /// in-flight fan-in.  The ambient deadline cancels pending futures; the
+  /// the selected protocol's invoke_async() run on the calling thread, for
+  /// every table entry; the reply future settles on the reactor loop for
+  /// tcp, before this returns for the in-process bearers.  Fills `ticket`;
+  /// the caller folds one finish_async_reply() call into its own decode
+  /// continuation (stubs do), so fan-in pays one future stage per call,
+  /// not two.  No retry, on any bearer: refusals made before anything is
+  /// sent (backpressure, a spent budget, a client-side capability denial)
+  /// throw here, later faults settle the future, and the caller owns
+  /// re-submission.  The ambient deadline cancels pending futures; the
   /// ambient trace context is stamped per call.  This CallCore must
   /// outlive settlement — callers holding it through CallCorePtr (stubs
   /// do) get that for free by capturing the pointer in the continuation.
@@ -103,8 +101,9 @@ class CallCore {
                                                  wire::Buffer args,
                                                  AsyncReplyTicket& ticket);
 
-  /// Settlement half: breaker bookkeeping, error-reply decoding, payload
-  /// extraction.  Call exactly once, with the settled reply future.
+  /// Settlement half: breaker bookkeeping, error-reply decoding (counted
+  /// and recorded as the sync path does), payload extraction.  Call
+  /// exactly once, with the settled reply future.
   static wire::Buffer finish_async_reply(Future<proto::ReplyMessage> settled,
                                          const AsyncReplyTicket& ticket);
 
@@ -222,6 +221,16 @@ class CallCore {
 
   wire::Buffer invoke_internal(std::uint32_t method_id, wire::Buffer args,
                                CostLedger* ledger, bool oneway);
+
+  /// The one request header builder, sync and async: a fresh request id,
+  /// the ambient trace context and the call's deadline stamped on.
+  wire::MessageHeader request_header(wire::MessageType type,
+                                     std::uint32_t method_id,
+                                     std::int64_t deadline) const;
+
+  /// Ends a call whose budget is spent: bumps rmi.deadline_exceeded,
+  /// writes the flight-recorder `deadline` entry and throws.
+  [[noreturn]] void deadline_spent(int attempts);
 
   /// Fast-path view of the resolved retry policy: one global-revision probe
   /// revalidates a memoized resolution, so the default-policy hot path

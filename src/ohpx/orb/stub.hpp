@@ -162,14 +162,14 @@ class ObjectStub {
 
   /// Asynchronous remote call (HPC++ heritage: remote invocations that
   /// overlap with local work).  Arguments are marshalled eagerly on the
-  /// calling thread and the call is *submitted* before this returns —
-  /// over the epoll reactor when the selected protocol supports it (no
-  /// thread is parked per call, so one caller can keep thousands in
-  /// flight), on a shared worker thread otherwise.  The result, or the
-  /// remote/transport exception, is delivered through the future; a full
-  /// inflight window surfaces here as a synchronous
-  /// TransportError(backpressure) throw, and the ambient deadline cancels
-  /// the future with DeadlineExceeded.
+  /// calling thread and the call is *submitted* before this returns:
+  /// over the epoll reactor for tcp (no thread is parked per call, so one
+  /// caller can keep thousands in flight), inline for the in-process
+  /// bearers, whose future has already settled.  The result, or the
+  /// remote/transport exception, is delivered through the future; a
+  /// refusal made before anything is sent (backpressure, a spent budget,
+  /// a client-side capability denial) throws here.  The ambient deadline
+  /// cancels the future with DeadlineExceeded.  No retry, on any bearer.
   template <typename Ret, typename... Args>
   ohpx::Future<Ret> call_async(std::uint32_t method_id, const Args&... args) {
     ensure_bound();

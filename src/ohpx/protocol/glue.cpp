@@ -25,10 +25,9 @@ bool GlueProtocol::applicability_is_stable() const noexcept {
   return delegate_->applicability_is_stable();
 }
 
-ReplyMessage GlueProtocol::invoke(const wire::MessageHeader& header,
-                                  wire::Buffer& payload,
-                                  const CallTarget& target, CostLedger& ledger) {
-  trace::Span span(trace::SpanKind::transport, "proto.glue");
+cap::CallContext GlueProtocol::process_request(wire::MessageHeader& header,
+                                               wire::Buffer& payload,
+                                               const CallTarget& target) {
   cap::CallContext call;
   call.request_id = header.request_id;
   call.object_id = header.object_id;
@@ -37,24 +36,50 @@ ReplyMessage GlueProtocol::invoke(const wire::MessageHeader& header,
   call.placement = target.placement;
   call.deadline_ns = resilience::tighten_deadline(
       resilience::current_deadline_ns(), header.deadline_ns);
+  chain_.process_outbound(payload, call);
+  prepend_glue_id(payload, glue_id_);
+  header.flags |= wire::kFlagGlueProcessed;
+  return call;
+}
 
+void GlueProtocol::process_reply(ReplyMessage& reply, cap::CallContext call) {
+  if (!(reply.header.flags & wire::kFlagGlueProcessed)) return;
+  call.direction = cap::Direction::reply;
+  chain_.process_inbound(reply.payload, call);
+}
+
+ReplyMessage GlueProtocol::invoke(const wire::MessageHeader& header,
+                                  wire::Buffer& payload,
+                                  const CallTarget& target, CostLedger& ledger) {
+  trace::Span span(trace::SpanKind::transport, "proto.glue");
+  wire::MessageHeader glue_header = header;
+  cap::CallContext call;
   {
     ScopedRealTime timer(ledger);
-    chain_.process_outbound(payload, call);
-    prepend_glue_id(payload, glue_id_);
+    call = process_request(glue_header, payload, target);
   }
-
-  wire::MessageHeader glue_header = header;
-  glue_header.flags |= wire::kFlagGlueProcessed;
-
   ReplyMessage reply = delegate_->invoke(glue_header, payload, target, ledger);
-
-  if (reply.header.flags & wire::kFlagGlueProcessed) {
-    ScopedRealTime timer(ledger);
-    call.direction = cap::Direction::reply;
-    chain_.process_inbound(reply.payload, call);
-  }
+  ScopedRealTime timer(ledger);
+  process_reply(reply, call);
   return reply;
+}
+
+Future<ReplyMessage> GlueProtocol::invoke_async(
+    const wire::MessageHeader& header, wire::Buffer& payload,
+    const CallTarget& target) {
+  trace::Span span(trace::SpanKind::transport, "proto.glue");
+  wire::MessageHeader glue_header = header;
+  const cap::CallContext call = process_request(glue_header, payload, target);
+  // `this` outlives the stage: the caller keeps the owning CallCore alive
+  // until the future it gets back settles, and that future settles only
+  // after this stage returns.
+  return delegate_->invoke_async(glue_header, payload, target)
+      .map<ReplyMessage>([this, call](Future<ReplyMessage> settled) {
+        ReplyMessage reply = settled.get();
+        check_reply(reply.header, call.request_id);
+        process_reply(reply, call);
+        return reply;
+      });
 }
 
 std::string GlueProtocol::describe() const {

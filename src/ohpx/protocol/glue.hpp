@@ -6,7 +6,9 @@
 // Client-side flow (paper Figure 2): admission + process() through the
 // chain, prepend the clear-text glue id, mark the header, delegate to the
 // real proto-object.  Reply flow: if the server marked the reply as
-// glue-processed, unprocess it through the chain back-to-front.
+// glue-processed, unprocess it through the chain back-to-front.  invoke()
+// and invoke_async() share both halves; an async reply is unprocessed on
+// the thread that settles the delegate's future.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,14 @@ class GlueProtocol final : public Protocol {
   ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 
+  /// The delegate's invoke_async() with the chain wrapped around it: a
+  /// client-side refusal throws here, before anything is sent, and the
+  /// reply stage (a map on the delegate's future) checks the reply, as
+  /// the sync delegate does, before it unprocesses.
+  Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
+                                    wire::Buffer& payload,
+                                    const CallTarget& target) override;
+
   /// The chain rewrites the payload in place (checksum/encrypt/compress and
   /// the prepended glue id), so the caller's buffer does not survive.
   bool preserves_payload() const noexcept override { return false; }
@@ -47,6 +57,16 @@ class GlueProtocol final : public Protocol {
   Protocol& delegate() noexcept { return *delegate_; }
 
  private:
+  /// Request half: admission and process() through the chain, the
+  /// clear-text glue id, and the glue flag on `header`.  Returns the call
+  /// context the reply half unprocesses with.
+  cap::CallContext process_request(wire::MessageHeader& header,
+                                   wire::Buffer& payload,
+                                   const CallTarget& target);
+
+  /// Reply half: unprocesses a reply the server marked glue-processed.
+  void process_reply(ReplyMessage& reply, cap::CallContext call);
+
   std::uint32_t glue_id_;
   cap::CapabilityChain chain_;
   ProtocolPtr delegate_;

@@ -7,10 +7,9 @@
 
 namespace ohpx::proto {
 
-// Synchronous stand-in so every protocol has *an* async face: the
-// exchange runs inline on the calling thread and the returned future is
-// already settled.  The ORB consults supports_async() and routes calls
-// through a worker thread instead when real overlap is wanted.
+// The in-process bearers' async face: the exchange runs inline on the
+// calling thread and the returned future is already settled, so a
+// continuation mapped onto it runs on the caller too.
 Future<ReplyMessage> Protocol::invoke_async(const wire::MessageHeader& header,
                                             wire::Buffer& payload,
                                             const CallTarget& target) {

@@ -64,20 +64,16 @@ class Protocol {
   /// false; plain transports only read it.
   virtual bool preserves_payload() const noexcept { return true; }
 
-  /// True when invoke_async() below is genuinely non-blocking (the call is
-  /// queued on an event loop and the future settles later).  Protocols
-  /// that leave the default get their async calls run on a worker thread
-  /// by the ORB instead.
-  virtual bool supports_async() const noexcept { return false; }
-
-  /// Asynchronous variant of invoke(): queues the call and returns a
-  /// future that settles with the reply (or the transport/deadline error).
-  /// Unlike invoke() there is no CostLedger — the exchange completes after
-  /// this stack frame is gone, so there is nothing per-call to charge it
-  /// to (aggregate reactor metrics cover the async path).  The default
-  /// implementation performs the exchange inline and returns an
-  /// already-settled future; callers wanting overlap must check
-  /// supports_async() first.
+  /// Asynchronous variant of invoke(), the one the ORB calls for every
+  /// call_async: returns a future that settles with the reply (or the
+  /// transport/deadline error).  Unlike invoke() there is no CostLedger —
+  /// the exchange may complete after this stack frame is gone, so there
+  /// is nothing per-call to charge it to (aggregate reactor metrics cover
+  /// the async path).  The default performs the exchange inline, on the
+  /// calling thread, and returns an already-settled future: right for the
+  /// in-process bearers (shm, nexus-sim, relay), whose exchange is a
+  /// function call.  tcp overrides it to queue the call on the reactor;
+  /// glue to wrap its chain around its delegate's.
   virtual Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
                                             wire::Buffer& payload,
                                             const CallTarget& target);

@@ -26,8 +26,6 @@ class TcpProtocol final : public Protocol {
   ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 
-  bool supports_async() const noexcept override { return true; }
-
   Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
                                     wire::Buffer& payload,
                                     const CallTarget& target) override;

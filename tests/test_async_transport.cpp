@@ -10,13 +10,16 @@
 #include <chrono>
 #include <future>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ohpx/capability/builtin/quota.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
+#include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/resilience/clock.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
@@ -222,18 +225,31 @@ TEST_F(AsyncTransportFixture, BackpressureDoesNotTripBreakers) {
 
 // ---- an async transport fault feeds the breaker like a sync one -----------
 
-TEST_F(AsyncTransportFixture, AsyncTransportFaultOpensBreakerWithRecords) {
-  // A tcp-only reference to a port nothing listens on: the reactor's
-  // connect is refused on the loop thread, so the fault arrives through
-  // the future and the settlement is what feeds the breaker.
-  proto::ServerAddress dead_address;
-  dead_address.machine = netsim::kInvalidMachine;
-  dead_address.tcp_host = "127.0.0.1";
-  dead_address.tcp_port = 1;  // reserved port: nothing listens
+// A reference naming a raw TCP endpoint: tcp alone, or glue[quota] in
+// front of tcp.
+orb::ObjectRef raw_tcp_ref(std::uint16_t port, bool through_glue) {
+  proto::ServerAddress address;
+  address.machine = netsim::kInvalidMachine;
+  address.tcp_host = "127.0.0.1";
+  address.tcp_port = port;
   proto::ProtoTable table;
-  table.add(proto::ProtocolEntry{"tcp", {}});
-  EchoStub stub(*client_ctx_,
-                orb::ObjectRef(0x0dead2, "Echo", dead_address, table));
+  if (through_glue) {
+    proto::GlueProtoData glue;
+    glue.glue_id = 1;
+    glue.delegate = proto::ProtocolEntry{"tcp", {}};
+    glue.capabilities.push_back(cap::QuotaCapability(100).descriptor());
+    table.add(
+        proto::ProtocolEntry{"glue", proto::encode_glue_proto_data(glue)});
+  } else {
+    table.add(proto::ProtocolEntry{"tcp", {}});
+  }
+  return orb::ObjectRef(0x0dead2, "Echo", address, table);
+}
+
+// One async call whose exchange fails on the wire opens a threshold-1
+// breaker once and writes one breaker_open record.  The fault arrives
+// through the future, so the settlement is what feeds the breaker.
+void expect_async_fault_opens_breaker_once(EchoStub& stub) {
   resilience::BreakerConfig breaker;
   breaker.failure_threshold = 1;
   stub.set_breaker_config(breaker);
@@ -257,6 +273,53 @@ TEST_F(AsyncTransportFixture, AsyncTransportFaultOpensBreakerWithRecords) {
   }
   EXPECT_EQ(breaker_open_records, 1u);
   recorder.clear();
+}
+
+TEST_F(AsyncTransportFixture, AsyncTransportFaultOpensBreakerWithRecords) {
+  // A tcp-only reference to a port nothing listens on: the reactor's
+  // connect is refused on the loop thread.
+  EchoStub stub(*client_ctx_, raw_tcp_ref(1, /*through_glue=*/false));
+  expect_async_fault_opens_breaker_once(stub);
+}
+
+// A listener that reads one frame per connection, counts it and drops the
+// connection: every exchange fails on the wire after the request landed.
+class DroppingListener {
+ public:
+  DroppingListener()
+      : listener_(0, [this](const wire::Buffer&) -> wire::Buffer {
+          ++frames_;
+          throw std::runtime_error("drop the connection");
+        }) {}
+  std::uint16_t port() const noexcept { return listener_.port(); }
+  int frames() const noexcept { return frames_.load(); }
+
+ private:
+  std::atomic<int> frames_{0};
+  transport::TcpListener listener_;
+};
+
+TEST_F(AsyncTransportFixture, AsyncGlueCallNeverRetries) {
+  // The sync path would put max_attempts frames on the wire; an async
+  // call puts one, through glue as over plain tcp.
+  DroppingListener server;
+  EchoStub stub(*client_ctx_,
+                raw_tcp_ref(server.port(), /*through_glue=*/true));
+  ASSERT_EQ(resilience::RetryPolicy{}.max_attempts, 3);
+  const std::uint64_t retries_before =
+      counter_value(metrics::names::kRmiRetries);
+
+  auto future = stub.call_async<std::uint64_t>(EchoServant::kPing);
+  EXPECT_THROW(future.get(), TransportError);
+  EXPECT_EQ(server.frames(), 1);
+  EXPECT_EQ(counter_value(metrics::names::kRmiRetries), retries_before);
+}
+
+TEST_F(AsyncTransportFixture, AsyncGlueFaultOpensBreakerWithRecords) {
+  DroppingListener server;
+  EchoStub stub(*client_ctx_,
+                raw_tcp_ref(server.port(), /*through_glue=*/true));
+  expect_async_fault_opens_breaker_once(stub);
 }
 
 // ---- deadlines cancel pending futures, exactly once -----------------------

@@ -1,14 +1,19 @@
 // Tests for the extension features beyond the paper's minimum:
-// asynchronous invocation, capability revocation, TCP-enabled contexts
-// advertising their listener, and multi-threaded client stress over a
-// capability chain.
+// asynchronous invocation (one pipeline for every bearer, glue included),
+// capability revocation, TCP-enabled contexts advertising their listener,
+// and multi-threaded client stress over a capability chain.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/encryption.hpp"
 #include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/capability/registry.hpp"
+#include "ohpx/introspect/flight_recorder.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/protocol/registry.hpp"
@@ -82,6 +87,143 @@ TEST_F(ExtensionFixture, AsyncVoidCall) {
   stub.call_async<void>(CounterServant::kSet, std::int64_t{5}).get();
   EXPECT_EQ(stub.get(), 5);
 }
+
+// ---- one async pipeline, over the reactor and over in-process bearers ------
+
+// Counts request-direction process() calls on the thread the test names
+// and on any other.  The server's chain calls process() too, for the
+// reply, on its own thread, so replies are not counted.
+std::atomic<std::thread::id> g_probe_thread{};
+std::atomic<int> g_probe_on_thread{0};
+std::atomic<int> g_probe_elsewhere{0};
+
+class ThreadProbeCapability final : public cap::Capability {
+ public:
+  static constexpr const char* kKind = "test-thread-probe";
+  std::string_view kind() const noexcept override { return kKind; }
+  void process(wire::Buffer&, const cap::CallContext& call) override {
+    if (call.direction != cap::Direction::request) return;
+    if (std::this_thread::get_id() == g_probe_thread.load()) {
+      ++g_probe_on_thread;
+    } else {
+      ++g_probe_elsewhere;
+    }
+  }
+  void unprocess(wire::Buffer&, const cap::CallContext&) override {}
+  cap::CapabilityDescriptor descriptor() const override {
+    return cap::CapabilityDescriptor{kKind, {}};
+  }
+};
+
+// The parameter names the bearer: "tcp" (the reactor) or "nexus-tcp" (in
+// process, so every future has settled when call_async returns).
+class AsyncPipelineTest : public ExtensionFixture,
+                          public ::testing::WithParamInterface<std::string> {
+ protected:
+  void SetUp() override {
+    ExtensionFixture::SetUp();
+    server_ctx_->enable_tcp();
+  }
+
+  // The bearer alone, or glue over it.
+  orb::ObjectRef bearer_ref() {
+    return orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+        .custom(proto::ProtocolEntry{GetParam(), {}})
+        .build();
+  }
+  orb::ObjectRef glue_ref(std::vector<cap::CapabilityPtr> capabilities) {
+    return orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+        .glue(std::move(capabilities), GetParam())
+        .build();
+  }
+};
+
+TEST_P(AsyncPipelineTest, OverlappingGlueEchoesReturnTheirOwnPayloads) {
+  const auto key = crypto::Key128::from_seed(0xa5c);
+  EchoStub stub(*client_ctx_,
+                glue_ref({std::make_shared<cap::EncryptionCapability>(key),
+                          std::make_shared<cap::AuthenticationCapability>(
+                              key, "async", cap::Scope::always)}));
+
+  constexpr int kCalls = 64;
+  std::vector<std::vector<std::int32_t>> sent;
+  std::vector<ohpx::Future<std::vector<std::int32_t>>> futures;
+  for (int i = 0; i < kCalls; ++i) {
+    std::vector<std::int32_t> values(256);
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      values[j] = i * 1000 + static_cast<std::int32_t>(j);
+    }
+    futures.push_back(stub.call_async<std::vector<std::int32_t>>(
+        EchoServant::kEcho, values));
+    sent.push_back(std::move(values));
+  }
+  for (int i = 0; i < kCalls; ++i) {
+    const auto index = static_cast<std::size_t>(i);
+    EXPECT_EQ(futures[index].get(), sent[index]) << "call " << i;
+  }
+  EXPECT_EQ(stub.last_protocol(),
+            "glue[encryption,authentication]->" + GetParam());
+}
+
+TEST_P(AsyncPipelineTest, GlueRequestChainRunsOnTheCallingThread) {
+  cap::CapabilityRegistry::instance().register_factory(
+      ThreadProbeCapability::kKind, [](const cap::CapabilityDescriptor&) {
+        return std::make_shared<ThreadProbeCapability>();
+      });
+  EchoStub stub(*client_ctx_,
+                glue_ref({std::make_shared<ThreadProbeCapability>()}));
+  g_probe_thread = std::this_thread::get_id();
+  g_probe_on_thread = 0;
+  g_probe_elsewhere = 0;
+
+  constexpr int kCalls = 8;
+  std::vector<ohpx::Future<std::uint64_t>> futures;
+  for (int i = 0; i < kCalls; ++i) {
+    futures.push_back(stub.call_async<std::uint64_t>(EchoServant::kPing));
+  }
+  for (auto& future : futures) future.get();
+  EXPECT_EQ(g_probe_on_thread.load(), kCalls);
+  EXPECT_EQ(g_probe_elsewhere.load(), 0);
+}
+
+TEST_P(AsyncPipelineTest, AsyncErrorReplyIsCountedAndRecorded) {
+  EchoStub stub(*client_ctx_, bearer_ref());
+  auto* errors = metrics::MetricsRegistry::global().counter_handle(
+      metrics::names::rmi_error(
+          to_string(ErrorCode::remote_application_error)));
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
+  const std::uint64_t before = errors->load();
+
+  auto future = stub.call_async<void>(EchoServant::kFail);
+  EXPECT_THROW(future.get(), RemoteError);
+
+  EXPECT_EQ(errors->load(), before + 1);
+  std::size_t error_records = 0;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::error &&
+        record.code == static_cast<std::uint16_t>(
+                           ErrorCode::remote_application_error)) {
+      ++error_records;
+    }
+  }
+  EXPECT_EQ(error_records, 1u);
+  recorder.clear();
+}
+
+TEST_P(AsyncPipelineTest, ClientSideRefusalIsThrownByCallAsync) {
+  EchoStub stub(*client_ctx_,
+                glue_ref({std::make_shared<cap::QuotaCapability>(1)}));
+  EXPECT_EQ(stub.call_async<std::uint64_t>(EchoServant::kPing).get(), 1u);
+  EXPECT_THROW(stub.call_async<std::uint64_t>(EchoServant::kPing),
+               CapabilityDenied);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bearers, AsyncPipelineTest, ::testing::Values("tcp", "nexus-tcp"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param == "tcp" ? "Tcp" : "NexusTcp";
+    });
 
 // ---- oneway invocation ----------------------------------------------------------
 

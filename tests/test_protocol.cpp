@@ -7,7 +7,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
+#include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/checksum.hpp"
 #include "ohpx/capability/builtin/encryption.hpp"
 #include "ohpx/capability/builtin/quota.hpp"
@@ -396,7 +398,6 @@ class TcpStubFixture : public ::testing::Test {
 TEST(TcpProtocolTest, InvokeChargesTheLedger) {
   transport::TcpListener listener(0, echo_frame);
   TcpProtocol tcp;
-  EXPECT_TRUE(tcp.supports_async());
   CallTarget target;
   target.address.tcp_host = "127.0.0.1";
   target.address.tcp_port = listener.port();
@@ -450,14 +451,34 @@ TEST_F(TcpStubFixture, WireAttemptsNeverExceedMaxAttempts) {
   EXPECT_EQ(retries_now() - retries_before, 2u);
 }
 
+// As tcp_ref_to, with glue[authentication] in front of tcp.
+orb::ObjectRef glue_auth_ref_to(std::uint16_t port) {
+  orb::ObjectRef tcp = tcp_ref_to(port);
+  GlueProtoData glue;
+  glue.glue_id = 1;
+  glue.delegate = ProtocolEntry{"tcp", {}};
+  glue.capabilities.push_back(
+      cap::AuthenticationCapability(crypto::Key128::from_seed(5), "mismatch",
+                                    cap::Scope::always)
+          .descriptor());
+  ProtoTable table;
+  table.add(ProtocolEntry{"glue", encode_glue_proto_data(glue)});
+  return orb::ObjectRef(tcp.object_id(), "Echo", tcp.home(), table);
+}
+
 // A server whose reply the caller must refuse: a request-typed frame, or a
 // reply for another request id.  Either keeps the correlation id, so the
 // reactor settles the call with it and the refusal is the reply check's.
-class MismatchedReplyTest : public TcpStubFixture,
-                            public ::testing::WithParamInterface<bool> {};
+// Through glue the check comes before the chain unprocesses the reply,
+// as it does for the sync delegate: the echoed body would otherwise fail
+// authentication first.  Parameters: request-typed, through glue.
+class MismatchedReplyTest
+    : public TcpStubFixture,
+      public ::testing::WithParamInterface<std::tuple<bool, bool>> {};
 
 TEST_P(MismatchedReplyTest, SyncAndAsyncCallsThrowProtocolUnknown) {
-  const bool request_typed = GetParam();
+  const bool request_typed = std::get<0>(GetParam());
+  const bool through_glue = std::get<1>(GetParam());
   transport::TcpListener listener(
       0, [request_typed](const wire::Buffer& frame) {
         BytesView body;
@@ -468,7 +489,9 @@ TEST_P(MismatchedReplyTest, SyncAndAsyncCallsThrowProtocolUnknown) {
         }
         return wire::encode_frame(header, body);
       });
-  orb::ObjectStub stub(*client_ctx_, tcp_ref_to(listener.port()));
+  orb::ObjectStub stub(*client_ctx_, through_glue
+                                         ? glue_auth_ref_to(listener.port())
+                                         : tcp_ref_to(listener.port()));
   for (const bool async : {false, true}) {
     SCOPED_TRACE(async ? "call_async" : "call");
     try {
@@ -484,11 +507,14 @@ TEST_P(MismatchedReplyTest, SyncAndAsyncCallsThrowProtocolUnknown) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Replies, MismatchedReplyTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "RequestTyped"
-                                             : "OtherRequestId";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Replies, MismatchedReplyTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "RequestTyped"
+                                                 : "OtherRequestId") +
+             (std::get<1>(info.param) ? "ThroughGlue" : "");
+    });
 
 // ---- registry ------------------------------------------------------------------------------
 
