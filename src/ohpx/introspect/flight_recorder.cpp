@@ -13,23 +13,34 @@
 namespace ohpx::introspect {
 
 const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::error:
-      return "error";
-    case EventKind::retry:
-      return "retry";
-    case EventKind::breaker_open:
-      return "breaker_open";
-    case EventKind::breaker_close:
-      return "breaker_close";
-    case EventKind::deadline:
-      return "deadline";
-    case EventKind::backpressure:
-      return "backpressure";
-    case EventKind::stall:
-      return "stall";
+  const auto index = static_cast<std::size_t>(kind);
+  return index < kEventKinds ? kAnomalyTable[index].name : "unknown";
+}
+
+void anomaly(EventKind kind, ErrorCode code, std::string_view detail,
+             std::uint64_t count) {
+  FlightRecorder& recorder = FlightRecorder::global();
+  const auto index = static_cast<std::size_t>(kind);
+  for (metrics::MetricsRegistry::Counter* counter : recorder.counters_[index]) {
+    if (counter != nullptr) {
+      counter->fetch_add(count, std::memory_order_relaxed);
+    }
   }
-  return "unknown";
+  recorder.record(kind, code, detail);
+  const AnomalyRow& row = kAnomalyTable[index];
+  trace::event(row.event, code == ErrorCode::ok ? detail : to_string(code));
+}
+
+FlightRecorder::FlightRecorder() {
+  auto& registry = metrics::MetricsRegistry::global();
+  for (const AnomalyRow& row : kAnomalyTable) {
+    for (std::size_t i = 0; i < row.counters.size(); ++i) {
+      if (row.counters[i] != nullptr) {
+        counters_[static_cast<std::size_t>(row.kind)][i] =
+            registry.counter_handle(row.counters[i]);
+      }
+    }
+  }
 }
 
 FlightRecorder& FlightRecorder::global() {

@@ -1,10 +1,30 @@
-// Always-on flight recorder: a bounded ring of the most recent notable
-// events (errors, retries, breaker trips, deadline cancellations, reactor
-// stalls) with the trace context that was ambient when each was recorded.
+// Anomalies: the ORB's record of every notable event — error replies,
+// retries, breaker trips, deadline cancellations, backpressure refusals,
+// reactor stalls, dropped connections and naming failovers — in one table
+// and through one call.
+//
+// introspect::anomaly(kind, code, detail) shows each event in three sinks,
+// exactly once each:
+//   - the counters its table row names (metrics registry, so the exporter,
+//     ohpx-top and the benchmark see it);
+//   - one flight-recorder entry, with the trace context that was ambient
+//     when it happened;
+//   - one trace event under the row's name, annotated with the error
+//     code's name (or with `detail` when the event carries no code).
+// Which sinks show a kind, and under which names, is decided here and
+// nowhere else: ohpx-lint's anomaly-sites rule rejects a recorder call, a
+// registry call on a table counter or a table event emitted anywhere in
+// src/ outside src/ohpx/introspect/.
+//
+// The first construction of the recorder interns every table counter, so
+// each family is exported at zero before its first event.  Producers that
+// record from threads they own (the reactor's loop) construct the recorder
+// first: the metrics registry then outlives the recorder, and the
+// recorder outlives them.
 //
 // The recorder answers the first question of every incident — "what was
 // the ORB doing right before it went wrong?" — without requiring tracing
-// or verbose logging to have been enabled in advance.  Producers sit only
+// or verbose logging to have been enabled in advance.  Anomalies sit only
 // on cold paths (an error was already being thrown, a breaker already
 // tripped), so a short critical section per record is acceptable; the hot
 // call path never touches the recorder.
@@ -22,6 +42,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -29,21 +50,88 @@
 
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/common/error.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
 #include "ohpx/sync/mutex.hpp"
 
 namespace ohpx::introspect {
 
+/// The anomaly table's key.  Kinds split wherever their counters differ.
 enum class EventKind : std::uint8_t {
-  error = 0,         // an attempt failed (transport fault, error reply)
-  retry = 1,         // the invocation layer is re-attempting a call
-  breaker_open = 2,  // a circuit breaker tripped open
-  breaker_close = 3, // a half-open breaker closed after a probe success
-  deadline = 4,      // a call was cancelled by its deadline budget
-  backpressure = 5,  // an inflight-window refusal
-  stall = 6,         // the reactor's event loop exceeded its lag threshold
+  error = 0,               // an error reply ended a call
+  retry = 1,               // the invocation layer re-attempts a call
+  breaker_open = 2,        // a circuit breaker tripped open
+  breaker_close = 3,       // a half-open breaker closed after a probe
+  deadline = 4,            // a budget ran out (sync, or before a submit)
+  backpressure = 5,        // the reactor refused a call: window full
+  stall = 6,               // the reactor's loop exceeded its lag threshold
+  async_deadline = 7,      // an async future settled by its deadline
+  deadline_sweep = 8,      // the reactor cancelled calls past deadline
+  connection_dropped = 9,  // a reactor connection failed
+  failover = 10,           // a ReplicaPointer rebound to another replica
+  endpoint_failover = 11,  // a NameClient walked to its next endpoint
+  redirect = 12,           // a NameClient followed a not_primary redirect
+  promotion = 13,          // a standby directory took the primary seat
 };
 
+/// One row: how every sink shows one kind.
+struct AnomalyRow {
+  EventKind kind;
+  const char* name;   // to_string(kind): the recorder's kind column
+  const char* event;  // trace event name (registered in span_names.hpp)
+  std::array<const char*, 2> counters;  // metric names bumped (or null)
+};
+
+/// The table, indexed by EventKind.  A backpressure refusal and an async
+/// deadline each bump two counters: one event, recorded once, at the layer
+/// that decides it.
+inline constexpr AnomalyRow kAnomalyTable[] = {
+    {EventKind::error, "error", "rmi.error_reply", {}},
+    {EventKind::retry, "retry", "retry", {metrics::names::kRmiRetries}},
+    {EventKind::breaker_open, "breaker_open", "breaker.open",
+     {metrics::names::kRmiBreakerOpened}},
+    {EventKind::breaker_close, "breaker_close", "breaker.close",
+     {metrics::names::kRmiBreakerClosed}},
+    {EventKind::deadline, "deadline", "rmi.deadline",
+     {metrics::names::kRmiDeadlineExceeded}},
+    {EventKind::backpressure, "backpressure", "reactor.backpressure",
+     {metrics::names::kReactorBackpressure,
+      metrics::names::kRmiBackpressure}},
+    {EventKind::stall, "stall", "reactor.stall",
+     {metrics::names::kRmiReactorStall}},
+    {EventKind::async_deadline, "async_deadline", "rmi.async.deadline",
+     {metrics::names::kRmiDeadlineExceeded,
+      metrics::names::kRmiAsyncDeadlineCancelled}},
+    {EventKind::deadline_sweep, "deadline_sweep", "reactor.deadline_sweep",
+     {metrics::names::kReactorDeadlineCancelled}},
+    {EventKind::connection_dropped, "connection_dropped",
+     "reactor.conn_dropped", {}},
+    {EventKind::failover, "failover", "naming.failover",
+     {metrics::names::kNamingFailovers}},
+    {EventKind::endpoint_failover, "endpoint_failover",
+     "naming.next_endpoint", {metrics::names::kNamingEndpointFailovers}},
+    {EventKind::redirect, "redirect", "naming.redirect",
+     {metrics::names::kNamingRedirectFollows}},
+    {EventKind::promotion, "promotion", "naming.promotion",
+     {metrics::names::kNamingReplPromotions}},
+};
+
+inline constexpr std::size_t kEventKinds = std::size(kAnomalyTable);
+
+static_assert([] {
+  for (std::size_t i = 0; i < kEventKinds; ++i) {
+    if (static_cast<std::size_t>(kAnomalyTable[i].kind) != i) return false;
+  }
+  return true;
+}(), "kAnomalyTable rows must be in EventKind order");
+
 const char* to_string(EventKind kind) noexcept;
+
+/// Records one anomaly in every sink its row names: each counter moves by
+/// `count` (the reactor's deadline sweep passes the calls it cancelled),
+/// then one recorder entry and one trace event are written.
+void anomaly(EventKind kind, ErrorCode code, std::string_view detail,
+             std::uint64_t count = 1);
 
 class FlightRecorder {
  public:
@@ -63,11 +151,13 @@ class FlightRecorder {
     char detail[kDetailCapacity] = {0};  // NUL-terminated, truncated
   };
 
-  /// Process-wide recorder every producer feeds.
+  /// Process-wide recorder every anomaly feeds.  Its first construction
+  /// interns the table's counters.
   static FlightRecorder& global();
 
-  /// Appends one event; captures the calling thread's ambient trace
-  /// context.  `detail` is truncated to kDetailCapacity - 1 bytes.
+  /// Appends one entry; captures the calling thread's ambient trace
+  /// context.  `detail` is truncated to kDetailCapacity - 1 bytes.  Only
+  /// anomaly() calls it in src/.
   void record(EventKind kind, ErrorCode code, std::string_view detail);
 
   /// The retained records, oldest first.
@@ -94,7 +184,14 @@ class FlightRecorder {
   static void install_fatal_signal_dump();
 
  private:
+  FlightRecorder();
+
+  friend void anomaly(EventKind, ErrorCode, std::string_view, std::uint64_t);
   friend void fatal_signal_render();  // lock-free stderr render (signal path)
+
+  /// The table's counters, interned at construction, by kind.
+  std::array<std::array<metrics::MetricsRegistry::Counter*, 2>, kEventKinds>
+      counters_{};
 
   mutable sync::Mutex mutex_{"introspect.flight"};
   std::array<Record, kCapacity> ring_ OHPX_GUARDED_BY(mutex_){};

@@ -2,20 +2,18 @@
 // it is bound to.
 //
 // A ReplicaPointer<Stub> binds `name` through the directory and forwards
-// calls to whichever replica it is currently attached to.  Two signals
-// trigger a rebind:
-//   - a TransportError thrown by a call (connection refused, reset,
-//     channel died mid-exchange) — except backpressure, which means the
-//     channel is saturated, not broken;
-//   - the stub's circuit breaker opening (BreakerSet trip hook), which
-//     marks the *next* call for re-resolution without waiting for it to
-//     fail too.
-// On either, the pointer reports the dead replica to the directory
-// (report_dead — failover must not wait out the lease), invalidates the
-// NameClient cache, re-resolves, and retries the call against each
-// remaining replica in directory order.  Directory order is insertion
-// order, so every client fails over to the same survivor —
-// deterministic, which the multi-process kill -9 test relies on.
+// calls to whichever replica it is currently attached to.  A
+// TransportError thrown by a call (connection refused, reset, channel
+// died mid-exchange) triggers a rebind — except backpressure, which means
+// the channel is saturated, not broken.  Only this client's own channel
+// raises one: a servant's downstream transport fault arrives as a
+// RemoteError, from a live server.  A rebind reports the dead replica to
+// the directory (report_dead — failover must not wait out the lease),
+// invalidates the NameClient cache, re-resolves, retries the call against
+// each remaining replica in directory order, and records one `failover`
+// anomaly.  Directory order is insertion order, so every client fails over
+// to the same survivor — deterministic, which the multi-process kill -9
+// test relies on.
 //
 // Calls routed through call() keep the acknowledged-call invariant from
 // the resilience layer: attempts() == successful calls + failovers, so a
@@ -28,11 +26,8 @@
 #include <utility>
 
 #include "ohpx/common/error.hpp"
-#include "ohpx/metrics/metric_names.hpp"
-#include "ohpx/metrics/metrics.hpp"
+#include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/naming/name_client.hpp"
-#include "ohpx/resilience/breaker.hpp"
-#include "ohpx/trace/trace.hpp"
 
 namespace ohpx::naming {
 
@@ -40,24 +35,8 @@ template <typename Stub>
 class ReplicaPointer {
  public:
   /// Binds lazily: the first call (or current_ref()) resolves `name`.
-  /// `breakers` with a non-zero threshold arms per-entry circuit breakers
-  /// on each bound stub and hooks their trips into re-resolution.
-  ReplicaPointer(orb::Context& context, NameClient& names, std::string name,
-                 resilience::BreakerConfig breakers = {})
-      : context_(context),
-        names_(names),
-        name_(std::move(name)),
-        breaker_config_(breakers),
-        failovers_counter_(metrics::MetricsRegistry::global().counter_handle(
-            metrics::names::kNamingFailovers)) {}
-
-  ~ReplicaPointer() {
-    // The breaker set (and its hook) can outlive us via async tickets;
-    // the hook captures `this`, so sever it now.
-    if (stub_.bound() && breaker_config_.enabled()) {
-      stub_.set_breaker_trip_hook(nullptr);
-    }
-  }
+  ReplicaPointer(orb::Context& context, NameClient& names, std::string name)
+      : context_(context), names_(names), name_(std::move(name)) {}
 
   ReplicaPointer(const ReplicaPointer&) = delete;
   ReplicaPointer& operator=(const ReplicaPointer&) = delete;
@@ -88,69 +67,42 @@ class ReplicaPointer {
     return stub_;
   }
 
-  /// Invokes `fn(stub)` with failover: a transport loss (or an earlier
-  /// breaker trip) reports the replica dead, re-resolves the name and
-  /// retries against each remaining replica.  Exhausting the replica set
-  /// rethrows the last transport error; non-transport errors (remote
-  /// application errors, deadline, backpressure) pass through untouched —
-  /// they came from a live server.
+  /// Invokes `fn(stub)` with failover: a transport loss reports the
+  /// replica dead, re-resolves the name and retries against each
+  /// remaining replica.  Exhausting the replica set rethrows the last
+  /// transport error; other errors (remote errors, deadline,
+  /// backpressure) pass through untouched — they came from a live server
+  /// or a saturated channel.
   template <typename Fn>
   auto call(Fn&& fn) {
     ensure_bound();
-    if (rebind_requested_.exchange(false, std::memory_order_acq_rel)) {
-      failover_to_next(nullptr);
-    }
-    try {
-      attempts_.fetch_add(1, std::memory_order_relaxed);
-      return fn(stub_);
-    } catch (const TransportError& e) {
-      if (e.code() == ErrorCode::backpressure) throw;
-      // Walk the remaining replicas; each candidate gets one attempt.
-      while (true) {
+    for (;;) {
+      try {
+        attempts_.fetch_add(1, std::memory_order_relaxed);
+        return fn(stub_);
+      } catch (const TransportError& e) {
+        if (e.code() == ErrorCode::backpressure) throw;
         // Copy, not reference: failover rebinds stub_ underneath.
         const orb::ObjectRef dead = stub_.ref();
-        if (!failover_to_next(&dead)) throw;
-        try {
-          attempts_.fetch_add(1, std::memory_order_relaxed);
-          return fn(stub_);
-        } catch (const TransportError& again) {
-          if (again.code() == ErrorCode::backpressure) throw;
-        }
+        if (!failover_to_next(dead, e.code())) throw;
       }
     }
   }
 
  private:
   void ensure_bound() {
-    if (stub_.bound()) return;
-    bind_to(names_.resolve(name_));
+    if (!stub_.bound()) stub_ = Stub(context_, names_.resolve(name_));
   }
 
-  void bind_to(const orb::ObjectRef& ref) {
-    if (stub_.bound() && breaker_config_.enabled()) {
-      stub_.set_breaker_trip_hook(nullptr);
-    }
-    stub_ = Stub(context_, ref);
-    if (breaker_config_.enabled()) {
-      stub_.set_breaker_config(breaker_config_);
-      stub_.set_breaker_trip_hook([this](std::size_t) {
-        rebind_requested_.store(true, std::memory_order_release);
-      });
-    }
-  }
-
-  /// Reports `dead` (if any), re-resolves and binds the first replica
-  /// that is not `dead` — matched with same_replica(), because object ids
-  /// collide across processes.  False when no other replica is
-  /// registered.
-  bool failover_to_next(const orb::ObjectRef* dead) {
-    if (dead != nullptr) {
-      try {
-        names_.report_dead(name_, *dead);
-      } catch (const Error&) {
-        // The directory itself may be unreachable; failover proceeds on
-        // whatever resolve_all can still tell us below.
-      }
+  /// Reports `dead`, re-resolves and binds the first replica that is not
+  /// `dead` — matched with same_replica(), because object ids collide
+  /// across processes.  False when no other replica is registered.
+  bool failover_to_next(const orb::ObjectRef& dead, ErrorCode cause) {
+    try {
+      names_.report_dead(name_, dead);
+    } catch (const Error&) {
+      // The directory itself may be unreachable; failover proceeds on
+      // whatever resolve_all can still tell us below.
     }
     names_.invalidate(name_);
     std::pair<std::uint64_t, std::vector<orb::ObjectRef>> live;
@@ -160,11 +112,10 @@ class ReplicaPointer {
       return false;
     }
     for (const orb::ObjectRef& ref : live.second) {
-      if (dead != nullptr && same_replica(ref, *dead)) continue;
-      bind_to(ref);
+      if (same_replica(ref, dead)) continue;
+      stub_ = Stub(context_, ref);
       failovers_.fetch_add(1, std::memory_order_relaxed);
-      failovers_counter_->fetch_add(1, std::memory_order_relaxed);
-      trace::event("naming.failover", name_);
+      introspect::anomaly(introspect::EventKind::failover, cause, name_);
       return true;
     }
     return false;
@@ -173,12 +124,9 @@ class ReplicaPointer {
   orb::Context& context_;
   NameClient& names_;
   std::string name_;
-  resilience::BreakerConfig breaker_config_;
   Stub stub_;
-  std::atomic<bool> rebind_requested_{false};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> attempts_{0};
-  metrics::MetricsRegistry::Counter* failovers_counter_;
 };
 
 }  // namespace ohpx::naming

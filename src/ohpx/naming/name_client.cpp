@@ -1,8 +1,8 @@
 #include "ohpx/naming/name_client.hpp"
 
+#include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/naming/bootstrap.hpp"
-#include "ohpx/trace/trace.hpp"
 
 namespace ohpx::naming {
 namespace {
@@ -49,10 +49,6 @@ NameClient::NameClient(orb::Context& context,
       registry.counter_handle(metrics::names::kNamingResolveCacheHit);
   cache_misses_ =
       registry.counter_handle(metrics::names::kNamingResolveCacheMiss);
-  endpoint_failovers_ =
-      registry.counter_handle(metrics::names::kNamingEndpointFailovers);
-  redirect_follows_ =
-      registry.counter_handle(metrics::names::kNamingRedirectFollows);
 }
 
 NameClient::NameClient(orb::Context& context, orb::ObjectRef bootstrap)
@@ -78,7 +74,6 @@ bool NameClient::advance_endpoint(std::size_t& walked) {
   active_endpoint_ = (active_endpoint_ + 1) % endpoints_.size();
   stub_ = NameServiceStub(
       context_, orb::ObjectRef::from_bytes(endpoints_[active_endpoint_]));
-  endpoint_failovers_->fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -89,7 +84,6 @@ void NameClient::follow_redirect(const std::string& where) {
       static_cast<std::uint16_t>(std::stoi(where.substr(colon + 1)));
   sync::LockGuard lock(mutex_);
   stub_ = NameServiceStub(context_, make_bootstrap_ref(host, port));
-  redirect_follows_->fetch_add(1, std::memory_order_relaxed);
 }
 
 template <typename Fn>
@@ -106,6 +100,8 @@ auto NameClient::with_directory(Fn&& fn)
       // endpoint is gone — walk the bootstrap list.
       if (error.code() == ErrorCode::backpressure) throw;
       if (!advance_endpoint(walked)) throw;
+      introspect::anomaly(introspect::EventKind::endpoint_failover,
+                          error.code(), error.what());
     } catch (const ObjectError& error) {
       if (error.code() != ErrorCode::not_primary) throw;
       // One redirect per operation: the standby names the primary; if
@@ -115,7 +111,8 @@ auto NameClient::with_directory(Fn&& fn)
       if (redirected || !hint) throw;
       redirected = true;
       follow_redirect(hint->first + ":" + std::to_string(hint->second));
-      trace::event("naming.redirect", hint->first);
+      introspect::anomaly(introspect::EventKind::redirect, error.code(),
+                          hint->first);
     }
   }
 }

@@ -115,8 +115,6 @@ class NameClient {
   std::map<std::string, CacheEntry> cache_ OHPX_GUARDED_BY(mutex_);
   metrics::MetricsRegistry::Counter* cache_hits_;
   metrics::MetricsRegistry::Counter* cache_misses_;
-  metrics::MetricsRegistry::Counter* endpoint_failovers_;
-  metrics::MetricsRegistry::Counter* redirect_follows_;
 };
 
 }  // namespace ohpx::naming

@@ -1,9 +1,9 @@
 #include "ohpx/naming/replication.hpp"
 
 #include "ohpx/common/error.hpp"
+#include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/resilience/clock.hpp"
-#include "ohpx/trace/trace.hpp"
 
 namespace ohpx::naming {
 
@@ -17,8 +17,6 @@ Replicator::Replicator(orb::Context& context, NameServiceServant& local,
   sync_counter_ = registry.counter_handle(metrics::names::kNamingReplSyncs);
   update_counter_ =
       registry.counter_handle(metrics::names::kNamingReplUpdates);
-  promotion_counter_ =
-      registry.counter_handle(metrics::names::kNamingReplPromotions);
 }
 
 Replicator::~Replicator() { stop(); }
@@ -60,8 +58,8 @@ bool Replicator::poll_once() {
   }
   if (!promoted() && promotion_due()) {
     local_.set_role(NameServiceServant::Role::primary);
-    promotion_counter_->fetch_add(1, std::memory_order_relaxed);
-    trace::event("naming.promotion", kPrimaryName);
+    introspect::anomaly(introspect::EventKind::promotion, ErrorCode::ok,
+                        kPrimaryName);
     promoted_.store(true, std::memory_order_release);
   }
   return reached;

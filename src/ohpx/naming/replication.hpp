@@ -94,7 +94,6 @@ class Replicator {
 
   metrics::MetricsRegistry::Counter* sync_counter_ = nullptr;
   metrics::MetricsRegistry::Counter* update_counter_ = nullptr;
-  metrics::MetricsRegistry::Counter* promotion_counter_ = nullptr;
 };
 
 }  // namespace ohpx::naming

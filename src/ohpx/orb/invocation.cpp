@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "ohpx/common/log.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/protocol/registry.hpp"
@@ -13,25 +12,6 @@
 
 namespace ohpx::orb {
 namespace {
-
-// Handles the breaker feed bumps.  Resolved once, on first use: the feed
-// also runs from static settlement continuations with no CallCore at hand.
-struct BreakerCounters {
-  metrics::MetricsRegistry::Counter* opened;
-  metrics::MetricsRegistry::Counter* closed;
-  metrics::MetricsRegistry::Counter* backpressure;
-};
-
-const BreakerCounters& breaker_counters() {
-  static const BreakerCounters counters = [] {
-    auto& registry = metrics::MetricsRegistry::global();
-    return BreakerCounters{
-        registry.counter_handle(metrics::names::kRmiBreakerOpened),
-        registry.counter_handle(metrics::names::kRmiBreakerClosed),
-        registry.counter_handle(metrics::names::kRmiBackpressure)};
-  }();
-  return counters;
-}
 
 // An error reply, decoded and counted under rmi.errors.<code>: every error
 // reply counts, a retried one too.
@@ -46,13 +26,26 @@ ErrorCode decode_error_reply(const proto::ReplyMessage& reply,
   return code;
 }
 
-// The error reply that ends a call: one flight-recorder entry, then the
-// typed exception.
+// Raises a decoded error reply as its typed exception.  A transport code
+// in a reply is the servant's own downstream fault (the server replies
+// with whatever Error its servant threw): the reply arrived, so this
+// client's channel works, and it is raised as a RemoteError — never
+// retried, never read as "this server is dead".
 [[noreturn]] void raise_error_reply(ErrorCode code,
                                     const std::string& message) {
-  introspect::FlightRecorder::global().record(introspect::EventKind::error,
-                                              code, message);
+  const auto value = static_cast<std::uint32_t>(code);
+  if (value >= 200 && value < 300) throw RemoteError(code, message);
   throw_error(code, message);
+}
+
+// Ends a call whose budget is spent before an attempt: one `deadline`
+// anomaly, then the throw.
+[[noreturn]] void deadline_spent(int attempts) {
+  const std::string spent = "call deadline exceeded after " +
+                            std::to_string(attempts) + " attempt(s)";
+  introspect::anomaly(introspect::EventKind::deadline,
+                      ErrorCode::deadline_exceeded, spent);
+  throw DeadlineExceeded(spent);
 }
 
 }  // namespace
@@ -62,23 +55,16 @@ void CallCore::feed_breaker(resilience::BreakerSet* breakers,
                             ErrorCode outcome) {
   // Backpressure is the exception: a window-full refusal means the channel
   // is *too* healthy to keep up, not broken — it must never push a breaker
-  // toward open (it would turn transient overload into failover).
-  if (outcome == ErrorCode::backpressure) {
-    breaker_counters().backpressure->fetch_add(1, std::memory_order_relaxed);
-    introspect::FlightRecorder::global().record(
-        introspect::EventKind::backpressure, outcome, protocol);
-    return;
-  }
-  if (breakers == nullptr) return;
+  // toward open (it would turn transient overload into failover).  The
+  // reactor that refused it recorded the anomaly.
+  if (breakers == nullptr || outcome == ErrorCode::backpressure) return;
   if (outcome == ErrorCode::ok) {
     // Any reply — even an error reply — proves the channel works; a
     // half-open breaker closes on it.
     if (breakers->at(entry).on_success() ==
         resilience::CircuitBreaker::Transition::closed) {
-      breaker_counters().closed->fetch_add(1, std::memory_order_relaxed);
-      introspect::FlightRecorder::global().record(
-          introspect::EventKind::breaker_close, ErrorCode::ok, protocol);
-      trace::event("breaker.close", protocol);
+      introspect::anomaly(introspect::EventKind::breaker_close,
+                          ErrorCode::ok, protocol);
     }
     return;
   }
@@ -87,11 +73,8 @@ void CallCore::feed_breaker(resilience::BreakerSet* breakers,
   // table entry.
   if (breakers->at(entry).on_failure() ==
       resilience::CircuitBreaker::Transition::opened) {
-    breaker_counters().opened->fetch_add(1, std::memory_order_relaxed);
-    introspect::FlightRecorder::global().record(
-        introspect::EventKind::breaker_open, outcome, protocol);
-    trace::event("breaker.open", protocol);
-    breakers->notify_trip(entry);
+    introspect::anomaly(introspect::EventKind::breaker_open, outcome,
+                        protocol);
   }
 }
 
@@ -119,11 +102,6 @@ CallCore::CallCore(Context& context, ObjectRef ref)
   cache_misses_ = registry.counter_handle(metrics::names::kRmiSelectCacheMiss);
   cache_invalidate_ =
       registry.counter_handle(metrics::names::kRmiSelectCacheInvalidate);
-  retries_ = registry.counter_handle(metrics::names::kRmiRetries);
-  deadline_exceeded_ =
-      registry.counter_handle(metrics::names::kRmiDeadlineExceeded);
-  async_deadline_cancelled_ =
-      registry.counter_handle(metrics::names::kRmiAsyncDeadlineCancelled);
   latency_ = registry.latency_handle(metrics::names::kRmiLatency);
   async_latency_ = registry.latency_handle(metrics::names::kRmiAsyncLatency);
 }
@@ -168,7 +146,6 @@ void CallCore::set_breaker_config(const resilience::BreakerConfig& config) {
     if (config.enabled()) {
       breakers_ =
           std::make_shared<resilience::BreakerSet>(protocols_.size(), config);
-      if (breaker_trip_hook_) breakers_->set_trip_hook(breaker_trip_hook_);
       breakers_enabled_.store(true, std::memory_order_release);
       registered = breakers_;
     } else {
@@ -187,12 +164,6 @@ void CallCore::set_breaker_config(const resilience::BreakerConfig& config) {
   } else {
     resilience::BreakerRegistry::global().remove(label);
   }
-}
-
-void CallCore::set_breaker_trip_hook(resilience::BreakerSet::TripHook hook) {
-  sync::LockGuard lock(mutex_);
-  breaker_trip_hook_ = std::move(hook);
-  if (breakers_) breakers_->set_trip_hook(breaker_trip_hook_);
 }
 
 resilience::CircuitBreaker::State CallCore::breaker_state(
@@ -462,63 +433,17 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       retry_stash.append(args.view());
     }
 
-    proto::ReplyMessage reply;
+    // One decision for every failed attempt, an error reply included.
+    bool replied = false;
     try {
-      reply = protocol->invoke(header, args, *target, cost);
-    } catch (const DeadlineExceeded&) {
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
+      proto::ReplyMessage reply = protocol->invoke(header, args, *target, cost);
+      replied = true;
+      feed_breaker(breakers.get(), entry_index, protocol->name(),
+                   ErrorCode::ok);
+      if (reply.header.type != wire::MessageType::reply) {
+        std::string message;
+        raise_error_reply(decode_error_reply(reply, message), message);
       }
-      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-      throw;
-    } catch (const TransportError& e) {
-      feed_breaker(breakers.get(), entry_index, protocol->name(), e.code());
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      // Retry on transient channel faults under the retry policy: a
-      // memoized selection can outlive an endpoint (listener torn down,
-      // context destroyed), and a fresh re-evaluation is exactly what an
-      // uncached call would have done.  Non-retryable errors — capability
-      // denials above all — propagate unchanged, cached or not.
-      if (may_retry && resilience::is_retryable(e.code())) {
-        retries_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::retry, e.code(),
-            "transport fault, re-selecting");
-        trace::event("retry.transport", "cached endpoint gone, re-selecting");
-        wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
-        continue;
-      }
-      throw;
-    } catch (const Error& e) {
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      // Client-side detection of a damaged exchange — a reply that fails
-      // framing (wire_bad_checksum) or capability verification
-      // (capability_bad_payload) — is as transient as a channel fault: the
-      // re-send is a fresh frame.  Refusals (auth, quota, lease) are
-      // decisions and fall through to the throw.
-      if (may_retry && resilience::is_retryable(e.code())) {
-        retries_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::retry, e.code(), "damaged exchange, re-sending");
-        trace::event("retry.error", to_string(e.code()));
-        wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
-        continue;
-      }
-      throw;
-    }
-
-    feed_breaker(breakers.get(), entry_index, protocol->name(), ErrorCode::ok);
-
-    if (reply.header.type == wire::MessageType::reply) {
       if (use_cache) {
         latency_->record(cost.total());
       } else {
@@ -529,37 +454,35 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
       pool.release(std::move(retry_stash));
       pool.release(std::move(args));
       return std::move(reply.payload);
-    }
-
-    std::string message;
-    const ErrorCode code = decode_error_reply(reply, message);
-    if (may_retry && resilience::is_retryable(code)) {
-      {
-        // A failed attempt must never leave its selection memoized (for
-        // stale references the republish that made us stale already
-        // bumped the epoch, but drop the entry explicitly so the retry
-        // always re-selects).
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
+    } catch (const Error& e) {
+      // Only this client's own channel failing feeds the breaker, and no
+      // failed attempt leaves its selection memoized.
+      if (!replied && dynamic_cast<const TransportError*>(&e) != nullptr) {
+        feed_breaker(breakers.get(), entry_index, protocol->name(), e.code());
       }
-      retries_->fetch_add(1, std::memory_order_relaxed);
-      introspect::FlightRecorder::global().record(introspect::EventKind::retry,
-                                                  code, "retryable error reply");
-      if (code == ErrorCode::stale_reference) {
-        trace::event("retry.stale_ref", "object migrated, re-resolving");
-        log_debug("orb", "stale reference for object ", ref_.object_id(),
-                  ", re-resolving (attempt ", attempt + 1, ")");
-      } else {
-        trace::event("retry.error_reply", to_string(code));
-        log_debug("orb", "retryable error reply (", to_string(code),
-                  ") for object ", ref_.object_id(), " (attempt ",
-                  attempt + 1, ")");
+      drop_cache();
+      // Transient failures — a channel fault, a damaged exchange (a reply
+      // failing framing or capability verification), a migration race —
+      // re-select and go again; a RemoteError never does.  Refusals (auth,
+      // quota, lease) and the deadline end the call.
+      if (may_retry && resilience::is_retryable(e.code()) &&
+          dynamic_cast<const RemoteError*>(&e) == nullptr) {
+        introspect::anomaly(introspect::EventKind::retry, e.code(),
+                            "object " + std::to_string(ref_.object_id()) +
+                                ", attempt " + std::to_string(attempt + 1) +
+                                ": " + e.what());
+        wait_backoff(backoff, cost);
+        if (!protocol->preserves_payload()) args = std::move(retry_stash);
+        continue;
       }
-      wait_backoff(backoff, cost);
-      if (!protocol->preserves_payload()) args = std::move(retry_stash);
-      continue;
+      if (replied) {
+        introspect::anomaly(introspect::EventKind::error, e.code(), e.what());
+      } else if (e.code() == ErrorCode::deadline_exceeded) {
+        introspect::anomaly(introspect::EventKind::deadline, e.code(),
+                            e.what());
+      }
+      throw;
     }
-    raise_error_reply(code, message);
   }
 }
 
@@ -570,7 +493,6 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   // covers selection, submit and the round trip.
   ticket.watch = Stopwatch();
   ticket.latency = async_latency_;
-  ticket.async_deadline_counter = async_deadline_cancelled_;
   // Mint the deadline exactly like the sync path: the reactor captures
   // the ambient value at submit and cancels the future when it passes.
   std::optional<resilience::DeadlineScope> deadline_scope;
@@ -626,7 +548,6 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   ticket.breakers = breakers;
   ticket.entry_index = sel.entry_index;
   ticket.protocol = sel.protocol->name();
-  ticket.deadline_counter = deadline_exceeded_;
   ticket.expect_request_id = header.request_id;
   return exchange;
 }
@@ -636,16 +557,9 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
   proto::ReplyMessage reply;
   try {
     reply = settled.get();
-  } catch (const DeadlineExceeded&) {
-    if (ticket.deadline_counter) {
-      ticket.deadline_counter->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (ticket.async_deadline_counter) {
-      ticket.async_deadline_counter->fetch_add(1, std::memory_order_relaxed);
-    }
-    introspect::FlightRecorder::global().record(
-        introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
-        "async future cancelled past deadline");
+  } catch (const DeadlineExceeded& e) {
+    introspect::anomaly(introspect::EventKind::async_deadline, e.code(),
+                        e.what());
     throw;
   } catch (const TransportError& e) {
     feed_breaker(ticket.breakers.get(), ticket.entry_index, ticket.protocol,
@@ -660,7 +574,9 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
     return std::move(reply.payload);
   }
   std::string message;
-  raise_error_reply(decode_error_reply(reply, message), message);
+  const ErrorCode code = decode_error_reply(reply, message);
+  introspect::anomaly(introspect::EventKind::error, code, message);
+  raise_error_reply(code, message);
 }
 
 wire::MessageHeader CallCore::request_header(wire::MessageType type,
@@ -695,13 +611,9 @@ wire::MessageHeader CallCore::request_header(wire::MessageType type,
   return header;
 }
 
-void CallCore::deadline_spent(int attempts) {
-  deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-  introspect::FlightRecorder::global().record(
-      introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
-      "budget spent after " + std::to_string(attempts) + " attempt(s)");
-  throw DeadlineExceeded("call deadline exceeded after " +
-                         std::to_string(attempts) + " attempt(s)");
+void CallCore::drop_cache() {
+  sync::LockGuard lock(mutex_);
+  cache_.reset();
 }
 
 std::string CallCore::last_protocol() const {

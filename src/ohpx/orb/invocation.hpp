@@ -3,9 +3,15 @@
 // Per call (paper §3.2): resolve the object's current address through the
 // location service (falling back to the OR's home address), compute the
 // placement, select the first applicable pool-allowed protocol from the
-// OR's table, and fire.  Error replies are re-raised as typed exceptions;
-// stale-reference replies (migration race) trigger a bounded re-resolve
-// and retry.
+// OR's table, and fire.  Every failed sync attempt, an error reply
+// included, goes through one retry decision: a transient failure (a
+// channel fault, a damaged exchange, a stale reference after a migration
+// race) re-selects and goes again under the retry policy, recorded as one
+// `retry` anomaly (introspect/flight_recorder.hpp); refusals and the
+// deadline end the call.  Error replies are re-raised as typed
+// exceptions, except that a transport-coded reply is a RemoteError and
+// never retries: the servant's own downstream call failed, not this
+// client's channel.
 //
 // Fast path: the paper re-evaluates selection per request, but between two
 // calls nothing that feeds the decision usually changed.  The selection
@@ -21,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,30 +66,34 @@ class CallCore {
                      CostLedger* ledger);
 
   /// Per-call bookkeeping handed out by invoke_async_reply() and consumed
-  /// by finish_async_reply(): which breaker entry the settlement feeds and
-  /// the deadline-miss counter.  Copyable by design: continuations capture
-  /// it by value.  Its size sets the stub's per-call continuation
-  /// allocation, and fan-in throughput has moved twofold with that size
-  /// (allocator size classes): change it only with a fan-in measurement.
+  /// by finish_async_reply(): which breaker entry the settlement feeds.
+  /// Copyable by design: continuations capture it by value.  Its size sets
+  /// the stub's per-call continuation allocation, and fan-in throughput
+  /// has moved twofold with that size (allocator size classes; ROADMAP
+  /// item 2): change it only with a fan-in measurement.
   struct AsyncReplyTicket {
     std::shared_ptr<resilience::BreakerSet> breakers;
     std::size_t entry_index = 0;
     /// Protocol::name() of the selected entry (a string literal, so the
     /// view outlives the CallCore) for the breaker feed's records.
     std::string_view protocol;
-    metrics::MetricsRegistry::Counter* deadline_counter = nullptr;
-    /// Async-settlement instrumentation: completion latency (submit to
-    /// settlement) and the deadline-cancellation count, recorded in
-    /// finish_async_reply — the continuation path's equivalents of the
-    /// sync pipeline's kRmiLatency / kRmiDeadlineExceeded bookkeeping.
+    /// Completion latency (submit to settlement), recorded in
+    /// finish_async_reply — the async sibling of kRmiLatency.
     metrics::LatencyHistogram* latency = nullptr;
-    metrics::MetricsRegistry::Counter* async_deadline_counter = nullptr;
     /// Started at submit (invoke_async_reply resets it on entry).
     Stopwatch watch;
     /// Request id the reply must echo: proto::check_reply, applied at
     /// settlement as the sync pipeline applies it per exchange.
     std::uint64_t expect_request_id = 0;
+    /// Holds the ticket at 80 bytes.  The two deadline-counter handles
+    /// that sat here moved into the anomaly table; without them the
+    /// 16-byte-smaller ticket read 133k-141k calls/s on `bench_fanin
+    /// --smoke` fanin/reactor in 3 of 10 runs on a 4-vCPU x86-64 VM,
+    /// where the 80-byte ticket read 234k-282k in all 10 interleaved runs.
+    std::byte reserved[16] = {};
   };
+  static_assert(sizeof(void*) != 8 || sizeof(AsyncReplyTicket) == 80,
+                "AsyncReplyTicket size moves fan-in throughput: measure");
 
   /// Asynchronous invocation, submission half: selection, header build and
   /// the selected protocol's invoke_async() run on the calling thread, for
@@ -101,8 +112,8 @@ class CallCore {
                                                  wire::Buffer args,
                                                  AsyncReplyTicket& ticket);
 
-  /// Settlement half: breaker bookkeeping, error-reply decoding (counted
-  /// and recorded as the sync path does), payload extraction.  Call
+  /// Settlement half: breaker bookkeeping, error-reply decoding (counted,
+  /// recorded and typed as the sync path does), payload extraction.  Call
   /// exactly once, with the settled reply future.
   static wire::Buffer finish_async_reply(Future<proto::ReplyMessage> settled,
                                          const AsyncReplyTicket& ticket);
@@ -165,13 +176,6 @@ class CallCore {
   /// not enabled) — the observable for failover tests and metrics dumps.
   resilience::CircuitBreaker::State breaker_state(std::size_t entry) const;
 
-  /// Installs a hook invoked each time a breaker entry opens (nullptr
-  /// clears it).  Survives set_breaker_config(): the hook is re-applied to
-  /// the replacement set.  The installer must clear the hook before any
-  /// state it captures dies — async settlement tickets keep the breaker
-  /// set (and therefore the hook) alive past this CallCore.
-  void set_breaker_trip_hook(resilience::BreakerSet::TripHook hook);
-
  private:
   /// One memoized selection: valid while the location epoch and pool
   /// generation both still match.  `protocol` points into `protocols_`
@@ -228,9 +232,8 @@ class CallCore {
                                      std::uint32_t method_id,
                                      std::int64_t deadline) const;
 
-  /// Ends a call whose budget is spent: bumps rmi.deadline_exceeded,
-  /// writes the flight-recorder `deadline` entry and throws.
-  [[noreturn]] void deadline_spent(int attempts);
+  /// Drops the memoized selection (every failed sync attempt does).
+  void drop_cache();
 
   /// Fast-path view of the resolved retry policy: one global-revision probe
   /// revalidates a memoized resolution, so the default-policy hot path
@@ -245,10 +248,9 @@ class CallCore {
   /// The one breaker feed, shared by the sync pipeline, the async submit
   /// refusal and the async settlement.  `outcome` is ErrorCode::ok when a
   /// reply (even an error reply) arrived, else the transport fault.
-  /// Backpressure bumps rmi.backpressure and never reaches the breaker;
-  /// an opening or closing transition bumps rmi.breaker.opened / .closed
-  /// and writes a flight-recorder entry and a trace event, and an opening
-  /// fires the trip hook.  `breakers` may be null (breakers off).
+  /// Backpressure never reaches the breaker (the reactor recorded it); an
+  /// opening or closing transition is a breaker_open / breaker_close
+  /// anomaly.  `breakers` may be null (breakers off).
   static void feed_breaker(resilience::BreakerSet* breakers,
                            std::size_t entry, std::string_view protocol,
                            ErrorCode outcome);
@@ -281,9 +283,6 @@ class CallCore {
   metrics::MetricsRegistry::Counter* cache_hits_;
   metrics::MetricsRegistry::Counter* cache_misses_;
   metrics::MetricsRegistry::Counter* cache_invalidate_;
-  metrics::MetricsRegistry::Counter* retries_;
-  metrics::MetricsRegistry::Counter* deadline_exceeded_;
-  metrics::MetricsRegistry::Counter* async_deadline_cancelled_;
   metrics::LatencyHistogram* latency_;
   metrics::LatencyHistogram* async_latency_;
 
@@ -292,7 +291,6 @@ class CallCore {
   std::string last_protocol_ OHPX_GUARDED_BY(mutex_);
   resilience::RetryPolicy cached_policy_ OHPX_GUARDED_BY(mutex_);
   std::shared_ptr<resilience::BreakerSet> breakers_ OHPX_GUARDED_BY(mutex_);
-  resilience::BreakerSet::TripHook breaker_trip_hook_ OHPX_GUARDED_BY(mutex_);
 };
 
 using CallCorePtr = std::shared_ptr<CallCore>;

@@ -101,14 +101,6 @@ class ObjectStub {
     return core_->breaker_state(entry);
   }
 
-  /// Hook invoked when a breaker entry opens (nullptr clears); failover
-  /// layers use it to trigger a re-resolve (see CallCore for the lifetime
-  /// contract).
-  void set_breaker_trip_hook(resilience::BreakerSet::TripHook hook) {
-    ensure_bound();
-    core_->set_breaker_trip_hook(std::move(hook));
-  }
-
   /// Typed remote call: marshals `args`, invokes, unmarshals Ret.
   template <typename Ret, typename... Args>
   Ret call(std::uint32_t method_id, const Args&... args) {

@@ -90,20 +90,6 @@ BreakerSet::BreakerSet(std::size_t entries, const BreakerConfig& config) {
   }
 }
 
-void BreakerSet::set_trip_hook(TripHook hook) {
-  sync::LockGuard lock(hook_mutex_);
-  trip_hook_ = std::move(hook);
-}
-
-void BreakerSet::notify_trip(std::size_t entry) const {
-  TripHook hook;
-  {
-    sync::LockGuard lock(hook_mutex_);
-    hook = trip_hook_;
-  }
-  if (hook) hook(entry);
-}
-
 BreakerRegistry& BreakerRegistry::global() {
   static BreakerRegistry registry;
   return registry;

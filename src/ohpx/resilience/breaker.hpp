@@ -13,12 +13,16 @@
 //   half_open  cooldown elapsed; exactly one probe call is admitted —
 //              success closes the breaker, failure re-opens it
 //
+// The owning CallCore records each opening and closing as an anomaly
+// (breaker_open / breaker_close, introspect/flight_recorder.hpp).  Nothing
+// else observes a trip: failover across replicas (naming/failover.hpp)
+// reacts to the call's transport error, not to the breaker.
+//
 // Thread-safe; allow()/on_success()/on_failure() are a few atomic ops.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,11 +93,6 @@ const char* to_string(CircuitBreaker::State state) noexcept;
 /// common path stays a null check.
 class BreakerSet {
  public:
-  /// Invoked (outside any lock) each time an entry's breaker *opens*, with
-  /// the tripped entry index.  Failover layers hook this to re-resolve a
-  /// name instead of waiting out cooldowns (naming/failover.hpp).
-  using TripHook = std::function<void(std::size_t)>;
-
   BreakerSet(std::size_t entries, const BreakerConfig& config);
 
   CircuitBreaker& at(std::size_t index) noexcept { return *breakers_[index]; }
@@ -102,21 +101,8 @@ class BreakerSet {
   }
   std::size_t size() const noexcept { return breakers_.size(); }
 
-  /// Installs (or clears, with nullptr) the trip hook.  The hook may be
-  /// called from any thread that drives calls through the owning CallCore
-  /// and must not re-enter the breaker set; installers that capture
-  /// `this`-like state must clear the hook before that state dies.
-  void set_trip_hook(TripHook hook);
-
-  /// Owner-side notification: called after on_failure()/allow() reported
-  /// Transition::opened for `entry`.  Copies the hook out of the lock
-  /// before invoking, so a hook can take unrelated locks safely.
-  void notify_trip(std::size_t entry) const;
-
  private:
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
-  mutable sync::Mutex hook_mutex_{"resilience.breaker_hook"};
-  TripHook trip_hook_ OHPX_GUARDED_BY(hook_mutex_);
 };
 
 /// One registered breaker set, resolved live at snapshot time.

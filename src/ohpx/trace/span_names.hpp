@@ -7,6 +7,8 @@
 // directions against this list: every name passed to trace::Span /
 // trace::event in src/ outside trace/ must be a single string literal
 // registered here, and every registered name must still have a call site.
+// An event name in the anomaly table (introspect/flight_recorder.hpp)
+// counts as its call site: introspect::anomaly() emits it.
 //
 // Adding a span?  Add its name here (keep the array sorted) in the same
 // change that introduces the call site.
@@ -22,6 +24,7 @@ inline constexpr const char* kRegistered[] = {
     "cap.process",       // capability: outbound chain stage
     "cap.unprocess",     // capability: inbound chain stage (reverse)
     "naming.failover",   // naming: stub rebound to another live replica
+    "naming.next_endpoint",  // naming: client walked to its next endpoint
     "naming.promotion",  // naming: standby took the primary seat
     "naming.redirect",   // naming: client followed a not_primary redirect
     "proto.glue",        // protocol: glue-code dispatch
@@ -30,11 +33,14 @@ inline constexpr const char* kRegistered[] = {
     "proto.shm",         // protocol: shared-memory transfer
     "proto.tcp",         // protocol: TCP roundtrip
     "reactor.backpressure",  // transport: inflight window full, call refused
+    "reactor.conn_dropped",  // transport: a connection failed
+    "reactor.deadline_sweep",  // transport: pending calls past deadline
+    "reactor.stall",     // transport: event-loop tick over its threshold
+    "retry",             // resilience: transient failure, re-attempting
     "retry.backoff",     // resilience: backoff wait before re-attempt
-    "retry.error",       // resilience: attempt failed, not retryable
-    "retry.error_reply", // resilience: remote error reply decoded
-    "retry.stale_ref",   // resilience: re-resolve after migration race
-    "retry.transport",   // resilience: transport fault worth a retry
+    "rmi.async.deadline",  // orb: async future settled by its deadline
+    "rmi.deadline",      // orb: sync call's budget ran out
+    "rmi.error_reply",   // orb: an error reply ended the call
     "rmi.invoke",        // orb: one logical remote method invocation
     "select",            // orb: protocol selection
     "servant.dispatch",  // orb: servant-side method execution

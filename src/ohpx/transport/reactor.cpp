@@ -18,7 +18,6 @@
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/resilience/clock.hpp"
 #include "ohpx/resilience/deadline.hpp"
-#include "ohpx/trace/trace.hpp"
 #include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 
@@ -45,16 +44,13 @@ std::exception_ptr make_transport_error(ErrorCode code,
 Reactor::Reactor() {
   // Resolve handles before the loop thread exists: MetricsRegistry::global()
   // is thereby constructed before this Reactor and outlives it.  The same
-  // ordering argument pins the flight recorder the stall watchdog feeds.
+  // ordering argument pins the flight recorder (and the anomaly counters
+  // it interns) that the loop's anomalies feed.
   (void)introspect::FlightRecorder::global();
   auto& registry = metrics::MetricsRegistry::global();
   batches_ = registry.counter_handle(metrics::names::kReactorBatches);
   frames_ = registry.counter_handle(metrics::names::kReactorFrames);
-  backpressure_ = registry.counter_handle(metrics::names::kReactorBackpressure);
-  deadline_cancels_ =
-      registry.counter_handle(metrics::names::kReactorDeadlineCancelled);
   reconnects_ = registry.counter_handle(metrics::names::kReactorReconnects);
-  stalls_ = registry.counter_handle(metrics::names::kRmiReactorStall);
   inflight_gauge_ = registry.counter_handle(metrics::names::kReactorInflight);
   connections_gauge_ =
       registry.counter_handle(metrics::names::kReactorConnections);
@@ -162,12 +158,12 @@ Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
     }
   }
   if (window_full) {
-    backpressure_->fetch_add(1, std::memory_order_relaxed);
-    trace::event("reactor.backpressure", "inflight window full");
-    throw TransportError(ErrorCode::backpressure,
-                         "inflight window full (" +
-                             std::to_string(window_now) + ") for " + host +
-                             ":" + std::to_string(port));
+    const std::string refused = "inflight window full (" +
+                                std::to_string(window_now) + ") for " +
+                                host + ":" + std::to_string(port);
+    introspect::anomaly(introspect::EventKind::backpressure,
+                        ErrorCode::backpressure, refused);
+    throw TransportError(ErrorCode::backpressure, refused);
   }
   // Wake elision: while the loop is awake it services submissions at the
   // end of its tick anyway, so the eventfd write (a syscall per call under
@@ -331,8 +327,7 @@ void Reactor::note_tick_lag(Nanoseconds lag) {
   const std::int64_t threshold =
       stall_threshold_.load(std::memory_order_relaxed);
   if (threshold <= 0 || lag.count() < threshold) return;
-  stalls_->fetch_add(1, std::memory_order_relaxed);
-  introspect::FlightRecorder::global().record(
+  introspect::anomaly(
       introspect::EventKind::stall, ErrorCode::ok,
       "reactor loop lag " + std::to_string(lag.count() / 1000) + " us");
   // Dump once per process: the first stall is the interesting one, and a
@@ -585,10 +580,10 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
   const std::string described =
       "tcp " + conn.host + ":" + std::to_string(conn.port) + ": " + message;
   const std::exception_ptr error = make_transport_error(code, described);
-  // Cold path by definition (the connection just died): one flight-recorder
-  // entry per failure, not per pending call.
-  introspect::FlightRecorder::global().record(introspect::EventKind::error,
-                                              code, described);
+  // Cold path by definition (the connection just died): one anomaly per
+  // failure, not per pending call.
+  introspect::anomaly(introspect::EventKind::connection_dropped, code,
+                      described);
   for (auto& [corr, pending] : conn.inflight) {
     Settlement s;
     s.promise = std::move(pending.promise);
@@ -637,7 +632,6 @@ void Reactor::cancel_expired(std::vector<Settlement>& out) {
         s.error = std::make_exception_ptr(
             DeadlineExceeded("deadline exceeded awaiting reply"));
         out.push_back(std::move(s));
-        deadline_cancels_->fetch_add(1, std::memory_order_relaxed);
         ++cancelled;
         --conn->deadline_count;
         it = conn->inflight.erase(it);
@@ -647,10 +641,11 @@ void Reactor::cancel_expired(std::vector<Settlement>& out) {
     }
   }
   if (cancelled > 0) {
-    introspect::FlightRecorder::global().record(
-        introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
-        "reactor cancelled " + std::to_string(cancelled) +
-            " call(s) past deadline");
+    introspect::anomaly(introspect::EventKind::deadline_sweep,
+                        ErrorCode::deadline_exceeded,
+                        "reactor cancelled " + std::to_string(cancelled) +
+                            " call(s) past deadline",
+                        cancelled);
   }
 }
 

@@ -245,10 +245,7 @@ class Reactor {
   // these until stop() completes.
   metrics::MetricsRegistry::Counter* batches_ = nullptr;
   metrics::MetricsRegistry::Counter* frames_ = nullptr;
-  metrics::MetricsRegistry::Counter* backpressure_ = nullptr;
-  metrics::MetricsRegistry::Counter* deadline_cancels_ = nullptr;
   metrics::MetricsRegistry::Counter* reconnects_ = nullptr;
-  metrics::MetricsRegistry::Counter* stalls_ = nullptr;
   // Gauges (store(), not fetch_add): refreshed at the end of every tick.
   metrics::MetricsRegistry::Counter* inflight_gauge_ = nullptr;
   metrics::MetricsRegistry::Counter* connections_gauge_ = nullptr;

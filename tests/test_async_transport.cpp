@@ -139,14 +139,28 @@ TEST_F(AsyncTransportFixture, WindowFullRefusesWithBackpressure) {
   auto first = stub.call_async<std::uint64_t>(GatedServant::kBlock);
   auto second = stub.call_async<std::uint64_t>(GatedServant::kBlock);
 
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
   const std::uint64_t refusals_before = counter_value("rmi.backpressure");
+  const std::uint64_t reactor_refusals_before =
+      counter_value("reactor.backpressure");
   try {
     stub.call_async<std::uint64_t>(GatedServant::kBlock);
     FAIL() << "expected TransportError(backpressure)";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.code(), ErrorCode::backpressure);
   }
+  // One refusal, one anomaly: both counters its row names, one entry.
   EXPECT_EQ(counter_value("rmi.backpressure"), refusals_before + 1);
+  EXPECT_EQ(counter_value("reactor.backpressure"),
+            reactor_refusals_before + 1);
+  std::size_t backpressure_records = 0;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::backpressure) {
+      ++backpressure_records;
+    }
+  }
+  EXPECT_EQ(backpressure_records, 1u);
   EXPECT_TRUE(resilience::is_retryable(ErrorCode::backpressure));
 
   // Nothing was queued for the refused call; the two admitted calls

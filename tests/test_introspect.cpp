@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,6 +284,73 @@ TEST(FlightRecorderTest, DetailIsTruncatedSafely) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(std::strlen(records[0].detail),
             FlightRecorder::kDetailCapacity - 1);
+  recorder.clear();
+}
+
+// ---- the anomaly table -----------------------------------------------------
+
+// Every kind, one anomaly() call: each counter its row names moves by
+// `count` (and no other table counter moves), the recorder gains exactly
+// one entry with that kind, code and detail, and an always-sampled trace
+// gains exactly one event under the row's name, annotated with the code.
+TEST(AnomalyTable, EachKindReachesEverySinkExactlyOnce) {
+  auto& registry = metrics::MetricsRegistry::global();
+  FlightRecorder& recorder = FlightRecorder::global();
+  trace::TraceSink::global().set_sampling(trace::Sampling::always);
+
+  for (const AnomalyRow& row : kAnomalyTable) {
+    SCOPED_TRACE(row.name);
+    EXPECT_STREQ(to_string(row.kind), row.name);
+    const std::uint64_t count =
+        row.kind == EventKind::deadline_sweep ? 3 : 1;
+
+    std::map<std::string, std::uint64_t> expected;
+    for (const AnomalyRow& other : kAnomalyTable) {
+      for (const char* name : other.counters) {
+        if (name != nullptr) expected[name] = registry.counter(name);
+      }
+    }
+    for (const char* name : row.counters) {
+      if (name != nullptr) expected[name] += count;
+    }
+    recorder.clear();
+    trace::TraceSink::global().clear();
+    {
+      trace::ContextScope scope(trace::mint_root());
+      anomaly(row.kind, ErrorCode::transport_io, "anomaly-sweep", count);
+    }
+
+    for (const auto& [name, value] : expected) {
+      EXPECT_EQ(registry.counter(name), value) << name;
+    }
+    std::size_t entries = 0;
+    for (const auto& record : recorder.snapshot()) {
+      if (std::string_view(record.detail) != "anomaly-sweep") continue;
+      ++entries;
+      EXPECT_EQ(record.kind, row.kind);
+      EXPECT_EQ(record.code,
+                static_cast<std::uint16_t>(ErrorCode::transport_io));
+    }
+    EXPECT_EQ(entries, 1u);
+    const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
+    ASSERT_EQ(snap.spans.size(), 1u);
+    EXPECT_STREQ(snap.spans[0].name, row.event);
+    EXPECT_EQ(snap.spans[0].kind, trace::SpanKind::event);
+    EXPECT_STREQ(snap.spans[0].annotation, "transport_io");
+  }
+
+  // An anomaly with no error code is annotated with its detail.
+  trace::TraceSink::global().clear();
+  {
+    trace::ContextScope scope(trace::mint_root());
+    anomaly(EventKind::breaker_close, ErrorCode::ok, "tcp");
+  }
+  const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_STREQ(snap.spans[0].annotation, "tcp");
+
+  trace::TraceSink::global().set_sampling(trace::Sampling::off);
+  trace::TraceSink::global().clear();
   recorder.clear();
 }
 

@@ -3,11 +3,13 @@
 // resolved by name, and bootstrap across contexts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
 
 #include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/naming/bootstrap.hpp"
 #include "ohpx/naming/failover.hpp"
 #include "ohpx/naming/name_client.hpp"
@@ -375,6 +377,8 @@ TEST_F(NamingFixture, ReplicaPointerFailsOverFromDeadReplica) {
 
   NameClient names(*client_ctx_, host_->ref());
   ReplicaPointer<scenario::EchoStub> echo(*client_ctx_, names, "fo/echo");
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
 
   // Bound to the dead replica first (registration order), the call fails
   // over transparently and the answer comes from the live one.
@@ -383,6 +387,11 @@ TEST_F(NamingFixture, ReplicaPointerFailsOverFromDeadReplica) {
       echo.call([](scenario::EchoStub& stub) { return stub.reverse("ohpx"); });
   EXPECT_EQ(reply, "xpho");
   EXPECT_EQ(echo.failovers(), 1u);
+  std::size_t failover_records = 0;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::failover) ++failover_records;
+  }
+  EXPECT_EQ(failover_records, 1u) << "one rebind, one anomaly";
   EXPECT_EQ(echo.attempts(), 2u);  // attempts == calls + failover retries
   EXPECT_EQ(echo.current_ref().object_id(), live_ref.object_id());
 
@@ -415,29 +424,49 @@ TEST_F(NamingFixture, ReplicaPointerExhaustionRethrowsTransportError) {
       TransportError);
 }
 
-TEST(NamingBreakerHook, TripHookFiresOnOpenedEntry) {
-  resilience::BreakerConfig config;
-  config.failure_threshold = 1;
-  resilience::BreakerSet set(2, config);
+// A servant whose own downstream call failed in the transport: the server
+// replies with that TransportError's code.
+class DownstreamFaultServant final : public orb::Servant {
+ public:
+  std::string_view type_name() const noexcept override {
+    return EchoServant::kTypeName;
+  }
+  void dispatch(std::uint32_t, wire::Decoder&, wire::Encoder&) override {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    throw TransportError(ErrorCode::transport_connect_failed,
+                         "downstream replica unreachable");
+  }
+  std::atomic<int> runs{0};
+};
 
-  std::size_t tripped_entry = 99;
-  int fired = 0;
-  set.set_trip_hook([&](std::size_t entry) {
-    tripped_entry = entry;
-    ++fired;
-  });
+TEST_F(NamingFixture, TransportCodedErrorReplyLeavesTheReplicaLive) {
+  auto a = std::make_shared<DownstreamFaultServant>();
+  auto b = std::make_shared<DownstreamFaultServant>();
+  auto& service = host_->service();
+  service.bind_replica("df/echo", orb::RefBuilder(*server_ctx_, a).build(),
+                       std::chrono::milliseconds(0));
+  service.bind_replica("df/echo", orb::RefBuilder(*server_ctx_, b).build(),
+                       std::chrono::milliseconds(0));
 
-  // The owner observes the transition and notifies, mirroring the
-  // invocation layer's contract.
-  const auto transition = set.at(1).on_failure();
-  EXPECT_EQ(transition, resilience::CircuitBreaker::Transition::opened);
-  set.notify_trip(1);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(tripped_entry, 1u);
+  NameClient names(*client_ctx_, host_->ref());
+  ReplicaPointer<scenario::EchoStub> echo(*client_ctx_, names, "df/echo");
+  try {
+    echo.call([](scenario::EchoStub& stub) { return stub.ping(); });
+    FAIL() << "the servant's downstream fault must reach the caller";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::transport_connect_failed);
+  }
+  // The reply arrived, so the client's channel works: no retry re-ran the
+  // servant, no failover, and both live replicas stay registered.
+  EXPECT_EQ(a->runs.load(), 1);
+  EXPECT_EQ(b->runs.load(), 0);
+  EXPECT_EQ(echo.failovers(), 0u);
+  EXPECT_EQ(service.resolve_all("df/echo").second.size(), 2u);
 
-  set.set_trip_hook(nullptr);
-  set.notify_trip(0);  // cleared: no effect
-  EXPECT_EQ(fired, 1);
+  // An async call settles the same reply the same way.
+  auto future = echo.stub().call_async<std::uint64_t>(EchoServant::kPing);
+  EXPECT_THROW(future.get(), RemoteError);
+  EXPECT_EQ(a->runs.load(), 2);
 }
 
 }  // namespace

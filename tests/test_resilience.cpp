@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ohpx/capability/builtin/checksum.hpp"
+#include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/orb/servant.hpp"
@@ -588,6 +589,42 @@ TEST_F(ResilienceFixture, CorruptedReplyIsCaughtByChecksumAndRetried) {
       << "the checksum catches the flipped byte; the retry returns clean "
          "data, never corrupted data";
   EXPECT_EQ(counter("rmi.retries"), retries_before + 1);
+}
+
+TEST_F(ResilienceFixture, DeadlineSpentInsideTheProtocolIsRecordedOnce) {
+  resilience::ScopedManualClock scoped;
+  servant_ = std::make_shared<EchoServant>();
+  auto ref = orb::RefBuilder(*server_ctx_, servant_)
+                 .glue({std::make_shared<cap::ChecksumCapability>()})
+                 .build();
+  EchoPointer gp(*client_ctx_, ref);
+  gp->set_deadline_budget(1ms);
+
+  // The server answers in time, but the reply arrives late: the client's
+  // reply chain finds the budget spent inside the protocol.
+  const transport::FrameHandler original =
+      transport::EndpointRegistry::instance().lookup(
+          server_ctx_->endpoint_name());
+  sabotage_endpoint([&scoped, original](const wire::Buffer& frame) {
+    wire::Buffer reply = original(frame);
+    scoped.clock().advance(2ms);
+    return reply;
+  });
+
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
+  const std::uint64_t deadline_before = counter("rmi.deadline_exceeded");
+  EXPECT_THROW(gp->ping(), DeadlineExceeded);
+  EXPECT_EQ(counter("rmi.deadline_exceeded"), deadline_before + 1);
+  std::size_t deadline_records = 0;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::deadline) ++deadline_records;
+  }
+  EXPECT_EQ(deadline_records, 1u);
+  EXPECT_EQ(servant_->pings(), 1u);
+
+  restore_endpoint(original);
+  recorder.clear();
 }
 
 TEST_F(ResilienceFixture, ScriptedDuplicateDeliversTwiceClientSeesOneReply) {

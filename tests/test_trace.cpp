@@ -226,7 +226,9 @@ TEST_F(TraceFixture, TransportRetryKeepsTheTraceId) {
   EXPECT_TRUE(one_trace_id(snap));
   EXPECT_EQ(spans_named(snap, "rmi.invoke").size(), 1u)
       << "the retry happens inside the original call span";
-  EXPECT_EQ(spans_named(snap, "retry.transport").size(), 1u);
+  const auto retries = spans_named(snap, "retry");
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_STREQ(retries.front().annotation, "transport_closed");
   EXPECT_EQ(spans_named(snap, "select").size(), 2u)
       << "failed attempt + re-selection";
   EXPECT_EQ(spans_named(snap, "servant.dispatch").size(), 1u);

@@ -29,7 +29,17 @@ with the Python standard library only, and each is exercised by
                      registered name still has a call site.  SpanRecord
                      stores a bounded copy of a literal and the exporter,
                      timeline tests and dashboards key on the names;
-                     dynamic detail goes in annotate() or the annotation
+                     dynamic detail goes in annotate() or the annotation.
+                     The anomaly table's event names
+                     (src/ohpx/introspect/flight_recorder.hpp) count as
+                     call sites and must be registered too; anomaly()'s
+                     one `trace::event(row.event, ...)` is the only
+                     non-literal name allowed
+  anomaly-sites      every anomaly goes through introspect::anomaly(), so
+                     the table alone decides how it shows: in src/ outside
+                     src/ohpx/introspect/ there is no FlightRecorder
+                     record call, no registry call on a counter the table
+                     owns, and no span/event named after a table event
   metric-names       the name argument at a metric-registry call site
                      (counter_handle / latency_handle / increment /
                      record_latency / ScopedLatency) in src/ outside
@@ -411,14 +421,49 @@ class Linter:
                     break
         return names
 
+    ANOMALY_HPP = "src/ohpx/introspect/flight_recorder.hpp"
+    ANOMALY_CPP = "src/ohpx/introspect/flight_recorder.cpp"
+    ANOMALY_EVENT_ARG = "row.event"  # anomaly()'s one non-literal name
+    ANOMALY_ROW_RE = re.compile(
+        r'\{\s*EventKind\s*::\s*\w+\s*,\s*"[^"]*"\s*,\s*"([^"]*)"\s*,'
+        r"\s*\{([^{}]*)\}\s*\}")
+
+    def _anomaly_table(self) -> tuple[dict[str, int], set[str]]:
+        """({event name: line}, {counter constant}) of kAnomalyTable's
+        rows; both empty when the table is absent."""
+        text = self.lexed(self.ANOMALY_HPP, keep_strings=True)
+        body, line = _body(text, r"\bkAnomalyTable\s*\[\s*\]\s*=")
+        events: dict[str, int] = {}
+        counters: set[str] = set()
+        for row in self.ANOMALY_ROW_RE.finditer(body):
+            events.setdefault(row.group(1),
+                              line + body.count("\n", 0, row.start()))
+            counters.update(re.findall(r"\bnames\s*::\s*(k\w+)",
+                                       row.group(2)))
+        return events, counters
+
     def check_span_names(self) -> None:
         registered = self._registered_span_names()
-        used: set[str] = set()
+        table_events, _ = self._anomaly_table()
+        used: set[str] = set(table_events)
+        for name, lineno in sorted(table_events.items()):
+            if name not in registered:
+                self.report(
+                    self.root / self.ANOMALY_HPP, lineno, "span-names",
+                    f'anomaly event name "{name}" is not registered in '
+                    f"{self.SPAN_NAMES_HPP} — add it there (sorted) in the "
+                    "same change")
+        table_site_seen = False
         # src/ohpx/trace/ is the registry and the trace runtime itself.
         for source, lineno, _, arg in self.name_args(
                 self.SPAN_CALLS, skip=("src/ohpx/trace",)):
             literal = self.LITERAL_RE.fullmatch(arg)
             if literal is None:
+                if (not table_site_seen and table_events
+                        and source == self.root / self.ANOMALY_CPP
+                        and arg.strip() == self.ANOMALY_EVENT_ARG):
+                    table_site_seen = True
+                    continue
                 self.report(
                     source, lineno, "span-names",
                     "span/event name is not a single string literal — "
@@ -438,6 +483,42 @@ class Linter:
                     self.root / self.SPAN_NAMES_HPP, lineno, "span-names",
                     f'registered span name "{name}" has no call site left '
                     "in src/ — remove it or restore the span")
+
+    INTROSPECT_DIR = "src/ohpx/introspect"
+    # A record call on the recorder: through a FlightRecorder expression in
+    # the same statement, or with an EventKind as its first argument.
+    RECORD_RE = re.compile(
+        r"\bFlightRecorder\b[^;{}]*?\.\s*record\s*\("
+        r"|\brecord\s*\(\s*(?:introspect\s*::\s*)?EventKind\s*::")
+
+    def check_anomaly_sites(self) -> None:
+        table_events, table_counters = self._anomaly_table()
+        skip = (self.INTROSPECT_DIR,)
+        for source, text in self.sources(skip=skip):
+            clean = strip_comments_and_strings(text)
+            for match in self.RECORD_RE.finditer(clean):
+                self.report(
+                    source, clean.count("\n", 0, match.start()) + 1,
+                    "anomaly-sites",
+                    "flight-recorder record call outside "
+                    f"{self.INTROSPECT_DIR}/ — record the event with "
+                    "introspect::anomaly(kind, code, detail)")
+        for source, lineno, code, _ in self.name_args(
+                self.METRIC_CALLS[:1], skip=skip):
+            owned = set(re.findall(r"\b(k\w+)\b", code)) & table_counters
+            for name in sorted(owned):
+                self.report(
+                    source, lineno, "anomaly-sites",
+                    f"registry call on {name}, a counter the anomaly table "
+                    "owns — bump it through introspect::anomaly()")
+        for source, lineno, _, arg in self.name_args(
+                self.SPAN_CALLS, skip=skip + ("src/ohpx/trace",)):
+            literal = self.LITERAL_RE.fullmatch(arg)
+            if literal is not None and literal.group(1) in table_events:
+                self.report(
+                    source, lineno, "anomaly-sites",
+                    f'"{literal.group(1)}" is an anomaly table event — '
+                    "emit it through introspect::anomaly()")
 
     # Metric registry call sites and the index of their name argument:
     # the handle lookups and convenience wrappers take it first, the RAII
@@ -601,9 +682,9 @@ class Linter:
     # -- driver -------------------------------------------------------------
 
     RULES = ("pragma-once", "no-stdio", "no-naked-new", "cmake-lists",
-             "cap-pairs", "chain-contract", "span-names", "metric-names",
-             "no-test-sleeps", "naked-mutex", "lock-across-send",
-             "blocking-socket", "error-consistency")
+             "cap-pairs", "chain-contract", "span-names", "anomaly-sites",
+             "metric-names", "no-test-sleeps", "naked-mutex",
+             "lock-across-send", "blocking-socket", "error-consistency")
 
     def lint(self) -> list[str]:
         """Runs every rule; the findings, deduplicated and sorted."""
@@ -623,6 +704,26 @@ def _span_names_hpp(*names: str) -> str:
             "namespace ohpx::trace::names {\n"
             f"inline constexpr const char* kRegistered[] = {{\n{entries}}};\n"
             "}  // namespace ohpx::trace::names\n")
+
+
+def _anomaly_tree(*events: str) -> dict[str, str]:
+    """The anomaly table (one row per event name, each owning the counter
+    kRmiBreakerOpened) and anomaly()'s one non-literal trace::event, with
+    span_names.hpp registering `events` and rmi.invoke."""
+    rows = "".join(
+        f'    {{EventKind::kind{i}, "kind{i}", "{event}",\n'
+        "     {metrics::names::kRmiBreakerOpened}},\n"
+        for i, event in enumerate(events))
+    return {
+        "src/ohpx/introspect/flight_recorder.hpp":
+            "#pragma once\n"
+            "namespace ohpx::introspect {\n"
+            f"inline constexpr AnomalyRow kAnomalyTable[] = {{\n{rows}}};\n"
+            "}  // namespace ohpx::introspect\n",
+        "src/ohpx/introspect/flight_recorder.cpp": ANOMALY_CPP,
+        "src/ohpx/trace/span_names.hpp":
+            _span_names_hpp(*sorted(("rmi.invoke",) + events)),
+    }
 
 
 CLEAN_SOURCE = """\
@@ -793,6 +894,18 @@ bool is_retryable(ErrorCode code) {
   return false;
 }
 }  // namespace ohpx::resilience
+"""
+
+ANOMALY_CPP = """\
+#include "ohpx/introspect/flight_recorder.hpp"
+namespace ohpx::introspect {
+void anomaly(EventKind kind, ErrorCode code, std::string_view detail) {
+  FlightRecorder& recorder = FlightRecorder::global();
+  recorder.record(kind, code, detail);
+  const AnomalyRow& row = kAnomalyTable[static_cast<std::size_t>(kind)];
+  trace::event(row.event, detail);
+}
+}  // namespace ohpx::introspect
 """
 
 # A minimal repo every rule accepts; each fixture writes over it.
@@ -989,6 +1102,53 @@ FIXTURES = [
         '      metrics::MetricsRegistry::global(), "rmi.latency");\n'
         "}\n"
         "}  // namespace ohpx::orb\n"}),
+    # -- anomalies: recorded through the table, nowhere else
+    (["[anomaly-sites] flight-recorder record call"], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/orb/recorded.cpp":
+            "namespace ohpx::orb {\n"
+            "void f(ErrorCode code) {\n"
+            "  introspect::FlightRecorder::global().record(\n"
+            '      introspect::EventKind::kind0, code, "by hand");\n'
+            "}\n"
+            "}  // namespace ohpx::orb\n"}),
+    (["[anomaly-sites] registry call on kRmiBreakerOpened"], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/orb/bumped.cpp":
+            METRICS_REGISTRY_STUB +
+            "namespace ohpx::orb {\n"
+            "void f() {\n"
+            "  metrics::MetricsRegistry::global().counter_handle(\n"
+            "      metrics::names::kRmiBreakerOpened);\n"
+            "}\n"
+            "}  // namespace ohpx::orb\n"}),
+    (['[anomaly-sites] "breaker.open" is an anomaly table event'], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/orb/emitted.cpp":
+            '#include "ohpx/trace/trace.hpp"\n'
+            "namespace ohpx::orb {\n"
+            'void f() { trace::event("breaker.open", "tcp"); }\n'
+            "}  // namespace ohpx::orb\n"}),
+    (['anomaly event name "breaker.open" is not registered'], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/trace/span_names.hpp": _span_names_hpp("rmi.invoke")}),
+    (["[span-names] span/event name is not a single string literal"], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/introspect/flight_recorder.cpp": ANOMALY_CPP.replace(
+            "  trace::event(row.event, detail);\n",
+            "  trace::event(row.event, detail);\n"
+            "  trace::event(row.event, \"again\");\n")}),
+    # The table alone is a call site for its events; a histogram's or the
+    # trace sink's record() is not a recorder call.
+    ([], {
+        **_anomaly_tree("breaker.open"),
+        "src/ohpx/orb/timed.cpp":
+            "namespace ohpx::orb {\n"
+            "void f(LatencyHistogram* latency, SpanRecord span) {\n"
+            "  latency->record(kTick);\n"
+            "  trace::TraceSink::global().record(span);\n"
+            "}\n"
+            "}  // namespace ohpx::orb\n"}),
     # -- the call-site scans lex string literals, so a `//` inside one
     #    hides nothing and a commented-out call is not a call
     (['"orb.ghost" has no call site'], {
