@@ -1,5 +1,6 @@
 #include "ohpx/capability/builtin/checksum.hpp"
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/wire/crc.hpp"
 
@@ -14,10 +15,9 @@ bool ChecksumCapability::applicable(const netsim::Placement& placement) const {
 void ChecksumCapability::process(wire::Buffer& payload, const CallContext& call) {
   (void)call;
   const std::uint32_t crc = wire::crc32(payload.view());
-  payload.append(static_cast<std::uint8_t>(crc >> 24));
-  payload.append(static_cast<std::uint8_t>(crc >> 16));
-  payload.append(static_cast<std::uint8_t>(crc >> 8));
-  payload.append(static_cast<std::uint8_t>(crc));
+  const std::size_t body_size = payload.size();
+  payload.resize(body_size + 4);
+  store_be(payload.data() + body_size, crc);
 }
 
 void ChecksumCapability::unprocess(wire::Buffer& payload, const CallContext& call) {
@@ -27,11 +27,7 @@ void ChecksumCapability::unprocess(wire::Buffer& payload, const CallContext& cal
                            "payload too short for checksum");
   }
   const std::size_t body_size = payload.size() - 4;
-  const BytesView tail = payload.view(body_size, 4);
-  const std::uint32_t stored = (static_cast<std::uint32_t>(tail[0]) << 24) |
-                               (static_cast<std::uint32_t>(tail[1]) << 16) |
-                               (static_cast<std::uint32_t>(tail[2]) << 8) |
-                               static_cast<std::uint32_t>(tail[3]);
+  const auto stored = load_be<std::uint32_t>(payload.data() + body_size);
   const std::uint32_t computed = wire::crc32(payload.view(0, body_size));
   if (stored != computed) {
     throw CapabilityDenied(ErrorCode::capability_bad_payload,

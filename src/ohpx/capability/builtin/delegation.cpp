@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/crypto/mac.hpp"
 #include "ohpx/wire/decoder.hpp"
@@ -102,12 +103,10 @@ void DelegationCapability::process(wire::Buffer& payload,
   wire::Encoder enc(trailer);
   wire::serialize(enc, caveats_);
   enc.put_bytes(token_);
-  const std::uint32_t trailer_size = static_cast<std::uint32_t>(trailer.size());
   payload.append(trailer.view());
-  payload.append(static_cast<std::uint8_t>(trailer_size >> 24));
-  payload.append(static_cast<std::uint8_t>(trailer_size >> 16));
-  payload.append(static_cast<std::uint8_t>(trailer_size >> 8));
-  payload.append(static_cast<std::uint8_t>(trailer_size));
+  const std::size_t at = payload.size();
+  payload.resize(at + 4);
+  store_be(payload.data() + at, static_cast<std::uint32_t>(trailer.size()));
 }
 
 void DelegationCapability::unprocess(wire::Buffer& payload,
@@ -118,12 +117,10 @@ void DelegationCapability::unprocess(wire::Buffer& payload,
     throw CapabilityDenied(ErrorCode::capability_auth_failed,
                            "delegation trailer missing");
   }
-  const BytesView size_bytes = payload.view(payload.size() - 4, 4);
-  const std::uint32_t trailer_size =
-      (static_cast<std::uint32_t>(size_bytes[0]) << 24) |
-      (static_cast<std::uint32_t>(size_bytes[1]) << 16) |
-      (static_cast<std::uint32_t>(size_bytes[2]) << 8) |
-      static_cast<std::uint32_t>(size_bytes[3]);
+  // Widened before the bounds check: a 32-bit `trailer_size + 4` wraps
+  // for lengths from 0xFFFFFFFC up.
+  const std::size_t trailer_size =
+      load_be<std::uint32_t>(payload.data() + payload.size() - 4);
   if (trailer_size + 4 > payload.size()) {
     throw CapabilityDenied(ErrorCode::capability_auth_failed,
                            "delegation trailer truncated");

@@ -1,5 +1,6 @@
 #include "ohpx/capability/builtin/padding.hpp"
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 
 namespace ohpx::cap {
@@ -23,11 +24,8 @@ void PaddingCapability::process(wire::Buffer& payload, const CallContext& call) 
   const std::size_t with_trailer = original + 4;
   const std::size_t padded =
       (with_trailer + block_size_ - 1) / block_size_ * block_size_;
-  payload.resize(padded - 4);  // zero padding
-  payload.append(static_cast<std::uint8_t>(original >> 24));
-  payload.append(static_cast<std::uint8_t>(original >> 16));
-  payload.append(static_cast<std::uint8_t>(original >> 8));
-  payload.append(static_cast<std::uint8_t>(original));
+  payload.resize(padded);  // zero padding, then the trailer
+  store_be(payload.data() + padded - 4, static_cast<std::uint32_t>(original));
 }
 
 void PaddingCapability::unprocess(wire::Buffer& payload,
@@ -37,11 +35,8 @@ void PaddingCapability::unprocess(wire::Buffer& payload,
     throw CapabilityDenied(ErrorCode::capability_bad_payload,
                            "padded payload has invalid length");
   }
-  const BytesView tail = payload.view(payload.size() - 4, 4);
-  const std::size_t original = (static_cast<std::size_t>(tail[0]) << 24) |
-                               (static_cast<std::size_t>(tail[1]) << 16) |
-                               (static_cast<std::size_t>(tail[2]) << 8) |
-                               static_cast<std::size_t>(tail[3]);
+  const std::size_t original =
+      load_be<std::uint32_t>(payload.data() + payload.size() - 4);
   if (original > payload.size() - 4) {
     throw CapabilityDenied(ErrorCode::capability_bad_payload,
                            "padded payload declares impossible length");

@@ -1,8 +1,11 @@
-// Byte-order helpers for the per-byte kernels (MAC, keystream, bulk
-// marshalling).  Word loads and stores go through memcpy, never a
-// type-punned pointer, so they are defined at any alignment and stay
-// UBSan-clean; compilers lower them to single unaligned moves.  C++20 has
-// std::endian but not std::byteswap, hence byteswap() below.
+// Byte-order helpers: the one place src/ packs an integer into bytes or
+// unpacks one (the ohpx-lint byte-order rule keeps it so) — frame and
+// header fields, capability trailers, the journal, and the per-byte
+// kernels (MAC, keystream, CRC, bulk marshalling).  Loads and stores go
+// through memcpy, never a type-punned pointer, so they are defined at any
+// alignment and stay UBSan-clean; compilers lower them to single
+// unaligned moves.  C++20 has std::endian but not std::byteswap, hence
+// byteswap() below.
 #pragma once
 
 #include <bit>
@@ -48,16 +51,34 @@ constexpr U big_endian(U v) noexcept {
   }
 }
 
-/// Little-endian 64-bit word at `p` (any alignment).
-inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
+/// The unsigned integer stored big-endian (network / XDR order) at `p`,
+/// at any alignment.
+template <std::unsigned_integral U>
+inline U load_be(const std::uint8_t* p) noexcept {
+  U v;
+  std::memcpy(&v, p, sizeof v);
+  return big_endian(v);
+}
+
+/// Stores `v` at `p` big-endian (any alignment).
+template <std::unsigned_integral U>
+inline void store_be(std::uint8_t* p, U v) noexcept {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// The unsigned integer stored little-endian at `p` (any alignment).
+template <std::unsigned_integral U>
+inline U load_le(const std::uint8_t* p) noexcept {
+  U v;
   std::memcpy(&v, p, sizeof v);
   if constexpr (std::endian::native == std::endian::big) v = byteswap(v);
   return v;
 }
 
-/// Stores `v` at `p` as a little-endian 64-bit word (any alignment).
-inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+/// Stores `v` at `p` little-endian (any alignment).
+template <std::unsigned_integral U>
+inline void store_le(std::uint8_t* p, U v) noexcept {
   if constexpr (std::endian::native == std::endian::big) v = byteswap(v);
   std::memcpy(p, &v, sizeof v);
 }

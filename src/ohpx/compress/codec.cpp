@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 
 namespace ohpx::compress {
@@ -12,14 +13,15 @@ namespace {
 constexpr std::size_t kHeaderSize = 5;  // u8 id + u32 original size
 
 void write_header(Bytes& out, CodecId id, std::size_t original_size) {
-  out.push_back(static_cast<std::uint8_t>(id));
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::uint8_t>(original_size >> shift));
-  }
+  std::uint8_t header[kHeaderSize] = {static_cast<std::uint8_t>(id)};
+  store_be(header + 1, static_cast<std::uint32_t>(original_size));
+  out.insert(out.end(), header, header + kHeaderSize);
 }
 
 /// Validates the header, checks the id matches, returns the original size
-/// and advances `input` past the header.
+/// and advances `input` past the header.  The size is the peer's claim: a
+/// decoder reserves no more than its input can expand to, so a forged
+/// header cannot make it allocate gigabytes up front.
 std::size_t read_header(BytesView& input, CodecId expected) {
   if (input.size() < kHeaderSize) {
     throw WireError(ErrorCode::wire_truncated, "compressed blob too short");
@@ -27,8 +29,7 @@ std::size_t read_header(BytesView& input, CodecId expected) {
   if (input[0] != static_cast<std::uint8_t>(expected)) {
     throw WireError(ErrorCode::wire_bad_value, "codec id mismatch");
   }
-  std::size_t size = 0;
-  for (int i = 1; i <= 4; ++i) size = (size << 8) | input[static_cast<std::size_t>(i)];
+  const std::size_t size = load_be<std::uint32_t>(input.data() + 1);
   input = input.subspan(kHeaderSize);
   return size;
 }
@@ -63,6 +64,8 @@ class IdentityCodec final : public Codec {
 //   0x00..0x7f : literal run — (token+1) raw bytes follow   (1..128)
 //   0x80..0xff : repeat run  — value byte follows, length = (token&0x7f)+3
 //                                                            (3..130)
+
+constexpr std::size_t kRleMaxExpansion = 65;  // a 2-byte run: 130 bytes
 
 class RleCodec final : public Codec {
  public:
@@ -109,7 +112,7 @@ class RleCodec final : public Codec {
   Bytes decompress(BytesView input) const override {
     const std::size_t original = read_header(input, CodecId::rle);
     Bytes out;
-    out.reserve(original);
+    out.reserve(std::min(original, input.size() * kRleMaxExpansion));
     std::size_t i = 0;
     while (i < input.size()) {
       const std::uint8_t token = input[i++];
@@ -151,6 +154,7 @@ class RleCodec final : public Codec {
 
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = kMinMatch + 0x7f;  // 131
+constexpr std::size_t kLzMaxExpansion = 44;  // a 3-byte match: 131 bytes
 constexpr std::size_t kWindow = 65535;
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
@@ -213,8 +217,9 @@ class LzCodec final : public Codec {
       if (best_len >= kMinMatch) {
         flush_literals(i);
         out.push_back(static_cast<std::uint8_t>(0x80 | (best_len - kMinMatch)));
-        out.push_back(static_cast<std::uint8_t>(best_off >> 8));
-        out.push_back(static_cast<std::uint8_t>(best_off & 0xff));
+        out.resize(out.size() + 2);
+        store_be(out.data() + out.size() - 2,
+                 static_cast<std::uint16_t>(best_off));
         // Index every position inside the match so later matches can refer
         // into it.
         const std::size_t end = i + best_len;
@@ -241,7 +246,7 @@ class LzCodec final : public Codec {
   Bytes decompress(BytesView input) const override {
     const std::size_t original = read_header(input, CodecId::lz);
     Bytes out;
-    out.reserve(original);
+    out.reserve(std::min(original, input.size() * kLzMaxExpansion));
     std::size_t i = 0;
     while (i < input.size()) {
       const std::uint8_t token = input[i++];
@@ -261,8 +266,7 @@ class LzCodec final : public Codec {
           throw WireError(ErrorCode::wire_truncated, "lz match missing offset");
         }
         const std::size_t len = static_cast<std::size_t>(token & 0x7f) + kMinMatch;
-        const std::size_t off = (static_cast<std::size_t>(input[i]) << 8) |
-                                static_cast<std::size_t>(input[i + 1]);
+        const std::size_t off = load_be<std::uint16_t>(input.data() + i);
         i += 2;
         if (off == 0 || off > out.size()) {
           throw WireError(ErrorCode::wire_bad_value, "lz match offset out of range");

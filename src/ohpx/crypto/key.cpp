@@ -7,8 +7,13 @@
 
 namespace ohpx::crypto {
 
-std::uint64_t Key128::lo() const noexcept { return load_le64(bytes.data()); }
-std::uint64_t Key128::hi() const noexcept { return load_le64(bytes.data() + 8); }
+std::uint64_t Key128::lo() const noexcept {
+  return load_le<std::uint64_t>(bytes.data());
+}
+
+std::uint64_t Key128::hi() const noexcept {
+  return load_le<std::uint64_t>(bytes.data() + 8);
+}
 
 std::string Key128::to_hex() const {
   return ohpx::to_hex(BytesView(bytes.data(), bytes.size()));

@@ -50,7 +50,7 @@ struct SipState {
   BytesView absorb_words(BytesView data) noexcept {
     const std::size_t end = data.size() - data.size() % 8;
     for (std::size_t i = 0; i < end; i += 8) {
-      compress(load_le64(data.data() + i));
+      compress(load_le<std::uint64_t>(data.data() + i));
     }
     return data.subspan(end);
   }
@@ -80,13 +80,13 @@ std::uint64_t siphash24(const Key128& key, BytesView head,
   const std::size_t take = std::min(8 - head_rest.size(), tail.size());
   std::copy_n(tail.begin(), take, block + head_rest.size());
   if (head_rest.size() + take == 8) {
-    s.compress(load_le64(block));
+    s.compress(load_le<std::uint64_t>(block));
     const BytesView tail_rest = s.absorb_words(tail.subspan(take));
     std::fill(std::begin(block), std::end(block), std::uint8_t{0});
     std::copy(tail_rest.begin(), tail_rest.end(), block);
   }
   // Final word: the remaining (< 8) bytes, the length's low byte on top.
-  return s.finish(load_le64(block) |
+  return s.finish(load_le<std::uint64_t>(block) |
                   (static_cast<std::uint64_t>(total & 0xff) << 56));
 }
 
@@ -97,7 +97,7 @@ std::uint64_t siphash24(const Key128& key, BytesView data) noexcept {
 MacTag mac_tag(const Key128& key, BytesView head, BytesView tail) noexcept {
   static_assert(kMacTagSize == 8);
   MacTag tag{};
-  store_le64(tag.data(), siphash24(key, head, tail));
+  store_le<std::uint64_t>(tag.data(), siphash24(key, head, tail));
   return tag;
 }
 

@@ -45,7 +45,8 @@ void StreamCipher::apply(std::span<std::uint8_t> data) noexcept {
   std::uint8_t* p = data.data();
   std::size_t i = 0;
   for (; i + 8 <= data.size(); i += 8) {
-    store_le64(p + i, load_le64(p + i) ^ next_word());
+    store_le<std::uint64_t>(p + i,
+                            load_le<std::uint64_t>(p + i) ^ next_word());
   }
   // Tail.
   if (i < data.size()) {

@@ -103,11 +103,6 @@ class GroupPointer {
     return op(members_[index].stub());
   }
 
-  /// Index the next round_robin call will use (for tests/diagnostics).
-  std::size_t next_index() const noexcept {
-    return members_.empty() ? 0 : next_.load(std::memory_order_relaxed) % members_.size();
-  }
-
  private:
   void require_members() const {
     if (members_.empty()) {

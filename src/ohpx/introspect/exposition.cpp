@@ -9,7 +9,6 @@
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/resilience/breaker.hpp"
-#include "ohpx/resilience/retry.hpp"
 #include "ohpx/transport/reactor.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 
@@ -339,14 +338,6 @@ std::string render_exposition() {
       }
     }
   }
-
-  // Retry budgets: the revision bumps on every global/contextual policy
-  // edit, so a scraper can tell "the retry policy changed" apart from
-  // "retries spiked".
-  builder.sample("ohpx_retry_policy_revision", "gauge",
-                 "Revision counter of the resolved retry policy "
-                 "(bumps on every policy edit).",
-                 "", resilience::retry_policy_revision());
 
   // Buffer-pool occupancy (process-wide, all threads).
   {

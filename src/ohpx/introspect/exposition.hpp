@@ -7,8 +7,7 @@
 //   - reactor health (inflight window + per-connection inflight/queue
 //     gauges from Reactor::global().connection_stats()),
 //   - every live circuit breaker's state (resilience::BreakerRegistry),
-//   - the protocol-selection cache hit ratio and the retry policy
-//     revision,
+//   - the protocol-selection cache hit ratio,
 //   - buffer-pool occupancy and flight-recorder depth.
 //
 // The payload is served identically over HTTP (http_exporter.hpp) and over

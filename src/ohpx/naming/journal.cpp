@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <iterator>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/wire/serialize.hpp"
@@ -23,27 +24,15 @@ std::uint32_t fnv1a(BytesView data) noexcept {
   return hash;
 }
 
-void put_u32_le(std::string& out, std::uint32_t value) {
-  out.push_back(static_cast<char>(value & 0xff));
-  out.push_back(static_cast<char>((value >> 8) & 0xff));
-  out.push_back(static_cast<char>((value >> 16) & 0xff));
-  out.push_back(static_cast<char>((value >> 24) & 0xff));
-}
-
-std::uint32_t get_u32_le(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 /// One framed record as raw file bytes: length | checksum | payload.
 std::string frame(const JournalRecord& record) {
   const wire::Buffer payload = wire::encode_value(record);
+  std::uint8_t head[8];
+  store_le(head, static_cast<std::uint32_t>(payload.size()));
+  store_le(head + 4, fnv1a(payload.view()));
   std::string out;
-  out.reserve(8 + payload.size());
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(out, fnv1a(payload.view()));
+  out.reserve(sizeof head + payload.size());
+  out.append(reinterpret_cast<const char*>(head), sizeof head);
   out.append(reinterpret_cast<const char*>(payload.data()), payload.size());
   return out;
 }
@@ -99,8 +88,8 @@ std::vector<JournalRecord> Journal::recover(const std::string& path) {
   }
   std::size_t pos = sizeof(kMagic);
   while (pos + 8 <= size) {
-    const std::uint32_t length = get_u32_le(data + pos);
-    const std::uint32_t checksum = get_u32_le(data + pos + 4);
+    const auto length = load_le<std::uint32_t>(data + pos);
+    const auto checksum = load_le<std::uint32_t>(data + pos + 4);
     if (pos + 8 + length > size) break;  // torn tail: frame never finished
     const BytesView payload(data + pos + 8, length);
     if (fnv1a(payload) != checksum) break;  // corrupt tail

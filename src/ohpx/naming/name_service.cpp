@@ -386,11 +386,6 @@ void NameServiceServant::set_primary_hint(const std::string& host_port) {
   primary_hint_ = host_port;
 }
 
-std::string NameServiceServant::primary_endpoint() const {
-  sync::LockGuard lock(mutex_);
-  return primary_endpoint_locked();
-}
-
 std::string NameServiceServant::primary_endpoint_locked() const {
   const auto it = entries_.find(kPrimaryName);
   if (it != entries_.end()) {

@@ -207,10 +207,6 @@ class NameServiceServant final : public orb::Servant {
   /// its --peer coordinate here).
   void set_primary_hint(const std::string& host_port);
 
-  /// Where the current primary is, for redirects: the live `__primary`
-  /// binding's home endpoint, else the static hint.  Empty when unknown.
-  std::string primary_endpoint() const;
-
   /// The catch-up stream: a whole-entry snapshot of every name mutated
   /// after `since` (a mutation sequence previously returned by this
   /// method; 0 = everything, i.e. a full snapshot on join), plus — always
@@ -255,6 +251,8 @@ class NameServiceServant final : public orb::Servant {
   void refresh_live_gauge_locked() const OHPX_REQUIRES(mutex_);
   /// Throws ObjectError(not_primary) with the redirect hint on a standby.
   void require_primary_locked(const char* op) const OHPX_REQUIRES(mutex_);
+  /// Where the current primary is, for redirects: the live `__primary`
+  /// binding's home endpoint, else the static hint.  Empty when unknown.
   std::string primary_endpoint_locked() const OHPX_REQUIRES(mutex_);
   NameSnapshot snapshot_locked(const std::string& name) const
       OHPX_REQUIRES(mutex_);

@@ -43,7 +43,6 @@ bool Replicator::poll_once() {
     auto [seq, updates] = peer_.fetch_updates(last_seq_);
     for (const NameSnapshot& snapshot : updates) {
       if (local_.apply_update(snapshot)) {
-        updates_.fetch_add(1, std::memory_order_relaxed);
         update_counter_->fetch_add(1, std::memory_order_relaxed);
       }
     }

@@ -67,9 +67,6 @@ class Replicator {
   std::uint64_t syncs() const noexcept {
     return syncs_.load(std::memory_order_relaxed);
   }
-  std::uint64_t updates_applied() const noexcept {
-    return updates_.load(std::memory_order_relaxed);
-  }
 
   /// One poll + promotion check, factored out of the thread loop so tests
   /// can drive replication deterministically on a ManualClock.  Returns
@@ -90,7 +87,6 @@ class Replicator {
   std::atomic<bool> running_{false};
   std::atomic<bool> promoted_{false};
   std::atomic<std::uint64_t> syncs_{0};
-  std::atomic<std::uint64_t> updates_{0};
 
   metrics::MetricsRegistry::Counter* sync_counter_ = nullptr;
   metrics::MetricsRegistry::Counter* update_counter_ = nullptr;

@@ -8,6 +8,7 @@
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/resilience/deadline.hpp"
 #include "ohpx/sync/mutex.hpp"
+#include "ohpx/trace/trace.hpp"
 #include "ohpx/transport/inproc.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 

@@ -27,9 +27,7 @@
 #include "ohpx/orb/object_ref.hpp"
 #include "ohpx/orb/servant.hpp"
 #include "ohpx/protocol/pool.hpp"
-#include "ohpx/resilience/retry.hpp"
 #include "ohpx/sync/mutex.hpp"
-#include "ohpx/trace/trace.hpp"
 #include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/message.hpp"
 
@@ -140,29 +138,6 @@ class Context {
   /// Fresh context id for ad-hoc construction (Worlds assign their own).
   static ContextId allocate_id() noexcept;
 
-  // -- trace sampling --
-
-  /// Per-context trace sampling override: wins over the global sink mode,
-  /// loses to a per-GP override on a CallCore (innermost steering wins).
-  void set_trace_sampling(trace::Sampling mode, double ratio = 1.0) noexcept {
-    trace_sampling_.set(mode, ratio);
-  }
-  void clear_trace_sampling() noexcept { trace_sampling_.clear(); }
-  trace::SamplingOverride& trace_sampling() noexcept {
-    return trace_sampling_;
-  }
-
-  // -- retry policy --
-
-  /// Per-context retry policy override: wins over the global policy, loses
-  /// to a per-GP override on a CallCore (same innermost-wins contract as
-  /// trace sampling).
-  void set_retry_policy(const resilience::RetryPolicy& policy) {
-    retry_policy_.set(policy);
-  }
-  void clear_retry_policy() { retry_policy_.clear(); }
-  resilience::RetryOverride& retry_policy() noexcept { return retry_policy_; }
-
   /// The complete server pipeline; public so transports acquired outside
   /// the context (tests, custom listeners) can reuse it.
   wire::Buffer handle_frame(const wire::Buffer& frame) noexcept;
@@ -187,8 +162,6 @@ class Context {
   std::unique_ptr<transport::TcpListener> listener_;
   std::string advertise_host_;  // set alongside listener_
   std::atomic<std::uint64_t> request_counter_{0};
-  trace::SamplingOverride trace_sampling_;
-  resilience::RetryOverride retry_policy_;
 
   // Interned hot-path metrics (resolved once; see MetricsRegistry handles):
   // the process-wide request counter plus this context's own series —

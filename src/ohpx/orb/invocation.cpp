@@ -184,29 +184,18 @@ std::shared_ptr<resilience::BreakerSet> CallCore::breaker_set() const {
   return breakers_;
 }
 
-int CallCore::max_attempts_now() {
-  const std::uint64_t revision = resilience::retry_policy_revision();
-  if (retry_revision_seen_.load(std::memory_order_acquire) != revision) {
-    const resilience::RetryPolicy policy = resilience::resolve_retry_policy(
-        retry_policy_, context_.retry_policy());
-    sync::LockGuard lock(mutex_);
-    cached_policy_ = policy;
-    cached_max_attempts_.store(policy.max_attempts,
-                               std::memory_order_relaxed);
-    retry_revision_seen_.store(revision, std::memory_order_release);
-  }
-  return cached_max_attempts_.load(std::memory_order_relaxed);
-}
-
-resilience::RetryPolicy CallCore::retry_policy_now() {
-  (void)max_attempts_now();  // refresh the memo if policies changed
+void CallCore::set_retry_policy(const resilience::RetryPolicy& policy) {
   sync::LockGuard lock(mutex_);
-  return cached_policy_;
+  retry_policy_ = policy;
+  max_attempts_.store(policy.max_attempts, std::memory_order_relaxed);
 }
 
 void CallCore::wait_backoff(
     std::optional<resilience::BackoffSchedule>& backoff, CostLedger& cost) {
-  if (!backoff) backoff.emplace(retry_policy_now());
+  if (!backoff) {
+    sync::LockGuard lock(mutex_);
+    backoff.emplace(retry_policy_);
+  }
   const Nanoseconds delay = backoff->next();
   if (delay.count() <= 0) return;
   trace::event("retry.backoff", "waiting before retry");
@@ -299,6 +288,11 @@ CallCore::Selection CallCore::select_for_call(
     }
   }
   sel.resolved = resolve_target();
+  // A selection the gate diverted (it refused an earlier candidate) is
+  // never memoized: the next call must ask the tripped entry's breaker
+  // again, or its cooldown probe and the failback would wait for some
+  // unrelated invalidation.
+  bool diverted = false;
   if (breakers) {
     sel.protocol = &proto::select_protocol_or_throw(
         protocols_, context_.pool(), sel.resolved, sel.entry_index,
@@ -308,6 +302,7 @@ CallCore::Selection CallCore::select_for_call(
           if (transition == resilience::CircuitBreaker::Transition::probing) {
             trace::event("breaker.probe", protocols_[candidate]->name());
           }
+          diverted = diverted || !admitted;
           return admitted;
         });
   } else {
@@ -320,7 +315,7 @@ CallCore::Selection CallCore::select_for_call(
       metrics::names::protocol_calls(sel.protocol->name()));
   sync::LockGuard lock(mutex_);
   last_protocol_ = described;
-  if (use_cache) {
+  if (use_cache && !diverted) {
     auto fresh = std::make_shared<CachedSelection>();
     fresh->protocol = sel.protocol;
     fresh->target = sel.resolved;
@@ -333,7 +328,7 @@ CallCore::Selection CallCore::select_for_call(
     cache_ = std::move(fresh);
   } else {
     cache_.reset();  // never serve a selection cached before the
-                     // toggle or a failed attempt
+                     // toggle, a failed attempt or a diversion
   }
   return sel;
 }
@@ -372,14 +367,14 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   // this whole block is one relaxed load.
   std::optional<trace::ContextScope> trace_scope;
   if (trace::TraceSink::active() && !trace::current_context().valid() &&
-      trace::should_sample(trace_sampling_, context_.trace_sampling())) {
+      trace::should_sample()) {
     trace_scope.emplace(trace::mint_root());
   }
   trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");
   call_span.annotate_u64("obj", ref_.object_id());
   call_span.annotate_u64("method", method_id);
 
-  const int max_attempts = max_attempts_now();
+  const int max_attempts = max_attempts_.load(std::memory_order_relaxed);
   const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
   std::optional<resilience::BackoffSchedule> backoff;
 
@@ -509,7 +504,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   // thousand distinct wire contexts, not one per flush batch.
   std::optional<trace::ContextScope> trace_scope;
   if (trace::TraceSink::active() && !trace::current_context().valid() &&
-      trace::should_sample(trace_sampling_, context_.trace_sampling())) {
+      trace::should_sample()) {
     trace_scope.emplace(trace::mint_root());
   }
   trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");

@@ -6,12 +6,12 @@
 // OR's table, and fire.  Every failed sync attempt, an error reply
 // included, goes through one retry decision: a transient failure (a
 // channel fault, a damaged exchange, a stale reference after a migration
-// race) re-selects and goes again under the retry policy, recorded as one
-// `retry` anomaly (introspect/flight_recorder.hpp); refusals and the
-// deadline end the call.  Error replies are re-raised as typed
-// exceptions, except that a transport-coded reply is a RemoteError and
-// never retries: the servant's own downstream call failed, not this
-// client's channel.
+// race) re-selects and goes again under this core's retry policy (its
+// only scope), recorded as one `retry` anomaly
+// (introspect/flight_recorder.hpp); refusals and the deadline end the
+// call.  Error replies are re-raised as typed exceptions, except that a
+// transport-coded reply is a RemoteError and never retries: the servant's
+// own downstream call failed, not this client's channel.
 //
 // Fast path: the paper re-evaluates selection per request, but between two
 // calls nothing that feeds the decision usually changed.  The selection
@@ -138,16 +138,6 @@ class CallCore {
   void set_selection_cache(bool enabled) noexcept {
     cache_enabled_.store(enabled, std::memory_order_relaxed);
   }
-  bool selection_cache_enabled() const noexcept {
-    return cache_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-GP trace sampling override (innermost steering point: wins over
-  /// the context override and the global sink mode).
-  void set_trace_sampling(trace::Sampling mode, double ratio = 1.0) noexcept {
-    trace_sampling_.set(mode, ratio);
-  }
-  void clear_trace_sampling() noexcept { trace_sampling_.clear(); }
 
   /// Per-call deadline budget: every call through this core mints an
   /// absolute deadline `budget` from now on the resilience clock,
@@ -156,16 +146,13 @@ class CallCore {
   void set_deadline_budget(Nanoseconds budget) noexcept {
     deadline_budget_ns_.store(budget.count(), std::memory_order_relaxed);
   }
-  Nanoseconds deadline_budget() const noexcept {
-    return Nanoseconds(deadline_budget_ns_.load(std::memory_order_relaxed));
-  }
 
-  /// Per-GP retry policy override (innermost steering point: wins over the
-  /// context override and the global policy).
-  void set_retry_policy(const resilience::RetryPolicy& policy) {
-    retry_policy_.set(policy);
-  }
-  void clear_retry_policy() { retry_policy_.clear(); }
+  /// Retry policy for calls through this core, the policy's one scope
+  /// (RetryPolicy{} restores the default).  Sync calls read the attempt
+  /// bound with one relaxed load; the rest of the policy is read only
+  /// when a failed attempt waits out its backoff.  Async calls never
+  /// retry.
+  void set_retry_policy(const resilience::RetryPolicy& policy);
 
   /// Installs per-protocol-entry circuit breakers (one per OR-table entry,
   /// fresh state).  A config with failure_threshold == 0 removes them —
@@ -216,9 +203,9 @@ class CallCore {
 
   /// The memoized protocol selection shared by the sync and async paths:
   /// probe the invalidation signals, revalidate or drop the cached entry,
-  /// gate it through its breaker, and fall back to a full re-selection
-  /// (filling the cache) on a miss.  Bumps cache_hits_/cache_misses_ and
-  /// last_protocol_.
+  /// gate it through its breaker, and fall back to a full re-selection on
+  /// a miss, filling the cache unless the breaker gate refused an earlier
+  /// entry.  Bumps cache_hits_/cache_misses_ and last_protocol_.
   Selection select_for_call(
       bool use_cache,
       const std::shared_ptr<resilience::BreakerSet>& breakers);
@@ -235,13 +222,6 @@ class CallCore {
   /// Drops the memoized selection (every failed sync attempt does).
   void drop_cache();
 
-  /// Fast-path view of the resolved retry policy: one global-revision probe
-  /// revalidates a memoized resolution, so the default-policy hot path
-  /// never touches a mutex.  retry_policy_now() returns the full policy
-  /// (failure path only).
-  int max_attempts_now();
-  resilience::RetryPolicy retry_policy_now();
-
   /// Breaker set snapshot (nullptr when breakers are off — the default).
   std::shared_ptr<resilience::BreakerSet> breaker_set() const;
 
@@ -256,7 +236,8 @@ class CallCore {
                            ErrorCode outcome);
 
   /// Waits out the policy backoff before a retry (no-op under the default
-  /// zero-backoff policy); the schedule is created lazily on first use.
+  /// zero-backoff policy); the schedule is created lazily on first use,
+  /// from a copy of the policy taken under the lock.
   void wait_backoff(std::optional<resilience::BackoffSchedule>& backoff,
                     CostLedger& cost);
 
@@ -266,16 +247,12 @@ class CallCore {
                                                // client capability state)
   bool cacheable_ = true;  // all table entries have stable applicability
   std::atomic<bool> cache_enabled_{true};
-  trace::SamplingOverride trace_sampling_;
 
-  // Resilience state.  The deadline budget is one relaxed load per call;
-  // the resolved retry policy is memoized against the global revision
-  // counter (two relaxed loads per call while policies are quiet); the
-  // breaker set pointer is copied under the lock only when enabled.
+  // Resilience state.  The deadline budget and the attempt bound are one
+  // relaxed load each per sync call; the full retry policy and the breaker
+  // set pointer are copied under the lock, the breakers only when enabled.
   std::atomic<std::int64_t> deadline_budget_ns_{0};
-  resilience::RetryOverride retry_policy_;
-  std::atomic<std::uint64_t> retry_revision_seen_{0};
-  std::atomic<int> cached_max_attempts_{3};
+  std::atomic<int> max_attempts_{resilience::RetryPolicy{}.max_attempts};
   std::atomic<bool> breakers_enabled_{false};
 
   // Interned hot-path metrics handles (stable for process lifetime).
@@ -289,7 +266,7 @@ class CallCore {
   mutable sync::Mutex mutex_{"orb.call_core"};
   std::shared_ptr<const CachedSelection> cache_ OHPX_GUARDED_BY(mutex_);
   std::string last_protocol_ OHPX_GUARDED_BY(mutex_);
-  resilience::RetryPolicy cached_policy_ OHPX_GUARDED_BY(mutex_);
+  resilience::RetryPolicy retry_policy_ OHPX_GUARDED_BY(mutex_);
   std::shared_ptr<resilience::BreakerSet> breakers_ OHPX_GUARDED_BY(mutex_);
 };
 

@@ -57,18 +57,6 @@ class ObjectStub {
     core_->set_selection_cache(enabled);
   }
 
-  /// Per-GP trace sampling override (paper's steering contract applied to
-  /// observability): always / ratio / off for calls through this stub,
-  /// winning over the context override and the global sink mode.
-  void set_trace_sampling(trace::Sampling mode, double ratio = 1.0) {
-    ensure_bound();
-    core_->set_trace_sampling(mode, ratio);
-  }
-  void clear_trace_sampling() {
-    ensure_bound();
-    core_->clear_trace_sampling();
-  }
-
   /// Per-call deadline budget for calls through this stub (0 = unbounded):
   /// each call mints `budget` from now on the resilience clock, checks it
   /// at every pipeline stage and carries it to the server.
@@ -77,15 +65,12 @@ class ObjectStub {
     core_->set_deadline_budget(budget);
   }
 
-  /// Per-GP retry policy (innermost steering point: wins over the context
-  /// override and the global policy).
+  /// Retry policy for calls through this stub (RetryPolicy{} restores
+  /// the default).  The policy's only scope: shared by copies of the
+  /// stub, like the breakers and the deadline budget.
   void set_retry_policy(const resilience::RetryPolicy& policy) {
     ensure_bound();
     core_->set_retry_policy(policy);
-  }
-  void clear_retry_policy() {
-    ensure_bound();
-    core_->clear_retry_policy();
   }
 
   /// Per-protocol-entry circuit breakers for this stub's OR table

@@ -2,30 +2,7 @@
 
 #include <algorithm>
 
-#include "ohpx/sync/mutex.hpp"
-
 namespace ohpx::resilience {
-namespace {
-
-std::atomic<std::uint64_t> g_policy_revision{1};
-
-/// Outermost policy scope, under one lock class so the analysis ties the
-/// slot to the mutex that guards it.
-struct GlobalPolicy {
-  sync::Mutex mutex{"resilience.retry_global"};
-  RetryPolicy policy OHPX_GUARDED_BY(mutex);
-};
-
-GlobalPolicy& global_policy() {
-  static GlobalPolicy instance;
-  return instance;
-}
-
-void bump_revision() noexcept {
-  g_policy_revision.fetch_add(1, std::memory_order_release);
-}
-
-}  // namespace
 
 // Exhaustive on purpose — no default — so adding an ErrorCode without
 // deciding its retry class is a compile warning here and an ohpx-lint
@@ -102,49 +79,6 @@ Nanoseconds BackoffSchedule::next() noexcept {
   }
   current_ns_ = current_ns_ * policy_.backoff_multiplier;
   return Nanoseconds(static_cast<std::int64_t>(std::max(jittered, 0.0)));
-}
-
-std::uint64_t retry_policy_revision() noexcept {
-  return g_policy_revision.load(std::memory_order_acquire);
-}
-
-void set_global_retry_policy(const RetryPolicy& policy) {
-  {
-    GlobalPolicy& global = global_policy();
-    sync::LockGuard lock(global.mutex);
-    global.policy = policy;
-  }
-  bump_revision();
-}
-
-void clear_global_retry_policy() { set_global_retry_policy(RetryPolicy{}); }
-
-void RetryOverride::set(const RetryPolicy& policy) {
-  {
-    sync::LockGuard lock(mutex_);
-    policy_ = policy;
-  }
-  engaged_.store(true, std::memory_order_release);
-  bump_revision();
-}
-
-void RetryOverride::clear() {
-  engaged_.store(false, std::memory_order_release);
-  bump_revision();
-}
-
-RetryPolicy RetryOverride::get() const {
-  sync::LockGuard lock(mutex_);
-  return policy_;
-}
-
-RetryPolicy resolve_retry_policy(const RetryOverride& core,
-                                 const RetryOverride& context) {
-  if (core.overridden()) return core.get();
-  if (context.overridden()) return context.get();
-  GlobalPolicy& global = global_policy();
-  sync::LockGuard lock(global.mutex);
-  return global.policy;
 }
 
 }  // namespace ohpx::resilience

@@ -3,9 +3,8 @@
 // A RetryPolicy bounds how many times one logical call may be attempted
 // and how long to wait between attempts (exponential backoff with seeded
 // jitter, so the full backoff sequence is reproducible from the policy
-// seed).  Policies are configurable at three scopes — globally, per
-// Context, and per global pointer (CallCore) — with the innermost scope
-// winning, mirroring the trace-sampling steering contract.
+// seed).  A policy has one scope: the global pointer that makes the call
+// (CallCore::set_retry_policy), next to its breakers and deadline budget.
 //
 // What is worth retrying is a fixed classification (is_retryable): faults
 // of the channel and of migration races are transient; refusals of
@@ -13,14 +12,11 @@
 // never be retried.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
-#include "ohpx/common/annotations.hpp"
 #include "ohpx/common/clock.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/rng.hpp"
-#include "ohpx/sync/mutex.hpp"
 
 namespace ohpx::resilience {
 
@@ -72,42 +68,5 @@ class BackoffSchedule {
   Xoshiro256 rng_;
   double current_ns_;
 };
-
-/// Bumped on every policy edit at any scope; callers memoizing a resolved
-/// policy revalidate against it with one relaxed load.
-std::uint64_t retry_policy_revision() noexcept;
-
-/// Global (outermost) retry policy.
-void set_global_retry_policy(const RetryPolicy& policy);
-void clear_global_retry_policy();  ///< back to the default RetryPolicy{}
-
-/// One optional policy override (a Context and a CallCore each own one).
-/// set()/clear() bump the global revision so memoized resolutions refresh.
-class RetryOverride {
- public:
-  RetryOverride() = default;
-  RetryOverride(const RetryOverride&) = delete;
-  RetryOverride& operator=(const RetryOverride&) = delete;
-
-  void set(const RetryPolicy& policy);
-  void clear();
-
-  bool overridden() const noexcept {
-    return engaged_.load(std::memory_order_acquire);
-  }
-
-  /// The override's policy; only meaningful while overridden().
-  RetryPolicy get() const;
-
- private:
-  mutable sync::Mutex mutex_{"resilience.retry_override"};
-  RetryPolicy policy_ OHPX_GUARDED_BY(mutex_);
-  std::atomic<bool> engaged_{false};
-};
-
-/// Innermost-wins resolution: `core` (per-GP) beats `context` beats the
-/// global policy.
-RetryPolicy resolve_retry_policy(const RetryOverride& core,
-                                 const RetryOverride& context);
 
 }  // namespace ohpx::resilience

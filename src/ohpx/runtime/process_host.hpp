@@ -91,8 +91,6 @@ class ProcessHost {
   /// The port context 0 actually bound (resolves ephemeral requests).
   std::uint16_t port() const;
 
-  bool has_names() const noexcept { return names_ != nullptr; }
-
   /// The directory client; throws ObjectError(bad_object_ref) when the
   /// config named no directory.
   naming::NameClient& names();

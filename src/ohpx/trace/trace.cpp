@@ -77,14 +77,6 @@ BufferRegistry& buffer_registry() {
   return instance;
 }
 
-/// Serializes g_active_sources transitions (config calls are rare).  The
-/// sampling fields themselves stay atomics read lock-free on the hot path,
-/// so they are deliberately not GUARDED_BY this mutex.
-sync::Mutex& config_mutex() {
-  static sync::Mutex mutex{"trace.config"};
-  return mutex;
-}
-
 ThreadBuffer& local_buffer(std::size_t capacity) {
   thread_local ThreadBuffer* buffer = nullptr;
   if (buffer == nullptr) {
@@ -137,59 +129,18 @@ TraceContext current_context() noexcept { return t_current; }
 // ---------------------------------------------------------------------------
 // sampling
 
-std::atomic<int> TraceSink::g_active_sources{0};
+std::atomic<int> TraceSink::g_mode{static_cast<int>(Sampling::off)};
 
-SamplingOverride::~SamplingOverride() { clear(); }
-
-void SamplingOverride::set(Sampling mode, double ratio) noexcept {
-  sync::LockGuard lock(config_mutex());
-  const int previous = mode_.load(std::memory_order_relaxed);
-  const bool was_source = previous > static_cast<int>(Sampling::off);
-  const bool is_source = mode != Sampling::off;
-  ratio_bits_.store(std::bit_cast<std::uint64_t>(ratio),
-                    std::memory_order_relaxed);
-  mode_.store(static_cast<int>(mode), std::memory_order_relaxed);
-  if (is_source && !was_source) {
-    TraceSink::g_active_sources.fetch_add(1, std::memory_order_relaxed);
-  } else if (!is_source && was_source) {
-    TraceSink::g_active_sources.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void SamplingOverride::clear() noexcept {
-  sync::LockGuard lock(config_mutex());
-  const int previous = mode_.load(std::memory_order_relaxed);
-  mode_.store(-1, std::memory_order_relaxed);
-  if (previous > static_cast<int>(Sampling::off)) {
-    TraceSink::g_active_sources.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-double SamplingOverride::ratio() const noexcept {
-  return std::bit_cast<double>(ratio_bits_.load(std::memory_order_relaxed));
-}
-
-bool should_sample(const SamplingOverride& core,
-                   const SamplingOverride& context) noexcept {
-  Sampling mode;
-  double ratio;
-  if (core.overridden()) {
-    mode = core.mode();
-    ratio = core.ratio();
-  } else if (context.overridden()) {
-    mode = context.mode();
-    ratio = context.ratio();
-  } else {
-    TraceSink& sink = TraceSink::global();
-    mode = sink.sampling();
-    ratio = sink.sampling_ratio();
-  }
-  switch (mode) {
+bool should_sample() noexcept {
+  switch (static_cast<Sampling>(
+      TraceSink::g_mode.load(std::memory_order_relaxed))) {
     case Sampling::off:
       return false;
     case Sampling::always:
       return true;
     case Sampling::ratio: {
+      const double ratio = std::bit_cast<double>(
+          TraceSink::global().ratio_bits_.load(std::memory_order_relaxed));
       if (ratio >= 1.0) return true;
       if (ratio <= 0.0) return false;
       return local_rng().next_double() < ratio;
@@ -207,26 +158,9 @@ TraceSink& TraceSink::global() {
 }
 
 void TraceSink::set_sampling(Sampling mode, double ratio) noexcept {
-  sync::LockGuard lock(config_mutex());
-  const int previous = mode_.load(std::memory_order_relaxed);
-  const bool was_source = previous != static_cast<int>(Sampling::off);
-  const bool is_source = mode != Sampling::off;
   ratio_bits_.store(std::bit_cast<std::uint64_t>(ratio),
                     std::memory_order_relaxed);
-  mode_.store(static_cast<int>(mode), std::memory_order_relaxed);
-  if (is_source && !was_source) {
-    g_active_sources.fetch_add(1, std::memory_order_relaxed);
-  } else if (!is_source && was_source) {
-    g_active_sources.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-Sampling TraceSink::sampling() const noexcept {
-  return static_cast<Sampling>(mode_.load(std::memory_order_relaxed));
-}
-
-double TraceSink::sampling_ratio() const noexcept {
-  return std::bit_cast<double>(ratio_bits_.load(std::memory_order_relaxed));
+  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
 void TraceSink::set_capacity(std::size_t per_thread_spans) {

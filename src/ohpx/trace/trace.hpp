@@ -20,9 +20,8 @@
 //     is a per-buffer gate the writer never waits on (a snapshot in flight
 //     makes the writer drop that one span instead of blocking).
 //
-// Sampling is steerable (the paper's "application steers the ORB"
-// contract): a global mode (off / ratio / always) plus per-context and
-// per-global-pointer overrides, innermost wins.
+// Sampling has one steering point, the sink: a mode (off / ratio /
+// always) and a ratio, set with TraceSink::set_sampling.
 #pragma once
 
 #include <atomic>
@@ -114,38 +113,9 @@ enum class Sampling : std::uint8_t {
   always = 2,
 };
 
-/// A per-steering-point sampling override (one lives in each Context and
-/// each CallCore).  Defaults to "inherit"; setting a mode of `ratio` or
-/// `always` registers the override as an active tracing source so
-/// TraceSink::active() stays a single load even with the global mode off.
-class SamplingOverride {
- public:
-  SamplingOverride() = default;
-  ~SamplingOverride();
-  SamplingOverride(const SamplingOverride&) = delete;
-  SamplingOverride& operator=(const SamplingOverride&) = delete;
-
-  void set(Sampling mode, double ratio = 1.0) noexcept;
-  void clear() noexcept;  ///< back to inherit
-
-  bool overridden() const noexcept {
-    return mode_.load(std::memory_order_relaxed) >= 0;
-  }
-  Sampling mode() const noexcept {
-    return static_cast<Sampling>(mode_.load(std::memory_order_relaxed));
-  }
-  double ratio() const noexcept;
-
- private:
-  std::atomic<int> mode_{-1};  // -1 = inherit
-  std::atomic<std::uint64_t> ratio_bits_{0};
-};
-
-/// Root sampling decision for a new invocation: consults `core` (per-GP),
-/// then `context` (per-context), then the global sink mode — innermost
-/// override wins.  Ratio mode flips a thread-local PRNG coin.
-bool should_sample(const SamplingOverride& core,
-                   const SamplingOverride& context) noexcept;
+/// Root sampling decision for a new invocation, from the sink's mode and
+/// ratio.  Ratio mode flips a thread-local PRNG coin.
+bool should_sample() noexcept;
 
 // ---------------------------------------------------------------------------
 // sink
@@ -158,18 +128,17 @@ class TraceSink {
   /// here, keyed by a per-thread ring buffer).
   static TraceSink& global();
 
-  /// True when any sampling source (global mode or an override) could
-  /// start a trace.  One relaxed load — the entire cost of compiled-in-
-  /// but-disabled tracing at each instrumentation point.
+  /// True when the sampling mode is not off, so a call could start a
+  /// trace.  One relaxed load — the entire cost of compiled-in-but-
+  /// disabled tracing at each instrumentation point.
   static bool active() noexcept {
-    return g_active_sources.load(std::memory_order_relaxed) > 0;
+    return g_mode.load(std::memory_order_relaxed) !=
+           static_cast<int>(Sampling::off);
   }
 
-  /// Global sampling mode.  `ratio` is the sampled fraction in [0, 1]
-  /// (only meaningful for Sampling::ratio).
+  /// The sampling mode.  `ratio` is the sampled fraction in [0, 1] (only
+  /// meaningful for Sampling::ratio).
   void set_sampling(Sampling mode, double ratio = 1.0) noexcept;
-  Sampling sampling() const noexcept;
-  double sampling_ratio() const noexcept;
 
   /// Ring capacity (spans per thread) for buffers created after the call;
   /// existing thread buffers keep their size.
@@ -194,18 +163,16 @@ class TraceSink {
   std::uint64_t dropped() const;
 
  private:
-  friend bool should_sample(const SamplingOverride&,
-                            const SamplingOverride&) noexcept;
-  friend class SamplingOverride;
+  friend bool should_sample() noexcept;
 
   TraceSink() = default;
 
   // Ring-buffer state lives in trace.cpp as file statics: the sink is a
   // singleton, and keeping the thread registry out of the header keeps
-  // this type trivially constructible before main().
-  static std::atomic<int> g_active_sources;
+  // this type trivially constructible before main().  The mode is static
+  // too, so active() reads it without reaching the instance.
+  static std::atomic<int> g_mode;
 
-  std::atomic<int> mode_{static_cast<int>(Sampling::off)};
   std::atomic<std::uint64_t> ratio_bits_{0};
   std::atomic<std::size_t> capacity_{kDefaultCapacity};
 };

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/log.hpp"
 #include "ohpx/sync/mutex.hpp"
@@ -21,9 +22,7 @@ namespace ohpx::transport {
 namespace {
 
 std::size_t load_frame_prefix(const std::uint8_t* p) noexcept {
-  return (static_cast<std::size_t>(p[0]) << 24) |
-         (static_cast<std::size_t>(p[1]) << 16) |
-         (static_cast<std::size_t>(p[2]) << 8) | static_cast<std::size_t>(p[3]);
+  return load_be<std::uint32_t>(p);
 }
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -86,10 +85,7 @@ void sendmsg_full(int fd, iovec* iov, std::size_t iov_count) {
 }
 
 void store_frame_prefix(std::uint8_t* prefix, std::uint32_t size) noexcept {
-  prefix[0] = static_cast<std::uint8_t>(size >> 24);
-  prefix[1] = static_cast<std::uint8_t>(size >> 16);
-  prefix[2] = static_cast<std::uint8_t>(size >> 8);
-  prefix[3] = static_cast<std::uint8_t>(size);
+  store_be(prefix, size);
 }
 
 // ---- FrameReader ---------------------------------------------------------

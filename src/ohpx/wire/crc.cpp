@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "ohpx/common/endian.hpp"
+
 namespace ohpx::wire {
 namespace {
 
@@ -42,10 +44,7 @@ void Crc32::update(BytesView data) noexcept {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   while (n >= 4) {
-    c ^= static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+    c ^= load_le<std::uint32_t>(p);
     c = t[3][c & 0xffu] ^ t[2][(c >> 8) & 0xffu] ^ t[1][(c >> 16) & 0xffu] ^
         t[0][(c >> 24) & 0xffu];
     p += 4;

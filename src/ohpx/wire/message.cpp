@@ -1,52 +1,12 @@
 #include "ohpx/wire/message.hpp"
 
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
 #include "ohpx/wire/crc.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
 
 namespace ohpx::wire {
-namespace {
-
-// The 32-byte header is fixed-layout, and it is (de)serialized four times
-// per in-process call (encode + decode on each side), so it goes through
-// direct big-endian loads/stores on a stack scratch block instead of the
-// general field-at-a-time Encoder/Decoder.  Wire format is unchanged.
-
-inline void store_be16(std::uint8_t* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 8);
-  p[1] = static_cast<std::uint8_t>(v);
-}
-
-inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-inline void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
-  store_be32(p, static_cast<std::uint32_t>(v >> 32));
-  store_be32(p + 4, static_cast<std::uint32_t>(v));
-}
-
-inline std::uint16_t load_be16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint64_t>(load_be32(p)) << 32) |
-         load_be32(p + 4);
-}
-
-}  // namespace
 
 Buffer encode_frame(const MessageHeader& header, BytesView body) {
   Buffer out;
@@ -54,32 +14,38 @@ Buffer encode_frame(const MessageHeader& header, BytesView body) {
   return out;
 }
 
+// The 32-byte header is fixed-layout, and it is (de)serialized four times
+// per in-process call (encode + decode on each side), so it goes through
+// direct big-endian loads/stores (common/endian.hpp) on a stack scratch
+// block instead of the general field-at-a-time Encoder/Decoder.  Wire
+// format is unchanged.
 void encode_frame_into(Buffer& out, const MessageHeader& header,
                        BytesView body) {
   std::uint8_t raw[kHeaderSize + kTraceExtensionSize + kDeadlineExtensionSize +
                    kCorrelationExtensionSize];
-  store_be32(raw, kFrameMagic);
+  store_be<std::uint32_t>(raw, kFrameMagic);
   raw[4] = kWireVersion;
   raw[5] = static_cast<std::uint8_t>(header.type);
-  store_be16(raw + 6, header.flags);
-  store_be64(raw + 8, header.request_id);
-  store_be64(raw + 16, header.object_id);
-  store_be32(raw + 24, header.method_or_code);
-  store_be32(raw + 28, crc32(BytesView(raw, kHeaderSize - 4)));
+  store_be<std::uint16_t>(raw + 6, header.flags);
+  store_be<std::uint64_t>(raw + 8, header.request_id);
+  store_be<std::uint64_t>(raw + 16, header.object_id);
+  store_be<std::uint32_t>(raw + 24, header.method_or_code);
+  store_be<std::uint32_t>(raw + 28, crc32(BytesView(raw, kHeaderSize - 4)));
   std::size_t prefix = kHeaderSize;
   if (header.has_trace()) {
-    store_be64(raw + 32, header.trace_hi);
-    store_be64(raw + 40, header.trace_lo);
-    store_be64(raw + 48, header.trace_parent_span);
+    store_be<std::uint64_t>(raw + 32, header.trace_hi);
+    store_be<std::uint64_t>(raw + 40, header.trace_lo);
+    store_be<std::uint64_t>(raw + 48, header.trace_parent_span);
     raw[56] = header.trace_flags;
     prefix += kTraceExtensionSize;
   }
   if (header.has_deadline()) {
-    store_be64(raw + prefix, static_cast<std::uint64_t>(header.deadline_ns));
+    store_be<std::uint64_t>(raw + prefix,
+                            static_cast<std::uint64_t>(header.deadline_ns));
     prefix += kDeadlineExtensionSize;
   }
   if (header.has_correlation()) {
-    store_be64(raw + prefix, header.correlation_id);
+    store_be<std::uint64_t>(raw + prefix, header.correlation_id);
     prefix += kCorrelationExtensionSize;
   }
   out.clear();
@@ -93,7 +59,7 @@ MessageHeader decode_frame(BytesView frame, BytesView& body) {
     throw WireError(ErrorCode::wire_truncated, "frame shorter than header");
   }
   const std::uint8_t* raw = frame.data();
-  if (load_be32(raw) != kFrameMagic) {
+  if (load_be<std::uint32_t>(raw) != kFrameMagic) {
     throw WireError(ErrorCode::wire_bad_magic, "bad frame magic");
   }
   if (raw[4] != kWireVersion) {
@@ -105,11 +71,11 @@ MessageHeader decode_frame(BytesView frame, BytesView& body) {
   }
   MessageHeader header;
   header.type = static_cast<MessageType>(type);
-  header.flags = load_be16(raw + 6);
-  header.request_id = load_be64(raw + 8);
-  header.object_id = load_be64(raw + 16);
-  header.method_or_code = load_be32(raw + 24);
-  const std::uint32_t stored_crc = load_be32(raw + 28);
+  header.flags = load_be<std::uint16_t>(raw + 6);
+  header.request_id = load_be<std::uint64_t>(raw + 8);
+  header.object_id = load_be<std::uint64_t>(raw + 16);
+  header.method_or_code = load_be<std::uint32_t>(raw + 24);
+  const std::uint32_t stored_crc = load_be<std::uint32_t>(raw + 28);
   const std::uint32_t computed_crc =
       crc32(frame.subspan(0, kHeaderSize - 4));
   if (stored_crc != computed_crc) {
@@ -121,9 +87,9 @@ MessageHeader decode_frame(BytesView frame, BytesView& body) {
       throw WireError(ErrorCode::wire_truncated,
                       "frame shorter than trace extension");
     }
-    header.trace_hi = load_be64(raw + 32);
-    header.trace_lo = load_be64(raw + 40);
-    header.trace_parent_span = load_be64(raw + 48);
+    header.trace_hi = load_be<std::uint64_t>(raw + 32);
+    header.trace_lo = load_be<std::uint64_t>(raw + 40);
+    header.trace_parent_span = load_be<std::uint64_t>(raw + 48);
     header.trace_flags = raw[56];
     prefix += kTraceExtensionSize;
   }
@@ -133,7 +99,7 @@ MessageHeader decode_frame(BytesView frame, BytesView& body) {
                       "frame shorter than deadline extension");
     }
     header.deadline_ns =
-        static_cast<std::int64_t>(load_be64(raw + prefix));
+        static_cast<std::int64_t>(load_be<std::uint64_t>(raw + prefix));
     prefix += kDeadlineExtensionSize;
   }
   if (header.has_correlation()) {
@@ -141,7 +107,7 @@ MessageHeader decode_frame(BytesView frame, BytesView& body) {
       throw WireError(ErrorCode::wire_truncated,
                       "frame shorter than correlation extension");
     }
-    header.correlation_id = load_be64(raw + prefix);
+    header.correlation_id = load_be<std::uint64_t>(raw + prefix);
     prefix += kCorrelationExtensionSize;
   }
   body = frame.subspan(prefix);

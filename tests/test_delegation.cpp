@@ -5,6 +5,7 @@
 
 #include "ohpx/capability/builtin/delegation.hpp"
 #include "ohpx/capability/registry.hpp"
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/rng.hpp"
 #include "ohpx/orb/attenuate.hpp"
 #include "ohpx/orb/ref_builder.hpp"
@@ -59,6 +60,27 @@ TEST(DelegationFold, WrongRootRejected) {
   bearer->process(payload, request_call());
   EXPECT_THROW(other_verifier->unprocess(payload, request_call()),
                CapabilityDenied);
+}
+
+// A trailer length near 2^32 must not wrap the bounds check: it is
+// refused as truncated before anything is sliced.
+TEST(DelegationFold, TrailerLengthNearTwoToThe32IsTruncated) {
+  auto verifier = DelegationCapability::make_root(root_key());
+  auto bearer = DelegationCapability::from_descriptor(verifier->descriptor());
+  for (const std::uint32_t length : {0xfffffffcu, 0xffffffffu}) {
+    wire::Buffer payload(Bytes{1, 2, 3});
+    bearer->process(payload, request_call());
+    store_be(payload.data() + payload.size() - 4, length);
+    try {
+      verifier->unprocess(payload, request_call());
+      ADD_FAILURE() << "trailer length " << length << " accepted";
+    } catch (const CapabilityDenied& e) {
+      EXPECT_EQ(e.code(), ErrorCode::capability_auth_failed);
+      EXPECT_NE(std::string(e.what()).find("delegation trailer truncated"),
+                std::string::npos)
+          << "trailer length " << length << ": " << e.what();
+    }
+  }
 }
 
 TEST(DelegationFold, CaveatCannotBeDropped) {

@@ -135,8 +135,6 @@ TEST(Exposition, FullPayloadCarriesReactorAndResilienceFamilies) {
   EXPECT_NE(text.find("# TYPE ohpx_breaker_state gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE ohpx_rmi_select_cache_hit_ratio gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE ohpx_retry_policy_revision gauge"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE ohpx_wire_pool_pooled gauge"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE ohpx_flight_recorder_retained gauge"),

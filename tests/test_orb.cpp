@@ -204,6 +204,18 @@ TEST_F(OrbFixture, UnknownMethodYieldsMethodNotFound) {
             static_cast<std::uint32_t>(ErrorCode::method_not_found));
 }
 
+TEST(ServantDispatch, TruncatedArgumentsSurfaceAsWireErrors) {
+  EchoServant servant;
+  wire::Buffer args;
+  wire::Encoder enc(args);
+  wire::serialize(enc, std::vector<std::int32_t>{1, 2, 3});
+  args.resize(args.size() - 2);  // the last element is cut short
+  wire::Decoder in(args.view());
+  wire::Buffer result;
+  wire::Encoder out(result);
+  EXPECT_THROW(servant.dispatch(EchoServant::kEcho, in, out), WireError);
+}
+
 TEST_F(OrbFixture, NonRequestFrameRejected) {
   wire::MessageHeader header;
   header.type = wire::MessageType::reply;

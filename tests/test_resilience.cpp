@@ -152,40 +152,6 @@ TEST(Retry, JitteredBackoffIsAPureFunctionOfTheSeed) {
   }
 }
 
-TEST(Retry, InnermostScopeWinsAndEditsBumpTheRevision) {
-  resilience::RetryOverride core;
-  resilience::RetryOverride context;
-
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context),
-            resilience::RetryPolicy{});
-
-  resilience::RetryPolicy global_policy;
-  global_policy.max_attempts = 7;
-  const std::uint64_t before = resilience::retry_policy_revision();
-  resilience::set_global_retry_policy(global_policy);
-  EXPECT_GT(resilience::retry_policy_revision(), before)
-      << "memoized resolutions must notice the edit";
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context).max_attempts, 7);
-
-  resilience::RetryPolicy context_policy;
-  context_policy.max_attempts = 5;
-  context.set(context_policy);
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context).max_attempts, 5);
-
-  resilience::RetryPolicy core_policy;
-  core_policy.max_attempts = 2;
-  core.set(core_policy);
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context).max_attempts, 2)
-      << "per-GP beats per-context beats global";
-
-  core.clear();
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context).max_attempts, 5);
-  context.clear();
-  resilience::clear_global_retry_policy();
-  EXPECT_EQ(resilience::resolve_retry_policy(core, context),
-            resilience::RetryPolicy{});
-}
-
 // ---- circuit breaker --------------------------------------------------------------
 
 TEST(Breaker, TripCooldownProbeClose) {
@@ -510,16 +476,19 @@ TEST_F(ResilienceFixture, BreakerOpensAndSelectionFailsOverToTcp) {
   trace::TraceSink::global().clear();
 }
 
-TEST_F(ResilienceFixture, BreakerRecoversAfterCooldownProbe) {
+// Run with the selection cache on (the default) and off: a selection the
+// breaker gate diverted is never memoized, so the tripped entry gets its
+// cooldown probe either way.
+class BreakerRecovery : public ResilienceFixture,
+                        public ::testing::WithParamInterface<bool> {};
+
+TEST_P(BreakerRecovery, BreakerRecoversAfterCooldownProbe) {
   resilience::ScopedManualClock scoped;
   server_ctx_->enable_tcp();
   servant_ = std::make_shared<EchoServant>();
   auto ref = orb::RefBuilder(*server_ctx_, servant_).nexus().tcp().build();
   EchoPointer gp(*client_ctx_, ref);
-  // The selection cache would pin the failover winner until the next
-  // invalidation (see docs/resilience.md); disable it so every call
-  // re-evaluates the table and the recovered entry gets its probe.
-  gp->set_selection_cache(false);
+  gp->set_selection_cache(GetParam());
   resilience::BreakerConfig config;
   config.failure_threshold = 1;
   config.cooldown = 100ms;
@@ -551,6 +520,12 @@ TEST_F(ResilienceFixture, BreakerRecoversAfterCooldownProbe) {
   EXPECT_EQ(gp->ping(), 4u);
   EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
 }
+
+INSTANTIATE_TEST_SUITE_P(SelectionCache, BreakerRecovery,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "CacheOn" : "CacheOff";
+                         });
 
 TEST_F(ResilienceFixture, ScriptedDropIsRetriedTransparently) {
   EchoPointer gp(*client_ctx_, make_echo_ref());
@@ -674,28 +649,26 @@ TEST_F(ResilienceFixture, BackoffWaitsOnTheResilienceClock) {
       << "one retry waited exactly one initial_backoff of virtual time";
 }
 
-TEST_F(ResilienceFixture, PerGpPolicyBeatsThePerContextPolicy) {
+TEST_F(ResilienceFixture, PerGpPolicyBoundsTheAttempts) {
   EchoPointer gp(*client_ctx_, make_echo_ref());
   EXPECT_EQ(gp->ping(), 1u);  // warm the selection cache
 
   resilience::RetryPolicy no_retries;
   no_retries.max_attempts = 1;
-  client_ctx_->set_retry_policy(no_retries);
+  gp->set_retry_policy(no_retries);
 
   resilience::ScopedFaultPlan plan;
   resilience::FaultSchedule schedule;
   schedule.scripted = {{0, resilience::FaultKind::drop}};
   plan.add(server_ctx_->endpoint_name(), schedule);
   EXPECT_THROW(gp->ping(), TransportError)
-      << "the context policy forbids retries, so the drop is fatal";
+      << "one attempt allowed, so the drop is fatal";
 
   resilience::RetryPolicy one_retry;
   one_retry.max_attempts = 2;
   gp->set_retry_policy(one_retry);
   plan.add(server_ctx_->endpoint_name(), schedule);  // reset the script
-  EXPECT_EQ(gp->ping(), 2u) << "the per-GP policy re-enables the retry";
-
-  client_ctx_->clear_retry_policy();
+  EXPECT_EQ(gp->ping(), 2u) << "the second attempt absorbs the drop";
 }
 
 }  // namespace

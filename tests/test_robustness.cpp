@@ -4,9 +4,12 @@
 // client decoding mutated replies: typed exceptions only, on the reactor's
 // demux path too, where mutated reply streams arrive over a real socket.
 // And for the HTTP listener's request-head parse: a well-formed response
-// or a close, for any bytes a scraper's connection carries.
+// or a close, for any bytes a scraper's connection carries.  And for the
+// capabilities that read a peer's trailer or size header: a result or a
+// CapabilityDenied, nothing else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <set>
@@ -14,9 +17,13 @@
 #include <string>
 
 #include "ohpx/capability/builtin/authentication.hpp"
+#include "ohpx/capability/builtin/checksum.hpp"
 #include "ohpx/capability/builtin/compression.hpp"
+#include "ohpx/capability/builtin/delegation.hpp"
+#include "ohpx/capability/builtin/padding.hpp"
 #include "ohpx/capability/registry.hpp"
 #include "ohpx/capability/builtin/encryption.hpp"
+#include "ohpx/common/endian.hpp"
 #include "ohpx/common/rng.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
@@ -508,6 +515,138 @@ TEST(ScenarioEcho, AllMethodsBehave) {
   clone->restore(servant->snapshot());
   EXPECT_EQ(clone->pings(), 2u);
 }
+
+// ---- mutated capability trailers -------------------------------------------
+//
+// The capabilities whose unprocess() reads a peer's bytes: checksum,
+// padding, delegation (bearer -> verifier) and compression (rle, lz77).
+// Each round mutates a payload one of them produced: bit flips,
+// truncation, the head of one valid output spliced onto the tail of
+// another, or the length field (the 4-byte trailer, or compression's size
+// header) overwritten with an edge value.  unprocess() returns or throws
+// CapabilityDenied, nothing else, and a checksummed payload with one
+// flipped bit is never accepted.
+
+struct TrailerTarget {
+  std::string_view name;
+  cap::CapabilityPtr sender;    // runs process()
+  cap::CapabilityPtr receiver;  // runs unprocess()
+  bool size_header;             // the length sits after a codec id byte,
+                                // not in the last 4 bytes
+};
+
+std::vector<TrailerTarget> trailer_targets() {
+  const auto verifier =
+      cap::DelegationCapability::make_root(crypto::Key128::from_seed(0x7a11));
+  const auto checksum = std::make_shared<cap::ChecksumCapability>();
+  const auto padding = std::make_shared<cap::PaddingCapability>(16);
+  const auto rle =
+      std::make_shared<cap::CompressionCapability>(compress::CodecId::rle);
+  const auto lz =
+      std::make_shared<cap::CompressionCapability>(compress::CodecId::lz);
+  return {
+      {"checksum", checksum, checksum, false},
+      {"padding", padding, padding, false},
+      {"delegation",
+       cap::DelegationCapability::from_descriptor(verifier->descriptor()),
+       verifier, false},
+      {"rle", rle, rle, true},
+      {"lz77", lz, lz, true},
+  };
+}
+
+// A body with runs in it, so the codecs emit run and match tokens too.
+wire::Buffer produce(const TrailerTarget& target, Xoshiro256& rng) {
+  Bytes body;
+  const std::size_t size = rng.next_below(300);
+  while (body.size() < size) {
+    const std::size_t run =
+        rng.next_below(2) == 0 ? 1 : 3 + rng.next_below(40);
+    body.insert(body.end(), std::min(run, size - body.size()),
+                static_cast<std::uint8_t>(rng.next()));
+  }
+  wire::Buffer payload(std::move(body));
+  target.sender->process(payload, cap::CallContext{});
+  return payload;
+}
+
+// True when unprocess() accepted the payload; fails the test on anything
+// but a return or a CapabilityDenied.
+bool accepted(const TrailerTarget& target, wire::Buffer payload) {
+  try {
+    target.receiver->unprocess(payload, cap::CallContext{});
+    return true;
+  } catch (const CapabilityDenied&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unprocess threw a non-CapabilityDenied: " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << "unprocess threw a non-std exception";
+  }
+  return false;
+}
+
+wire::Buffer mutate_trailer(const TrailerTarget& target,
+                            const wire::Buffer& pristine,
+                            const wire::Buffer& other, Xoshiro256& rng) {
+  wire::Buffer mutated = pristine;
+  switch (rng.next_below(4)) {
+    case 0:  // bit flips anywhere
+      for (std::uint64_t flips = 1 + rng.next_below(4); flips > 0; --flips) {
+        mutated.data()[rng.next_below(mutated.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      break;
+    case 1:  // truncation
+      mutated.resize(rng.next_below(mutated.size()));
+      break;
+    case 2: {  // the head of one valid output, the tail of another
+      mutated.resize(rng.next_below(pristine.size() + 1));
+      const std::size_t from = rng.next_below(other.size() + 1);
+      mutated.append(other.view(from, other.size() - from));
+      break;
+    }
+    default: {  // the length field set to an edge value
+      const std::uint32_t edges[] = {
+          0, static_cast<std::uint32_t>(mutated.size() - 4), 0x7fffffffu,
+          0xfffffffcu, 0xffffffffu};
+      const std::size_t at = target.size_header ? 1 : mutated.size() - 4;
+      store_be(mutated.data() + at, edges[rng.next_below(std::size(edges))]);
+      break;
+    }
+  }
+  return mutated;
+}
+
+class CapabilityTrailerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CapabilityTrailerFuzz, UnprocessReturnsOrRefuses) {
+  Xoshiro256 rng(GetParam());
+  for (const TrailerTarget& target : trailer_targets()) {
+    SCOPED_TRACE(std::string(target.name));
+    std::size_t refused = 0;
+    for (int round = 0; round < 64; ++round) {
+      const wire::Buffer pristine = produce(target, rng);
+      ASSERT_TRUE(accepted(target, pristine)) << "round " << round;
+      const wire::Buffer other = produce(target, rng);
+      if (!accepted(target, mutate_trailer(target, pristine, other, rng))) {
+        ++refused;
+      }
+      if (target.name == "checksum") {
+        wire::Buffer flipped = pristine;
+        flipped.data()[rng.next_below(flipped.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+        EXPECT_FALSE(accepted(target, std::move(flipped)))
+            << "round " << round << ": one flipped bit passed the checksum";
+      }
+    }
+    EXPECT_GT(refused, 0u) << "no mutation reached the parse";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CapabilityTrailerFuzz,
+                         ::testing::Values(0x31, 0x32, 0x33, 0x34, 0x35, 0x36,
+                                           0x37, 0x38));
 
 }  // namespace
 }  // namespace ohpx

@@ -320,7 +320,7 @@ TEST_F(TraceFixture, TcpCallPropagatesAcrossThreadsByWireOnly) {
       << "server dispatch runs on the acceptor thread";
 }
 
-// ---- sampling steering ------------------------------------------------------------
+// ---- sampling: the sink's mode and ratio -----------------------------------------
 
 class SamplingFixture : public TraceFixture {
  protected:
@@ -332,41 +332,8 @@ class SamplingFixture : public TraceFixture {
                .build();
   }
 
-  std::size_t spans_after_ping(EchoPointer& gp) {
-    trace::TraceSink::global().clear();
-    gp->ping();
-    return trace::TraceSink::global().snapshot().spans.size();
-  }
-
   orb::ObjectRef ref_;
 };
-
-TEST_F(SamplingFixture, PerContextOverrideBeatsGlobalOff) {
-  EchoPointer gp(*client_ctx_, ref_);
-  EXPECT_EQ(spans_after_ping(gp), 0u);
-
-  client_ctx_->set_trace_sampling(trace::Sampling::always);
-  EXPECT_TRUE(trace::TraceSink::active());
-  EXPECT_GT(spans_after_ping(gp), 0u);
-
-  client_ctx_->clear_trace_sampling();
-  EXPECT_FALSE(trace::TraceSink::active());
-  EXPECT_EQ(spans_after_ping(gp), 0u);
-}
-
-TEST_F(SamplingFixture, PerGpOverrideBeatsTheContext) {
-  client_ctx_->set_trace_sampling(trace::Sampling::always);
-  EchoPointer traced(*client_ctx_, ref_);
-  EchoPointer muted(*client_ctx_, ref_);
-  muted->set_trace_sampling(trace::Sampling::off);
-
-  EXPECT_GT(spans_after_ping(traced), 0u);
-  EXPECT_EQ(spans_after_ping(muted), 0u) << "innermost override wins";
-
-  muted->clear_trace_sampling();
-  EXPECT_GT(spans_after_ping(muted), 0u);
-  client_ctx_->clear_trace_sampling();
-}
 
 TEST_F(SamplingFixture, RatioZeroAndOneAreExact) {
   EchoPointer gp(*client_ctx_, ref_);

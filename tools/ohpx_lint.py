@@ -89,6 +89,14 @@ with the Python standard library only, and each is exercised by
                      (src/ohpx/common/error.cpp) and an explicit verdict in
                      is_retryable (src/ohpx/resilience/retry.cpp), whose
                      switch must stay exhaustive, with no `default:`
+  byte-order         no code in src/ outside src/ohpx/common/endian.hpp
+                     packs an integer into bytes or unpacks one by hand:
+                     no `static_cast` to a byte type of a value shifted
+                     right by a literal multiple of 8, and no indexed byte
+                     `static_cast` wider and shifted left by one.  Use
+                     load_be / store_be / load_le / store_le.  Shifts by a
+                     computed amount (a keystream's `>> (8 * b)`) are out
+                     of scope
 
 Usage:
   python3 tools/ohpx_lint.py [--root REPO_ROOT]   # lint the repo, exit 0/1
@@ -679,12 +687,46 @@ class Linter:
                 "is_retryable() must stay an exhaustive switch with no "
                 "`default:` — a default silently classifies future codes")
 
+    ENDIAN_HPP = "src/ohpx/common/endian.hpp"
+    # Packing: a cast to a byte type whose argument is shifted right.
+    BYTE_CAST_RE = re.compile(
+        r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?(?:u?int8_t|byte|"
+        r"(?:(?:un)?signed\s+)?char)\s*>\s*\(")
+    RIGHT_SHIFT_RE = re.compile(r">>\s*(\d+)")
+    # Unpacking: an indexed byte cast wider, then shifted left.
+    INDEXED_SHIFT_RE = re.compile(
+        r"\bstatic_cast\s*<[^<>;]*>\s*\(\s*[\w.>-]+\s*\[[^\[\]]*\]\s*\)"
+        r"\s*<<\s*(\d+)")
+
+    def check_byte_order(self) -> None:
+        def whole_bytes(amount: str) -> bool:
+            return int(amount) > 0 and int(amount) % 8 == 0
+
+        for source, text in self.sources(skip=(self.ENDIAN_HPP,)):
+            clean = strip_comments_and_strings(text)
+            hits = []
+            for match in self.BYTE_CAST_RE.finditer(clean):
+                begin, end = _call_args(clean, match.end())[0]
+                if any(whole_bytes(amount) for amount in
+                       self.RIGHT_SHIFT_RE.findall(clean[begin:end])):
+                    hits.append(match.start())
+            hits += [match.start()
+                     for match in self.INDEXED_SHIFT_RE.finditer(clean)
+                     if whole_bytes(match.group(1))]
+            for at in hits:
+                self.report(
+                    source, clean.count("\n", 0, at) + 1, "byte-order",
+                    "integer packed into or unpacked from bytes by hand — "
+                    "use load_be/store_be/load_le/store_le from "
+                    f"{self.ENDIAN_HPP}")
+
     # -- driver -------------------------------------------------------------
 
     RULES = ("pragma-once", "no-stdio", "no-naked-new", "cmake-lists",
              "cap-pairs", "chain-contract", "span-names", "anomaly-sites",
              "metric-names", "no-test-sleeps", "naked-mutex",
-             "lock-across-send", "blocking-socket", "error-consistency")
+             "lock-across-send", "blocking-socket", "error-consistency",
+             "byte-order")
 
     def lint(self) -> list[str]:
         """Runs every rule; the findings, deduplicated and sorted."""
@@ -1189,6 +1231,19 @@ FIXTURES = [
         '  const char* u = "http://x"; registry.counter_handle("rmi.calls");\n'
         "}\n"
         "}  // namespace ohpx::orb\n"}),
+    # -- byte order: one seeded violation per form
+    (["[byte-order]"], {"src/ohpx/wire/packed.cpp":
+        "namespace ohpx::wire {\n"
+        "void put(unsigned char* p, unsigned v) {\n"
+        "  p[0] = static_cast<std::uint8_t>(v >> 24);\n"
+        "}\n"
+        "}  // namespace ohpx::wire\n"}),
+    (["[byte-order]"], {"src/ohpx/naming/unpacked.cpp":
+        "namespace ohpx::naming {\n"
+        "unsigned get(const unsigned char* p) {\n"
+        "  return (static_cast<std::uint32_t>(p[1]) << 8) | p[0];\n"
+        "}\n"
+        "}  // namespace ohpx::naming\n"}),
     # -- false-positive guards: each must lint clean
     ([], {"src/clean.cpp":
         '#include "clean.hpp"\n'
@@ -1263,6 +1318,27 @@ FIXTURES = [
         "      metrics::names::kRmiCalls);\n"
         "}\n"
         "}  // namespace ohpx::orb\n"}),
+    # endian.hpp itself, a computed shift, a shifted scalar that is not
+    # an indexed byte, and a non-byte cast of a right shift.
+    ([], {"src/ohpx/common/endian.hpp":
+              "#pragma once\n"
+              "template <class U> U swap16(U v) {\n"
+              "  return static_cast<U>((v << 8) | (v >> 8));\n"
+              "}\n"
+              "inline unsigned char hi(unsigned v) {\n"
+              "  return static_cast<unsigned char>(v >> 8);\n"
+              "}\n",
+          "src/ohpx/crypto/tail.cpp":
+              "namespace ohpx::crypto {\n"
+              "void tail(unsigned char* p, unsigned long ks, int b,\n"
+              "          unsigned id, unsigned long total) {\n"
+              "  p[b] ^= static_cast<std::uint8_t>(ks >> (8 * b));\n"
+              "  unsigned long key = static_cast<std::uint64_t>(id) << 40;\n"
+              "  key |= static_cast<std::uint64_t>(total & 0xff) << 56;\n"
+              "  const unsigned half = static_cast<std::uint32_t>(key >> 32);\n"
+              "  (void)half;\n"
+              "}\n"
+              "}  // namespace ohpx::crypto\n"}),
     ([], {"src/ohpx/metrics/metrics.cpp":  # the registry owns the names
         "namespace ohpx::metrics {\n"
         "struct MetricsRegistry { unsigned long* counter_handle(const char*);"
