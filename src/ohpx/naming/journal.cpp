@@ -12,8 +12,9 @@
 namespace ohpx::naming {
 namespace {
 
-// "OHPXJNL1" — bumped if the frame layout ever changes.
-constexpr std::uint8_t kMagic[8] = {'O', 'H', 'P', 'X', 'J', 'N', 'L', '1'};
+// Bumped whenever the record or the frame layout changes; there is no
+// reader for an older version.
+constexpr std::uint8_t kMagic[8] = {'O', 'H', 'P', 'X', 'J', 'N', 'L', '2'};
 
 std::uint32_t fnv1a(BytesView data) noexcept {
   std::uint32_t hash = 2166136261u;
@@ -25,7 +26,7 @@ std::uint32_t fnv1a(BytesView data) noexcept {
 }
 
 /// One framed record as raw file bytes: length | checksum | payload.
-std::string frame(const JournalRecord& record) {
+std::string frame(const NameSnapshot& record) {
   const wire::Buffer payload = wire::encode_value(record);
   std::uint8_t head[8];
   store_le(head, static_cast<std::uint32_t>(payload.size()));
@@ -59,7 +60,7 @@ Journal::Journal(const std::string& path) : path_(path) {
   }
 }
 
-void Journal::append(const JournalRecord& record) {
+void Journal::append(const NameSnapshot& record) {
   if (!enabled()) return;
   const std::string framed = frame(record);
   sync::LockGuard lock(mutex_);
@@ -74,17 +75,19 @@ std::uint64_t Journal::records_written() const {
   return written_;
 }
 
-std::vector<JournalRecord> Journal::recover(const std::string& path) {
-  std::vector<JournalRecord> records;
+std::vector<NameSnapshot> Journal::recover(const std::string& path) {
+  std::vector<NameSnapshot> records;
   std::ifstream in(path, std::ios::binary);
   if (!in) return records;  // first boot: nothing journaled yet
   std::string raw((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   const auto* data = reinterpret_cast<const std::uint8_t*>(raw.data());
   const std::size_t size = raw.size();
+  if (size == 0) return records;
   if (size < sizeof(kMagic) ||
       !std::equal(kMagic, kMagic + sizeof(kMagic), data)) {
-    return records;  // empty / foreign file: treat as an empty journal
+    throw ObjectError(ErrorCode::bad_object_ref,
+                      "'" + path + "' is not an OHPXJNL2 journal");
   }
   std::size_t pos = sizeof(kMagic);
   while (pos + 8 <= size) {
@@ -94,7 +97,7 @@ std::vector<JournalRecord> Journal::recover(const std::string& path) {
     const BytesView payload(data + pos + 8, length);
     if (fnv1a(payload) != checksum) break;  // corrupt tail
     try {
-      records.push_back(wire::decode_value<JournalRecord>(payload));
+      records.push_back(wire::decode_value<NameSnapshot>(payload));
     } catch (const Error&) {
       break;  // checksummed but undecodable: stop at the damage
     }
@@ -104,7 +107,7 @@ std::vector<JournalRecord> Journal::recover(const std::string& path) {
 }
 
 void Journal::compact(const std::string& path,
-                      const std::vector<JournalRecord>& records) {
+                      const std::vector<NameSnapshot>& records) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -113,7 +116,7 @@ void Journal::compact(const std::string& path,
                         "cannot write journal '" + tmp + "'");
     }
     out.write(reinterpret_cast<const char*>(kMagic), sizeof(kMagic));
-    for (const JournalRecord& record : records) {
+    for (const NameSnapshot& record : records) {
       const std::string framed = frame(record);
       out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
     }

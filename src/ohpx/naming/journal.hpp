@@ -1,10 +1,15 @@
 // Append-only persistence journal for the directory (docs/deployment.md,
-// "Replicated directory").  The daemon journals permanent binds and every
-// entry-version bump, so a restart neither empties the namespace nor hands
-// out a version a client cache already holds.
+// "Persistence").  Its record is the catch-up stream's NameSnapshot cut to
+// its durable slice: the entry version and the permanent replicas.  The
+// directory appends one at every version bump, so a restart neither empties
+// the namespace nor hands out a version a client cache already holds, and
+// replay is NameServiceServant::apply_update over the recovered records —
+// the same apply function, and the same never-rollback check, a standby
+// runs over its peer's stream.
 //
-// On-disk framing: an 8-byte file magic, then one frame per record —
-//   u32 payload length | u32 FNV-1a checksum | wire-encoded JournalRecord
+// On-disk framing: the 8-byte file magic "OHPXJNL2", then one frame per
+// record —
+//   u32 payload length | u32 FNV-1a checksum | wire-encoded NameSnapshot
 // Appends go through a single write() + flush, so a crash can only tear
 // the *last* frame.  recover() keeps every complete frame and drops the
 // torn tail (that mutation was never acknowledged durable).
@@ -21,44 +26,56 @@
 #include "ohpx/sync/mutex.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
+#include "ohpx/wire/serialize.hpp"
 
 namespace ohpx::naming {
 
-enum class JournalOp : std::uint8_t {
-  /// Plain bind: the whole replica set becomes one permanent record.
-  bind = 1,
-  /// A permanent (ttl-zero) replica joined the set.
-  bind_replica = 2,
-  /// The name was unbound wholesale.
-  unbind = 3,
-  /// One permanent replica left the set (withdrawn or reported dead);
-  /// matched on replay by same_replica over `ref`, because replica ids
-  /// are process-local counters that do not survive a restart.
-  unbind_replica = 4,
-  /// A version bump with no durable replica change (leased mutations):
-  /// only the never-rollback floor must survive.
-  version_floor = 5,
-};
-
-struct JournalRecord {
-  JournalOp op = JournalOp::version_floor;
-  std::string name;
-  std::uint64_t version = 0;
-  Bytes ref;  // empty for unbind / version_floor
+/// One replica inside a NameSnapshot.  Leases travel as *remaining*
+/// milliseconds — the same transfer rule LeaseCapability descriptors use —
+/// so the standby's reconstructed lease expires when the original would.
+/// A journaled replica is always permanent.
+struct ReplicaSnapshot {
+  std::uint64_t replica_id = 0;
+  Bytes ref;
+  bool permanent = false;
+  std::uint64_t lease_remaining_ms = 0;
 
   void wire_serialize(wire::Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(op));
+    enc.put_u64(replica_id);
+    enc.put_bytes(ref);
+    enc.put_bool(permanent);
+    enc.put_u64(lease_remaining_ms);
+  }
+  static ReplicaSnapshot wire_deserialize(wire::Decoder& dec) {
+    ReplicaSnapshot snap;
+    snap.replica_id = dec.get_u64();
+    snap.ref = dec.get_bytes();
+    snap.permanent = dec.get_bool();
+    snap.lease_remaining_ms = dec.get_u64();
+    return snap;
+  }
+};
+
+/// Whole-entry snapshot of one name at one version: the catch-up stream's
+/// unit and the journal's record.  An empty replica list means the name is
+/// unbound (the snapshot still carries the version floor, so deletions
+/// replicate and persist without ever rolling a version back).
+struct NameSnapshot {
+  std::string name;
+  std::uint64_t version = 0;
+  std::vector<ReplicaSnapshot> replicas;
+
+  void wire_serialize(wire::Encoder& enc) const {
     enc.put_string(name);
     enc.put_u64(version);
-    enc.put_bytes(ref);
+    wire::serialize(enc, replicas);
   }
-  static JournalRecord wire_deserialize(wire::Decoder& dec) {
-    JournalRecord record;
-    record.op = static_cast<JournalOp>(dec.get_u8());
-    record.name = dec.get_string();
-    record.version = dec.get_u64();
-    record.ref = dec.get_bytes();
-    return record;
+  static NameSnapshot wire_deserialize(wire::Decoder& dec) {
+    NameSnapshot snap;
+    snap.name = dec.get_string();
+    snap.version = dec.get_u64();
+    snap.replicas = wire::deserialize<std::vector<ReplicaSnapshot>>(dec);
+    return snap;
   }
 };
 
@@ -78,21 +95,24 @@ class Journal {
   const std::string& path() const noexcept { return path_; }
 
   /// Appends one framed record and flushes.
-  void append(const JournalRecord& record);
+  void append(const NameSnapshot& record);
 
   std::uint64_t records_written() const;
 
   /// Replays `path`: every complete, checksum-valid frame in order.  A
-  /// missing file is an empty journal (first boot).  A torn or corrupt
-  /// tail ends the replay silently — everything before it is kept.
-  static std::vector<JournalRecord> recover(const std::string& path);
+  /// missing or empty file is an empty journal (first boot).  A torn or
+  /// corrupt tail ends the replay silently — everything before it is
+  /// kept.  A non-empty file that does not start with "OHPXJNL2" (a
+  /// version-1 journal, a wrong path) throws ObjectError(bad_object_ref):
+  /// it is nobody's empty journal to overwrite.
+  static std::vector<NameSnapshot> recover(const std::string& path);
 
   /// Rewrites `path` to hold exactly `records` (temp file + rename, same
   /// atomicity contract as bootstrap ref files).  The daemon compacts on
   /// boot, after replay, so the journal stays proportional to the live
   /// namespace instead of its whole history.
   static void compact(const std::string& path,
-                      const std::vector<JournalRecord>& records);
+                      const std::vector<NameSnapshot>& records);
 
  private:
   std::string path_;

@@ -1,6 +1,7 @@
 #include "ohpx/naming/name_service.hpp"
 
 #include <algorithm>
+#include <random>
 
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/sync/mutex.hpp"
@@ -8,15 +9,33 @@
 namespace ohpx::naming {
 namespace {
 
+// A TTL or a remaining time is a peer's u64; past a year it is capped, so
+// the lease's nanosecond expiry cannot overflow.
+constexpr std::uint64_t kLongestLeaseMs = 365ull * 24 * 3600 * 1000;
+
+std::shared_ptr<cap::LeaseCapability> lease_for(std::uint64_t ttl_ms) {
+  return std::make_shared<cap::LeaseCapability>(
+      std::chrono::milliseconds(std::min(ttl_ms, kLongestLeaseMs)));
+}
+
 std::shared_ptr<cap::LeaseCapability> make_lease(
     std::chrono::milliseconds ttl) {
   if (ttl.count() <= 0) return nullptr;  // permanent registration
-  return std::make_shared<cap::LeaseCapability>(ttl);
+  return lease_for(static_cast<std::uint64_t>(ttl.count()));
+}
+
+/// The high half of every catch-up sequence one servant mints.
+std::uint64_t fresh_incarnation() {
+  std::random_device entropy;
+  std::uint32_t incarnation = 0;
+  while (incarnation == 0) incarnation = entropy();
+  return std::uint64_t{incarnation} << 32;
 }
 
 }  // namespace
 
-NameServiceServant::NameServiceServant() {
+NameServiceServant::NameServiceServant()
+    : mutation_seq_(fresh_incarnation()) {
   auto& registry = metrics::MetricsRegistry::global();
   binds_ = registry.counter_handle(metrics::names::kNamingBinds);
   resolves_ = registry.counter_handle(metrics::names::kNamingResolves);
@@ -135,7 +154,6 @@ void NameServiceServant::bind(const std::string& name,
   entry.replicas.push_back(
       ReplicaRecord{next_replica_id_++, ref.to_bytes(), nullptr});
   bump_version_locked(name);
-  journal_locked(JournalOp::bind, name, entry.replicas.front().ref);
   refresh_live_gauge_locked();
 }
 
@@ -169,7 +187,6 @@ bool NameServiceServant::unbind(const std::string& name) {
   const bool existed = entries_.erase(name) != 0;
   if (existed) {
     bump_version_locked(name);
-    journal_locked(JournalOp::unbind, name, {});
     refresh_live_gauge_locked();
   }
   return existed;
@@ -217,11 +234,6 @@ std::uint64_t NameServiceServant::bind_replica(const std::string& name,
   entry.replicas.push_back(ReplicaRecord{replica_id, ref.to_bytes(),
                                          make_lease(ttl)});
   bump_version_locked(name);
-  // Only permanent (ttl-zero) replicas survive a restart; a leased one
-  // journals just the version floor.
-  journal_locked(ttl.count() <= 0 ? JournalOp::bind_replica
-                                  : JournalOp::version_floor,
-                 name, entry.replicas.back().ref);
   refresh_live_gauge_locked();
   return replica_id;
 }
@@ -239,7 +251,10 @@ bool NameServiceServant::heartbeat(const std::string& name,
     if (!record.live()) break;  // lease already ran out: re-register
     // Renewal = a fresh lease; heartbeats never resurrect expired records,
     // so a partitioned server cannot sneak back without re-registering.
-    record.lease = make_lease(ttl);
+    // Nor do they change a registration's kind, which no version bump
+    // would carry to the journal or a standby: a permanent one renews
+    // nothing, and a zero TTL renews nothing.
+    if (record.lease && ttl.count() > 0) record.lease = make_lease(ttl);
     return true;
   }
   return false;
@@ -256,14 +271,9 @@ bool NameServiceServant::unbind_replica(const std::string& name,
       replicas.begin(), replicas.end(),
       [&](const ReplicaRecord& r) { return r.replica_id == replica_id; });
   if (match == replicas.end()) return false;
-  const bool permanent = match->lease == nullptr;
-  const Bytes gone = match->ref;
   replicas.erase(match);
   if (replicas.empty()) entries_.erase(it);
   bump_version_locked(name);
-  journal_locked(permanent ? JournalOp::unbind_replica
-                           : JournalOp::version_floor,
-                 name, gone);
   refresh_live_gauge_locked();
   return true;
 }
@@ -300,28 +310,17 @@ std::size_t NameServiceServant::report_dead(const std::string& name,
   if (it == entries_.end()) return 0;
   auto& replicas = it->second.replicas;
   const std::size_t before = replicas.size();
-  std::vector<Bytes> dropped_permanent;
   replicas.erase(
       std::remove_if(replicas.begin(), replicas.end(),
                      [&](const ReplicaRecord& record) {
-                       if (!same_replica(
-                               orb::ObjectRef::from_bytes(record.ref), dead)) {
-                         return false;
-                       }
-                       if (!record.lease) dropped_permanent.push_back(record.ref);
-                       return true;
+                       return same_replica(
+                           orb::ObjectRef::from_bytes(record.ref), dead);
                      }),
       replicas.end());
   const std::size_t dropped = before - replicas.size();
   if (dropped > 0) {
     if (replicas.empty()) entries_.erase(it);
     bump_version_locked(name);
-    for (const Bytes& gone : dropped_permanent) {
-      journal_locked(JournalOp::unbind_replica, name, gone);
-    }
-    if (dropped_permanent.empty()) {
-      journal_locked(JournalOp::version_floor, name, {});
-    }
     refresh_live_gauge_locked();
   }
   return dropped;
@@ -358,10 +357,7 @@ std::size_t NameServiceServant::prune_locked(const std::string& name,
     // expired *replicated* lease must not outrun the primary's version,
     // or the next catch-up snapshot would look like a rollback and be
     // skipped forever.
-    if (role_ == Role::primary) {
-      bump_version_locked(name);
-      journal_locked(JournalOp::version_floor, name, {});
-    }
+    if (role_ == Role::primary) bump_version_locked(name);
   }
   return dropped;
 }
@@ -369,6 +365,7 @@ std::size_t NameServiceServant::prune_locked(const std::string& name,
 void NameServiceServant::bump_version_locked(const std::string& name) const {
   ++versions_[name];
   mutated_at_[name] = ++mutation_seq_;
+  journal_locked(name);
 }
 
 NameServiceServant::Role NameServiceServant::role() const {
@@ -407,26 +404,22 @@ void NameServiceServant::require_primary_locked(const char* op) const {
                         "; primary=" + (where.empty() ? "?" : where));
 }
 
-NameSnapshot NameServiceServant::snapshot_locked(
-    const std::string& name) const {
+NameSnapshot NameServiceServant::snapshot_locked(const std::string& name,
+                                                 bool durable) const {
   NameSnapshot snap;
   snap.name = name;
   const auto version_it = versions_.find(name);
   snap.version = version_it == versions_.end() ? 0 : version_it->second;
   const auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    snap.replicas.reserve(it->second.replicas.size());
-    for (const ReplicaRecord& record : it->second.replicas) {
-      ReplicaSnapshot replica;
-      replica.replica_id = record.replica_id;
-      replica.ref = record.ref;
-      replica.permanent = record.lease == nullptr;
-      replica.lease_remaining_ms =
-          record.lease
-              ? static_cast<std::uint64_t>(record.lease->remaining().count())
-              : 0;
-      snap.replicas.push_back(std::move(replica));
-    }
+  if (it == entries_.end()) return snap;
+  for (const ReplicaRecord& record : it->second.replicas) {
+    // Leased registrations die with the run: their owners re-register.
+    if (durable && record.lease) continue;
+    snap.replicas.push_back(ReplicaSnapshot{
+        record.replica_id, record.ref, record.lease == nullptr,
+        record.lease
+            ? static_cast<std::uint64_t>(record.lease->remaining().count())
+            : 0});
   }
   return snap;
 }
@@ -434,6 +427,9 @@ NameSnapshot NameServiceServant::snapshot_locked(
 std::pair<std::uint64_t, std::vector<NameSnapshot>>
 NameServiceServant::fetch_updates(std::uint64_t since) {
   sync::LockGuard lock(mutex_);
+  // A `since` from another incarnation (this servant's process restarted)
+  // says nothing about what the follower holds: resend everything.
+  if ((since ^ mutation_seq_) >> 32 != 0) since = 0;
   std::vector<NameSnapshot> updates;
   bool primary_included = false;
   for (const auto& [name, seq] : mutated_at_) {
@@ -456,7 +452,6 @@ bool NameServiceServant::apply_update(const NameSnapshot& snapshot) {
   const std::uint64_t local =
       version_it == versions_.end() ? 0 : version_it->second;
   if (snapshot.version < local) return false;  // never roll a version back
-  const bool advanced = snapshot.version > local;
   versions_[snapshot.name] = snapshot.version;
   if (snapshot.replicas.empty()) {
     entries_.erase(snapshot.name);
@@ -467,24 +462,15 @@ bool NameServiceServant::apply_update(const NameSnapshot& snapshot) {
     for (const ReplicaSnapshot& replica : snapshot.replicas) {
       entry.replicas.push_back(ReplicaRecord{
           replica.replica_id, replica.ref,
-          replica.permanent
-              ? nullptr
-              : std::make_shared<cap::LeaseCapability>(
-                    std::chrono::milliseconds(replica.lease_remaining_ms))});
+          replica.permanent ? nullptr : lease_for(replica.lease_remaining_ms)});
       next_replica_id_ = std::max(next_replica_id_, replica.replica_id + 1);
     }
   }
   mutated_at_[snapshot.name] = ++mutation_seq_;
-  if (advanced) {
-    // Re-journal the durable slice of the applied entry so a *standby*
-    // restart (or a restart after promotion) also recovers the namespace.
-    journal_locked(JournalOp::unbind, snapshot.name, {});
-    for (const ReplicaSnapshot& replica : snapshot.replicas) {
-      if (replica.permanent) {
-        journal_locked(JournalOp::bind_replica, snapshot.name, replica.ref);
-      }
-    }
-  }
+  // A standby journals what it applies, so its own restart (or one after
+  // promotion) also recovers the namespace.  An equal version only
+  // refreshed leases, which are not durable.
+  if (snapshot.version > local) journal_locked(snapshot.name);
   refresh_live_gauge_locked();
   return true;
 }
@@ -494,79 +480,18 @@ void NameServiceServant::attach_journal(std::shared_ptr<Journal> journal) {
   journal_ = std::move(journal);
 }
 
-void NameServiceServant::restore(const std::vector<JournalRecord>& records) {
+std::vector<NameSnapshot> NameServiceServant::journal_snapshot() const {
   sync::LockGuard lock(mutex_);
-  for (const JournalRecord& record : records) {
-    auto& floor = versions_[record.name];
-    floor = std::max(floor, record.version);
-    mutated_at_[record.name] = ++mutation_seq_;
-    switch (record.op) {
-      case JournalOp::bind: {
-        Entry& entry = entries_[record.name];
-        entry.replicas.clear();
-        entry.replicas.push_back(
-            ReplicaRecord{next_replica_id_++, record.ref, nullptr});
-        break;
-      }
-      case JournalOp::bind_replica: {
-        entries_[record.name].replicas.push_back(
-            ReplicaRecord{next_replica_id_++, record.ref, nullptr});
-        break;
-      }
-      case JournalOp::unbind:
-        entries_.erase(record.name);
-        break;
-      case JournalOp::unbind_replica: {
-        const auto it = entries_.find(record.name);
-        if (it == entries_.end()) break;
-        const orb::ObjectRef gone = orb::ObjectRef::from_bytes(record.ref);
-        auto& replicas = it->second.replicas;
-        replicas.erase(
-            std::remove_if(replicas.begin(), replicas.end(),
-                           [&](const ReplicaRecord& r) {
-                             return same_replica(
-                                 orb::ObjectRef::from_bytes(r.ref), gone);
-                           }),
-            replicas.end());
-        if (replicas.empty()) entries_.erase(it);
-        break;
-      }
-      case JournalOp::version_floor:
-        break;  // the floor update above is the whole effect
-    }
-  }
-  refresh_live_gauge_locked();
-}
-
-std::vector<JournalRecord> NameServiceServant::journal_snapshot() const {
-  sync::LockGuard lock(mutex_);
-  std::vector<JournalRecord> records;
+  std::vector<NameSnapshot> records;
   records.reserve(versions_.size());
-  for (const auto& [name, version] : versions_) {
-    records.push_back(
-        JournalRecord{JournalOp::version_floor, name, version, {}});
-  }
-  for (const auto& [name, entry] : entries_) {
-    const auto version_it = versions_.find(name);
-    const std::uint64_t version =
-        version_it == versions_.end() ? 0 : version_it->second;
-    for (const ReplicaRecord& record : entry.replicas) {
-      if (record.lease) continue;  // leased registrations die with the run
-      records.push_back(
-          JournalRecord{JournalOp::bind_replica, name, version, record.ref});
-    }
+  for (const auto& known : versions_) {
+    records.push_back(snapshot_locked(known.first, /*durable=*/true));
   }
   return records;
 }
 
-void NameServiceServant::journal_locked(JournalOp op, const std::string& name,
-                                        const Bytes& ref) const {
-  if (!journal_) return;
-  const auto version_it = versions_.find(name);
-  journal_->append(JournalRecord{
-      op, name, version_it == versions_.end() ? 0 : version_it->second,
-      op == JournalOp::version_floor || op == JournalOp::unbind ? Bytes{}
-                                                                : ref});
+void NameServiceServant::journal_locked(const std::string& name) const {
+  if (journal_) journal_->append(snapshot_locked(name, /*durable=*/true));
 }
 
 void NameServiceServant::refresh_live_gauge_locked() const {

@@ -20,7 +20,15 @@
 // failover clients can walk the set.  Every mutation of a name — bind,
 // replica join/leave, lease expiry, dead report — bumps that name's
 // version, which travels with resolve replies so client caches
-// (NameClient) can detect staleness.
+// (NameClient) can detect staleness.  A heartbeat renews a leased
+// registration only: a permanent (ttl-zero) one stays permanent.
+//
+// One record describes an entry everywhere (naming/journal.hpp): the
+// catch-up stream ships whole-entry NameSnapshots, and the persistence
+// journal appends each bumped entry's durable slice (version + permanent
+// replicas).  A standby applies its peer's snapshots and a restart replays
+// the journal through the same apply_update(), so no path can roll an
+// entry version back.
 #pragma once
 
 #include <map>
@@ -68,54 +76,6 @@ struct ReplicaRecord {
   std::shared_ptr<cap::LeaseCapability> lease;
 
   bool live() const noexcept { return !lease || !lease->expired(); }
-};
-
-/// One replica inside a NameSnapshot (the catch-up stream's unit).
-/// Leases travel as *remaining* milliseconds — the same transfer rule
-/// LeaseCapability descriptors use — so the standby's reconstructed lease
-/// expires when the original would.
-struct ReplicaSnapshot {
-  std::uint64_t replica_id = 0;
-  Bytes ref;
-  bool permanent = false;
-  std::uint64_t lease_remaining_ms = 0;
-
-  void wire_serialize(wire::Encoder& enc) const {
-    enc.put_u64(replica_id);
-    enc.put_bytes(ref);
-    enc.put_bool(permanent);
-    enc.put_u64(lease_remaining_ms);
-  }
-  static ReplicaSnapshot wire_deserialize(wire::Decoder& dec) {
-    ReplicaSnapshot snap;
-    snap.replica_id = dec.get_u64();
-    snap.ref = dec.get_bytes();
-    snap.permanent = dec.get_bool();
-    snap.lease_remaining_ms = dec.get_u64();
-    return snap;
-  }
-};
-
-/// Whole-entry snapshot of one name at one version.  An empty replica
-/// list means the name is unbound (the snapshot still carries the version
-/// floor, so deletions replicate without ever rolling a version back).
-struct NameSnapshot {
-  std::string name;
-  std::uint64_t version = 0;
-  std::vector<ReplicaSnapshot> replicas;
-
-  void wire_serialize(wire::Encoder& enc) const {
-    enc.put_string(name);
-    enc.put_u64(version);
-    wire::serialize(enc, replicas);
-  }
-  static NameSnapshot wire_deserialize(wire::Decoder& dec) {
-    NameSnapshot snap;
-    snap.name = dec.get_string();
-    snap.version = dec.get_u64();
-    snap.replicas = wire::deserialize<std::vector<ReplicaSnapshot>>(dec);
-    return snap;
-  }
 };
 
 /// The directory servant.  Thread-safe; stores serialized ORs so entries
@@ -166,8 +126,9 @@ class NameServiceServant final : public orb::Servant {
                              const orb::ObjectRef& ref,
                              std::chrono::milliseconds ttl);
 
-  /// Renews one replica's lease.  False when the registration is gone
-  /// (expired and swept, or the daemon restarted) — re-register then.
+  /// Renews one leased replica's lease (a zero TTL renews nothing); a
+  /// permanent registration stays permanent.  False when the registration
+  /// is gone (expired and swept, or the daemon restarted) — re-register.
   bool heartbeat(const std::string& name, std::uint64_t replica_id,
                  std::chrono::milliseconds ttl);
 
@@ -212,29 +173,29 @@ class NameServiceServant final : public orb::Servant {
   /// method; 0 = everything, i.e. a full snapshot on join), plus — always
   /// — the `__primary` entry, whose lease freshness is what the standby's
   /// promotion decision reads.  Returns {current sequence, snapshots}.
+  /// Sequences carry this servant's random incarnation in their high 32
+  /// bits, so a `since` minted before a restart is answered with a full
+  /// snapshot (never-rollback makes the resend safe).
   std::pair<std::uint64_t, std::vector<NameSnapshot>> fetch_updates(
       std::uint64_t since);
 
-  /// Applies one snapshot to a standby: skipped entirely when it would
-  /// roll the entry version back; an equal-version snapshot still
-  /// refreshes lease remaining times (heartbeats do not bump versions).
-  /// Returns true when applied.
+  /// Applies one snapshot — a peer's catch-up update or a recovered
+  /// journal record: skipped entirely when it would roll the entry version
+  /// back; an equal-version snapshot still refreshes lease remaining times
+  /// (heartbeats do not bump versions).  A snapshot that advances the
+  /// entry is journaled.  Returns true when applied.
   bool apply_update(const NameSnapshot& snapshot);
 
   // -- persistence (naming/journal.hpp) --
 
-  /// Journals every durable mutation from now on (permanent binds and
-  /// version bumps).  Attach after restore(), so replay is not re-written.
+  /// Journals the durable slice of every entry whose version moves from
+  /// now on.  Attach after replaying the recovered records through
+  /// apply_update(), so replay is not re-written.
   void attach_journal(std::shared_ptr<Journal> journal);
 
-  /// Rebuilds state from recovered journal records (permanent replicas +
-  /// version floors).  Call once, on an empty servant, before serving.
-  void restore(const std::vector<JournalRecord>& records);
-
-  /// The minimal record set reproducing current durable state (one
-  /// version_floor per known name + one bind_replica per permanent
-  /// replica) — what the daemon passes to Journal::compact() on boot.
-  std::vector<JournalRecord> journal_snapshot() const;
+  /// One durable snapshot per known name: its version and its permanent
+  /// replicas — what the daemon passes to Journal::compact() on boot.
+  std::vector<NameSnapshot> journal_snapshot() const;
 
  private:
   struct Entry {
@@ -254,12 +215,13 @@ class NameServiceServant final : public orb::Servant {
   /// Where the current primary is, for redirects: the live `__primary`
   /// binding's home endpoint, else the static hint.  Empty when unknown.
   std::string primary_endpoint_locked() const OHPX_REQUIRES(mutex_);
-  NameSnapshot snapshot_locked(const std::string& name) const
+  /// `name`'s entry at its current version; `durable` keeps only the
+  /// permanent replicas (the journal's slice).
+  NameSnapshot snapshot_locked(const std::string& name,
+                               bool durable = false) const
       OHPX_REQUIRES(mutex_);
-  /// One durable-journal record for a mutation just applied (no-op
-  /// without an attached journal).
-  void journal_locked(JournalOp op, const std::string& name,
-                      const Bytes& ref) const OHPX_REQUIRES(mutex_);
+  /// Appends `name`'s durable slice (no-op without an attached journal).
+  void journal_locked(const std::string& name) const OHPX_REQUIRES(mutex_);
 
   mutable sync::Mutex mutex_{"naming.directory"};
   mutable std::map<std::string, Entry> entries_ OHPX_GUARDED_BY(mutex_);
@@ -272,8 +234,9 @@ class NameServiceServant final : public orb::Servant {
   /// Global mutation sequence + never-erased per-name last-mutation marks:
   /// what fetch_updates() diffs against.  bump_version_locked advances
   /// both (on a primary); apply_update stamps them too, so a promoted
-  /// standby can itself serve the catch-up stream.
-  mutable std::uint64_t mutation_seq_ OHPX_GUARDED_BY(mutex_) = 0;
+  /// standby can itself serve the catch-up stream.  Starts at the
+  /// incarnation (a random nonzero value << 32; see fetch_updates()).
+  mutable std::uint64_t mutation_seq_ OHPX_GUARDED_BY(mutex_);
   mutable std::map<std::string, std::uint64_t> mutated_at_
       OHPX_GUARDED_BY(mutex_);
   std::shared_ptr<Journal> journal_ OHPX_GUARDED_BY(mutex_);

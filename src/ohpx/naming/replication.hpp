@@ -31,8 +31,8 @@
 
 namespace ohpx::naming {
 
-// (ReplicaSnapshot / NameSnapshot / kPrimaryName live in name_service.hpp
-// next to the servant API that produces and consumes them.)
+// (ReplicaSnapshot / NameSnapshot live in journal.hpp — the journal's
+// record is the stream's unit — and kPrimaryName in name_service.hpp.)
 
 struct ReplicatorConfig {
   /// Catch-up poll cadence against the primary.

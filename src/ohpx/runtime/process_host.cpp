@@ -1,8 +1,8 @@
 #include "ohpx/runtime/process_host.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 
 #include "ohpx/common/error.hpp"
 
@@ -16,16 +16,19 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin + 1);
 }
 
-std::uint64_t parse_number(const std::string& value, const std::string& what) {
-  try {
-    const long long parsed = std::stoll(value);
-    if (parsed < 0) throw std::out_of_range("negative");
-    return static_cast<std::uint64_t>(parsed);
-  } catch (const std::exception&) {
+/// A plain decimal of at least `floor`: no '+', no blanks, nothing after
+/// the digits ("5s" is refused, not read as 5), nothing past int64.
+std::int64_t parse_number(const std::string& value, const std::string& what,
+                          std::int64_t floor = 0) {
+  std::int64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc{} || stop != end || parsed < floor) {
     throw ObjectError(ErrorCode::bad_object_ref,
-                      "process-host config: bad number for " + what + ": '" +
-                          value + "'");
+                      "process-host config: " + what + " wants a number >= " +
+                          std::to_string(floor) + ", got '" + value + "'");
   }
+  return parsed;
 }
 
 /// "host:port" → pair; a bare ":port" keeps the default host.
@@ -37,7 +40,7 @@ void parse_listen(const std::string& value, ProcessHostConfig& config) {
                           value + "'");
   }
   if (colon > 0) config.listen_host = value.substr(0, colon);
-  const std::uint64_t port =
+  const std::int64_t port =
       parse_number(value.substr(colon + 1), "listen port");
   if (port > 65535) {
     throw ObjectError(ErrorCode::bad_object_ref,
@@ -57,12 +60,14 @@ void apply_key(const std::string& key, const std::string& value,
   } else if (key == "named") {
     config.named_uri = value;
   } else if (key == "contexts") {
-    config.contexts = static_cast<std::size_t>(parse_number(value, key));
+    config.contexts = static_cast<std::size_t>(parse_number(value, key, 1));
   } else if (key == "heartbeat_ms") {
+    // Zero would beat back to back, and a zero TTL is no lease at all: a
+    // permanent registration that outlives the process.
     config.heartbeat_interval =
-        std::chrono::milliseconds(parse_number(value, key));
+        std::chrono::milliseconds(parse_number(value, key, 1));
   } else if (key == "ttl_ms") {
-    config.replica_ttl = std::chrono::milliseconds(parse_number(value, key));
+    config.replica_ttl = std::chrono::milliseconds(parse_number(value, key, 1));
   } else {
     throw ObjectError(ErrorCode::bad_object_ref,
                       "process-host config: unknown key '" + key + "'");
@@ -98,37 +103,23 @@ ProcessHostConfig ProcessHostConfig::from_args(int argc,
   ProcessHostConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    const auto value_of = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        throw ObjectError(ErrorCode::bad_object_ref,
-                          "process-host flag " + flag + " wants a value");
-      }
-      return argv[++i];
-    };
-    if (flag == "--config") {
-      // The file is the base; later flags override it.
-      config = from_file(value_of());
-    } else if (flag == "--machine") {
-      config.machine_name = value_of();
-    } else if (flag == "--listen") {
-      parse_listen(value_of(), config);
-    } else if (flag == "--advertise") {
-      config.advertise_host = value_of();
-    } else if (flag == "--named") {
-      config.named_uri = value_of();
-    } else if (flag == "--contexts") {
-      config.contexts =
-          static_cast<std::size_t>(parse_number(value_of(), "contexts"));
-    } else if (flag == "--heartbeat-ms") {
-      config.heartbeat_interval =
-          std::chrono::milliseconds(parse_number(value_of(), "heartbeat-ms"));
-    } else if (flag == "--ttl-ms") {
-      config.replica_ttl =
-          std::chrono::milliseconds(parse_number(value_of(), "ttl-ms"));
-    } else {
+    if (flag.rfind("--", 0) != 0) {
       throw ObjectError(ErrorCode::bad_object_ref,
                         "unknown process-host flag '" + flag + "'");
     }
+    if (i + 1 >= argc) {
+      throw ObjectError(ErrorCode::bad_object_ref,
+                        "process-host flag " + flag + " wants a value");
+    }
+    const std::string value = argv[++i];
+    if (flag == "--config") {
+      config = from_file(value);  // the base; later flags override it
+      continue;
+    }
+    // Every other flag is its file key: --heartbeat-ms is heartbeat_ms.
+    std::string key = flag.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    apply_key(key, value, config);
   }
   return config;
 }

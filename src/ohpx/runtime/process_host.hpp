@@ -64,13 +64,17 @@ struct ProcessHostConfig {
 
   /// Parses "key = value" lines (#-comments, blank lines ignored).  Keys:
   /// machine, listen (host:port), advertise, named, contexts,
-  /// heartbeat_ms, ttl_ms.  Throws ObjectError(bad_object_ref) on
-  /// unreadable files or unknown keys.
+  /// heartbeat_ms, ttl_ms.  Numbers are plain decimals; contexts,
+  /// heartbeat_ms and ttl_ms are at least 1.  Throws
+  /// ObjectError(bad_object_ref) on unreadable files, unknown keys and
+  /// bad values.
   static ProcessHostConfig from_file(const std::string& path);
 
-  /// Parses command-line flags (--machine, --listen host:port, --advertise,
-  /// --named URI, --contexts N, --heartbeat-ms N, --ttl-ms N, --config
-  /// FILE as the base).  Throws on unknown flags.
+  /// Parses command-line flags, each a file key spelled --key with '-'
+  /// for '_' (--machine, --listen host:port, --advertise, --named URI,
+  /// --contexts N, --heartbeat-ms N, --ttl-ms N), through the same
+  /// parser; --config FILE is the base later flags override.  Throws as
+  /// from_file() does, and on a flag with no value.
   static ProcessHostConfig from_args(int argc, const char* const* argv);
 };
 

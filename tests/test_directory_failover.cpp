@@ -16,6 +16,11 @@
 //   - mutations after the failover land on the new primary via endpoint
 //     walking / redirects.
 //
+// And a directory kill -9'd and restarted on its --journal twice: READY is
+// still the first stdout line, permanent bindings come back, leased ones do
+// not, and no entry version goes backwards; a journal of another format is
+// refused and left as it was.
+//
 // The daemon binaries come from OHPX_NAMED_BIN / OHPX_HOSTD_BIN (set by
 // tests/CMakeLists.txt); the test skips when they are absent.
 #include <gtest/gtest.h>
@@ -24,7 +29,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,6 +218,84 @@ TEST(DirectoryFailover, KillNinePrimaryPromotesStandbyLosesNothing) {
         << "entry version rolled back across the failover (observation " << i
         << ": " << versions[i - 1] << " -> " << versions[i] << ")";
   }
+}
+
+TEST(DirectoryFailover, JournalSurvivesKillNineRestart) {
+  const char* named_bin = std::getenv("OHPX_NAMED_BIN");
+  if (named_bin == nullptr) GTEST_SKIP() << "OHPX_NAMED_BIN not set";
+  const std::string journal =
+      testing::TempDir() + "ohpx_named_journal_" + std::to_string(::getpid());
+  std::remove(journal.c_str());
+
+  // Boots ohpx-named on the journal; its URI, or "" when the first stdout
+  // line is not READY.
+  const auto boot = [&](Child& daemon) -> std::string {
+    daemon = spawn(named_bin, {"--journal", journal});
+    unsigned port = 0;
+    char uri_buf[128] = {0};
+    const std::string first = read_line(daemon.out);
+    if (std::sscanf(first.c_str(), "READY %u %127s", &port, uri_buf) != 2) {
+      ADD_FAILURE() << "first stdout line is not READY: '" << first << "'";
+      return "";
+    }
+    return "127.0.0.1:" + std::to_string(port);
+  };
+
+  runtime::World world;
+  const netsim::LanId lan = world.add_lan("client-lan");
+  orb::Context& ctx = world.create_context(world.add_machine("client", lan));
+  const orb::ObjectRef permanent = naming::make_bootstrap_ref("10.9.9.1", 7001);
+  const orb::ObjectRef leased = naming::make_bootstrap_ref("10.9.9.2", 7002);
+
+  Child daemon;
+  std::string uri = boot(daemon);
+  ASSERT_FALSE(uri.empty());
+  std::uint64_t permanent_version = 0;
+  std::uint64_t leased_version = 0;
+  {
+    naming::NameClient names(ctx, uri);
+    names.bind("svc/permanent", permanent);
+    names.bind_replica("svc/leased", leased, std::chrono::seconds(60));
+    permanent_version = names.resolve_all("svc/permanent").first;
+    const auto [version, live] = names.resolve_all("svc/leased");
+    ASSERT_EQ(live.size(), 1u);
+    leased_version = version;
+  }
+
+  for (const char* restart : {"replaying the appended journal",
+                              "replaying the compacted journal"}) {
+    SCOPED_TRACE(restart);
+    daemon.reap(SIGKILL);
+    uri = boot(daemon);
+    ASSERT_FALSE(uri.empty());
+    naming::NameClient names(ctx, uri);
+    const auto [version, live] = names.resolve_all("svc/permanent");
+    EXPECT_GE(version, permanent_version);
+    ASSERT_EQ(live.size(), 1u) << "the permanent binding did not come back";
+    EXPECT_EQ(live[0], permanent);
+    const auto [gone_version, gone] = names.resolve_all("svc/leased");
+    EXPECT_GE(gone_version, leased_version);
+    EXPECT_TRUE(gone.empty()) << "a leased registration outlived its daemon";
+  }
+  daemon.reap(SIGKILL);
+
+  // A journal of another format (here, a version-1 magic) is refused: the
+  // daemon exits non-zero before READY and leaves the file as it was.
+  const std::string foreign = "OHPXJNL1 and a record the reader cannot know";
+  std::ofstream(journal, std::ios::binary | std::ios::trunc) << foreign;
+  Child refused = spawn(named_bin, {"--journal", journal});
+  ASSERT_GT(refused.pid, 0);
+  EXPECT_EQ(read_line(refused.out), "");
+  int status = 0;
+  ASSERT_EQ(::waitpid(refused.pid, &status, 0), refused.pid);
+  refused.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) != 0)
+      << "ohpx-named accepted a foreign journal";
+  std::ifstream in(journal, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()),
+            foreign);
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Replicated-directory tests (docs/deployment.md, "Replicated directory"):
 //   - journal framing: round-trip, torn-tail recovery, checksum rejection,
-//     restart restoring every permanent bind and the version floor;
+//     a foreign file refused, restart (replay through apply_update)
+//     restoring every permanent bind and the version floor;
 //   - the catch-up stream: full snapshot on join, incremental deltas,
-//     never-rollback application, lease freshness riding equal versions;
+//     never-rollback application, lease freshness riding equal versions,
+//     a full resend after the primary restarts;
 //   - standby role enforcement: mutations refused with a redirect the
 //     NameClient follows to the primary, endpoint walking on dead
 //     bootstrap endpoints;
@@ -10,13 +12,17 @@
 //     rename-race retry;
 //   - a seeded property sweep on a ManualClock: after any mutation mix,
 //     a synced standby holds an identical namespace at identical entry
-//     versions.
+//     versions, and a replay of the primary's journal holds its durable
+//     state.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ohpx/common/rng.hpp"
 #include "ohpx/naming/bootstrap.hpp"
@@ -43,6 +49,31 @@ orb::ObjectRef ref_at(const std::string& host, std::uint16_t port) {
   return make_bootstrap_ref(host, port);
 }
 
+/// A journal record: `name` at `version`, holding `refs` as permanent
+/// replicas with ids 1, 2, ...
+NameSnapshot durable(const std::string& name, std::uint64_t version,
+                     const std::vector<orb::ObjectRef>& refs = {}) {
+  NameSnapshot record{name, version, {}};
+  for (const orb::ObjectRef& ref : refs) {
+    record.replicas.push_back(
+        {record.replicas.size() + 1, ref.to_bytes(), true, 0});
+  }
+  return record;
+}
+
+/// Journal replay, as the daemon boots: apply_update over every record.
+void replay(NameServiceServant& servant, const std::string& path) {
+  for (const NameSnapshot& record : Journal::recover(path)) {
+    servant.apply_update(record);
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 // ---- journal framing -------------------------------------------------------------
 
 TEST(DirectoryJournal, AppendRecoverRoundTrip) {
@@ -50,22 +81,24 @@ TEST(DirectoryJournal, AppendRecoverRoundTrip) {
   std::remove(path.c_str());
   {
     Journal journal(path);
-    journal.append({JournalOp::bind, "svc/a", 1, ref_at("h", 1).to_bytes()});
-    journal.append({JournalOp::version_floor, "svc/b", 7, {}});
-    journal.append(
-        {JournalOp::unbind_replica, "svc/a", 9, ref_at("h", 2).to_bytes()});
+    journal.append(durable("svc/a", 1, {ref_at("h", 1)}));
+    journal.append(durable("svc/b", 7));
+    journal.append(durable("svc/a", 9, {ref_at("h", 1), ref_at("h", 2)}));
     EXPECT_EQ(journal.records_written(), 3u);
   }
   const auto records = Journal::recover(path);
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].op, JournalOp::bind);
   EXPECT_EQ(records[0].name, "svc/a");
   EXPECT_EQ(records[0].version, 1u);
-  EXPECT_EQ(records[1].op, JournalOp::version_floor);
+  ASSERT_EQ(records[0].replicas.size(), 1u);
+  EXPECT_EQ(records[0].replicas[0].ref, ref_at("h", 1).to_bytes());
+  EXPECT_TRUE(records[0].replicas[0].permanent);
+  EXPECT_EQ(records[1].name, "svc/b");
   EXPECT_EQ(records[1].version, 7u);
-  EXPECT_TRUE(records[1].ref.empty());
-  EXPECT_EQ(records[2].op, JournalOp::unbind_replica);
-  EXPECT_EQ(records[2].ref, ref_at("h", 2).to_bytes());
+  EXPECT_TRUE(records[1].replicas.empty());
+  ASSERT_EQ(records[2].replicas.size(), 2u);
+  EXPECT_EQ(records[2].replicas[1].replica_id, 2u);
+  EXPECT_EQ(records[2].replicas[1].ref, ref_at("h", 2).to_bytes());
   std::remove(path.c_str());
 }
 
@@ -73,14 +106,35 @@ TEST(DirectoryJournal, MissingFileIsEmptyJournal) {
   EXPECT_TRUE(Journal::recover(temp_path("journal_never_written")).empty());
 }
 
+TEST(DirectoryJournal, ForeignFileIsRefusedNotReplaced) {
+  const std::string path = temp_path("journal_foreign");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << "";
+  EXPECT_TRUE(Journal::recover(path).empty()) << "an empty file is a journal";
+
+  // A version-1 journal and a wrong path look alike: not OHPXJNL2.
+  for (const std::string& foreign :
+       {std::string("OHPXJNL1\x05\0\0\0garbage", 19),
+        std::string("#!/bin/sh\necho not a journal\n"), std::string("OHPX")}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << foreign;
+    try {
+      Journal::recover(path);
+      ADD_FAILURE() << "a foreign file replayed as a journal";
+    } catch (const ObjectError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::bad_object_ref);
+    }
+    EXPECT_EQ(read_file(path), foreign) << "the refused file was touched";
+  }
+  std::remove(path.c_str());
+}
+
 TEST(DirectoryJournal, TruncatedLastRecordIsDropped) {
   const std::string path = temp_path("journal_torn");
   std::remove(path.c_str());
   {
     Journal journal(path);
-    journal.append({JournalOp::version_floor, "svc/a", 1, {}});
-    journal.append({JournalOp::version_floor, "svc/b", 2, {}});
-    journal.append({JournalOp::version_floor, "svc/c", 3, {}});
+    journal.append(durable("svc/a", 1));
+    journal.append(durable("svc/b", 2));
+    journal.append(durable("svc/c", 3));
   }
   // Tear mid-frame: chop the last few bytes, as a crash mid-append would.
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -104,8 +158,8 @@ TEST(DirectoryJournal, CorruptChecksumEndsReplay) {
   std::remove(path.c_str());
   {
     Journal journal(path);
-    journal.append({JournalOp::version_floor, "svc/a", 1, {}});
-    journal.append({JournalOp::version_floor, "svc/b", 2, {}});
+    journal.append(durable("svc/a", 1));
+    journal.append(durable("svc/b", 2));
   }
   std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
   file.seekp(-1, std::ios::end);  // flip a byte in the last payload
@@ -141,7 +195,7 @@ TEST(DirectoryJournal, RestartRestoresPermanentBindsAndVersionFloor) {
     before.unbind("svc/gone");
   }
   NameServiceServant after;
-  after.restore(Journal::recover(path));
+  replay(after, path);
 
   const auto [version, live] = after.resolve_all("svc/perm");
   EXPECT_EQ(version, 2u);
@@ -159,9 +213,37 @@ TEST(DirectoryJournal, RestartRestoresPermanentBindsAndVersionFloor) {
   // a minimal journal.
   Journal::compact(path, after.journal_snapshot());
   NameServiceServant compacted;
-  compacted.restore(Journal::recover(path));
+  replay(compacted, path);
   EXPECT_EQ(compacted.resolve_all("svc/perm").second.size(), 2u);
   EXPECT_GE(compacted.version_of("svc/leased"), churn_version);
+  std::remove(path.c_str());
+}
+
+TEST(DirectoryJournal,
+     WithdrawingOneOfTwoRegistrationsOfOneRefSurvivesRestart) {
+  const std::string path = temp_path("journal_twice");
+  std::remove(path.c_str());
+  const auto echo = ref_at("10.0.0.1", 7001);
+  std::uint64_t kept = 0;
+  {
+    // A retried bind_replica registers the same reference twice.
+    NameServiceServant before;
+    before.attach_journal(std::make_shared<Journal>(path));
+    const auto withdrawn =
+        before.bind_replica("svc/twice", echo, milliseconds(0));
+    kept = before.bind_replica("svc/twice", echo, milliseconds(0));
+    ASSERT_TRUE(before.unbind_replica("svc/twice", withdrawn));
+    ASSERT_EQ(before.resolve_all("svc/twice").second.size(), 1u);
+  }
+  NameServiceServant after;
+  replay(after, path);
+  const auto [version, live] = after.resolve_all("svc/twice");
+  EXPECT_EQ(version, 3u);
+  ASSERT_EQ(live.size(), 1u)
+      << "the registration still held vanished on restart";
+  EXPECT_EQ(live[0], echo);
+  // The survivor keeps its id: its owner can still withdraw it.
+  EXPECT_TRUE(after.unbind_replica("svc/twice", kept));
   std::remove(path.c_str());
 }
 
@@ -244,6 +326,46 @@ TEST(DirectoryCatchUp, EqualVersionSnapshotRefreshesLeases) {
   // And once heartbeats stop, the replicated lease does lapse.
   clock.clock().advance(std::chrono::milliseconds(1500));
   EXPECT_FALSE(standby.resolve(kPrimaryName).has_value());
+}
+
+TEST(DirectoryCatchUp, RestartedPrimaryResendsToItsStandby) {
+  // A primary restarted from its compacted journal numbers its stream
+  // afresh.  The standby's `since` is then ahead of every sequence the
+  // restarted primary has minted (no further writes), or behind the newest
+  // ones but still ahead of the write it lacks (40 more writes).
+  for (const int more_writes : {0, 40}) {
+    SCOPED_TRACE("writes after the lost one: " + std::to_string(more_writes));
+    const std::string path = temp_path("journal_resend");
+    std::remove(path.c_str());
+    NameServiceServant standby;
+    standby.set_role(NameServiceServant::Role::standby);
+    std::uint64_t since = 0;
+    {
+      NameServiceServant before;
+      before.attach_journal(std::make_shared<Journal>(path));
+      for (std::uint16_t i = 0; i < 20; ++i) {
+        before.bind("svc/a", ref_at("10.0.0.1", 7000 + i), /*rebind=*/true);
+      }
+      auto [seq, updates] = before.fetch_updates(since);
+      for (const auto& snapshot : updates) standby.apply_update(snapshot);
+      since = seq;
+      Journal::compact(path, before.journal_snapshot());
+    }
+    NameServiceServant after;
+    replay(after, path);
+    after.bind("svc/b", ref_at("10.0.0.2", 7100));
+    for (std::uint16_t i = 0; i < more_writes; ++i) {
+      after.bind("svc/c", ref_at("10.0.0.3", 7200 + i), /*rebind=*/true);
+    }
+    for (const auto& snapshot : after.fetch_updates(since).second) {
+      standby.apply_update(snapshot);
+    }
+    EXPECT_EQ(standby.resolve("svc/b"), ref_at("10.0.0.2", 7100))
+        << "the standby never received a write made after the restart";
+    EXPECT_EQ(standby.version_of("svc/a"), after.version_of("svc/a"));
+    EXPECT_EQ(standby.version_of("svc/c"), after.version_of("svc/c"));
+    std::remove(path.c_str());
+  }
 }
 
 TEST(DirectoryCatchUp, StandbyRefusesMutationsLocally) {
@@ -409,15 +531,44 @@ TEST(BootstrapEndpoints, MissingFileThrowsAfterBoundedRetry) {
 // the standby at quiescent points, and asserts the replicated namespace is
 // *identical* — same names, same live replica sets in the same order, same
 // entry versions.  Catches every divergence class at once: missed deltas,
-// version skew, lease-remaining drift, standby-side version bumps.
+// version skew, lease-remaining drift, standby-side version bumps.  The
+// primary also journals, and after every operation a fresh servant
+// replaying that journal must hold the primary's durable state.
 class ReplicationConvergence : public ::testing::TestWithParam<std::uint64_t> {
 };
+
+/// A fresh servant replaying `path` holds `primary`'s durable state: each
+/// known name's version and its permanent replicas, in order.
+void expect_replay_holds_durable_state(const NameServiceServant& primary,
+                                       const std::string& path,
+                                       const std::string& where) {
+  NameServiceServant replayed;
+  replay(replayed, path);
+  const auto want = primary.journal_snapshot();
+  const auto got = replayed.journal_snapshot();
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(where + " name " + want[i].name);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].version, want[i].version);
+    ASSERT_EQ(got[i].replicas.size(), want[i].replicas.size())
+        << "the journal and the primary disagree on the permanent replicas";
+    for (std::size_t r = 0; r < want[i].replicas.size(); ++r) {
+      EXPECT_EQ(got[i].replicas[r].replica_id, want[i].replicas[r].replica_id);
+      EXPECT_EQ(got[i].replicas[r].ref, want[i].replicas[r].ref);
+    }
+  }
+}
 
 TEST_P(ReplicationConvergence, StandbyConvergesAtQuiescentPoints) {
   resilience::ScopedManualClock clock;
   Xoshiro256 rng(GetParam());
 
+  const std::string journal_path =
+      temp_path("journal_sweep_" + std::to_string(GetParam()));
+  std::remove(journal_path.c_str());
   NameServiceServant primary;
+  primary.attach_journal(std::make_shared<Journal>(journal_path));
   NameServiceServant standby;
   standby.set_role(NameServiceServant::Role::standby);
   std::uint64_t last_seq = 0;
@@ -429,7 +580,8 @@ TEST_P(ReplicationConvergence, StandbyConvergesAtQuiescentPoints) {
     return ref_at("10.0.0." + std::to_string(1 + rng.next() % 8),
                   static_cast<std::uint16_t>(7000 + rng.next() % 16));
   };
-  std::vector<std::pair<std::string, std::uint64_t>> leases;
+  // Every bind_replica registration, leased or permanent.
+  std::vector<std::pair<std::string, std::uint64_t>> registrations;
 
   constexpr int kOps = 256;
   constexpr int kQuiescentEvery = 32;
@@ -437,28 +589,39 @@ TEST_P(ReplicationConvergence, StandbyConvergesAtQuiescentPoints) {
     const auto pick = rng.next() % 100;
     if (pick < 30) {
       const std::string name = random_name();
-      leases.emplace_back(
+      registrations.emplace_back(
           name, primary.bind_replica(name, random_ref(),
                                      milliseconds(200 + rng.next() % 800)));
     } else if (pick < 42) {
-      primary.bind_replica(random_name(), random_ref(), milliseconds(0));
+      const std::string name = random_name();
+      registrations.emplace_back(
+          name, primary.bind_replica(name, random_ref(), milliseconds(0)));
     } else if (pick < 52) {
       primary.bind(random_name(), random_ref(), /*rebind=*/true);
     } else if (pick < 62) {
       primary.unbind(random_name());
-    } else if (pick < 74 && !leases.empty()) {
-      const auto& [name, id] = leases[rng.next() % leases.size()];
-      primary.heartbeat(name, id, milliseconds(200 + rng.next() % 800));
-    } else if (pick < 84 && !leases.empty()) {
-      const auto index = rng.next() % leases.size();
-      primary.unbind_replica(leases[index].first, leases[index].second);
-      leases.erase(leases.begin() + static_cast<std::ptrdiff_t>(index));
+    } else if (pick < 74 && !registrations.empty()) {
+      const auto& [name, id] = registrations[rng.next() % registrations.size()];
+      // A zero TTL renews nothing, as a heartbeat on a permanent one does.
+      primary.heartbeat(name, id,
+                        milliseconds(rng.next() % 8 == 0
+                                         ? 0
+                                         : 200 + rng.next() % 800));
+    } else if (pick < 84 && !registrations.empty()) {
+      const auto index = rng.next() % registrations.size();
+      primary.unbind_replica(registrations[index].first,
+                             registrations[index].second);
+      registrations.erase(registrations.begin() +
+                          static_cast<std::ptrdiff_t>(index));
     } else if (pick < 90) {
       primary.report_dead(random_name(), random_ref());
     } else {
       clock.clock().advance(std::chrono::milliseconds(1 + rng.next() % 300));
     }
 
+    ASSERT_NO_FATAL_FAILURE(expect_replay_holds_durable_state(
+        primary, journal_path,
+        "seed " + std::to_string(GetParam()) + " op " + std::to_string(op)));
     if ((op + 1) % kQuiescentEvery != 0) continue;
 
     // Quiescent point: sweep (so expiry bumps land before the diff), sync
@@ -481,6 +644,7 @@ TEST_P(ReplicationConvergence, StandbyConvergesAtQuiescentPoints) {
       }
     }
   }
+  std::remove(journal_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplicationConvergence,

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -401,16 +402,24 @@ TEST(ExporterConcurrency, SerializesWhileWritersHammer) {
       registry.latency_handle("introspect.test.hammered_latency");
   counter->store(0, std::memory_order_relaxed);
 
+  constexpr int kWriters = 4;
   std::atomic<bool> stop{false};
+  // The scrapes start once every writer has written, so they overlap the
+  // writers instead of possibly finishing before any of them ran.
+  std::latch started(kWriters);
   std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&] {
+      counter->fetch_add(1, std::memory_order_relaxed);
+      histogram->record(std::chrono::microseconds(7));
+      started.count_down();
       while (!stop.load(std::memory_order_relaxed)) {
         counter->fetch_add(1, std::memory_order_relaxed);
         histogram->record(std::chrono::microseconds(7));
       }
     });
   }
+  started.wait();
 
   std::uint64_t last_count = 0;
   for (int i = 0; i < 50; ++i) {

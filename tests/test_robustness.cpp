@@ -6,11 +6,19 @@
 // And for the HTTP listener's request-head parse: a well-formed response
 // or a close, for any bytes a scraper's connection carries.  And for the
 // capabilities that read a peer's trailer or size header: a result or a
-// CapabilityDenied, nothing else.
+// CapabilityDenied, nothing else.  And for the directory's one record,
+// read back from a damaged journal or from a peer's catch-up stream: a
+// prefix of what was written, or a typed refusal, and never an entry
+// version that goes backwards.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -25,6 +33,9 @@
 #include "ohpx/capability/builtin/encryption.hpp"
 #include "ohpx/common/endian.hpp"
 #include "ohpx/common/rng.hpp"
+#include "ohpx/naming/bootstrap.hpp"
+#include "ohpx/naming/journal.hpp"
+#include "ohpx/naming/name_service.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/runtime/migration.hpp"
@@ -647,6 +658,267 @@ TEST_P(CapabilityTrailerFuzz, UnprocessReturnsOrRefuses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CapabilityTrailerFuzz,
                          ::testing::Values(0x31, 0x32, 0x33, 0x34, 0x35, 0x36,
                                            0x37, 0x38));
+
+// ---- mutated directory journals and catch-up snapshots ---------------------
+//
+// Journal recovery and apply_update read one record, the NameSnapshot
+// (naming/journal.hpp): from a file a crash or a disk may have damaged, and
+// from a peer.  The corpus is journals the directory itself writes during a
+// seeded mutation mix.  Each round damages one journal — bit flips
+// (anywhere, or in the magic), truncation, the head of one journal spliced
+// onto the tail of another, or one frame's length field set to an edge
+// value — and recover() returns a prefix of the clean file's records (for
+// a splice: only records of the two sources), or refuses a damaged magic
+// with ObjectError(bad_object_ref).
+// The recovered records, and every clean record's payload mutated and
+// decoded straight as a peer's catch-up bytes, go through apply_update():
+// no entry version goes down, and nothing but a typed ohpx::Error escapes.
+
+using naming::NameSnapshot;
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string encoded(const NameSnapshot& record) {
+  const wire::Buffer bytes = wire::encode_value(record);
+  return std::string(reinterpret_cast<const char*>(bytes.data()),
+                     bytes.size());
+}
+
+/// The bytes of a journal a directory writes under a seeded mutation mix.
+std::string written_journal(Xoshiro256& rng, const std::string& path) {
+  std::remove(path.c_str());
+  {
+    naming::NameServiceServant directory;
+    directory.attach_journal(std::make_shared<naming::Journal>(path));
+    std::vector<std::pair<std::string, std::uint64_t>> registrations;
+    for (int op = 0; op < 40; ++op) {
+      const std::string name = "svc/" + std::to_string(rng.next_below(4));
+      const orb::ObjectRef ref = naming::make_bootstrap_ref(
+          "10.0.0." + std::to_string(1 + rng.next_below(4)),
+          static_cast<std::uint16_t>(7000 + rng.next_below(4)));
+      switch (rng.next_below(5)) {
+        case 0:
+          directory.bind(name, ref, /*rebind=*/true);
+          break;
+        case 1:
+          registrations.emplace_back(
+              name, directory.bind_replica(
+                        name, ref,
+                        std::chrono::milliseconds(rng.next_below(2) * 60'000)));
+          break;
+        case 2:
+          directory.unbind(name);
+          break;
+        case 3:
+          if (!registrations.empty()) {
+            const auto& [victim, id] =
+                registrations[rng.next_below(registrations.size())];
+            directory.unbind_replica(victim, id);
+          }
+          break;
+        default:
+          directory.report_dead(name, ref);
+          break;
+      }
+    }
+  }
+  return read_all(path);
+}
+
+/// Byte offsets of the clean journal's frames (after the 8-byte magic).
+std::vector<std::size_t> frame_offsets(const std::string& raw) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t pos = 8; pos + 8 <= raw.size();) {
+    offsets.push_back(pos);
+    pos += 8 + load_le<std::uint32_t>(
+                   reinterpret_cast<const std::uint8_t*>(raw.data()) + pos);
+  }
+  return offsets;
+}
+
+template <typename Container>
+void flip_bits(Container& bytes, Xoshiro256& rng) {
+  for (std::uint64_t flips = 1 + rng.next_below(6); flips > 0; --flips) {
+    bytes[rng.next_below(bytes.size())] ^=
+        static_cast<char>(1u << rng.next_below(8));
+  }
+}
+
+/// apply_update() under the fuzz invariants: only typed errors, and
+/// `record.name`'s version never goes down, across the apply and a
+/// resolve_all() of the name.
+void apply_checked(naming::NameServiceServant& directory,
+                   const NameSnapshot& record) {
+  const std::uint64_t before = directory.version_of(record.name);
+  try {
+    directory.apply_update(record);
+    directory.resolve_all(record.name);
+  } catch (const Error&) {
+    // a peer's garbage reference, refused typed
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped error escaped apply/resolve: " << e.what();
+  }
+  EXPECT_GE(directory.version_of(record.name), before)
+      << "entry version of '" << record.name << "' went backwards";
+}
+
+class JournalRecoveryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JournalRecoveryFuzz, RecoverReturnsAPrefixAndReplayNeverRollsBack) {
+  Xoshiro256 rng(GetParam());
+  const std::string path =
+      testing::TempDir() + "ohpx_fuzz_journal_" + std::to_string(::getpid());
+  const std::string clean = written_journal(rng, path);
+  const std::string other = written_journal(rng, path);
+  std::vector<std::string> clean_records;
+  std::vector<std::string> either_records;
+  for (const std::string* source : {&clean, &other}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << *source;
+    for (const NameSnapshot& record : naming::Journal::recover(path)) {
+      either_records.push_back(encoded(record));
+      if (source == &clean) clean_records.push_back(either_records.back());
+    }
+  }
+  const std::vector<std::size_t> frames = frame_offsets(clean);
+  ASSERT_EQ(frames.size(), clean_records.size());
+  ASSERT_GT(frames.size(), 4u);
+
+  std::size_t refused = 0;
+  std::size_t cut_short = 0;
+  for (int round = 0; round < 96; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::string damaged = clean;
+    const auto kind = rng.next_below(5);
+    switch (kind) {
+      case 0:
+        flip_bits(damaged, rng);
+        break;
+      case 1:
+        damaged.resize(rng.next_below(clean.size()));
+        break;
+      case 2:
+        damaged = clean.substr(0, rng.next_below(clean.size() + 1)) +
+                  other.substr(rng.next_below(other.size() + 1));
+        break;
+      case 3: {
+        const std::size_t at = frames[rng.next_below(frames.size())];
+        const std::uint32_t length = load_le<std::uint32_t>(
+            reinterpret_cast<const std::uint8_t*>(clean.data()) + at);
+        const std::uint32_t edges[] = {0, length - 1, 0x7fffffffu,
+                                       0xffffffffu};
+        store_le(reinterpret_cast<std::uint8_t*>(damaged.data()) + at,
+                 edges[rng.next_below(std::size(edges))]);
+        break;
+      }
+      default:  // a flip in the magic
+        damaged[rng.next_below(8)] ^=
+            static_cast<char>(1u << rng.next_below(8));
+        break;
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << damaged;
+    const bool magic_intact =
+        damaged.size() >= 8 && damaged.compare(0, 8, clean, 0, 8) == 0;
+
+    std::vector<NameSnapshot> recovered;
+    try {
+      recovered = naming::Journal::recover(path);
+    } catch (const ObjectError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::bad_object_ref);
+      EXPECT_FALSE(magic_intact) << "a journal with its magic intact refused";
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "recover() threw an untyped error: " << e.what();
+      continue;
+    }
+    EXPECT_TRUE(magic_intact || damaged.empty())
+        << "a damaged magic was replayed as a journal";
+
+    const std::vector<std::string>& allowed =
+        kind == 2 ? either_records : clean_records;
+    for (std::size_t i = 0; i < recovered.size(); ++i) {
+      const std::string bytes = encoded(recovered[i]);
+      if (kind == 2) {
+        EXPECT_NE(std::find(allowed.begin(), allowed.end(), bytes),
+                  allowed.end())
+            << "record " << i << " of a splice is neither source's record";
+      } else {
+        ASSERT_LT(i, allowed.size());
+        EXPECT_EQ(bytes, allowed[i])
+            << "record " << i << " is not the clean journal's record " << i;
+      }
+    }
+    if (recovered.size() < clean_records.size()) ++cut_short;
+
+    naming::NameServiceServant replayed;
+    for (const NameSnapshot& record : recovered) {
+      apply_checked(replayed, record);
+    }
+  }
+  EXPECT_GT(refused, 0u) << "no round damaged the magic";
+  EXPECT_GT(cut_short, 0u) << "no round reached the frames";
+
+  // The same records as a peer's catch-up bytes, decoded straight.
+  naming::NameServiceServant standby;
+  standby.set_role(naming::NameServiceServant::Role::standby);
+  std::size_t undecodable = 0;
+  for (int round = 0; round < 256; ++round) {
+    std::string payload = clean_records[rng.next_below(clean_records.size())];
+    const std::string& donor =
+        clean_records[rng.next_below(clean_records.size())];
+    switch (rng.next_below(4)) {
+      case 0:
+        flip_bits(payload, rng);
+        break;
+      case 1:
+        payload.resize(rng.next_below(payload.size()));
+        break;
+      case 2:
+        payload = payload.substr(0, rng.next_below(payload.size() + 1)) +
+                  donor.substr(rng.next_below(donor.size() + 1));
+        break;
+      default: {  // a u32 length or count set to an edge value
+        const std::uint32_t edges[] = {0, 1, 0x7fffffffu, 0xffffffffu};
+        store_be(reinterpret_cast<std::uint8_t*>(payload.data()) +
+                     rng.next_below(payload.size() - 3),
+                 edges[rng.next_below(std::size(edges))]);
+        break;
+      }
+    }
+    NameSnapshot record;
+    try {
+      record = wire::decode_value<NameSnapshot>(BytesView(
+          reinterpret_cast<const std::uint8_t*>(payload.data()),
+          payload.size()));
+    } catch (const Error&) {
+      ++undecodable;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "decoding threw an untyped error: " << e.what();
+      continue;
+    }
+    apply_checked(standby, record);
+  }
+  EXPECT_GT(undecodable, 0u) << "no mutation reached the decoder's checks";
+
+  // A peer may claim any remaining lease time: 2^62 ms overflows a
+  // nanosecond expiry, and 2^64 - 1 ms means "for ever", not "expired".
+  const Bytes forged = naming::make_bootstrap_ref("10.0.0.9", 7009).to_bytes();
+  apply_checked(standby,
+                NameSnapshot{"svc/forged", 1,
+                             {{1, forged, false, std::uint64_t{1} << 62},
+                              {2, forged, false, ~std::uint64_t{0}}}});
+  EXPECT_EQ(standby.resolve_all("svc/forged").second.size(), 2u);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalRecoveryFuzz,
+                         ::testing::Values(0x51, 0x52, 0x53, 0x54, 0x55, 0x56,
+                                           0x57, 0x58));
 
 }  // namespace
 }  // namespace ohpx

@@ -1,12 +1,21 @@
 // Unit tests for the runtime layer: World composition, migration semantics
-// (shared and snapshot/restore), glue-binding transfer, and the
-// high-water-mark load balancer.
+// (shared and snapshot/restore), glue-binding transfer, the
+// high-water-mark load balancer, and ProcessHostConfig's one parser behind
+// config files and command-line flags.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "ohpx/capability/builtin/quota.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/runtime/balancer.hpp"
 #include "ohpx/runtime/migration.hpp"
+#include "ohpx/runtime/process_host.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
@@ -294,6 +303,118 @@ TEST_F(BalancerFixture, CreatesContextOnEmptyDestination) {
   EXPECT_EQ(events[0].to_machine, fresh);
   ASSERT_EQ(world_.contexts_on(fresh).size(), 1u);
   EXPECT_TRUE(world_.contexts_on(fresh)[0]->hosts(id));
+}
+
+// ---- process-host config: one parser behind the file and the flags --------
+
+using std::chrono::milliseconds;
+
+std::string config_file(const std::string& stem, const std::string& text) {
+  const std::string path = testing::TempDir() + "ohpx_" + stem + "_" +
+                           std::to_string(::getpid()) + ".conf";
+  std::ofstream(path, std::ios::trunc) << text;
+  return path;
+}
+
+ProcessHostConfig from_flags(const std::vector<std::string>& flags) {
+  std::vector<const char*> argv{"ohpx-hostd"};
+  for (const std::string& flag : flags) argv.push_back(flag.c_str());
+  return ProcessHostConfig::from_args(static_cast<int>(argv.size()),
+                                      argv.data());
+}
+
+TEST(ProcessHostConfigParse, EveryKeyInAFile) {
+  const std::string path = config_file(
+      "every_key",
+      "# one srv-a process\n\n"
+      "machine = srv-a\n"
+      "listen = 0.0.0.0:7410\n"
+      "advertise = srv-a.cluster\n"
+      "named = 10.0.0.5:7400,10.0.0.6:7400\n"
+      "contexts = 3\n"
+      "heartbeat_ms = 250\n"
+      "ttl_ms = 1500\n");
+  const auto config = ProcessHostConfig::from_file(path);
+  EXPECT_EQ(config.machine_name, "srv-a");
+  EXPECT_EQ(config.listen_host, "0.0.0.0");
+  EXPECT_EQ(config.listen_port, 7410);
+  EXPECT_EQ(config.advertise_host, "srv-a.cluster");
+  EXPECT_EQ(config.named_uri, "10.0.0.5:7400,10.0.0.6:7400");
+  EXPECT_EQ(config.contexts, 3u);
+  EXPECT_EQ(config.heartbeat_interval, milliseconds(250));
+  EXPECT_EQ(config.replica_ttl, milliseconds(1500));
+  std::remove(path.c_str());
+}
+
+TEST(ProcessHostConfigParse, EveryFlag) {
+  const auto config = from_flags(
+      {"--machine", "srv-b", "--listen", ":7411", "--advertise", "srv-b.lan",
+       "--named", "10.0.0.5:7400", "--contexts", "2", "--heartbeat-ms", "100",
+       "--ttl-ms", "900"});
+  EXPECT_EQ(config.machine_name, "srv-b");
+  EXPECT_EQ(config.listen_host, "127.0.0.1") << "a bare :port keeps the host";
+  EXPECT_EQ(config.listen_port, 7411);
+  EXPECT_EQ(config.advertise_host, "srv-b.lan");
+  EXPECT_EQ(config.named_uri, "10.0.0.5:7400");
+  EXPECT_EQ(config.contexts, 2u);
+  EXPECT_EQ(config.heartbeat_interval, milliseconds(100));
+  EXPECT_EQ(config.replica_ttl, milliseconds(900));
+  EXPECT_EQ(from_flags({"--listen", "127.0.0.1:0"}).listen_port, 0)
+      << "port 0 asks for an ephemeral port";
+}
+
+TEST(ProcessHostConfigParse, LaterFlagsOverrideTheConfigFile) {
+  const std::string path = config_file(
+      "base", "machine = from-file\nheartbeat_ms = 700\nttl_ms = 5000\n");
+  // The file replaces what came before it; what comes after wins.
+  const auto config = from_flags({"--heartbeat-ms", "100", "--config", path,
+                                   "--ttl-ms", "900"});
+  EXPECT_EQ(config.machine_name, "from-file");
+  EXPECT_EQ(config.heartbeat_interval, milliseconds(700));
+  EXPECT_EQ(config.replica_ttl, milliseconds(900));
+  std::remove(path.c_str());
+}
+
+TEST(ProcessHostConfigParse, RefusesUnknownKeysFlagsAndMissingValues) {
+  for (const char* text : {"colour = blue\n", "machine srv-a\n"}) {
+    const std::string path = config_file("unknown", text);
+    EXPECT_THROW(ProcessHostConfig::from_file(path), ObjectError) << text;
+    std::remove(path.c_str());
+  }
+  EXPECT_THROW(ProcessHostConfig::from_file(testing::TempDir() +
+                                           "ohpx_no_such_config.conf"),
+               ObjectError);
+  EXPECT_THROW(from_flags({"--colour", "blue"}), ObjectError);
+  EXPECT_THROW(from_flags({"machine", "srv-a"}), ObjectError);
+  EXPECT_THROW(from_flags({"--machine"}), ObjectError);
+  EXPECT_THROW(from_flags({"--machine", "srv-a", "--ttl-ms"}), ObjectError);
+}
+
+TEST(ProcessHostConfigParse, RefusesBadNumbersAndListenValues) {
+  for (const char* bad : {"-5", "5s", "", " 5", "+5", "1e3",
+                          "99999999999999999999"}) {
+    EXPECT_THROW(from_flags({"--contexts", bad}), ObjectError)
+        << "'" << bad << "'";
+    EXPECT_THROW(from_flags({"--ttl-ms", bad}), ObjectError)
+        << "'" << bad << "'";
+  }
+  const std::string path = config_file("garbage", "heartbeat_ms = 500ms\n");
+  EXPECT_THROW(ProcessHostConfig::from_file(path), ObjectError);
+  std::remove(path.c_str());
+  for (const char* bad : {"7410", "host:65536", "host:-1", "host:", "host:x"}) {
+    EXPECT_THROW(from_flags({"--listen", bad}), ObjectError) << bad;
+  }
+}
+
+TEST(ProcessHostConfigParse, RefusesZeroHeartbeatAndTtl) {
+  // Zero heartbeat_ms beats back to back; zero ttl_ms is no lease, so the
+  // registration would be permanent and outlive the process.
+  EXPECT_THROW(from_flags({"--heartbeat-ms", "0"}), ObjectError);
+  EXPECT_THROW(from_flags({"--ttl-ms", "0"}), ObjectError);
+  EXPECT_THROW(from_flags({"--contexts", "0"}), ObjectError);
+  const std::string path = config_file("zero", "ttl_ms = 0\n");
+  EXPECT_THROW(ProcessHostConfig::from_file(path), ObjectError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

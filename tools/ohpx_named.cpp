@@ -17,11 +17,14 @@
 // name on a heartbeat-renewed lease and serves the catch-up stream; a
 // --peer daemon runs as a standby following that stream, refusing
 // mutations with redirects, and promotes itself when the replicated
-// `__primary` lease lapses.  --journal persists permanent binds and
-// version floors across restarts (compacted on boot).
+// `__primary` lease lapses.  --journal persists each name's version and
+// permanent replicas across restarts: boot replays it through the same
+// apply_update() a standby runs, then compacts it.  A journal file that
+// is not OHPXJNL2 is refused (exit 1, file untouched).
 //
 // stdout protocol (consumed by scripts and the multiprocess tests): the
-// first line is "READY <port> <uri>", flushed before serving begins.  A
+// first line is "READY <port> <uri>", flushed before serving begins, on
+// every boot — a journal recovery is reported on a later line.  A
 // standby that takes over prints "PROMOTED <port> <uri>".
 #include <algorithm>
 #include <chrono>
@@ -118,16 +121,21 @@ int main(int argc, char** argv) {
   auto directory = std::make_shared<naming::NameServiceServant>();
 
   // Recover persisted state *before* serving, then compact the journal so
-  // it holds the minimal record set instead of the whole history.
+  // it holds one durable snapshot per name instead of the whole history.
+  std::size_t recovered = 0;
   if (!opts.journal.empty()) {
-    const auto records = naming::Journal::recover(opts.journal);
-    directory->restore(records);
-    naming::Journal::compact(opts.journal, directory->journal_snapshot());
-    directory->attach_journal(
-        std::make_shared<naming::Journal>(opts.journal));
-    if (!records.empty()) {
-      std::printf("ohpx-named: recovered %zu journal record(s), %zu name(s)\n",
-                  records.size(), directory->size());
+    try {
+      const auto records = naming::Journal::recover(opts.journal);
+      for (const naming::NameSnapshot& record : records) {
+        directory->apply_update(record);
+      }
+      recovered = records.size();
+      naming::Journal::compact(opts.journal, directory->journal_snapshot());
+      directory->attach_journal(
+          std::make_shared<naming::Journal>(opts.journal));
+    } catch (const Error& error) {
+      std::fprintf(stderr, "ohpx-named: %s\n", error.what());
+      return 1;
     }
   }
 
@@ -175,6 +183,10 @@ int main(int argc, char** argv) {
   std::printf("ohpx-named: directory %llx on %s (%s, sweep every %ld ms)\n",
               static_cast<unsigned long long>(naming::kWellKnownNameServiceId),
               uri.c_str(), standby ? "standby" : "primary", opts.sweep_ms);
+  if (recovered > 0) {
+    std::printf("ohpx-named: recovered %zu journal record(s), %zu name(s)\n",
+                recovered, directory->size());
+  }
   std::fflush(stdout);
 
   // Tick fast enough to renew the `__primary` lease well inside its TTL.
