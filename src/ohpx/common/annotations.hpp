@@ -37,11 +37,6 @@
 #define OHPX_REQUIRES(...) \
   OHPX_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
-/// Function must be called with at least a shared (reader) hold on the
-/// given lock(s).
-#define OHPX_REQUIRES_SHARED(...) \
-  OHPX_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
 /// Function must be called with the given lock(s) NOT held (it acquires
 /// them itself; calling with them held would deadlock).
 #define OHPX_EXCLUDES(...) OHPX_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
@@ -50,26 +45,14 @@
 #define OHPX_ACQUIRE(...) \
   OHPX_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/// Function acquires a shared (reader) hold and returns holding it.
-#define OHPX_ACQUIRE_SHARED(...) \
-  OHPX_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /// Function releases a lock the caller held.
 #define OHPX_RELEASE(...) \
   OHPX_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// Function releases a shared (reader) hold the caller had.
-#define OHPX_RELEASE_SHARED(...) \
-  OHPX_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function attempts the lock; the first argument is the return value that
 /// means "acquired" (e.g. OHPX_TRY_ACQUIRE(true) on a bool try_lock()).
 #define OHPX_TRY_ACQUIRE(...) \
   OHPX_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-/// Shared-hold variant of OHPX_TRY_ACQUIRE.
-#define OHPX_TRY_ACQUIRE_SHARED(...) \
-  OHPX_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Asserts (at runtime, by contract) that the calling thread already holds
 /// the capability — the analysis believes it from here on.

@@ -73,6 +73,11 @@ class Error : public std::runtime_error {
 
   ErrorCode code() const noexcept { return code_; }
 
+  /// Throws a new error of this one's dynamic type, with its own copy of
+  /// the message.  Every subclass overrides it.  Future::get() raises
+  /// stored errors through it (common/future.hpp).
+  [[noreturn]] virtual void throw_copy() const { throw Error(code_, what()); }
+
  private:
   ErrorCode code_;
 };
@@ -81,30 +86,45 @@ class Error : public std::runtime_error {
 class WireError : public Error {
  public:
   using Error::Error;
+  [[noreturn]] void throw_copy() const override {
+    throw WireError(code(), what());
+  }
 };
 
 /// Channel-level failures (sockets, queues, unknown endpoints).
 class TransportError : public Error {
  public:
   using Error::Error;
+  [[noreturn]] void throw_copy() const override {
+    throw TransportError(code(), what());
+  }
 };
 
 /// Protocol selection / dispatch failures.
 class ProtocolError : public Error {
  public:
   using Error::Error;
+  [[noreturn]] void throw_copy() const override {
+    throw ProtocolError(code(), what());
+  }
 };
 
 /// A capability refused to admit or to verify a request.
 class CapabilityDenied : public Error {
  public:
   using Error::Error;
+  [[noreturn]] void throw_copy() const override {
+    throw CapabilityDenied(code(), what());
+  }
 };
 
 /// Object registry failures (lookup, stale references after migration).
 class ObjectError : public Error {
  public:
   using Error::Error;
+  [[noreturn]] void throw_copy() const override {
+    throw ObjectError(code(), what());
+  }
 };
 
 /// An error raised on the server and propagated back to the caller.
@@ -112,6 +132,9 @@ class RemoteError : public Error {
  public:
   RemoteError(ErrorCode code, const std::string& what_arg)
       : Error(code, what_arg) {}
+  [[noreturn]] void throw_copy() const override {
+    throw RemoteError(code(), what());
+  }
 };
 
 /// The call's deadline budget ran out before the pipeline finished.  Never
@@ -122,6 +145,9 @@ class DeadlineExceeded : public Error {
       : Error(ErrorCode::deadline_exceeded, what_arg) {}
   DeadlineExceeded(ErrorCode code, const std::string& what_arg)
       : Error(code, what_arg) {}
+  [[noreturn]] void throw_copy() const override {
+    throw DeadlineExceeded(code(), what());
+  }
 };
 
 /// Throws the exception subclass matching `code`'s category.

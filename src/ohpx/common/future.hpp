@@ -10,8 +10,10 @@
 // Contract:
 //   - a future settles exactly once (first of set_value / set_exception /
 //     cancel wins; later attempts return false and are dropped);
-//   - get() waits, then returns the value or rethrows the stored
-//     exception; it may be called once (the value is moved out);
+//   - get() waits, then returns the value or throws the stored error: a
+//     new copy of it per get() for an ohpx::Error, so no two threads
+//     share one error object; it may be called once (the value is moved
+//     out);
 //   - map() runs its stage on the thread that settles the future: the
 //     reactor loop for tcp, the caller for the in-process bearers (their
 //     futures settle before invoke_async returns, so the stage runs
@@ -40,6 +42,24 @@
 namespace ohpx {
 
 namespace detail {
+
+// Raises a stored ohpx::Error as a new copy owned by the calling thread.
+// The stored error is read only here, under the state's lock, by a thread
+// that still holds the state; so whichever thread drops the state last,
+// and the stored error with it, does so after every read, through the
+// shared_ptr hand-off.  Handing out the stored object itself would let a
+// waiter read it after dropping its future, while another thread still
+// holds the state (the reactor loop, a continuation), and the count that
+// orders that last release lives in the C++ runtime, where
+// ThreadSanitizer cannot see it.  Other exceptions rethrow as they are.
+[[noreturn]] inline void throw_copy_of(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const Error& stored) {
+    stored.throw_copy();
+  }
+  __builtin_unreachable();  // both paths above throw
+}
 
 template <typename T>
 struct FutureStorage {
@@ -113,7 +133,7 @@ class FutureState {
   T take() {
     wait();
     sync::LockGuard lock(mutex_);
-    if (error_) std::rethrow_exception(error_);
+    if (error_) throw_copy_of(error_);
     if constexpr (std::is_void_v<T>) {
       return;
     } else {
@@ -162,7 +182,7 @@ class Future {
   bool ready() const { return state_ && state_->ready(); }
 
   /// Blocks until settled, then returns the value (moved out — call get()
-  /// once) or rethrows the stored exception.
+  /// once) or throws the stored error (a copy, for an ohpx::Error).
   T get() {
     ensure_valid();
     return state_->take();
@@ -191,6 +211,7 @@ class Future {
     Future<U> mapped = promise.future();
     state_->on_ready(
         [state = state_, promise, fn = std::move(fn)]() mutable {
+          std::exception_ptr error;
           try {
             if constexpr (std::is_void_v<U>) {
               fn(Future<T>(std::move(state)));
@@ -198,9 +219,13 @@ class Future {
             } else {
               promise.set_value(fn(Future<T>(std::move(state))));
             }
+            return;
           } catch (...) {
-            promise.set_exception(std::current_exception());
+            error = std::current_exception();
           }
+          // Published after the handler ends: this thread then holds no
+          // reference to the exception by the time a waiter reads it.
+          promise.set_exception(std::move(error));
         });
     return mapped;
   }
@@ -240,11 +265,14 @@ class Promise {
   /// Settles with an ohpx error — the cancellation entry point (deadline
   /// expiry, connection teardown).  Idempotent like every settlement.
   bool cancel(ErrorCode code, const std::string& message) {
+    std::exception_ptr error;
     try {
       throw_error(code, message);
     } catch (...) {
-      return state_->set_exception(std::current_exception());
+      error = std::current_exception();
     }
+    // Published after the handler ends, as in map().
+    return state_->set_exception(std::move(error));
   }
 
  private:

@@ -1,0 +1,32 @@
+#include "ohpx/common/parse.hpp"
+
+#include <charconv>
+
+namespace ohpx {
+
+std::optional<std::int64_t> parse_number(std::string_view text,
+                                         std::int64_t min, std::int64_t max) {
+  // from_chars alone would take a leading '-'.
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
+    return std::nullopt;
+  }
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<HostPort> parse_host_port(std::string_view text,
+                                        std::uint16_t min_port) {
+  const auto colon = text.rfind(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  const auto port = parse_number(text.substr(colon + 1), min_port, 65535);
+  if (!port) return std::nullopt;
+  return HostPort{std::string(text.substr(0, colon)),
+                  static_cast<std::uint16_t>(*port)};
+}
+
+}  // namespace ohpx

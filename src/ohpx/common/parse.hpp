@@ -1,0 +1,41 @@
+// Strict readers for the numbers and addresses that reach the runtime as
+// text: daemon flags, process-host config files, bootstrap URIs and a
+// standby directory's redirect hint.  Every reader of such a value goes
+// through these, so a value means exactly what its characters say or is
+// refused: "7400abc", " 7400", "+7400" and "7400.9" are not port 7400.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
+
+namespace ohpx {
+
+/// A plain decimal in [min, max]: ASCII digits only, so no sign, no
+/// blanks and nothing after the digits ("5s" is refused, not read as 5).
+/// nullopt for anything else, a value out of range included.
+std::optional<std::int64_t> parse_number(
+    std::string_view text, std::int64_t min,
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
+/// The most milliseconds a duration read from text may hold: any more
+/// would overflow once converted to the steady clock's nanoseconds.
+inline constexpr std::int64_t kMaxMilliseconds =
+    std::numeric_limits<std::int64_t>::max() / 1'000'000;
+
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Splits "host:port" at its last colon; the port is a parse_number() in
+/// [min_port, 65535].  An address a client dials passes 1; a listen
+/// address passes 0, which means an ephemeral port.  The host may come
+/// back empty (":7400"): callers that need one check.  nullopt when there
+/// is no colon or the port is malformed.
+std::optional<HostPort> parse_host_port(std::string_view text,
+                                        std::uint16_t min_port = 1);
+
+}  // namespace ohpx

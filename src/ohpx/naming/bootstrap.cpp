@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "ohpx/common/error.hpp"
+#include "ohpx/common/parse.hpp"
 #include "ohpx/naming/name_service.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
@@ -57,7 +58,9 @@ std::vector<orb::ObjectRef> parse_ref_blob(const std::string& path,
           BytesView(data + sizeof(kRefsMagic), raw.size() - sizeof(kRefsMagic)));
       const std::uint32_t count = dec.get_u32();
       std::vector<orb::ObjectRef> refs;
-      refs.reserve(count);
+      // The count is the file's word: reserve only what the bytes left
+      // can hold, each reference taking at least its 4-byte length.
+      refs.reserve(std::min<std::size_t>(count, dec.remaining() / 4));
       for (std::uint32_t i = 0; i < count; ++i) {
         refs.push_back(orb::ObjectRef::from_bytes(dec.get_bytes_view()));
       }
@@ -122,24 +125,14 @@ std::vector<orb::ObjectRef> bootstrap_refs_from_uri(const std::string& uri) {
       refs.insert(refs.end(), from_file.begin(), from_file.end());
       continue;
     }
-    const auto colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
+    const auto address = parse_host_port(spec);
+    if (!address || address->host.empty()) {
       throw ObjectError(ErrorCode::bad_object_ref,
                         "bootstrap URI '" + uri +
-                            "' is neither host:port nor a reference file");
+                            "' is neither host:port (port 1-65535) nor a "
+                            "reference file");
     }
-    const std::string host = spec.substr(0, colon);
-    int port = 0;
-    try {
-      port = std::stoi(spec.substr(colon + 1));
-    } catch (const std::exception&) {
-      port = -1;
-    }
-    if (port <= 0 || port > 65535) {
-      throw ObjectError(ErrorCode::bad_object_ref,
-                        "bootstrap URI '" + uri + "' has an invalid port");
-    }
-    refs.push_back(make_bootstrap_ref(host, static_cast<std::uint16_t>(port)));
+    refs.push_back(make_bootstrap_ref(address->host, address->port));
   }
   if (refs.empty()) {
     throw ObjectError(ErrorCode::bad_object_ref,

@@ -1,5 +1,6 @@
 #include "ohpx/naming/name_client.hpp"
 
+#include "ohpx/common/parse.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/naming/bootstrap.hpp"
@@ -8,26 +9,15 @@ namespace ohpx::naming {
 namespace {
 
 /// Pulls "host:port" out of a not_primary message ("...; primary=H:P").
-std::optional<std::pair<std::string, std::uint16_t>> parse_primary_hint(
-    const std::string& message) {
+std::optional<HostPort> parse_primary_hint(const std::string& message) {
   const auto tag = message.rfind("primary=");
   if (tag == std::string::npos) return std::nullopt;
   std::string where = message.substr(tag + 8);
   const auto end = where.find_first_of(" \t\r\n;");
   if (end != std::string::npos) where.resize(end);
-  const auto colon = where.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == where.size()) {
-    return std::nullopt;
-  }
-  int port = 0;
-  try {
-    port = std::stoi(where.substr(colon + 1));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (port <= 0 || port > 65535) return std::nullopt;
-  return std::make_pair(where.substr(0, colon),
-                        static_cast<std::uint16_t>(port));
+  auto address = parse_host_port(where);
+  if (!address || address->host.empty()) return std::nullopt;
+  return address;
 }
 
 }  // namespace
@@ -77,11 +67,8 @@ bool NameClient::advance_endpoint(std::size_t& walked) {
   return true;
 }
 
-void NameClient::follow_redirect(const std::string& where) {
-  const auto colon = where.rfind(':');
-  const std::string host = where.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoi(where.substr(colon + 1)));
+void NameClient::follow_redirect(const std::string& host,
+                                 std::uint16_t port) {
   sync::LockGuard lock(mutex_);
   stub_ = NameServiceStub(context_, make_bootstrap_ref(host, port));
 }
@@ -110,9 +97,9 @@ auto NameClient::with_directory(Fn&& fn)
       const auto hint = parse_primary_hint(error.what());
       if (redirected || !hint) throw;
       redirected = true;
-      follow_redirect(hint->first + ":" + std::to_string(hint->second));
+      follow_redirect(hint->host, hint->port);
       introspect::anomaly(introspect::EventKind::redirect, error.code(),
-                          hint->first);
+                          hint->host);
     }
   }
 }

@@ -105,7 +105,7 @@ class NameClient {
   /// false once every endpoint has been tried for this operation.
   bool advance_endpoint(std::size_t& walked);
   /// Retargets the stub at `host:port` after a not_primary redirect.
-  void follow_redirect(const std::string& what);
+  void follow_redirect(const std::string& host, std::uint16_t port);
 
   orb::Context& context_;
   mutable sync::Mutex mutex_{"naming.client_cache"};

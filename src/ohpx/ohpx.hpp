@@ -6,7 +6,7 @@
 //   netsim    — machine/LAN topology, link models, load
 //   crypto    — stream cipher, SipHash MAC, keys
 //   compress  — RLE / LZ77 codecs
-//   transport — in-process, TCP, simulated-network channels
+//   transport — in-process roundtrip (optionally over a modeled link), TCP
 //   cap       — capabilities, chains, registry (paper §4)
 //   proto     — proto-objects, proto-pools, glue protocol, selection (§3)
 //   orb       — object references, contexts, servants, global pointers (§2)
@@ -38,9 +38,7 @@
 
 #include "ohpx/compress/codec.hpp"
 
-#include "ohpx/transport/channel.hpp"
 #include "ohpx/transport/inproc.hpp"
-#include "ohpx/transport/sim.hpp"
 #include "ohpx/transport/tcp.hpp"
 
 #include "ohpx/capability/builtin/audit.hpp"

@@ -1,7 +1,7 @@
 #include "ohpx/protocol/nexus_sim.hpp"
 
+#include "ohpx/netsim/topology.hpp"
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/sim.hpp"
 
 namespace ohpx::proto {
 
@@ -14,9 +14,11 @@ ReplyMessage NexusSimProtocol::invoke(const wire::MessageHeader& header,
                                       const CallTarget& target,
                                       CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.nexus");
-  transport::SimChannel channel(target.address.endpoint,
-                                target.placement.link());
-  return frame_roundtrip(channel, header, payload, ledger);
+  // The link follows the placement per call, so a migration across LANs
+  // changes the modeled time of the very next call.
+  const netsim::LinkSpec link = target.placement.link();
+  return frame_roundtrip(target.address.endpoint, header, payload, ledger,
+                         &link);
 }
 
 }  // namespace ohpx::proto

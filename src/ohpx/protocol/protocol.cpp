@@ -2,7 +2,7 @@
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/channel.hpp"
+#include "ohpx/transport/inproc.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::proto {
@@ -36,9 +36,10 @@ void check_reply(const wire::MessageHeader& header,
   }
 }
 
-ReplyMessage frame_roundtrip(transport::Channel& channel,
+ReplyMessage frame_roundtrip(const std::string& endpoint,
                              const wire::MessageHeader& header,
-                             const wire::Buffer& payload, CostLedger& ledger) {
+                             const wire::Buffer& payload, CostLedger& ledger,
+                             const netsim::LinkSpec* link) {
   auto& pool = wire::BufferPool::local();
   wire::Buffer request_frame =
       pool.acquire(wire::kHeaderSize + payload.size());
@@ -54,10 +55,15 @@ ReplyMessage frame_roundtrip(transport::Channel& channel,
     // in-process path the server's own spans nest inside it time-wise but
     // parent under the client call via the wire context, not this thread.
     trace::Span transport_span(trace::SpanKind::transport, "transport");
-    reply_frame = channel.roundtrip(request_frame, ledger);
+    reply_frame = transport::roundtrip(endpoint, request_frame, ledger, link);
   }
   pool.release(std::move(request_frame));
+  return decode_reply(std::move(reply_frame), header, ledger);
+}
 
+ReplyMessage decode_reply(wire::Buffer reply_frame,
+                          const wire::MessageHeader& header,
+                          CostLedger& ledger) {
   ScopedRealTime timer(ledger);
   trace::Span decode_span(trace::SpanKind::decode, "wire.decode");
   BytesView body;
@@ -67,6 +73,7 @@ ReplyMessage frame_roundtrip(transport::Channel& channel,
   // Pool the body copy too: the stub releases it after decoding, so the
   // in-process loop (request frame, reply frame, reply body) runs
   // allocation-free at steady state.
+  auto& pool = wire::BufferPool::local();
   reply.payload = pool.acquire(body.size());
   reply.payload.append(body);
   pool.release(std::move(reply_frame));

@@ -19,8 +19,8 @@
 #include "ohpx/wire/buffer.hpp"
 #include "ohpx/wire/message.hpp"
 
-namespace ohpx::transport {
-class Channel;
+namespace ohpx::netsim {
+struct LinkSpec;
 }
 
 namespace ohpx::proto {
@@ -84,11 +84,20 @@ class Protocol {
 
 using ProtocolPtr = std::unique_ptr<Protocol>;
 
-/// Shared helper for concrete protocols: frames the request, performs the
-/// roundtrip on `channel`, parses and validates the reply frame.
-ReplyMessage frame_roundtrip(transport::Channel& channel,
+/// Shared helper for the in-process protocols: frames the request,
+/// exchanges it with `endpoint` through transport::roundtrip (over `link`
+/// when one is given, as nexus-tcp does), then decode_reply()s the reply.
+ReplyMessage frame_roundtrip(const std::string& endpoint,
                              const wire::MessageHeader& header,
-                             const wire::Buffer& payload, CostLedger& ledger);
+                             const wire::Buffer& payload, CostLedger& ledger,
+                             const netsim::LinkSpec* link = nullptr);
+
+/// frame_roundtrip's reply half: decodes `reply_frame`, check_reply()s it
+/// against the request `header`, and copies the body into a pooled
+/// buffer, giving the frame back to the pool.
+ReplyMessage decode_reply(wire::Buffer reply_frame,
+                          const wire::MessageHeader& header,
+                          CostLedger& ledger);
 
 /// The one check of a reply header against the request it answers:
 /// throws ProtocolError(protocol_unknown) for a request-typed frame or a

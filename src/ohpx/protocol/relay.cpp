@@ -37,9 +37,9 @@ wire::Buffer RelayForwarder::handle(const wire::Buffer& envelope) {
   const BytesView inner = dec.get_raw(dec.remaining());
 
   forwarded_.fetch_add(1, std::memory_order_relaxed);
-  transport::InProcChannel channel(target);
   CostLedger ledger;  // the gateway's own cost is not the caller's concern
-  return channel.roundtrip(wire::Buffer(inner.data(), inner.size()), ledger);
+  return transport::roundtrip(target, wire::Buffer(inner.data(), inner.size()),
+                              ledger);
 }
 
 RelayProtocol::RelayProtocol(std::string gateway_endpoint)
@@ -68,16 +68,8 @@ ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
   const wire::Buffer envelope =
       RelayForwarder::wrap(target.address.endpoint, inner_frame);
 
-  transport::InProcChannel channel(gateway_endpoint_);
-  wire::Buffer reply_frame = channel.roundtrip(envelope, ledger);
-
-  ScopedRealTime timer(ledger);
-  BytesView body;
-  ReplyMessage reply;
-  reply.header = wire::decode_frame(reply_frame.view(), body);
-  check_reply(reply.header, header.request_id);
-  reply.payload = wire::Buffer(body.data(), body.size());
-  return reply;
+  return decode_reply(transport::roundtrip(gateway_endpoint_, envelope, ledger),
+                      header, ledger);
 }
 
 std::string RelayProtocol::describe() const {

@@ -1,7 +1,6 @@
 #include "ohpx/protocol/shm.hpp"
 
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx::proto {
 
@@ -13,8 +12,7 @@ ReplyMessage ShmProtocol::invoke(const wire::MessageHeader& header,
                                  wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.shm");
-  transport::InProcChannel channel(target.address.endpoint);
-  return frame_roundtrip(channel, header, payload, ledger);
+  return frame_roundtrip(target.address.endpoint, header, payload, ledger);
 }
 
 }  // namespace ohpx::proto

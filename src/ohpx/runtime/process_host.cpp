@@ -1,10 +1,11 @@
 #include "ohpx/runtime/process_host.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
+#include <limits>
 
 #include "ohpx/common/error.hpp"
+#include "ohpx/common/parse.hpp"
 
 namespace ohpx::runtime {
 namespace {
@@ -16,37 +17,26 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin + 1);
 }
 
-/// A plain decimal of at least `floor`: no '+', no blanks, nothing after
-/// the digits ("5s" is refused, not read as 5), nothing past int64.
-std::int64_t parse_number(const std::string& value, const std::string& what,
-                          std::int64_t floor = 0) {
-  std::int64_t parsed = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc{} || stop != end || parsed < floor) {
-    throw ObjectError(ErrorCode::bad_object_ref,
-                      "process-host config: " + what + " wants a number >= " +
-                          std::to_string(floor) + ", got '" + value + "'");
-  }
-  return parsed;
+/// A strict parse_number() in [1, max], or a config error.
+std::int64_t require_number(const std::string& value, const std::string& what,
+                            std::int64_t max) {
+  if (const auto parsed = parse_number(value, 1, max)) return *parsed;
+  throw ObjectError(ErrorCode::bad_object_ref,
+                    "process-host config: " + what + " wants a number from 1 "
+                    "to " + std::to_string(max) + ", got '" + value + "'");
 }
 
-/// "host:port" → pair; a bare ":port" keeps the default host.
+/// "host:port", port 0 (ephemeral) to 65535; a bare ":port" keeps the
+/// default host.
 void parse_listen(const std::string& value, ProcessHostConfig& config) {
-  const auto colon = value.rfind(':');
-  if (colon == std::string::npos) {
+  const auto address = parse_host_port(value, /*min_port=*/0);
+  if (!address) {
     throw ObjectError(ErrorCode::bad_object_ref,
-                      "process-host config: listen wants host:port, got '" +
-                          value + "'");
+                      "process-host config: listen wants host:port with a "
+                      "port of 0-65535, got '" + value + "'");
   }
-  if (colon > 0) config.listen_host = value.substr(0, colon);
-  const std::int64_t port =
-      parse_number(value.substr(colon + 1), "listen port");
-  if (port > 65535) {
-    throw ObjectError(ErrorCode::bad_object_ref,
-                      "process-host config: listen port out of range");
-  }
-  config.listen_port = static_cast<std::uint16_t>(port);
+  if (!address->host.empty()) config.listen_host = address->host;
+  config.listen_port = address->port;
 }
 
 void apply_key(const std::string& key, const std::string& value,
@@ -60,14 +50,16 @@ void apply_key(const std::string& key, const std::string& value,
   } else if (key == "named") {
     config.named_uri = value;
   } else if (key == "contexts") {
-    config.contexts = static_cast<std::size_t>(parse_number(value, key, 1));
+    config.contexts = static_cast<std::size_t>(
+        require_number(value, key, std::numeric_limits<std::int64_t>::max()));
   } else if (key == "heartbeat_ms") {
     // Zero would beat back to back, and a zero TTL is no lease at all: a
     // permanent registration that outlives the process.
     config.heartbeat_interval =
-        std::chrono::milliseconds(parse_number(value, key, 1));
+        std::chrono::milliseconds(require_number(value, key, kMaxMilliseconds));
   } else if (key == "ttl_ms") {
-    config.replica_ttl = std::chrono::milliseconds(parse_number(value, key, 1));
+    config.replica_ttl =
+        std::chrono::milliseconds(require_number(value, key, kMaxMilliseconds));
   } else {
     throw ObjectError(ErrorCode::bad_object_ref,
                       "process-host config: unknown key '" + key + "'");

@@ -23,16 +23,12 @@
 //   sync::OrderedMutex the always-checked flavor, available in every
 //                      build.  Tests and diagnostics use it so the
 //                      validator is exercised under the tier-1 config.
-//   sync::SharedMutex  reader/writer variant (same checked/unchecked
-//                      selection); shared holds participate in the
-//                      acquisition graph exactly like exclusive ones.
 //
 // Guards (all CTAD-friendly — `sync::LockGuard lock(mutex_);`):
 //
 //   sync::LockGuard    scoped exclusive hold (std::lock_guard shape)
 //   sync::UniqueLock   exclusive hold exposing native() for
 //                      std::condition_variable::wait
-//   sync::SharedLock   scoped shared hold on a SharedMutex
 //
 // Name every mutex at construction (`sync::Mutex mutex_{"orb.context"};`).
 // Names are lock *classes*: the validator orders by name, so instances of
@@ -40,7 +36,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/sync/lock_order.hpp"
@@ -132,72 +127,6 @@ class OHPX_CAPABILITY("mutex") BasicMutex : private detail::OrderNode<Checked> {
 using Mutex = BasicMutex<kLockOrderChecked>;
 using OrderedMutex = BasicMutex<true>;
 
-/// Annotated reader/writer mutex.  The validator does not distinguish
-/// shared from exclusive holds: a shared acquisition orders later locks
-/// just the same, and a shared/exclusive inversion deadlocks just the
-/// same.
-template <bool Checked>
-class OHPX_CAPABILITY("shared_mutex") BasicSharedMutex
-    : private detail::OrderNode<Checked> {
- public:
-  static constexpr bool kChecked = Checked;
-
-  explicit BasicSharedMutex(const char* name = "unnamed") noexcept
-      : name_(name) {
-    if constexpr (Checked) {
-      this->node = lock_order::register_mutex(name);
-    }
-  }
-
-  BasicSharedMutex(const BasicSharedMutex&) = delete;
-  BasicSharedMutex& operator=(const BasicSharedMutex&) = delete;
-
-  void lock(const char* file = __builtin_FILE(),
-            int line = __builtin_LINE()) OHPX_ACQUIRE() {
-    if constexpr (Checked) {
-      lock_order::on_acquire(this->node, {file, line});
-    } else {
-      (void)file;
-      (void)line;
-    }
-    mutex_.lock();
-  }
-
-  void unlock() OHPX_RELEASE() {
-    mutex_.unlock();
-    if constexpr (Checked) {
-      lock_order::on_release(this->node);
-    }
-  }
-
-  void lock_shared(const char* file = __builtin_FILE(),
-                   int line = __builtin_LINE()) OHPX_ACQUIRE_SHARED() {
-    if constexpr (Checked) {
-      lock_order::on_acquire(this->node, {file, line});
-    } else {
-      (void)file;
-      (void)line;
-    }
-    mutex_.lock_shared();
-  }
-
-  void unlock_shared() OHPX_RELEASE_SHARED() {
-    mutex_.unlock_shared();
-    if constexpr (Checked) {
-      lock_order::on_release(this->node);
-    }
-  }
-
-  const char* name() const noexcept { return name_; }
-
- private:
-  std::shared_mutex mutex_;
-  const char* name_;
-};
-
-using SharedMutex = BasicSharedMutex<kLockOrderChecked>;
-using OrderedSharedMutex = BasicSharedMutex<true>;
-
 /// Scoped exclusive hold (the std::lock_guard of this vocabulary).
 template <typename MutexT = Mutex>
 class OHPX_SCOPED_CAPABILITY LockGuard {
@@ -286,27 +215,5 @@ class OHPX_SCOPED_CAPABILITY UniqueLock {
 
 template <typename MutexT>
 UniqueLock(MutexT&, const char*, int) -> UniqueLock<MutexT>;
-
-/// Scoped shared (reader) hold on a BasicSharedMutex.
-template <typename MutexT = SharedMutex>
-class OHPX_SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(MutexT& mutex, const char* file = __builtin_FILE(),
-                      int line = __builtin_LINE()) OHPX_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.lock_shared(file, line);
-  }
-
-  ~SharedLock() OHPX_RELEASE() { mutex_.unlock_shared(); }
-
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  MutexT& mutex_;
-};
-
-template <typename MutexT>
-SharedLock(MutexT&, const char*, int) -> SharedLock<MutexT>;
 
 }  // namespace ohpx::sync

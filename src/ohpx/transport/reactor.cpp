@@ -579,7 +579,6 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
                               std::vector<Settlement>& out) {
   const std::string described =
       "tcp " + conn.host + ":" + std::to_string(conn.port) + ": " + message;
-  const std::exception_ptr error = make_transport_error(code, described);
   // Cold path by definition (the connection just died): one anomaly per
   // failure, not per pending call.
   introspect::anomaly(introspect::EventKind::connection_dropped, code,
@@ -587,7 +586,9 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
   for (auto& [corr, pending] : conn.inflight) {
     Settlement s;
     s.promise = std::move(pending.promise);
-    s.error = error;
+    // One exception per call, shared with no other caller: each dies with
+    // its own future state, on whichever thread drops that state last.
+    s.error = make_transport_error(code, described);
     out.push_back(std::move(s));
   }
   conn.inflight.clear();

@@ -181,7 +181,9 @@ class Reactor {
 
   // A settled call carried out of the locked region: promises are
   // fulfilled *after* the reactor mutex drops, so a continuation that
-  // re-enters submit() cannot deadlock.
+  // re-enters submit() cannot deadlock.  settle() moves the error into
+  // the promise: the loop keeps no reference to a failed call's
+  // exception, which then dies with its future state.
   struct Settlement {
     Promise<RawReply> promise;
     RawReply reply;                     // meaningful when !error
@@ -189,7 +191,7 @@ class Reactor {
 
     void settle() {
       if (error) {
-        promise.set_exception(error);
+        promise.set_exception(std::move(error));
       } else {
         promise.set_value(std::move(reply));
       }

@@ -5,8 +5,8 @@
 // (reactor.hpp), which carries every outbound call, parses replies with
 // it; the one frame cap lives there.  The accepting side is one Listener,
 // shared with the introspection plane's HttpListener (http.hpp).  The
-// benchmark suite instead uses the netsim-timed channel so results are
-// deterministic (DESIGN.md §2).
+// benchmark suite instead uses the netsim-timed in-process roundtrip
+// (inproc.hpp) so results are deterministic (DESIGN.md §2).
 // Listeners default to loopback but can bind any local interface, which
 // is what lets a World span OS processes and machines
 // (docs/deployment.md).
@@ -30,7 +30,7 @@
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/common/bytes.hpp"
 #include "ohpx/sync/mutex.hpp"
-#include "ohpx/transport/channel.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx::transport {
 

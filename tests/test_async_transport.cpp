@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -519,6 +520,7 @@ TEST(ReactorReplyFramingTest, OverCapPrefixFailsEveryPendingCallThenRedials) {
   transport::store_frame_prefix(prefix,
                                 transport::FrameReader::kMaxFrameSize + 1);
   ASSERT_TRUE(peer.send_all(BytesView(prefix, sizeof(prefix))));
+  std::vector<std::exception_ptr> errors;
   for (auto& future : futures) {
     ASSERT_TRUE(settles(future));
     try {
@@ -526,8 +528,15 @@ TEST(ReactorReplyFramingTest, OverCapPrefixFailsEveryPendingCallThenRedials) {
       FAIL() << "an over-cap prefix must fail the pending call";
     } catch (const TransportError& e) {
       EXPECT_EQ(e.code(), ErrorCode::transport_io) << e.what();
+      errors.push_back(std::current_exception());
     }
   }
+  // Each failed call gets its own exception object: none is shared with
+  // another caller, or with the reactor loop that raised it.
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors[0], errors[1]);
+  EXPECT_NE(errors[0], errors[2]);
+  EXPECT_NE(errors[1], errors[2]);
   EXPECT_TRUE(peer.closed_by_peer());
 
   // The next submit dials a fresh connection.

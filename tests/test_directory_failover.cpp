@@ -19,7 +19,8 @@
 // And a directory kill -9'd and restarted on its --journal twice: READY is
 // still the first stdout line, permanent bindings come back, leased ones do
 // not, and no entry version goes backwards; a journal of another format is
-// refused and left as it was.
+// refused and left as it was.  And a malformed flag value stops ohpx-named
+// with its usage before READY.
 //
 // The daemon binaries come from OHPX_NAMED_BIN / OHPX_HOSTD_BIN (set by
 // tests/CMakeLists.txt); the test skips when they are absent.
@@ -296,6 +297,32 @@ TEST(DirectoryFailover, JournalSurvivesKillNineRestart) {
                         std::istreambuf_iterator<char>()),
             foreign);
   std::remove(journal.c_str());
+}
+
+// A malformed value, a number or a --peer port, is a usage error refused
+// before READY: not read as the digits it starts with, wrapped into range
+// or replaced by a default.
+TEST(DirectoryFailover, MalformedFlagValuesExitTwoBeforeReady) {
+  const char* named_bin = std::getenv("OHPX_NAMED_BIN");
+  if (named_bin == nullptr) GTEST_SKIP() << "OHPX_NAMED_BIN not set";
+  const std::vector<std::vector<std::string>> bad_flags = {
+      {"--port", "70000"},   {"--port", "abc"},     {"--sweep-ms", "5s"},
+      {"--sweep-ms", "0"},   {"--sync-ms", "-1"},   {"--primary-ttl-ms", "0"},
+      {"--run-ms", "+100"},  {"--peer", "127.0.0.1:7400abc"}};
+  for (const auto& flags : bad_flags) {
+    const std::string shown = flags[0] + " " + flags[1];
+    // --run-ms keeps a daemon that wrongly starts from outliving the test.
+    std::vector<std::string> args = flags;
+    if (flags[0] != "--run-ms") args.insert(args.end(), {"--run-ms", "2000"});
+    Child daemon = spawn(named_bin, args);
+    ASSERT_GT(daemon.pid, 0);
+    EXPECT_EQ(read_line(daemon.out), "") << shown << " printed a line";
+    int status = 0;
+    ASSERT_EQ(::waitpid(daemon.pid, &status, 0), daemon.pid);
+    daemon.pid = -1;
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+        << shown << " did not exit 2";
+  }
 }
 
 }  // namespace

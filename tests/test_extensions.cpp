@@ -19,7 +19,6 @@
 #include "ohpx/protocol/registry.hpp"
 #include "ohpx/runtime/migration.hpp"
 #include "ohpx/runtime/world.hpp"
-#include "ohpx/transport/inproc.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
 
@@ -413,8 +412,8 @@ TEST_F(ExtensionFixture, CustomProtocolParticipatesInSelection) {
                                wire::Buffer& payload,
                                const proto::CallTarget& target,
                                CostLedger& ledger) override {
-      transport::InProcChannel channel(target.address.endpoint);
-      return proto::frame_roundtrip(channel, header, payload, ledger);
+      return proto::frame_roundtrip(target.address.endpoint, header, payload,
+                                    ledger);
     }
   };
   proto::ProtocolRegistry::instance().register_factory(

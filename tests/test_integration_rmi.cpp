@@ -173,6 +173,44 @@ TEST_F(TwoMachineWorld, MigrationPreservesCounterState) {
   EXPECT_EQ(gp->add(3), 15);
 }
 
+// nexus-tcp reads its link from the placement on every call: after the
+// server moves across the WAN, the very next call is charged the WAN
+// link's modeled time both ways, not the LAN link it was first used on.
+TEST_F(TwoMachineWorld, NexusChargesTheLinkOfTheCurrentPlacement) {
+  const netsim::LinkSpec lan_link = netsim::atm_155();
+  const netsim::LinkSpec wan_link = netsim::wan_t3();
+  world_.topology().set_lan_link(lan_, lan_link);
+  world_.topology().set_default_wan_link(wan_link);
+  const netsim::LanId far_lan = world_.add_lan("far-lan");
+  orb::Context& far_server =
+      world_.create_context(world_.add_machine("far-box", far_lan));
+
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .nexus()
+                 .build();
+  EchoPointer gp(*client_ctx_, ref);
+  const auto values = iota_values(1000);
+  const auto modeled_over = [](const netsim::LinkSpec& link,
+                               const CostLedger& ledger) {
+    return link.transfer_time(ledger.bytes_sent()) +
+           link.transfer_time(ledger.bytes_received());
+  };
+
+  CostLedger on_lan;
+  EXPECT_EQ(gp->echo_with_cost(on_lan, values), values);
+  EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
+  EXPECT_EQ(on_lan.modeled(), modeled_over(lan_link, on_lan));
+
+  runtime::migrate_shared(ref.object_id(), *server_ctx_, far_server);
+
+  CostLedger on_wan;
+  EXPECT_EQ(gp->echo_with_cost(on_wan, values), values);
+  EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
+  EXPECT_EQ(on_wan.bytes_sent(), on_lan.bytes_sent()) << "one attempt";
+  EXPECT_EQ(on_wan.modeled(), modeled_over(wan_link, on_wan));
+  EXPECT_GT(on_wan.modeled(), on_lan.modeled());
+}
+
 TEST_F(TwoMachineWorld, MigrateCopyViaSnapshotRestore) {
   runtime::ServantTypeRegistry::instance().register_type<CounterServant>();
 

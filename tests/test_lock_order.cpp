@@ -15,8 +15,6 @@ namespace {
 
 using ohpx::sync::LockGuard;
 using ohpx::sync::OrderedMutex;
-using ohpx::sync::OrderedSharedMutex;
-using ohpx::sync::SharedLock;
 using ohpx::sync::UniqueLock;
 namespace lock_order = ohpx::sync::lock_order;
 
@@ -224,24 +222,6 @@ TEST_F(LockOrderTest, UniqueLockParticipatesInOrdering) {
     UniqueLock la(a);
   }
   EXPECT_EQ(lock_order::report_count(), 1u);
-}
-
-TEST_F(LockOrderTest, SharedHoldsParticipateInOrdering) {
-  OrderedSharedMutex table("lo.shared.table");
-  OrderedMutex row("lo.shared.row");
-
-  {
-    SharedLock reader(table);
-    LockGuard lr(row);
-  }
-  {
-    LockGuard lr(row);
-    SharedLock reader(table);  // row -> table inverts table -> row
-  }
-  ASSERT_EQ(lock_order::report_count(), 1u);
-  const auto reports = lock_order::take_reports();
-  const std::vector<std::string> expected{"lo.shared.row", "lo.shared.table"};
-  EXPECT_EQ(reports.front().cycle, expected);
 }
 
 TEST_F(LockOrderTest, OutOfOrderReleaseIsHandled) {

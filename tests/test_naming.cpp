@@ -350,6 +350,18 @@ TEST(NamingBootstrap, BadUrisThrowTyped) {
   EXPECT_THROW(bootstrap_from_uri("host:notaport"), ObjectError);
   EXPECT_THROW(bootstrap_from_uri("host:99999"), ObjectError);
   EXPECT_THROW(read_bootstrap_file("/nonexistent/no.ref"), ObjectError);
+  // A port is exactly its digits: trailing garbage, a blank, a sign or a
+  // fraction is not port 7400.
+  for (const char* uri :
+       {"127.0.0.1:7400abc", "127.0.0.1: 7400", "127.0.0.1:+7400",
+        "127.0.0.1:7400.9", "127.0.0.1:0", "127.0.0.1:7400,10.0.0.1:7401x"}) {
+    try {
+      (void)bootstrap_refs_from_uri(uri);
+      ADD_FAILURE() << "accepted '" << uri << "'";
+    } catch (const ObjectError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::bad_object_ref) << uri;
+    }
+  }
 }
 
 // ---- replica failover ------------------------------------------------------

@@ -25,7 +25,6 @@
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/channel.hpp"
 #include "ohpx/transport/inproc.hpp"
 
 namespace ohpx {

@@ -9,7 +9,8 @@
 // CapabilityDenied, nothing else.  And for the directory's one record,
 // read back from a damaged journal or from a peer's catch-up stream: a
 // prefix of what was written, or a typed refusal, and never an entry
-// version that goes backwards.
+// version that goes backwards.  And for the bootstrap URIs and reference
+// files a client boots from: a typed refusal, or exactly what they say.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -919,6 +921,226 @@ TEST_P(JournalRecoveryFuzz, RecoverReturnsAPrefixAndReplayNeverRollsBack) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalRecoveryFuzz,
                          ::testing::Values(0x51, 0x52, 0x53, 0x54, 0x55, 0x56,
                                            0x57, 0x58));
+
+// ---- mutated bootstrap URIs and reference files ----------------------------
+//
+// A client boots from a URI naming host:port endpoints and reference files
+// (naming/bootstrap.hpp); the files come from another process.  The corpus
+// is files write_bootstrap_file() writes — one raw reference, and OHPXREFS
+// containers of one and of three — and URIs over host:port specs and those
+// files.  Each round damages one: a file by bit flips, truncation, the head
+// of one file spliced onto the tail of another, or its reference count or
+// one reference's length set to an edge value; a URI by bit flips,
+// truncation, a splice, or one port's text edited (a sign, a blank,
+// trailing garbage, 0, 65536).  Only ObjectError(bad_object_ref) escapes,
+// and a host:port spec is accepted only as the port its text spells, in
+// 1-65535.  A missing or empty file is retried for ~100 ms, so no round
+// names one.
+
+std::string ref_file_bytes(const std::string& path,
+                           const std::vector<orb::ObjectRef>& refs) {
+  if (refs.size() == 1) {
+    naming::write_bootstrap_file(path, refs.front());
+  } else {
+    naming::write_bootstrap_file(path, refs);
+  }
+  return read_all(path);
+}
+
+/// Byte offsets of an OHPXREFS file's reference length fields.
+std::vector<std::size_t> ref_length_offsets(const std::string& raw) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t pos = 12; pos + 4 <= raw.size();) {
+    offsets.push_back(pos);
+    pos += 4 + load_be<std::uint32_t>(
+                   reinterpret_cast<const std::uint8_t*>(raw.data()) + pos);
+  }
+  return offsets;
+}
+
+std::vector<std::string> uri_specs(const std::string& uri) {
+  std::vector<std::string> specs;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = uri.find(',', begin);
+    specs.push_back(uri.substr(begin, comma - begin));
+    if (comma == std::string::npos) return specs;
+    begin = comma + 1;
+  }
+}
+
+bool names_a_file(const std::string& spec) {
+  return spec.rfind("file:", 0) == 0 || spec.find('/') != std::string::npos ||
+         (spec.size() > 4 && spec.compare(spec.size() - 4, 4, ".ref") == 0);
+}
+
+/// Whether some spec of `uri` names no regular, non-empty file.
+bool names_a_missing_file(const std::string& uri) {
+  for (const std::string& spec : uri_specs(uri)) {
+    if (!names_a_file(spec)) continue;
+    const std::filesystem::path path =
+        spec.rfind("file:", 0) == 0 ? spec.substr(5) : spec;
+    std::error_code error;
+    if (!std::filesystem::is_regular_file(path, error) ||
+        std::filesystem::file_size(path, error) == 0 || error) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// bootstrap_refs_from_uri() under the fuzz invariants; true if accepted.
+bool boot_checked(const std::string& uri) {
+  std::vector<orb::ObjectRef> refs;
+  try {
+    refs = naming::bootstrap_refs_from_uri(uri);
+  } catch (const ObjectError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::bad_object_ref) << "'" << uri << "'";
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "'" << uri << "' escaped as an untyped error: "
+                  << e.what();
+    return false;
+  }
+  // Specs and references line up one to one until the first file spec.
+  const std::vector<std::string> specs = uri_specs(uri);
+  for (std::size_t i = 0; i < specs.size() && i < refs.size(); ++i) {
+    if (names_a_file(specs[i])) break;
+    const std::uint16_t port = refs[i].home().tcp_port;
+    EXPECT_GE(port, 1) << "'" << uri << "'";
+    EXPECT_EQ(specs[i].substr(specs[i].rfind(':') + 1), std::to_string(port))
+        << "'" << uri << "' was read as port " << port;
+  }
+  return true;
+}
+
+class BootstrapFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BootstrapFuzz, OnlyTypedRefusalsAndExactPorts) {
+  Xoshiro256 rng(GetParam());
+  const std::string dir = testing::TempDir() + "ohpx_fuzz_bootstrap_" +
+                          std::to_string(::getpid()) + "_";
+  const auto some_ref = [&rng] {
+    return naming::make_bootstrap_ref(
+        "10.0.0." + std::to_string(1 + rng.next_below(250)),
+        static_cast<std::uint16_t>(1 + rng.next_below(65535)));
+  };
+  const std::string one_path = dir + "one.ref";
+  const std::string boxed_path = dir + "boxed.ref";
+  const std::string many_path = dir + "many.ref";
+  const std::string mutated_path = dir + "mutated.ref";
+  const std::vector<std::string> files = {
+      ref_file_bytes(one_path, {some_ref()}),
+      ref_file_bytes(boxed_path, std::vector<orb::ObjectRef>{some_ref()}),
+      ref_file_bytes(many_path, {some_ref(), some_ref(), some_ref()})};
+  const std::vector<std::string> uris = {
+      "127.0.0.1:7400",
+      "10.0.0.2:65535,10.0.0.3:1",
+      "ns.cluster.local:7401," + one_path,
+      "file:" + many_path + ",10.0.0.4:8080",
+      boxed_path};
+  for (const std::string& uri : uris) {
+    ASSERT_TRUE(boot_checked(uri)) << "clean URI refused: " << uri;
+  }
+
+  std::size_t files_refused = 0;
+  for (int round = 0; round < 64; ++round) {
+    SCOPED_TRACE("file round " + std::to_string(round));
+    const std::size_t source = rng.next_below(files.size());
+    std::string damaged = files[source];
+    switch (rng.next_below(5)) {
+      case 0:
+        flip_bits(damaged, rng);
+        break;
+      case 1:
+        damaged.resize(1 + rng.next_below(damaged.size() - 1));
+        break;
+      case 2: {
+        const std::string& other = files[rng.next_below(files.size())];
+        damaged = damaged.substr(0, 1 + rng.next_below(damaged.size())) +
+                  other.substr(rng.next_below(other.size()));
+        break;
+      }
+      case 3: {  // the reference count (a raw reference: its first word)
+        const std::uint32_t edges[] = {0, 1, 0x7fffffffu, 0xffffffffu};
+        store_be(reinterpret_cast<std::uint8_t*>(damaged.data()) +
+                     (source == 0 ? 0 : 8),
+                 edges[rng.next_below(std::size(edges))]);
+        break;
+      }
+      default: {  // one reference's length
+        const std::vector<std::size_t> lengths = ref_length_offsets(damaged);
+        const std::size_t at =
+            source == 0 ? 0 : lengths[rng.next_below(lengths.size())];
+        const std::uint32_t length = load_be<std::uint32_t>(
+            reinterpret_cast<const std::uint8_t*>(damaged.data()) + at);
+        const std::uint32_t edges[] = {0, length - 1, 0x7fffffffu,
+                                       0xffffffffu};
+        store_be(reinterpret_cast<std::uint8_t*>(damaged.data()) + at,
+                 edges[rng.next_below(std::size(edges))]);
+        break;
+      }
+    }
+    std::ofstream(mutated_path, std::ios::binary | std::ios::trunc) << damaged;
+    try {
+      (void)naming::read_bootstrap_refs(mutated_path);
+    } catch (const ObjectError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::bad_object_ref);
+      ++files_refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "a damaged reference file escaped as an untyped "
+                       "error: " << e.what();
+    }
+    (void)boot_checked("127.0.0.1:7400,file:" + mutated_path);
+  }
+  EXPECT_GT(files_refused, 0u) << "no damaged file reached a refusal";
+
+  const char* port_edits[] = {"+7400", "-7400", " 7400", "7400 ", "7400abc",
+                              "7400.9", "0",     "65536", "",      "0x1cf8",
+                              "99999999999999999999"};
+  std::size_t uris_refused = 0;
+  for (int round = 0; round < 96; ++round) {
+    SCOPED_TRACE("URI round " + std::to_string(round));
+    std::string uri = uris[rng.next_below(uris.size())];
+    switch (rng.next_below(4)) {
+      case 0:
+        flip_bits(uri, rng);
+        break;
+      case 1:
+        uri.resize(rng.next_below(uri.size()));
+        break;
+      case 2: {
+        const std::string& other = uris[rng.next_below(uris.size())];
+        uri = uri.substr(0, rng.next_below(uri.size() + 1)) +
+              other.substr(rng.next_below(other.size() + 1));
+        break;
+      }
+      default: {  // one host:port spec's port text
+        std::vector<std::string> specs = uri_specs(uri);
+        std::string& spec = specs[rng.next_below(specs.size())];
+        if (names_a_file(spec)) break;
+        spec = spec.substr(0, spec.rfind(':') + 1) +
+               port_edits[rng.next_below(std::size(port_edits))];
+        uri.clear();
+        for (const std::string& part : specs) {
+          uri += (uri.empty() ? "" : ",") + part;
+        }
+        break;
+      }
+    }
+    if (names_a_missing_file(uri)) continue;
+    if (!boot_checked(uri)) ++uris_refused;
+  }
+  EXPECT_GT(uris_refused, 0u) << "no damaged URI reached a refusal";
+
+  for (const std::string& path :
+       {one_path, boxed_path, many_path, mutated_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BootstrapFuzz,
+                         ::testing::Values(0x61, 0x62, 0x63, 0x64, 0x65, 0x66,
+                                           0x67, 0x68));
 
 }  // namespace
 }  // namespace ohpx

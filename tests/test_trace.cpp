@@ -18,7 +18,7 @@
 #include "ohpx/scenario/echo.hpp"
 #include "ohpx/trace/export.hpp"
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/channel.hpp"
+#include "ohpx/transport/inproc.hpp"
 #include "ohpx/wire/message.hpp"
 
 namespace ohpx {

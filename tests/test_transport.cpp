@@ -1,5 +1,5 @@
-// Unit tests for the transport layer: endpoint registry, in-process
-// channel, simulated-network channel cost accounting, and the real TCP
+// Unit tests for the transport layer: endpoint registry, the in-process
+// roundtrip and its modeled-link cost accounting, and the real TCP
 // listener driven by the reactor (loopback sockets), and the framing both
 // ends share: FrameReader unit cases over a socketpair, then the
 // listener's edge cases from a raw client socket.  Last, the accepting
@@ -20,11 +20,11 @@
 #include <thread>
 
 #include "ohpx/common/error.hpp"
+#include "ohpx/netsim/topology.hpp"
 #include "ohpx/sync/mutex.hpp"
 #include "ohpx/transport/http.hpp"
 #include "ohpx/transport/inproc.hpp"
 #include "ohpx/transport/reactor.hpp"
-#include "ohpx/transport/sim.hpp"
 #include "ohpx/transport/tcp.hpp"
 #include "raw_socket.hpp"
 
@@ -77,70 +77,54 @@ TEST(EndpointRegistryTest, RebindReplacesHandler) {
   registry.unbind(name);
 }
 
-// ---- in-process channel -----------------------------------------------------------
+// ---- in-process roundtrip ----------------------------------------------------------
 
 TEST(InProcChannelTest, RoundTripAndLedger) {
   auto& registry = EndpointRegistry::instance();
   registry.bind("test/inproc", upper_caser());
 
-  InProcChannel channel("test/inproc");
   CostLedger ledger;
-  wire::Buffer reply = channel.roundtrip(make_payload("abc"), ledger);
+  wire::Buffer reply =
+      transport::roundtrip("test/inproc", make_payload("abc"), ledger);
   EXPECT_EQ(reply.bytes(), bytes_of("ABC"));
   EXPECT_EQ(ledger.bytes_sent(), 3u);
   EXPECT_EQ(ledger.bytes_received(), 3u);
   EXPECT_EQ(ledger.modeled().count(), 0);
-  EXPECT_EQ(channel.describe(), "inproc:test/inproc");
 
   registry.unbind("test/inproc");
 }
 
 TEST(InProcChannelTest, ResolvesPerCall) {
   auto& registry = EndpointRegistry::instance();
-  InProcChannel channel("test/latebound");
   CostLedger ledger;
   // Endpoint does not exist yet.
-  EXPECT_THROW(channel.roundtrip(make_payload("x"), ledger), TransportError);
-  // Binding afterwards makes the same channel object work (migration
+  EXPECT_THROW(transport::roundtrip("test/latebound", make_payload("x"), ledger),
+               TransportError);
+  // Binding afterwards makes the same endpoint name work (migration
   // depends on this late-binding behaviour).
   registry.bind("test/latebound", upper_caser());
-  EXPECT_EQ(channel.roundtrip(make_payload("x"), ledger).bytes(), bytes_of("X"));
+  EXPECT_EQ(
+      transport::roundtrip("test/latebound", make_payload("x"), ledger).bytes(),
+      bytes_of("X"));
   registry.unbind("test/latebound");
 }
 
-// ---- simulated-network channel -------------------------------------------------------
+// ---- over a modeled link -------------------------------------------------------------
 
 TEST(SimChannelTest, ChargesModeledTimeBothWays) {
   auto& registry = EndpointRegistry::instance();
   registry.bind("test/sim", upper_caser());
 
-  netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};  // 1 MB/s, 1 us
-  SimChannel channel("test/sim", link);
+  const netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};  // 1 MB/s, 1 us
   CostLedger ledger;
-  channel.roundtrip(make_payload(std::string(1000, 'a')), ledger);
+  transport::roundtrip("test/sim", make_payload(std::string(1000, 'a')), ledger,
+                       &link);
   // Each direction: 1000 ns latency + 1000 bytes / 1 MBps = 1 ms.
   const double modeled_ms =
       static_cast<double>(ledger.modeled().count()) / 1e6;
   EXPECT_NEAR(modeled_ms, 2.002, 0.01);
 
   registry.unbind("test/sim");
-}
-
-TEST(SimChannelTest, LinkProviderReevaluatedPerCall) {
-  auto& registry = EndpointRegistry::instance();
-  registry.bind("test/sim2", upper_caser());
-
-  std::atomic<int> calls{0};
-  SimChannel channel("test/sim2", [&calls]() {
-    ++calls;
-    return netsim::LinkSpec{"dyn", 1e9, Nanoseconds(10)};
-  });
-  CostLedger ledger;
-  channel.roundtrip(make_payload("a"), ledger);
-  channel.roundtrip(make_payload("b"), ledger);
-  EXPECT_GE(calls.load(), 2);
-
-  registry.unbind("test/sim2");
 }
 
 // ---- real TCP ---------------------------------------------------------------------------

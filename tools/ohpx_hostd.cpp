@@ -16,12 +16,13 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ohpx/common/parse.hpp"
 #include "ohpx/ohpx.hpp"
 #include "ohpx/runtime/process_host.hpp"
 #include "ohpx/scenario/echo.hpp"
@@ -40,14 +41,21 @@ int main(int argc, char** argv) {
   // Split our own flags (--serve, --run-ms) from the ProcessHostConfig
   // flags, which from_args parses strictly.
   std::string serve_name;
-  long run_ms = 0;
+  std::int64_t run_ms = 0;
   std::vector<const char*> config_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--serve" && i + 1 < argc) {
       serve_name = argv[++i];
     } else if (flag == "--run-ms" && i + 1 < argc) {
-      run_ms = std::atol(argv[++i]);
+      const auto parsed = parse_number(argv[++i], 0, kMaxMilliseconds);
+      if (!parsed) {
+        std::fprintf(stderr,
+                     "ohpx-hostd: --run-ms wants a number >= 0, got '%s'\n",
+                     argv[i]);
+        return 1;
+      }
+      run_ms = *parsed;
     } else {
       config_args.push_back(argv[i]);
     }

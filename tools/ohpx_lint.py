@@ -68,10 +68,12 @@ with the Python standard library only, and each is exercised by
                      blocks for a network roundtrip above the transport
                      layer: a protocol's invoke() (`->invoke(` /
                      `.invoke(`, where TCP parks on the reactor's reply) or
-                     a channel's roundtrip() (the in-process and simulated
-                     bearers).  A lock held across a network roundtrip
-                     serializes the caller on a peer's latency — copy what
-                     you need, drop the lock, then send.
+                     a roundtrip() call (`transport::roundtrip(`, the
+                     in-process and simulated bearers' one exchange, which
+                     runs the server's handler).  A lock held across a
+                     network roundtrip serializes the caller on a peer's
+                     latency — copy what you need, drop the lock, then
+                     send.
                      src/ohpx/transport/ itself is exempt: there a lock
                      guards the transport's own fds and queues (the
                      reactor's mutex, a listener's connection set), which
@@ -80,11 +82,12 @@ with the Python standard library only, and each is exercised by
                      ::send, ::recv, ::read, ::write, ::accept, ::poll,
                      ::select, ::writev, ::sendmsg, ...) are banned
                      outside src/ohpx/transport/.  Everything above the
-                     transport layer talks through Reactor::submit or a
-                     Channel, which own nonblocking I/O, fd lifecycle
-                     and the inflight-window contract; a raw blocking
-                     syscall parks a caller thread the reactor cannot
-                     see.
+                     transport layer talks through Reactor::submit, which
+                     owns nonblocking I/O, fd lifecycle and the
+                     inflight-window contract, or through
+                     transport::roundtrip for in-process and simulated
+                     calls; a raw blocking syscall parks a caller thread
+                     the reactor cannot see.
   error-consistency  every ErrorCode enumerator has a name in to_string
                      (src/ohpx/common/error.cpp) and an explicit verdict in
                      is_retryable (src/ohpx/resilience/retry.cpp), whose
@@ -596,10 +599,10 @@ class Linter:
                 "sync::LockGuard/UniqueLock (annotated + order-validated)")
 
     # Braces, sync guard declarations, and the calls that block for a
-    # network roundtrip: Protocol::invoke and Channel::roundtrip.
+    # network roundtrip: Protocol::invoke and transport::roundtrip.
     SCOPE_RE = re.compile(
         r"(?P<open>\{)|(?P<close>\})"
-        r"|(?P<guard>\bsync\s*::\s*(?:LockGuard|UniqueLock|SharedLock)\b)"
+        r"|(?P<guard>\bsync\s*::\s*(?:LockGuard|UniqueLock)\b)"
         r"|\b(?P<roundtrip>roundtrip)\s*\("
         r"|(?:->|\.)\s*(?P<invoke>invoke)\s*\(")
 
@@ -643,7 +646,8 @@ class Linter:
                 f"::{match.group(1)}() outside src/ohpx/transport/ "
                 "— socket I/O and accepting listeners belong to "
                 "the transport layer (Reactor::submit for outbound "
-                "TCP, a Channel for in-process and simulated calls, "
+                "TCP, transport::roundtrip for in-process and "
+                "simulated calls, "
                 "TcpListener for accepting sockets); a raw syscall "
                 "parks a thread or owns an fd the reactor cannot see")
 
@@ -833,15 +837,11 @@ class UniqueLock {
 }  // namespace ohpx::sync
 """
 
-CHANNEL_HPP = """\
+INPROC_HPP = """\
 #pragma once
 namespace ohpx::transport {
 struct Buffer {};
-class Channel {
- public:
-  virtual ~Channel() = default;
-  virtual Buffer roundtrip(const Buffer& request) = 0;
-};
+Buffer roundtrip(const char* endpoint, const Buffer& request);
 }  // namespace ohpx::transport
 """
 
@@ -856,18 +856,18 @@ void event(const char*, const char*);
 CLEAN_ORB_CPP = """\
 #include "ohpx/sync/mutex.hpp"
 #include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/channel.hpp"
+#include "ohpx/transport/inproc.hpp"
 namespace ohpx::orb {
 class Caller {
  public:
-  transport::Buffer call(transport::Channel& channel) {
+  transport::Buffer call() {
     transport::Buffer request;
     {
       sync::LockGuard lock(mutex_);
       request = pending_;
     }  // guard dropped before the blocking send
     trace::Span span(0, "rmi.invoke");
-    return channel.roundtrip(request);
+    return transport::roundtrip("orb.peer", request);
   }
  private:
   sync::Mutex mutex_{"orb.caller"};
@@ -878,21 +878,20 @@ class Caller {
 
 TRANSPORT_TCP_CPP = """\
 #include "ohpx/sync/mutex.hpp"
-#include "ohpx/transport/channel.hpp"
+#include "ohpx/transport/inproc.hpp"
 extern "C" long send(int, const void*, unsigned long, int);
 namespace ohpx::transport {
-class FdChannel : public Channel {
+class FdLink {
  public:
-  Buffer roundtrip(const Buffer& request) override {
+  Buffer exchange(const Buffer& request) {
     sync::LockGuard lock(io_mutex_);  // exempt: serializes this fd
     Buffer reply = request;
     ::send(fd_, &reply, sizeof(reply), 0);  // exempt: transport owns fds
-    return next_->roundtrip(reply);  // exempt: the lock guards this hop
+    return roundtrip("transport.next", reply);  // exempt: guards this hop
   }
  private:
   sync::Mutex io_mutex_{"transport.fd.io"};
   int fd_ = -1;
-  Channel* next_ = nullptr;
 };
 }  // namespace ohpx::transport
 """
@@ -966,7 +965,7 @@ CLEAN_TREE = {
     "src/ohpx/sync/mutex.hpp": SYNC_MUTEX_HPP,
     "src/ohpx/trace/trace.hpp": TRACE_HPP,
     "src/ohpx/trace/span_names.hpp": _span_names_hpp("rmi.invoke"),
-    "src/ohpx/transport/channel.hpp": CHANNEL_HPP,
+    "src/ohpx/transport/inproc.hpp": INPROC_HPP,
     "src/ohpx/transport/tcp.cpp": TRANSPORT_TCP_CPP,
     "src/ohpx/orb/caller.cpp": CLEAN_ORB_CPP,
     "src/ohpx/common/error.hpp": ERROR_HPP,
@@ -1043,15 +1042,17 @@ FIXTURES = [
         "std::mutex g_m;\n"
         "void f() { std::lock_guard<std::mutex> lock(g_m); }\n"
         "}  // namespace ohpx::orb\n"}),
+    # Any roundtrip() call counts, whatever object it is a member of.
     (["[lock-across-send]"], {"src/ohpx/orb/heldsend.cpp":
         '#include "ohpx/sync/mutex.hpp"\n'
-        '#include "ohpx/transport/channel.hpp"\n'
+        '#include "ohpx/transport/inproc.hpp"\n'
         "namespace ohpx::orb {\n"
+        "struct Link { transport::Buffer roundtrip(transport::Buffer b); };\n"
         "class Bad {\n"
         " public:\n"
-        "  transport::Buffer call(transport::Channel& channel) {\n"
+        "  transport::Buffer call(Link& link) {\n"
         "    sync::LockGuard lock(mutex_);\n"
-        "    return channel.roundtrip(pending_);  // lock still held\n"
+        "    return link.roundtrip(pending_);  // lock still held\n"
         "  }\n"
         " private:\n"
         '  sync::Mutex mutex_{"orb.bad"};\n'
@@ -1060,14 +1061,15 @@ FIXTURES = [
         "}  // namespace ohpx::orb\n"}),
     (["[lock-across-send]"], {"src/ohpx/protocol/nested.cpp":
         '#include "ohpx/sync/mutex.hpp"\n'
-        '#include "ohpx/transport/channel.hpp"\n'
+        '#include "ohpx/transport/inproc.hpp"\n'
         "namespace ohpx::proto {\n"
+        "struct Link { transport::Buffer roundtrip(transport::Buffer b); };\n"
         "class Bad {\n"
         " public:\n"
-        "  void call(transport::Channel& channel) {\n"
+        "  void call(Link& link) {\n"
         "    sync::UniqueLock lock(mutex_);\n"
         "    if (dirty_) {\n"
-        "      channel.roundtrip(pending_);  // outer guard in scope\n"
+        "      link.roundtrip(pending_);  // outer guard in scope\n"
         "    }\n"
         "  }\n"
         " private:\n"
@@ -1076,8 +1078,24 @@ FIXTURES = [
         "  transport::Buffer pending_;\n"
         "};\n"
         "}  // namespace ohpx::proto\n"}),
+    # The in-process bearers' one exchange, as a protocol calls it.
+    (["[lock-across-send]"], {"src/ohpx/protocol/heldframe.cpp":
+        '#include "ohpx/sync/mutex.hpp"\n'
+        '#include "ohpx/transport/inproc.hpp"\n'
+        "namespace ohpx::proto {\n"
+        "class Bad {\n"
+        " public:\n"
+        "  transport::Buffer call() {\n"
+        "    sync::LockGuard lock(mutex_);\n"
+        '    return transport::roundtrip("proto.peer", frame_);  // held\n'
+        "  }\n"
+        " private:\n"
+        '  sync::Mutex mutex_{"proto.frame"};\n'
+        "  transport::Buffer frame_;\n"
+        "};\n"
+        "}  // namespace ohpx::proto\n"}),
     # TCP blocks in Protocol::invoke (parked on the reactor's reply), not
-    # in a Channel::roundtrip.
+    # in a transport::roundtrip.
     (["[lock-across-send]"], {"src/ohpx/orb/heldinvoke.cpp":
         '#include "ohpx/sync/mutex.hpp"\n'
         "namespace ohpx::orb {\n"

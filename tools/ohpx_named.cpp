@@ -29,12 +29,14 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "ohpx/common/parse.hpp"
 #include "ohpx/naming/bootstrap.hpp"
 #include "ohpx/naming/journal.hpp"
 #include "ohpx/naming/name_service.hpp"
@@ -81,11 +83,18 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value is a strict parse_number() in [min, max]; a
+    // malformed one is a usage error, like an unknown flag.
+    const auto number = [&](std::int64_t min, std::int64_t max) {
+      const char* text = value();
+      return text ? parse_number(text, min, max) : std::nullopt;
+    };
     const char* v = nullptr;
+    std::optional<std::int64_t> n;
     if (flag == "--host" && (v = value())) {
       opts.host = v;
-    } else if (flag == "--port" && (v = value())) {
-      opts.port = static_cast<std::uint16_t>(std::atoi(v));
+    } else if (flag == "--port" && (n = number(0, 65535))) {
+      opts.port = static_cast<std::uint16_t>(*n);  // 0: an ephemeral port
     } else if (flag == "--advertise" && (v = value())) {
       opts.advertise = v;
     } else if (flag == "--ref-file" && (v = value())) {
@@ -94,21 +103,19 @@ int main(int argc, char** argv) {
       opts.peer = v;
     } else if (flag == "--journal" && (v = value())) {
       opts.journal = v;
-    } else if (flag == "--sweep-ms" && (v = value())) {
-      opts.sweep_ms = std::atol(v);
-    } else if (flag == "--sync-ms" && (v = value())) {
-      opts.sync_ms = std::atol(v);
-    } else if (flag == "--primary-ttl-ms" && (v = value())) {
-      opts.primary_ttl_ms = std::atol(v);
-    } else if (flag == "--run-ms" && (v = value())) {
-      opts.run_ms = std::atol(v);
+    } else if (flag == "--sweep-ms" && (n = number(1, kMaxMilliseconds))) {
+      opts.sweep_ms = *n;
+    } else if (flag == "--sync-ms" && (n = number(1, kMaxMilliseconds))) {
+      opts.sync_ms = *n;
+    } else if (flag == "--primary-ttl-ms" &&
+               (n = number(1, kMaxMilliseconds))) {
+      opts.primary_ttl_ms = *n;
+    } else if (flag == "--run-ms" && (n = number(0, kMaxMilliseconds))) {
+      opts.run_ms = *n;
     } else {
       return usage(argv[0]);
     }
   }
-  if (opts.sweep_ms <= 0) opts.sweep_ms = 500;
-  if (opts.sync_ms <= 0) opts.sync_ms = 200;
-  if (opts.primary_ttl_ms <= 0) opts.primary_ttl_ms = 2000;
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
@@ -168,8 +175,13 @@ int main(int argc, char** argv) {
     naming::ReplicatorConfig repl_config;
     repl_config.poll_interval = std::chrono::milliseconds(opts.sync_ms);
     repl_config.primary_ttl = primary_ttl;
-    replicator = std::make_unique<naming::Replicator>(
-        ctx, *directory, naming::bootstrap_from_uri(opts.peer), repl_config);
+    try {
+      replicator = std::make_unique<naming::Replicator>(
+          ctx, *directory, naming::bootstrap_from_uri(opts.peer), repl_config);
+    } catch (const Error& error) {
+      std::fprintf(stderr, "ohpx-named: --peer: %s\n", error.what());
+      return usage(argv[0]);
+    }
     replicator->start();
   } else {
     // The reigning primary holds the `__primary` seat under a lease its
