@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -36,8 +37,14 @@ std::optional<std::string> slurp(const std::string& path) {
 /// Reads `path`, retrying missing/empty with a bounded backoff (a daemon
 /// mid-startup renames the file into place any moment now).  Garbled
 /// *content* is never retried: the rename is atomic, so a readable file
-/// is complete.
+/// is complete.  Nor is a directory: no rename turns one into a file, and
+/// it would read as empty.
 std::string slurp_with_retry(const std::string& path) {
+  std::error_code error;
+  if (std::filesystem::is_directory(path, error)) {
+    throw ObjectError(ErrorCode::bad_object_ref,
+                      "bootstrap file '" + path + "' is a directory");
+  }
   constexpr int kAttempts = 6;
   for (int attempt = 0;; ++attempt) {
     if (auto raw = slurp(path)) return std::move(*raw);

@@ -12,27 +12,27 @@ bool TcpProtocol::applicable(const CallTarget& target) const {
 ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
                                  wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
-  // Sync bridge over the reactor: submit, then park on the future.  The
-  // reactor throws backpressure/deadline refusals synchronously (before
-  // anything is queued) and surfaces wire-level failures through the
-  // future — either way they leave this frame as ordinary exceptions for
-  // CallCore's retry/breaker machinery.  A connection gone stale (server
-  // restarted or migrated) fails this attempt; the reactor has already
-  // reaped it, so CallCore's retry re-dials fresh.
+  // The reactor's sync exchange: the calling thread sends its frame and
+  // reads its reply itself when the connection is idle, and otherwise
+  // waits on the loop.  Backpressure and spent deadlines are refused
+  // before anything is queued; wire-level failures settle the call — either
+  // way they leave this frame as ordinary exceptions for CallCore's
+  // retry/breaker machinery.  A connection gone stale (server restarted
+  // or migrated) fails this attempt and is dropped, so CallCore's retry
+  // re-dials fresh.
   trace::Span span(trace::SpanKind::transport, "proto.tcp");
-  Future<transport::RawReply> future = transport::Reactor::global().submit(
-      target.address.tcp_host, target.address.tcp_port, header,
-      payload.view());
-  ledger.add_bytes_sent(wire::kHeaderSize + payload.size());
   transport::RawReply raw;
   {
     ScopedRealTime timer(ledger);
-    raw = future.get();
+    raw = transport::Reactor::global().exchange(
+        target.address.tcp_host, target.address.tcp_port, header,
+        payload.view());
   }
+  ledger.add_bytes_sent(wire::kHeaderSize + payload.size());
   ledger.add_bytes_received(raw.frame_size);
-  // The reactor already decoded the frame (header, body, CRC) on its loop
-  // thread to demultiplex by correlation id, and RawReply is ReplyMessage:
-  // all that is left is the reply check.
+  // The reactor already decoded the frame (header, body, CRC) to
+  // demultiplex by correlation id, and RawReply is ReplyMessage: all that
+  // is left is the reply check.
   check_reply(raw.header, header.request_id);
   return raw;
 }

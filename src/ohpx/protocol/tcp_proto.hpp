@@ -2,14 +2,16 @@
 // Used by integration tests and examples that want actual kernel sockets in
 // the path; benchmarks prefer the deterministic nexus-sim protocol.
 //
-// One bearer: every call goes through the shared epoll event loop
+// One bearer: every call goes through the shared reactor
 // (transport/reactor.hpp) — one multiplexed connection per destination,
 // correlation-id demux, sendmsg batching, a bounded inflight window
 // surfacing ErrorCode::backpressure, and a real invoke_async() whose
-// future settles off the event loop.  The synchronous invoke() is a
-// bridge: submit + wait on the future.  It never resends: a stale or dead
-// connection fails the attempt, and CallCore's counted retry is the only
-// retrier above it, so sync and async calls fail the same way here.
+// future settles off the event loop.  The synchronous invoke() is
+// Reactor::exchange(): on an idle connection the calling thread sends its
+// own frame and reads its own reply, otherwise it waits on the loop.  It
+// never resends: a stale or dead connection fails the attempt, and
+// CallCore's counted retry is the only retrier above it, so sync and
+// async calls fail the same way here.
 #pragma once
 
 #include "ohpx/protocol/protocol.hpp"

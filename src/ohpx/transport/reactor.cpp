@@ -3,13 +3,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "ohpx/common/error.hpp"
@@ -90,6 +93,21 @@ void Reactor::stop() {
   }
   wake();
   if (thread_.joinable()) thread_.join();
+  // The drain shut down every socket a leader polls; each leader sees
+  // that, closes its socket and hands its record back.  Wait for them, so
+  // no leader outlives the records it holds.
+  for (;;) {
+    {
+      sync::LockGuard lock(mutex_);
+      if (std::none_of(conns_.begin(), conns_.end(), [](const auto& entry) {
+            return entry.second->leader_fd >= 0;
+          })) {
+        conns_.clear();
+        return;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 Reactor& Reactor::global() {
@@ -97,7 +115,7 @@ Reactor& Reactor::global() {
   return instance;
 }
 
-// ---- submit (caller thread) ------------------------------------------------
+// ---- calls (caller thread) -------------------------------------------------
 
 void Reactor::wake() noexcept {
   const std::uint64_t one = 1;
@@ -105,71 +123,163 @@ void Reactor::wake() noexcept {
       ::write(event_fd_, &one, sizeof(one));  // EAGAIN = already armed
 }
 
-Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
-                                 const wire::MessageHeader& header,
-                                 BytesView payload) {
+// Caller-thread half of every call: the deadline check, a fresh
+// correlation id and the encode, all before the reactor mutex — the loop
+// holds it for whole processing passes, so every cycle a caller spends
+// under it is a lock handoff waiting to happen.  A window-full refusal
+// wastes this encode; acceptable for the exceptional path.
+Reactor::Call Reactor::stage(const wire::MessageHeader& header,
+                             BytesView payload) {
   const std::int64_t deadline = resilience::current_deadline_ns();
   if (resilience::deadline_expired(deadline)) {
     throw DeadlineExceeded("deadline exceeded before transport send");
   }
-
-  Promise<RawReply> promise;
-
-  // Encode before taking the reactor mutex: the loop thread holds it for
-  // whole processing passes, so every cycle spent under it by a submitter
-  // is a lock handoff waiting to happen.  A window-full refusal wastes
-  // this encode — acceptable for the exceptional path.
+  Call call;
+  call.pending.deadline_ns = deadline;
   wire::MessageHeader stamped = header;
   stamped.flags |= wire::kFlagCorrelation;
-  stamped.correlation_id =
+  stamped.correlation_id = call.correlation =
       next_correlation_.fetch_add(1, std::memory_order_relaxed);
-  OutFrame out;
-  wire::encode_frame_into(out.frame, stamped, payload);
-  store_frame_prefix(out.prefix,
-                     static_cast<std::uint32_t>(out.frame.size()));
+  wire::encode_frame_into(call.out.frame, stamped, payload);
+  store_frame_prefix(call.out.prefix,
+                     static_cast<std::uint32_t>(call.out.frame.size()));
+  return call;
+}
 
-  bool window_full = false;
-  std::size_t window_now = 0;
+Reactor::Connection& Reactor::connection(const std::string& host,
+                                         std::uint16_t port) {
+  if (stopping_) {
+    throw TransportError(ErrorCode::transport_closed, "reactor stopped");
+  }
+  auto& slot = conns_[{host, port}];
+  if (!slot) {
+    slot = std::make_unique<Connection>();
+    slot->host = host;
+    slot->port = port;
+    slot->inflight.reserve(window_.load(std::memory_order_relaxed));
+  }
+  return *slot;
+}
+
+// Queues the call's frame and registers its promise, or returns false
+// when the window is full (nothing queued).
+bool Reactor::admit(Connection& conn, Call&& call) {
+  if (conn.inflight.size() >= window_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  conn.outq.push_back(std::move(call.out));
+  if (call.pending.deadline_ns != resilience::kNoDeadline) {
+    ++conn.deadline_count;
+  }
+  conn.inflight.emplace(call.correlation, std::move(call.pending));
+  return true;
+}
+
+// Outside the lock: the anomaly takes locks of its own.
+void Reactor::refuse_full(const std::string& host, std::uint16_t port) const {
+  const std::string refused =
+      "inflight window full (" +
+      std::to_string(window_.load(std::memory_order_relaxed)) + ") for " +
+      host + ":" + std::to_string(port);
+  introspect::anomaly(introspect::EventKind::backpressure,
+                      ErrorCode::backpressure, refused);
+  throw TransportError(ErrorCode::backpressure, refused);
+}
+
+Future<RawReply> Reactor::submit(const std::string& host, std::uint16_t port,
+                                 const wire::MessageHeader& header,
+                                 BytesView payload) {
+  Call call = stage(header, payload);
+  Future<RawReply> future = call.pending.promise.future();
+  bool admitted = false;
   {
     sync::LockGuard lock(mutex_);
-    if (stopping_) {
-      throw TransportError(ErrorCode::transport_closed, "reactor stopped");
-    }
-    auto& slot = conns_[{host, port}];
-    if (!slot) {
-      slot = std::make_unique<Connection>();
-      slot->host = host;
-      slot->port = port;
-      slot->inflight.reserve(window_.load(std::memory_order_relaxed));
-    }
-    Connection& conn = *slot;
-    window_now = window_.load(std::memory_order_relaxed);
-    if (conn.inflight.size() >= window_now) {
-      window_full = true;  // refuse outside the lock
-    } else {
-      conn.outq.push_back(std::move(out));
-
-      Pending pending;
-      pending.promise = promise;
-      pending.deadline_ns = deadline;
-      conn.inflight.emplace(stamped.correlation_id, std::move(pending));
-      if (deadline != resilience::kNoDeadline) ++conn.deadline_count;
-      submit_seq_.fetch_add(1, std::memory_order_seq_cst);
-    }
+    admitted = admit(connection(host, port), std::move(call));
+    if (admitted) submit_seq_.fetch_add(1, std::memory_order_seq_cst);
   }
-  if (window_full) {
-    const std::string refused = "inflight window full (" +
-                                std::to_string(window_now) + ") for " +
-                                host + ":" + std::to_string(port);
-    introspect::anomaly(introspect::EventKind::backpressure,
-                        ErrorCode::backpressure, refused);
-    throw TransportError(ErrorCode::backpressure, refused);
-  }
+  if (!admitted) refuse_full(host, port);
   // Wake elision: while the loop is awake it services submissions at the
   // end of its tick anyway, so the eventfd write (a syscall per call under
   // fan-in) is only needed to interrupt an epoll_wait.
   if (asleep_.load(std::memory_order_seq_cst)) wake();
-  return promise.future();
+  return future;
+}
+
+// The leader's loop: its frame goes out through flush() (one batch of one
+// frame), then it polls the socket and reads through read_ready() until
+// its call leaves the inflight table — settled by a reply it read, or by
+// anything that settles calls for the loop: a deadline sweep (its own,
+// after a poll timeout at the loop's granularity, or the loop's), a
+// failed flush, stop().  Replies it reads for other calls settle on this
+// thread, outside the lock, as the loop would settle them.
+RawReply Reactor::exchange(const std::string& host, std::uint16_t port,
+                           const wire::MessageHeader& header,
+                           BytesView payload) {
+  Call call = stage(header, payload);
+  Future<RawReply> future = call.pending.promise.future();
+  const std::uint64_t id = call.correlation;
+  const int poll_ms = call.pending.deadline_ns == resilience::kNoDeadline
+                          ? -1
+                          : kPollGranularityMs;
+  // The settlements this thread carries out of the lock.  The buffer is
+  // kept across calls, so a call allocates no vector; it is moved out, not
+  // used in place, in case a continuation settled here makes a call.
+  thread_local std::vector<Settlement> spare;
+  std::vector<Settlement> settled = std::move(spare);
+  bool led = false;
+  {
+    sync::UniqueLock lock(mutex_);
+    Connection& conn = connection(host, port);
+    led = conn.fd >= 0 && !conn.connecting && conn.leader_fd < 0 &&
+          conn.outq.empty() && conn.inflight.empty();
+    if (!admit(conn, std::move(call))) {
+      lock.unlock();
+      refuse_full(host, port);
+    }
+    if (led) {
+      const int fd = conn.leader_fd = conn.fd;
+      flush(conn, settled);
+      while (conn.fd == fd && conn.inflight.contains(id)) {
+        lock.unlock();
+        for (auto& s : settled) s.settle();
+        settled.clear();
+        pollfd readable{fd, POLLIN, 0};
+        const int n = ::poll(&readable, 1, poll_ms);
+        lock.lock();
+        if (conn.fd != fd) break;  // failed under us: the socket is shut
+        if (n > 0) {
+          read_ready(conn, settled, id);
+        } else if (n == 0) {
+          cancel_expired(settled);
+        }
+      }
+      hand_back(conn, fd);
+    } else {
+      submit_seq_.fetch_add(1, std::memory_order_seq_cst);
+    }
+  }
+  if (!led && asleep_.load(std::memory_order_seq_cst)) wake();
+  for (auto& s : settled) s.settle();
+  settled.clear();
+  spare = std::move(settled);
+  return future.get();
+}
+
+// Ends a lead.  A connection failed under its leader left the socket
+// open (shut down) for the leader to close.  A live one goes back to the
+// loop, which reads it again if calls that waited on the loop still
+// expect replies; the inflight gauge is refreshed here because a
+// sync-only connection never wakes the loop.
+void Reactor::hand_back(Connection& conn, int fd) {
+  conn.leader_fd = -1;
+  if (conn.fd != fd) {
+    ::close(fd);
+  } else if (!conn.inflight.empty() && !conn.want_read) {
+    set_interest(conn, /*want_read=*/true, conn.want_write);
+  }
+  std::size_t inflight = 0;
+  for (const auto& [key, other] : conns_) inflight += other->inflight.size();
+  inflight_gauge_->store(inflight, std::memory_order_relaxed);
 }
 
 void Reactor::set_inflight_window(std::size_t window) noexcept {
@@ -225,7 +335,10 @@ void Reactor::loop() {
           fail_connection(*conn, ErrorCode::transport_closed,
                           "reactor stopped", settled);
         }
-        conns_.clear();
+        // A record a leader holds stays until that leader hands it back.
+        std::erase_if(conns_, [](const auto& entry) {
+          return entry.second->leader_fd < 0;
+        });
         exiting = true;
       } else {
         for (const auto& [key, conn] : conns_) {
@@ -283,7 +396,17 @@ void Reactor::loop() {
           finish_connect(*conn, settled);
           continue;
         }
-        if (ev & EPOLLIN) read_ready(*conn, settled);
+        if (conn->fd == conn->leader_fd) {
+          // Led: the leader reads this socket, and fails it when the peer
+          // goes away (its poll sees that too); the loop keeps the write
+          // half and stops listening for the leader's replies.
+          if (ev & EPOLLOUT) flush(*conn, settled);
+          if (conn->fd >= 0 && (ev & EPOLLIN)) {
+            set_interest(*conn, /*want_read=*/false, conn->want_write);
+          }
+          continue;
+        }
+        if (ev & (EPOLLIN | EPOLLRDHUP)) read_ready(*conn, settled);
         if (conn->fd >= 0 && (ev & EPOLLOUT)) flush(*conn, settled);
         if (conn->fd >= 0 && (ev & (EPOLLERR | EPOLLHUP))) {
           fail_connection(*conn, ErrorCode::transport_closed,
@@ -297,10 +420,11 @@ void Reactor::loop() {
       cancel_expired(settled);
 
       // Reap connections that failed during this tick (fd already closed;
-      // the record only lingered so epoll_event pointers stayed valid).
+      // the record only lingered so epoll_event pointers stayed valid) and
+      // that no leader still holds.
       for (auto it = conns_.begin(); it != conns_.end();) {
         if (it->second->fd < 0 && it->second->inflight.empty() &&
-            it->second->outq.empty()) {
+            it->second->outq.empty() && it->second->leader_fd < 0) {
           it = conns_.erase(it);
         } else {
           inflight_now += it->second->inflight.size();
@@ -342,7 +466,8 @@ void Reactor::note_tick_lag(Nanoseconds lag) {
 
 // Gives every connection with staged work a socket and a flush: called
 // once per tick, so frames submitted while the loop was busy leave in one
-// coalesced batch (flush-on-idle).
+// coalesced batch (flush-on-idle).  The replies to these frames are the
+// loop's to read unless a leader holds the connection.
 void Reactor::service_submissions(std::vector<Settlement>& out) {
   for (auto& [key, conn] : conns_) {
     if (conn->outq.empty()) continue;
@@ -350,9 +475,11 @@ void Reactor::service_submissions(std::vector<Settlement>& out) {
       open_connection(*conn, out);
       if (conn->fd < 0 || conn->connecting) continue;
     }
-    if (!conn->connecting && !conn->want_write) {
-      flush(*conn, out);
+    if (conn->connecting) continue;
+    if (conn->fd != conn->leader_fd && !conn->want_read) {
+      set_interest(*conn, /*want_read=*/true, conn->want_write);
     }
+    if (!conn->want_write) flush(*conn, out);
   }
 }
 
@@ -389,7 +516,7 @@ void Reactor::open_connection(Connection& conn,
   }
   if (!conn.connecting) note_connected(conn);  // loopback connect can
                                                // complete synchronously
-  update_interest(conn, /*want_write=*/conn.connecting);
+  set_interest(conn, /*want_read=*/true, /*want_write=*/conn.connecting);
 }
 
 void Reactor::note_connected(Connection& conn) noexcept {
@@ -414,7 +541,7 @@ void Reactor::finish_connect(Connection& conn,
   }
   conn.connecting = false;
   note_connected(conn);
-  update_interest(conn, /*want_write=*/false);
+  set_interest(conn, /*want_read=*/true, /*want_write=*/false);
   flush(conn, out);
 }
 
@@ -471,7 +598,7 @@ void Reactor::flush(Connection& conn,
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        update_interest(conn, /*want_write=*/true);
+        set_interest(conn, conn.want_read, /*want_write=*/true);
         return;
       }
       fail_connection(conn, ErrorCode::transport_io,
@@ -498,7 +625,9 @@ void Reactor::flush(Connection& conn,
       frames_->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (conn.want_write) update_interest(conn, /*want_write=*/false);
+  if (conn.want_write) {
+    set_interest(conn, conn.want_read, /*want_write=*/false);
+  }
 }
 
 // Settles the pending call each complete reply frame in conn.reader
@@ -524,8 +653,7 @@ bool Reactor::demux_replies(Connection& conn,
       // stub's decode continuation runs on this same loop thread and
       // releases the payload back, so steady-state fan-in recycles a
       // handful of warm buffers instead of allocating per reply.
-      Settlement s;
-      s.promise = std::move(it->second.promise);
+      Settlement& s = out.emplace_back(std::move(it->second.promise));
       s.reply.header = header;
       s.reply.frame_size = frame->size();
       s.reply.payload = wire::BufferPool::local().acquire(body.size());
@@ -534,7 +662,6 @@ bool Reactor::demux_replies(Connection& conn,
         --conn.deadline_count;
       }
       conn.inflight.erase(it);
-      out.push_back(std::move(s));
     }
   } catch (const TransportError& e) {
     fail_connection(conn, e.code(), e.what(), out);
@@ -548,9 +675,11 @@ bool Reactor::demux_replies(Connection& conn,
 }
 
 // Reads until EAGAIN — one recv covers many pipelined replies — settling
-// replies after each chunk.
-void Reactor::read_ready(Connection& conn,
-                         std::vector<Settlement>& out) {
+// replies after each chunk.  A leader passes its own correlation id as
+// `until` and stops once that call has settled, sparing the recv that
+// would only read EAGAIN.
+void Reactor::read_ready(Connection& conn, std::vector<Settlement>& out,
+                         std::uint64_t until) {
   for (;;) {
     const ssize_t n = conn.reader.fill(conn.fd);
     if (n < 0) {
@@ -568,12 +697,15 @@ void Reactor::read_ready(Connection& conn,
       return;
     }
     if (!demux_replies(conn, out)) return;
+    if (until != 0 && !conn.inflight.contains(until)) return;
   }
 }
 
-// Fails every pending call on `conn` and closes its socket.  The record
-// stays in the map (fd = -1) until the end of the tick so epoll_event
-// pointers from this batch remain valid; a later submit() reuses it.
+// Fails every pending call on `conn` and closes its socket — or, when a
+// leader polls it, shuts it down, which wakes the leader to close it.  The
+// record stays in the map (fd = -1) until the end of the tick so
+// epoll_event pointers from this batch remain valid; a later submit()
+// reuses it.
 void Reactor::fail_connection(Connection& conn, ErrorCode code,
                               const std::string& message,
                               std::vector<Settlement>& out) {
@@ -584,12 +716,10 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
   introspect::anomaly(introspect::EventKind::connection_dropped, code,
                       described);
   for (auto& [corr, pending] : conn.inflight) {
-    Settlement s;
-    s.promise = std::move(pending.promise);
     // One exception per call, shared with no other caller: each dies with
     // its own future state, on whichever thread drops that state last.
-    s.error = make_transport_error(code, described);
-    out.push_back(std::move(s));
+    out.emplace_back(std::move(pending.promise)).error =
+        make_transport_error(code, described);
   }
   conn.inflight.clear();
   conn.deadline_count = 0;
@@ -600,11 +730,16 @@ void Reactor::fail_connection(Connection& conn, ErrorCode code,
     if (conn.registered) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
     }
-    ::close(conn.fd);
+    if (conn.fd == conn.leader_fd) {
+      ::shutdown(conn.fd, SHUT_RDWR);
+    } else {
+      ::close(conn.fd);
+    }
   }
   conn.fd = -1;
   conn.connecting = false;
   conn.registered = false;
+  conn.want_read = false;
   conn.want_write = false;
 }
 
@@ -628,11 +763,9 @@ void Reactor::cancel_expired(std::vector<Settlement>& out) {
     for (auto it = conn->inflight.begin(); it != conn->inflight.end();) {
       if (it->second.deadline_ns != resilience::kNoDeadline &&
           now >= it->second.deadline_ns) {
-        Settlement s;
-        s.promise = std::move(it->second.promise);
-        s.error = std::make_exception_ptr(
-            DeadlineExceeded("deadline exceeded awaiting reply"));
-        out.push_back(std::move(s));
+        out.emplace_back(std::move(it->second.promise)).error =
+            std::make_exception_ptr(
+                DeadlineExceeded("deadline exceeded awaiting reply"));
         ++cancelled;
         --conn->deadline_count;
         it = conn->inflight.erase(it);
@@ -650,17 +783,25 @@ void Reactor::cancel_expired(std::vector<Settlement>& out) {
   }
 }
 
-void Reactor::update_interest(Connection& conn,
-                              bool want_write) {
-  if (conn.registered && conn.want_write == want_write) return;
+// The epoll interest of `conn`'s socket.  EPOLLRDHUP stays on whatever
+// else is asked, so a peer that closes a connection nobody is reading
+// still wakes the loop, which reaps it before the next call rides it.
+void Reactor::set_interest(Connection& conn, bool want_read,
+                           bool want_write) {
+  if (conn.registered && conn.want_read == want_read &&
+      conn.want_write == want_write) {
+    return;
+  }
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.events = EPOLLRDHUP | (want_read ? EPOLLIN : 0u) |
+              (want_write ? EPOLLOUT : 0u);
   ev.data.ptr = &conn;
   const int op = conn.registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
   if (::epoll_ctl(epoll_fd_, op, conn.fd, &ev) < 0) {
     log_warn("reactor", "epoll_ctl failed: ", std::strerror(errno));
   }
   conn.registered = true;
+  conn.want_read = want_read;
   conn.want_write = want_write;
 }
 

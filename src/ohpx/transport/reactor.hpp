@@ -1,6 +1,7 @@
-// Event-driven async TCP transport: one epoll loop owns every outbound
+// Event-driven TCP transport: one epoll loop owns every outbound
 // connection, so a single client thread can keep thousands of calls in
-// flight.  It is the only TCP client path: sync calls park on its futures.
+// flight, and a sync caller may lead an idle connection for the length of
+// its own call.  It is the only TCP client path.
 //
 // Shape of the machine (DESIGN-level summary; docs/transport.md has the
 // full walkthrough):
@@ -9,15 +10,29 @@
 //     into the frame header (wire extension kFlagCorrelation), encodes the
 //     frame, queues it on the destination's connection, registers a
 //     Promise under that id, pokes the loop through an eventfd, and
-//     returns the Future.  No socket syscall happens on the caller.
+//     returns the Future.  No socket syscall happens on an async caller.
 //
-//   - the loop thread owns all I/O.  Queued frames to the same destination
-//     coalesce into one sendmsg gather write (up to 256 frames / 256 KiB
-//     per syscall) — flush-on-idle: whatever accumulated while the loop
-//     was busy goes out in one batch; flush-on-budget: a long queue is
-//     cut into budget-sized syscalls so one destination cannot starve the
-//     loop.  Replies demultiplex by the echoed correlation id, in
-//     whatever order the server produces them.
+//   - exchange() is the sync call (Leader/Followers, Schmidt et al.).
+//     When the destination's connection is connected and idle — nothing
+//     queued, nothing awaiting a reply, no leader — the calling thread
+//     leads it: it registers its call, sends its own frame, and polls the
+//     socket, reading through the connection's FrameReader and settling
+//     every reply it reads (another caller's too) until its own settles;
+//     then it hands the connection back.  Two thread handoffs per call,
+//     as in a bare ping-pong, instead of four.  Otherwise it submits and
+//     waits on the future.
+//
+//   - the loop thread owns all other I/O.  Queued frames to the same
+//     destination coalesce into one sendmsg gather write (up to 256
+//     frames / 256 KiB per syscall) — flush-on-idle: whatever accumulated
+//     while the loop was busy goes out in one batch; flush-on-budget: a
+//     long queue is cut into budget-sized syscalls so one destination
+//     cannot starve the loop.  Replies demultiplex by the echoed
+//     correlation id, in whatever order the server produces them.  The
+//     loop never reads a led connection: the first reply that wakes it
+//     there drops the read interest, so a sync-only connection costs no
+//     epoll_ctl per call; the loop takes reading back when an async
+//     submit or a waiting sync call needs it.
 //
 //   - every connection carries a bounded inflight window (queued + on the
 //     wire, awaiting reply).  A submit() into a full window is refused
@@ -29,8 +44,10 @@
 //     deadline at submit time; the loop scans pending deadlines every tick
 //     (a 5 ms epoll timeout while any exist) on the *resilience* clock,
 //     so ManualClock-driven tests work — advance the clock, poke(), and
-//     the future settles with DeadlineExceeded.  A reply racing the
-//     cancellation loses: settlement is once-only (ohpx::Future).
+//     the future settles with DeadlineExceeded.  A leader whose call has
+//     a deadline polls at the same 5 ms granularity and runs the same
+//     sweep.  A reply racing the cancellation loses: settlement is
+//     once-only (ohpx::Future).
 //
 // The peer is a TcpListener (tcp.hpp) speaking the same length-prefixed
 // framing, and replies are parsed by the same FrameReader the listener
@@ -93,6 +110,13 @@ class Reactor {
                           const wire::MessageHeader& header,
                           BytesView payload);
 
+  /// The sync call: submit()'s contract and refusals, but it returns the
+  /// reply or throws the error the call settled with.  When the
+  /// destination's connection is connected and idle, the calling thread
+  /// leads it (see the file comment); otherwise it submits and waits.
+  RawReply exchange(const std::string& host, std::uint16_t port,
+                    const wire::MessageHeader& header, BytesView payload);
+
   /// Per-connection inflight window (default 1024): queued + awaiting-reply
   /// calls beyond it are refused with ErrorCode::backpressure.  Tests
   /// shrink it to force backpressure.
@@ -127,7 +151,9 @@ class Reactor {
   void poke() noexcept;
 
   /// Fails all pending calls (transport_closed), closes every connection
-  /// and joins the loop thread.  Idempotent; the destructor calls it.
+  /// and joins the loop thread.  A socket a leader polls is shut down, not
+  /// closed: its leader closes it, and stop() returns once every leader
+  /// has handed its connection back.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -145,13 +171,32 @@ class Reactor {
     wire::Buffer frame;
   };
 
+  // One call between its caller and the wire: the frame staged on the
+  // caller's thread, its correlation id, and the promise its reply
+  // settles.
+  struct Call {
+    OutFrame out;
+    std::uint64_t correlation = 0;
+    Pending pending;
+  };
+
   struct Connection {
     std::string host;
     std::uint16_t port = 0;
     int fd = -1;
     bool connecting = false;  // nonblocking connect() in progress
     bool registered = false;  // fd added to the epoll set
+    bool want_read = false;   // EPOLLIN currently requested
     bool want_write = false;  // EPOLLOUT currently requested
+
+    // The socket a sync caller leads (exchange()), or -1.  While it equals
+    // fd the connection is led: only the leader reads it, and the loop
+    // keeps the write half.  A connection failed under its leader is shut
+    // down, not closed — fd moves on and leader_fd stays behind — so the
+    // leader never polls a closed or reused descriptor; it closes the
+    // socket itself when it hands the connection back.  The record is not
+    // reaped while leader_fd >= 0.
+    int leader_fd = -1;
 
     // Write side: frames not yet (fully) handed to the kernel.
     // out_offset = bytes of the front entry (prefix + frame) already sent.
@@ -183,8 +228,13 @@ class Reactor {
   // fulfilled *after* the reactor mutex drops, so a continuation that
   // re-enters submit() cannot deadlock.  settle() moves the error into
   // the promise: the loop keeps no reference to a failed call's
-  // exception, which then dies with its future state.
+  // exception, which then dies with its future state.  Built from the
+  // pending call's promise: a default-constructed one would allocate a
+  // future state only to drop it.
   struct Settlement {
+    explicit Settlement(Promise<RawReply>&& pending)
+        : promise(std::move(pending)) {}
+
     Promise<RawReply> promise;
     RawReply reply;                     // meaningful when !error
     std::exception_ptr error = nullptr;
@@ -199,6 +249,13 @@ class Reactor {
   };
 
   void wake() noexcept;
+  Call stage(const wire::MessageHeader& header, BytesView payload);
+  Connection& connection(const std::string& host, std::uint16_t port)
+      OHPX_REQUIRES(mutex_);
+  bool admit(Connection& conn, Call&& call) OHPX_REQUIRES(mutex_);
+  [[noreturn]] void refuse_full(const std::string& host,
+                                std::uint16_t port) const;
+  void hand_back(Connection& conn, int fd) OHPX_REQUIRES(mutex_);
   void loop();
   void service_submissions(std::vector<Settlement>& out)
       OHPX_REQUIRES(mutex_);
@@ -208,15 +265,15 @@ class Reactor {
       OHPX_REQUIRES(mutex_);
   void flush(Connection& conn, std::vector<Settlement>& out)
       OHPX_REQUIRES(mutex_);
-  void read_ready(Connection& conn, std::vector<Settlement>& out)
-      OHPX_REQUIRES(mutex_);
+  void read_ready(Connection& conn, std::vector<Settlement>& out,
+                  std::uint64_t until = 0) OHPX_REQUIRES(mutex_);
   bool demux_replies(Connection& conn, std::vector<Settlement>& out)
       OHPX_REQUIRES(mutex_);
   void fail_connection(Connection& conn, ErrorCode code,
                        const std::string& message,
                        std::vector<Settlement>& out) OHPX_REQUIRES(mutex_);
   void cancel_expired(std::vector<Settlement>& out) OHPX_REQUIRES(mutex_);
-  void update_interest(Connection& conn, bool want_write)
+  void set_interest(Connection& conn, bool want_read, bool want_write)
       OHPX_REQUIRES(mutex_);
   void note_connected(Connection& conn) noexcept;
   void note_tick_lag(Nanoseconds lag);

@@ -2,9 +2,11 @@
 // inflight window fills, its interplay with retry policies and circuit
 // breakers (window-full is "too busy", never "broken"), deadline
 // cancellation of pending futures, correlation-id demux under heavy
-// overlap, and reply framing edge cases from a raw accepting socket.  All
+// overlap, reply framing edge cases from a raw accepting socket, and the
+// sync caller that leads an idle connection (Reactor::exchange).  All
 // timing runs on the resilience ManualClock — no sleeps.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -13,6 +15,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ohpx/capability/builtin/quota.hpp"
@@ -54,6 +58,7 @@ class GatedServant final : public orb::Servant {
     switch (method_id) {
       case kBlock: {
         const std::uint64_t index = arrivals_.fetch_add(1) + 1;
+        if (index == 1) arrived_.set_value();
         opened_.wait();
         orb::marshal_result(out, index);
         return;
@@ -70,8 +75,15 @@ class GatedServant final : public orb::Servant {
     if (!released_.exchange(true)) gate_.set_value();
   }
   std::uint64_t arrivals() const noexcept { return arrivals_.load(); }
+  // True once the first kBlock call has reached the servant (10 s bound).
+  bool first_arrived() const {
+    return first_arrival_.wait_for(std::chrono::seconds(10)) ==
+           std::future_status::ready;
+  }
 
  private:
+  std::promise<void> arrived_;
+  std::shared_future<void> first_arrival_{arrived_.get_future().share()};
   std::promise<void> gate_;
   std::shared_future<void> opened_{gate_.get_future().share()};
   std::atomic<bool> released_{false};
@@ -453,13 +465,17 @@ TEST_F(AsyncTransportFixture, AsyncDeadlineCancellationCounted) {
 // whatever pieces the case needs.  Each case listens on its own port, so
 // it gets a connection of its own.
 
-Future<transport::RawReply> submit_text(std::uint16_t port,
-                                        std::string_view text) {
+wire::MessageHeader text_request() {
   wire::MessageHeader header;
   header.type = wire::MessageType::request;
   header.request_id = 7;
-  return transport::Reactor::global().submit("127.0.0.1", port, header,
-                                             bytes_of(text));
+  return header;
+}
+
+Future<transport::RawReply> submit_text(
+    std::uint16_t port, std::string_view text,
+    transport::Reactor& reactor = transport::Reactor::global()) {
+  return reactor.submit("127.0.0.1", port, text_request(), bytes_of(text));
 }
 
 // The replies echo the request bodies; framed for the stream.
@@ -548,6 +564,300 @@ TEST(ReactorReplyFramingTest, OverCapPrefixFailsEveryPendingCallThenRedials) {
   ASSERT_TRUE(redialed.send_all(replies[0]));
   ASSERT_TRUE(settles(again));
   EXPECT_EQ(again.get().payload.bytes(), bytes_of("again"));
+}
+
+// ---- a sync caller leads an idle connection --------------------------------
+//
+// exchange() on a connected, idle connection sends its own frame and reads
+// its own reply; anything else goes through the loop.  The first call on a
+// connection dials through the loop, so each case warms its connection
+// with one call before the call it means to lead.
+
+std::string exchange_text(transport::Reactor& reactor, std::uint16_t port,
+                          std::string_view text) {
+  const transport::RawReply reply =
+      reactor.exchange("127.0.0.1", port, text_request(), bytes_of(text));
+  return std::string(reply.payload.view().begin(),
+                     reply.payload.view().end());
+}
+
+// One call answered by the test playing the server: the connection is then
+// connected and idle.
+void warm(transport::Reactor& reactor, testutil::RawAcceptor& acceptor,
+          testutil::RawSocket& peer) {
+  auto future = submit_text(acceptor.port(), "warm", reactor);
+  peer = acceptor.accept_one();
+  ASSERT_TRUE(peer.valid());
+  const std::vector<Bytes> replies = answer_requests(peer, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(peer.send_all(replies[0]));
+  ASSERT_TRUE(settles(future));
+  EXPECT_EQ(future.get().payload.bytes(), bytes_of("warm"));
+}
+
+TEST(ReactorLeaderTest, LeaderSettlesTheAsyncRepliesItReads) {
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  testutil::RawSocket peer;
+  warm(transport::Reactor::global(), acceptor, peer);
+
+  std::promise<std::thread::id> leader_id;
+  auto sync = std::async(std::launch::async, [&] {
+    leader_id.set_value(std::this_thread::get_id());
+    return exchange_text(transport::Reactor::global(), acceptor.port(),
+                         "sync");
+  });
+  const std::optional<Bytes> sync_request = peer.read_frame();
+  ASSERT_TRUE(sync_request.has_value());
+
+  // Submitted while the sync call leads: the loop sends it, and its reply,
+  // written ahead of the leader's own, is read by the leader.
+  auto async = submit_text(acceptor.port(), "async");
+  auto settled_on = async.map<std::pair<Bytes, std::thread::id>>(
+      [](Future<transport::RawReply> reply) {
+        return std::make_pair(reply.get().payload.bytes(),
+                              std::this_thread::get_id());
+      });
+  std::vector<Bytes> replies = answer_requests(peer, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  BytesView body;
+  wire::MessageHeader header = wire::decode_frame(*sync_request, body);
+  header.type = wire::MessageType::reply;
+  replies.push_back(testutil::framed(wire::encode_frame(header, body).view()));
+  Bytes both = replies[0];
+  both.insert(both.end(), replies[1].begin(), replies[1].end());
+  ASSERT_TRUE(peer.send_all(both));
+
+  EXPECT_EQ(sync.get(), "sync");
+  ASSERT_TRUE(settled_on.wait_for(std::chrono::seconds(10)));
+  const auto [payload, thread] = settled_on.get();
+  EXPECT_EQ(payload, bytes_of("async"));
+  EXPECT_EQ(thread, leader_id.get_future().get())
+      << "the async reply was not settled by the leader that read it";
+}
+
+TEST_F(AsyncTransportFixture, SyncAndAsyncCallsInterleaveOnOneConnection) {
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .tcp()
+                 .build();
+  EchoStub stub(*client_ctx_, ref);
+  const auto reversed = [](std::string text) {
+    std::reverse(text.begin(), text.end());
+    return text;
+  };
+  for (int round = 0; round < 64; ++round) {
+    // Async calls in flight make the sync call wait on the loop; with
+    // none in flight it leads, and reads whatever async replies are late.
+    std::vector<std::pair<std::string, ohpx::Future<std::string>>> pending;
+    for (int k = 0; k < round % 4; ++k) {
+      std::string text = "a" + std::to_string(round) + "-" + std::to_string(k);
+      pending.emplace_back(text, stub.call_async<std::string>(
+                                     EchoServant::kReverse, text));
+    }
+    const std::string text = "s" + std::to_string(round);
+    EXPECT_EQ(stub.call<std::string>(EchoServant::kReverse, text),
+              reversed(text));
+    pending.emplace_back(
+        "b" + std::to_string(round),
+        stub.call_async<std::string>(EchoServant::kReverse,
+                                     "b" + std::to_string(round)));
+    for (auto& [sent, future] : pending) {
+      EXPECT_EQ(future.get(), reversed(sent)) << "round " << round;
+    }
+  }
+}
+
+TEST_F(AsyncTransportFixture, ConcurrentSyncCallersShareOneConnection) {
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .tcp()
+                 .build();
+  EchoStub warmup(*client_ctx_, ref);
+  EXPECT_EQ(warmup.reverse("warm"), "mraw");
+
+  // One caller at a time leads the connection; the others find it busy
+  // and wait on the loop, or on replies the leader reads for them.
+  constexpr int kThreads = 6;
+  constexpr int kCalls = 150;
+  std::vector<std::future<int>> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.push_back(std::async(std::launch::async, [&, t] {
+      EchoStub stub(*client_ctx_, ref);
+      int wrong = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        std::string text = std::to_string(t) + ":" + std::to_string(i);
+        std::string expected = text;
+        std::reverse(expected.begin(), expected.end());
+        if (stub.reverse(text) != expected) ++wrong;
+      }
+      return wrong;
+    }));
+  }
+  for (auto& worker : workers) EXPECT_EQ(worker.get(), 0);
+}
+
+TEST(ReactorLeaderTest, ServerCloseDuringLedCallFailsItAndTheNextCallRedials) {
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  testutil::RawSocket peer;
+  warm(transport::Reactor::global(), acceptor, peer);
+
+  auto led = std::async(std::launch::async, [&] {
+    return exchange_text(transport::Reactor::global(), acceptor.port(),
+                         "doomed");
+  });
+  ASSERT_TRUE(peer.read_frame().has_value());
+  peer.close();
+  try {
+    (void)led.get();
+    FAIL() << "a led call whose server closed must fail";
+  } catch (const TransportError& e) {
+    EXPECT_TRUE(e.code() == ErrorCode::transport_closed ||
+                e.code() == ErrorCode::transport_io)
+        << e.what();
+  }
+
+  auto again = std::async(std::launch::async, [&] {
+    return exchange_text(transport::Reactor::global(), acceptor.port(),
+                         "again");
+  });
+  testutil::RawSocket redialed = acceptor.accept_one();
+  ASSERT_TRUE(redialed.valid()) << "the next call did not re-dial";
+  const std::vector<Bytes> replies = answer_requests(redialed, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(redialed.send_all(replies[0]));
+  EXPECT_EQ(again.get(), "again");
+}
+
+TEST(ReactorLeaderTest, PeerClosingAnIdleLedConnectionIsNoticedAtOnce) {
+  auto& reactor = transport::Reactor::global();
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  testutil::RawSocket peer;
+  warm(reactor, acceptor, peer);
+  // Led calls: the loop, woken by their replies, stops reading the
+  // connection.
+  for (int i = 0; i < 3; ++i) {
+    auto led = std::async(std::launch::async, [&] {
+      return exchange_text(reactor, acceptor.port(), "led");
+    });
+    const std::vector<Bytes> replies = answer_requests(peer, 1);
+    ASSERT_EQ(replies.size(), 1u);
+    ASSERT_TRUE(peer.send_all(replies[0]));
+    EXPECT_EQ(led.get(), "led");
+  }
+
+  // The close still wakes the loop, which reaps the connection, so the
+  // next call dials fresh instead of failing on the dead one.
+  peer.close();
+  const auto reaped = [&] {
+    for (const auto& stats : reactor.connection_stats()) {
+      if (stats.port == acceptor.port()) return false;
+    }
+    return true;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!reaped() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(reaped()) << "a peer's close of an idle connection went unseen";
+  auto next = std::async(std::launch::async, [&] {
+    return exchange_text(reactor, acceptor.port(), "fresh");
+  });
+  testutil::RawSocket fresh = acceptor.accept_one();
+  ASSERT_TRUE(fresh.valid());
+  const std::vector<Bytes> replies = answer_requests(fresh, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(fresh.send_all(replies[0]));
+  EXPECT_EQ(next.get(), "fresh");
+}
+
+TEST_F(AsyncTransportFixture, LedCallDeadlineSettlesOnTheManualClock) {
+  auto servant = std::make_shared<GatedServant>();
+  GatedStub stub(*client_ctx_, tcp_ref(servant));
+  EXPECT_EQ(stub.call<std::uint64_t>(GatedServant::kPing), 1u);
+
+  resilience::ScopedManualClock scoped_clock;
+  stub.set_deadline_budget(std::chrono::milliseconds(5));
+  auto led = std::async(std::launch::async, [&stub] {
+    try {
+      (void)stub.call<std::uint64_t>(GatedServant::kBlock);
+    } catch (const DeadlineExceeded&) {
+      return true;
+    }
+    return false;
+  });
+  // The call is on the wire (the server holds it) before the clock moves.
+  ASSERT_TRUE(servant->first_arrived());
+  EXPECT_EQ(led.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "the call settled before its deadline passed";
+  scoped_clock.clock().advance(std::chrono::milliseconds(6));
+  // The leader polls at the loop's 5 ms granularity, on real time, and
+  // sweeps deadlines on the resilience clock when the poll times out.
+  ASSERT_EQ(led.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_TRUE(led.get()) << "expected DeadlineExceeded";
+
+  // The late reply finds no pending call; the connection still serves.
+  servant->release();
+  stub.set_deadline_budget(Nanoseconds{0});
+  EXPECT_EQ(stub.call<std::uint64_t>(GatedServant::kPing), 2u);
+}
+
+// The descriptor of this process's socket at the far end of `peer`, or -1
+// when it is closed.  Matched by its local port (and, while it still has
+// one, its peer's port): a socket that was shut down but not closed keeps
+// its local port.
+int client_fd_of(const testutil::RawSocket& peer) {
+  sockaddr_in server{}, client{};
+  socklen_t len = sizeof(server);
+  if (::getsockname(peer.fd(), reinterpret_cast<sockaddr*>(&server), &len) !=
+          0 ||
+      ::getpeername(peer.fd(), reinterpret_cast<sockaddr*>(&client), &len) !=
+          0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in local{}, far{};
+    len = sizeof(local);
+    if (fd == peer.fd() ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || local.sin_port != client.sin_port) {
+      continue;
+    }
+    len = sizeof(far);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&far), &len) != 0 ||
+        far.sin_port == server.sin_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST(ReactorLeaderTest, StopDuringLedCallFailsItAndItsLeaderClosesTheSocket) {
+  transport::Reactor reactor;
+  testutil::RawAcceptor acceptor;
+  ASSERT_NE(acceptor.port(), 0);
+  testutil::RawSocket peer;
+  warm(reactor, acceptor, peer);
+  ASSERT_GE(client_fd_of(peer), 0);
+
+  auto led = std::async(std::launch::async, [&] {
+    try {
+      (void)exchange_text(reactor, acceptor.port(), "held");
+    } catch (const TransportError& e) {
+      return e.code();
+    }
+    return ErrorCode::ok;
+  });
+  ASSERT_TRUE(peer.read_frame().has_value());
+  // The stop shuts the led socket down instead of closing it under its
+  // leader; the leader closes it, and stop() returns after that.
+  reactor.stop();
+  EXPECT_EQ(client_fd_of(peer), -1) << "the led socket outlived stop()";
+  ASSERT_EQ(led.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(led.get(), ErrorCode::transport_closed);
+  EXPECT_TRUE(peer.closed_by_peer());
 }
 
 }  // namespace

@@ -364,6 +364,28 @@ TEST(NamingBootstrap, BadUrisThrowTyped) {
   }
 }
 
+TEST(NamingBootstrap, DirectoryIsRefusedWithoutRetry) {
+  // A missing or empty file is retried for ~110 ms, since a daemon may be
+  // renaming it into place; a directory never turns into a file, so it is
+  // refused before the first 20 ms backoff.
+  const std::string dir = ::testing::TempDir();
+  for (const std::string& uri : {"file:" + dir, dir}) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)bootstrap_refs_from_uri(uri);
+      ADD_FAILURE() << "accepted '" << uri << "'";
+    } catch (const ObjectError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::bad_object_ref) << uri;
+      EXPECT_NE(std::string(error.what()).find("is a directory"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(20))
+        << "'" << uri << "' was retried";
+  }
+}
+
 // ---- replica failover ------------------------------------------------------
 
 TEST_F(NamingFixture, ReplicaPointerFailsOverFromDeadReplica) {
