@@ -1,7 +1,5 @@
 #include "ohpx/capability/builtin/encryption.hpp"
 
-#include "ohpx/crypto/stream_cipher.hpp"
-
 namespace ohpx::cap {
 
 EncryptionCapability::EncryptionCapability(crypto::Key128 key, Scope scope)
@@ -13,12 +11,12 @@ bool EncryptionCapability::applicable(const netsim::Placement& placement) const 
 
 void EncryptionCapability::process(wire::Buffer& payload,
                                    const CallContext& call) {
-  crypto::stream_crypt(key_, call.nonce(), payload.mutable_view());
+  keystream(call).apply(payload.mutable_view());
 }
 
 void EncryptionCapability::unprocess(wire::Buffer& payload,
                                      const CallContext& call) {
-  crypto::stream_crypt(key_, call.nonce(), payload.mutable_view());
+  keystream(call).apply(payload.mutable_view());
 }
 
 CapabilityDescriptor EncryptionCapability::descriptor() const {

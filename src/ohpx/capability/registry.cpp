@@ -72,11 +72,12 @@ CapabilityPtr CapabilityRegistry::instantiate(
 
 CapabilityChain CapabilityRegistry::instantiate_chain(
     const std::vector<CapabilityDescriptor>& descriptors) const {
-  CapabilityChain chain;
+  std::vector<CapabilityPtr> capabilities;
+  capabilities.reserve(descriptors.size());
   for (const auto& descriptor : descriptors) {
-    chain.add(instantiate(descriptor));
+    capabilities.push_back(instantiate(descriptor));
   }
-  return chain;
+  return CapabilityChain(std::move(capabilities));
 }
 
 }  // namespace ohpx::cap

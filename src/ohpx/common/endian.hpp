@@ -1,7 +1,8 @@
 // Byte-order helpers: the one place src/ packs an integer into bytes or
 // unpacks one (the ohpx-lint byte-order rule keeps it so) — frame and
 // header fields, capability trailers, the journal, and the per-byte
-// kernels (MAC, keystream, CRC, bulk marshalling).  Loads and stores go
+// kernels (MAC, keystream, CRC, bulk marshalling; the last through
+// copy_big_endian, whose loops live in endian.cpp).  Loads and stores go
 // through memcpy, never a type-punned pointer, so they are defined at any
 // alignment and stay UBSan-clean; compilers lower them to single
 // unaligned moves.  C++20 has std::endian but not std::byteswap, hence
@@ -10,6 +11,7 @@
 
 #include <bit>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -81,6 +83,35 @@ template <std::unsigned_integral U>
 inline void store_le(std::uint8_t* p, U v) noexcept {
   if constexpr (std::endian::native == std::endian::big) v = byteswap(v);
   std::memcpy(p, &v, sizeof v);
+}
+
+namespace detail {
+
+// The byte-swapping copies behind copy_big_endian (endian.cpp), one per
+// word width.
+void copy_swapped16(void* dst, const void* src, std::size_t count) noexcept;
+void copy_swapped32(void* dst, const void* src, std::size_t count) noexcept;
+void copy_swapped64(void* dst, const void* src, std::size_t count) noexcept;
+
+}  // namespace detail
+
+/// Copies `count` words of sizeof(U) bytes from `src` to `dst` (any
+/// alignment; the ranges must not overlap) converting each between host
+/// and big-endian order: store_be over an array of host words, or load_be
+/// into one.  On x86-64 the swap runs on AVX2 where the CPU has it.
+template <std::unsigned_integral U>
+inline void copy_big_endian(void* dst, const void* src,
+                            std::size_t count) noexcept {
+  if constexpr (sizeof(U) == 1 || std::endian::native == std::endian::big) {
+    if (count != 0) std::memcpy(dst, src, count * sizeof(U));
+  } else if constexpr (sizeof(U) == 2) {
+    detail::copy_swapped16(dst, src, count);
+  } else if constexpr (sizeof(U) == 4) {
+    detail::copy_swapped32(dst, src, count);
+  } else {
+    static_assert(sizeof(U) == 8);
+    detail::copy_swapped64(dst, src, count);
+  }
 }
 
 }  // namespace ohpx

@@ -310,8 +310,8 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
     throw DeadlineExceeded("deadline exceeded before server dispatch");
   }
 
-  // Zero-copy dispatch: only glue processing mutates the payload, so the
-  // common path decodes arguments straight out of the request frame.
+  // Zero-copy dispatch: the common path decodes arguments straight out of
+  // the request frame; a glued one decodes what the chain opened from it.
   BytesView payload_view = body;
   wire::Buffer payload;
 
@@ -340,11 +340,10 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
           ErrorCode::capability_denied,
           "glue binding does not belong to the addressed object");
     }
-    // The chain transforms in place, so the body past the glue id is
-    // copied once, into a pooled buffer recycled after dispatch.
+    // The chain reads the body past the glue id from the frame and writes
+    // what it opens into a pooled buffer recycled after dispatch.
     payload = wire::BufferPool::local().acquire(processed.size());
-    payload.append(processed);
-    binding->chain.process_inbound(payload, call);
+    binding->chain.process_inbound(processed, payload, call);
     payload_view = payload.view();
   }
 

@@ -418,15 +418,9 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     }
     proto_counter->fetch_add(1, std::memory_order_relaxed);
 
-    // Zero-copy handoff: the protocol works on the caller's buffer in
-    // place.  Only when the protocol destroys the payload (glue) *and* a
-    // retry is still possible do we stash a pristine copy.
+    // Zero-copy handoff: protocols only read the caller's buffer (glue
+    // seals into one of its own), so a retry resends `args` as it is.
     const bool may_retry = attempt + 1 < max_attempts;
-    wire::Buffer retry_stash;
-    if (may_retry && !protocol->preserves_payload()) {
-      retry_stash = wire::BufferPool::local().acquire(args.size());
-      retry_stash.append(args.view());
-    }
 
     // One decision for every failed attempt, an error reply included.
     bool replied = false;
@@ -445,9 +439,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
         registry.latency_handle(metrics::names::kRmiLatency)
             ->record(cost.total());
       }
-      auto& pool = wire::BufferPool::local();
-      pool.release(std::move(retry_stash));
-      pool.release(std::move(args));
+      wire::BufferPool::local().release(std::move(args));
       return std::move(reply.payload);
     } catch (const Error& e) {
       // Only this client's own channel failing feeds the breaker, and no
@@ -467,7 +459,6 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
                                 ", attempt " + std::to_string(attempt + 1) +
                                 ": " + e.what());
         wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
         continue;
       }
       if (replied) {

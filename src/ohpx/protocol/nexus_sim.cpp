@@ -10,7 +10,7 @@ bool NexusSimProtocol::applicable(const CallTarget& target) const {
 }
 
 ReplyMessage NexusSimProtocol::invoke(const wire::MessageHeader& header,
-                                      wire::Buffer& payload,
+                                      const wire::Buffer& payload,
                                       const CallTarget& target,
                                       CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.nexus");

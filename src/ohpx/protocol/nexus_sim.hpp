@@ -18,7 +18,8 @@ class NexusSimProtocol final : public Protocol {
   /// Figure 4 protocol table).
   bool applicable(const CallTarget& target) const override;
 
-  ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
+  ReplyMessage invoke(const wire::MessageHeader& header,
+                      const wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 };
 

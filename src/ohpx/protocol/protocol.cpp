@@ -11,7 +11,7 @@ namespace ohpx::proto {
 // calling thread and the returned future is already settled, so a
 // continuation mapped onto it runs on the caller too.
 Future<ReplyMessage> Protocol::invoke_async(const wire::MessageHeader& header,
-                                            wire::Buffer& payload,
+                                            const wire::Buffer& payload,
                                             const CallTarget& target) {
   Promise<ReplyMessage> promise;
   try {

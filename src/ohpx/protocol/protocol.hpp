@@ -51,18 +51,13 @@ class Protocol {
   /// the paper's per-request adaptivity contract exact.
   virtual bool applicability_is_stable() const noexcept { return true; }
 
-  /// Carries one request to the server and returns its reply.  The caller
-  /// keeps ownership of `payload`; the protocol may transform it in place
-  /// (capability chains) without copying.  Costs are charged to `ledger`.
+  /// Carries one request to the server and returns its reply.  The
+  /// protocol only reads `payload` (glue seals a copy of its own), so the
+  /// caller retries a failed attempt with the same buffer.  Costs are
+  /// charged to `ledger`.
   virtual ReplyMessage invoke(const wire::MessageHeader& header,
-                              wire::Buffer& payload, const CallTarget& target,
-                              CostLedger& ledger) = 0;
-
-  /// True when invoke() leaves `payload` byte-identical on return — the
-  /// caller can then reuse the buffer for a stale-reference retry with no
-  /// defensive copy.  Glue (whose chain rewrites the payload) returns
-  /// false; plain transports only read it.
-  virtual bool preserves_payload() const noexcept { return true; }
+                              const wire::Buffer& payload,
+                              const CallTarget& target, CostLedger& ledger) = 0;
 
   /// Asynchronous variant of invoke(), the one the ORB calls for every
   /// call_async: returns a future that settles with the reply (or the
@@ -75,7 +70,7 @@ class Protocol {
   /// function call.  tcp overrides it to queue the call on the reactor;
   /// glue to wrap its chain around its delegate's.
   virtual Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
-                                            wire::Buffer& payload,
+                                            const wire::Buffer& payload,
                                             const CallTarget& target);
 
   /// Human-readable description for logs ("glue[encryption,quota]→nexus-tcp").

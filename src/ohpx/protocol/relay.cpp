@@ -2,6 +2,7 @@
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/trace/trace.hpp"
+#include "ohpx/wire/buffer_pool.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
 
@@ -21,16 +22,6 @@ std::uint64_t RelayForwarder::forwarded() const noexcept {
   return forwarded_.load(std::memory_order_relaxed);
 }
 
-wire::Buffer RelayForwarder::wrap(const std::string& target_endpoint,
-                                  const wire::Buffer& inner_frame) {
-  wire::Buffer envelope;
-  envelope.reserve(4 + target_endpoint.size() + inner_frame.size());
-  wire::Encoder enc(envelope);
-  enc.put_string(target_endpoint);
-  enc.put_raw(inner_frame.view());
-  return envelope;
-}
-
 wire::Buffer RelayForwarder::handle(const wire::Buffer& envelope) {
   wire::Decoder dec(envelope.view());
   const std::string target = dec.get_string();
@@ -38,8 +29,12 @@ wire::Buffer RelayForwarder::handle(const wire::Buffer& envelope) {
 
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   CostLedger ledger;  // the gateway's own cost is not the caller's concern
-  return transport::roundtrip(target, wire::Buffer(inner.data(), inner.size()),
-                              ledger);
+  auto& pool = wire::BufferPool::local();
+  wire::Buffer inner_frame = pool.acquire(inner.size());
+  inner_frame.append(inner);
+  wire::Buffer reply = transport::roundtrip(target, inner_frame, ledger);
+  pool.release(std::move(inner_frame));
+  return reply;
 }
 
 RelayProtocol::RelayProtocol(std::string gateway_endpoint)
@@ -56,20 +51,25 @@ bool RelayProtocol::applicable(const CallTarget& target) const {
 }
 
 ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
-                                   wire::Buffer& payload,
+                                   const wire::Buffer& payload,
                                    const CallTarget& target,
                                    CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.relay");
-  wire::Buffer inner_frame;
+  // One pooled envelope: the target's name, then the request frame
+  // encoded straight after it.
+  auto& pool = wire::BufferPool::local();
+  wire::Buffer envelope = pool.acquire(
+      4 + target.address.endpoint.size() + wire::kHeaderSize +
+      payload.size());
   {
     ScopedRealTime timer(ledger);
-    inner_frame = wire::encode_frame(header, payload.view());
+    wire::Encoder(envelope).put_string(target.address.endpoint);
+    wire::append_frame(envelope, header, payload.view());
   }
-  const wire::Buffer envelope =
-      RelayForwarder::wrap(target.address.endpoint, inner_frame);
-
-  return decode_reply(transport::roundtrip(gateway_endpoint_, envelope, ledger),
-                      header, ledger);
+  wire::Buffer reply_frame =
+      transport::roundtrip(gateway_endpoint_, envelope, ledger);
+  pool.release(std::move(envelope));
+  return decode_reply(std::move(reply_frame), header, ledger);
 }
 
 std::string RelayProtocol::describe() const {

@@ -35,10 +35,6 @@ class RelayForwarder {
   const std::string& endpoint() const noexcept { return endpoint_; }
   std::uint64_t forwarded() const noexcept;
 
-  /// Builds an envelope frame (exposed for tests).
-  static wire::Buffer wrap(const std::string& target_endpoint,
-                           const wire::Buffer& inner_frame);
-
  private:
   wire::Buffer handle(const wire::Buffer& envelope);
 
@@ -62,7 +58,8 @@ class RelayProtocol final : public Protocol {
   /// selection cache must not memoize references that carry a relay entry.
   bool applicability_is_stable() const noexcept override { return false; }
 
-  ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
+  ReplyMessage invoke(const wire::MessageHeader& header,
+                      const wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 
   std::string describe() const override;

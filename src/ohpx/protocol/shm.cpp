@@ -9,7 +9,7 @@ bool ShmProtocol::applicable(const CallTarget& target) const {
 }
 
 ReplyMessage ShmProtocol::invoke(const wire::MessageHeader& header,
-                                 wire::Buffer& payload,
+                                 const wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.shm");
   return frame_roundtrip(target.address.endpoint, header, payload, ledger);

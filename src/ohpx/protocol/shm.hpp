@@ -15,7 +15,8 @@ class ShmProtocol final : public Protocol {
  public:
   std::string_view name() const noexcept override { return "shm"; }
   bool applicable(const CallTarget& target) const override;
-  ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
+  ReplyMessage invoke(const wire::MessageHeader& header,
+                      const wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 };
 

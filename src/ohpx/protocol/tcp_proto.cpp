@@ -10,7 +10,7 @@ bool TcpProtocol::applicable(const CallTarget& target) const {
 }
 
 ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
-                                 wire::Buffer& payload,
+                                 const wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
   // The reactor's sync exchange: the calling thread sends its frame and
   // reads its reply itself when the connection is idle, and otherwise
@@ -38,7 +38,7 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
 }
 
 Future<ReplyMessage> TcpProtocol::invoke_async(
-    const wire::MessageHeader& header, wire::Buffer& payload,
+    const wire::MessageHeader& header, const wire::Buffer& payload,
     const CallTarget& target) {
   // RawReply *is* ReplyMessage: the reactor's future passes through with
   // no map stage — no shared-state allocation, no extra settlement, no

@@ -25,11 +25,12 @@ class TcpProtocol final : public Protocol {
   /// Applicable whenever the server context advertises a TCP listener.
   bool applicable(const CallTarget& target) const override;
 
-  ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
+  ReplyMessage invoke(const wire::MessageHeader& header,
+                      const wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;
 
   Future<ReplyMessage> invoke_async(const wire::MessageHeader& header,
-                                    wire::Buffer& payload,
+                                    const wire::Buffer& payload,
                                     const CallTarget& target) override;
 };
 

@@ -18,8 +18,10 @@
 //
 //   sync::Mutex        what runtime code declares.  Checked in Debug
 //                      builds (and when OHPX_LOCK_ORDER_CHECKS is forced
-//                      on), a bare annotated std::mutex in Release — the
+//                      on), a bare annotated std::mutex otherwise — the
 //                      validator contributes zero code to release lock().
+//                      The library decides, not the includer's NDEBUG
+//                      (see kLockOrderChecked).
 //   sync::OrderedMutex the always-checked flavor, available in every
 //                      build.  Tests and diagnostics use it so the
 //                      validator is exercised under the tier-1 config.
@@ -42,17 +44,16 @@
 
 namespace ohpx::sync {
 
-/// Build-wide default: validate lock order in Debug builds; compile the
-/// validator out (of sync::Mutex — OrderedMutex always validates) in
-/// NDEBUG builds.  -DOHPX_LOCK_ORDER_CHECKS=1 forces validation on
-/// everywhere (the CMake option of the same name sets this).
-#if defined(OHPX_LOCK_ORDER_CHECKS)
-inline constexpr bool kLockOrderChecked = OHPX_LOCK_ORDER_CHECKS != 0;
-#elif defined(NDEBUG)
-inline constexpr bool kLockOrderChecked = false;
-#else
-inline constexpr bool kLockOrderChecked = true;
+/// Build-wide: validate lock order in sync::Mutex (OrderedMutex always
+/// validates) in Debug builds and when the CMake option
+/// OHPX_LOCK_ORDER_CHECKS is on, compile the validator out otherwise.
+/// ohpx_sync exports the decision as a compile definition, so every
+/// translation unit sees the library's sync::Mutex layout whatever its
+/// own NDEBUG.
+#if !defined(OHPX_LOCK_ORDER_CHECKS)
+#error "OHPX_LOCK_ORDER_CHECKS is undefined: link the ohpx_sync target"
 #endif
+inline constexpr bool kLockOrderChecked = OHPX_LOCK_ORDER_CHECKS != 0;
 
 namespace detail {
 

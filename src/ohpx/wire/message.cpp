@@ -21,6 +21,11 @@ Buffer encode_frame(const MessageHeader& header, BytesView body) {
 // format is unchanged.
 void encode_frame_into(Buffer& out, const MessageHeader& header,
                        BytesView body) {
+  out.clear();
+  append_frame(out, header, body);
+}
+
+void append_frame(Buffer& out, const MessageHeader& header, BytesView body) {
   std::uint8_t raw[kHeaderSize + kTraceExtensionSize + kDeadlineExtensionSize +
                    kCorrelationExtensionSize];
   store_be<std::uint32_t>(raw, kFrameMagic);
@@ -48,8 +53,7 @@ void encode_frame_into(Buffer& out, const MessageHeader& header,
     store_be<std::uint64_t>(raw + prefix, header.correlation_id);
     prefix += kCorrelationExtensionSize;
   }
-  out.clear();
-  out.reserve(prefix + body.size());
+  out.reserve(out.size() + prefix + body.size());
   out.append(BytesView(raw, prefix));
   out.append(body);
 }

@@ -3,8 +3,9 @@
 // Built-in support: bool, integral and floating scalars, std::string,
 // Bytes, std::vector<T>, std::array<T,N>, std::pair, std::map,
 // std::optional.  Vectors of arithmetic scalars marshal in bulk (one
-// resize or bounds check, then a byte-swap pass) to the same bytes as the
-// element-wise path every other element type takes.  User types opt in by
+// resize or bounds check, then one byte-swapping copy, common/endian's
+// copy_big_endian) to the same bytes as the element-wise path every other
+// element type takes.  User types opt in by
 // providing member functions
 //   void wire_serialize(wire::Encoder&) const;
 //   static T wire_deserialize(wire::Decoder&);
@@ -15,10 +16,8 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <concepts>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -123,19 +122,12 @@ template <typename T>
 void serialize(Encoder& enc, const std::vector<T>& v) {
   enc.put_u32(static_cast<std::uint32_t>(v.size()));
   if constexpr (BulkScalar<T>) {
-    // One resize and one byte-swap pass; the bytes are the element-wise
-    // encoder's: each element big-endian, back to back.
-    using Word = WireWord<T>;
-    const std::size_t n = v.size();
-    const T* src = v.data();
+    // One resize and one byte-swapping copy; the bytes are the
+    // element-wise encoder's: each element big-endian, back to back.
     Buffer& out = enc.buffer();
     const std::size_t at = out.size();
-    out.resize(at + n * sizeof(T));
-    std::uint8_t* dst = out.data() + at;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Word word = big_endian(std::bit_cast<Word>(src[i]));
-      std::memcpy(dst + i * sizeof(T), &word, sizeof(T));
-    }
+    out.resize(at + v.size() * sizeof(T));
+    copy_big_endian<WireWord<T>>(out.data() + at, v.data(), v.size());
   } else {
     for (const auto& item : v) serialize(enc, item);
   }
@@ -248,15 +240,9 @@ struct Deserializer<std::vector<T>> {
     }
     std::vector<T> out;
     if constexpr (BulkScalar<T>) {
-      using Word = WireWord<T>;
       const std::uint8_t* src = dec.get_raw(n * sizeof(T)).data();
       out.resize(n);
-      T* dst = out.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        Word word = 0;
-        std::memcpy(&word, src + i * sizeof(T), sizeof(T));
-        dst[i] = std::bit_cast<T>(big_endian(word));
-      }
+      copy_big_endian<WireWord<T>>(out.data(), src, n);
     } else {
       out.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {

@@ -409,7 +409,7 @@ TEST_F(ExtensionFixture, CustomProtocolParticipatesInSelection) {
       return target.placement.same_machine();
     }
     proto::ReplyMessage invoke(const wire::MessageHeader& header,
-                               wire::Buffer& payload,
+                               const wire::Buffer& payload,
                                const proto::CallTarget& target,
                                CostLedger& ledger) override {
       return proto::frame_roundtrip(target.address.endpoint, header, payload,

@@ -245,8 +245,9 @@ class RecordingProtocol final : public Protocol {
   std::string_view name() const noexcept override { return "recording"; }
   bool applicable(const CallTarget&) const override { return applicable_; }
 
-  ReplyMessage invoke(const wire::MessageHeader& header, wire::Buffer& payload,
-                      const CallTarget&, CostLedger&) override {
+  ReplyMessage invoke(const wire::MessageHeader& header,
+                      const wire::Buffer& payload, const CallTarget&,
+                      CostLedger&) override {
     last_header = header;
     last_payload = payload.bytes();
     ReplyMessage reply;
@@ -254,7 +255,7 @@ class RecordingProtocol final : public Protocol {
     reply.header.request_id = header.request_id;
     reply.header.object_id = header.object_id;
     reply.header.flags = reply_flags;
-    reply.payload = std::move(payload);
+    reply.payload = payload;
     return reply;
   }
 

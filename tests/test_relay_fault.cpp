@@ -10,6 +10,7 @@
 #include "ohpx/runtime/migration.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx {
 namespace {
@@ -48,6 +49,44 @@ TEST_F(RelayFixture, CallsTraverseTheGateway) {
   EXPECT_EQ(gp->reverse("gw"), "wg");
   EXPECT_EQ(gp->last_protocol(), "relay[gw/main]");
   EXPECT_EQ(gateway.forwarded(), 1u);
+}
+
+// Pool draws (reused + allocated) the calling thread makes in `calls`
+// echo calls through `gp`.
+std::uint64_t pool_draws(EchoPointer& gp, int calls) {
+  const std::vector<std::int32_t> payload(64, 7);
+  const auto& pool = wire::BufferPool::local();
+  const std::uint64_t before = pool.reused() + pool.allocated();
+  for (int i = 0; i < calls; ++i) EXPECT_EQ(gp->echo(payload), payload);
+  return pool.reused() + pool.allocated() - before;
+}
+
+TEST_F(RelayFixture, RelayedFramesComeFromTheBufferPool) {
+  proto::RelayForwarder gateway("gw/pooled");
+  auto relayed = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                     .custom(proto::ProtocolEntry{
+                         "relay",
+                         proto::RelayProtocol::make_proto_data("gw/pooled")})
+                     .build();
+  auto direct = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                    .nexus()
+                    .build();
+  client_ctx_->pool().enable("relay");
+  EchoPointer via_gateway(*client_ctx_, relayed);
+  EchoPointer straight(*client_ctx_, direct);
+  constexpr int kCalls = 100;
+  (void)pool_draws(via_gateway, 20);  // warm-up
+  (void)pool_draws(straight, 20);
+
+  // After warm-up no relayed call allocates a pooled buffer...
+  const std::uint64_t allocated = wire::BufferPool::global_stats().allocated;
+  const std::uint64_t relayed_draws = pool_draws(via_gateway, kCalls);
+  EXPECT_EQ(wire::BufferPool::global_stats().allocated, allocated);
+  // ...and the relay's frames are pool buffers too: its envelope (the
+  // request frame encoded after the target's name) and the gateway's copy
+  // of the inner frame replace the direct call's one request frame.
+  EXPECT_EQ(relayed_draws, pool_draws(straight, kCalls) + kCalls);
+  EXPECT_EQ(gateway.forwarded(), 20u + kCalls);
 }
 
 TEST_F(RelayFixture, RelayFollowsMigration) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "ohpx/common/rng.hpp"
@@ -447,6 +448,63 @@ TYPED_TEST(BulkVectorEncoding, AppendsAfterEarlierFieldsAtAnyOffset) {
     EXPECT_EQ(dec.get_u8(), 0x5a);
     EXPECT_TRUE(dec.at_end());
   }
+}
+
+// ---- the byte-swapping copy kernel (common/endian.hpp) ----------------------
+
+// copy_big_endian over every count 0-67 (past two AVX2 vectors of every
+// width, so each vector loop and each scalar tail runs) from and to every
+// misalignment, against the element-wise encoder; the bytes around the
+// destination stay untouched.
+template <typename U>
+void check_copy_big_endian() {
+  Xoshiro256 rng(0xe4d1 + sizeof(U));
+  for (std::size_t count = 0; count <= 67; ++count) {
+    std::vector<U> values(count);
+    for (auto& v : values) v = static_cast<U>(rng.next());
+    Buffer expected;
+    Encoder enc(expected);
+    for (const U v : values) serialize(enc, v);
+    const std::size_t size = count * sizeof(U);
+
+    for (std::size_t src_at = 0; src_at < sizeof(U) + 1; ++src_at) {
+      for (std::size_t dst_at = 0; dst_at < sizeof(U) + 1; ++dst_at) {
+        // Host words to wire bytes.
+        Bytes src(size + 2 * sizeof(U), 0x11);
+        if (size != 0) std::memcpy(src.data() + src_at, values.data(), size);
+        Bytes dst(size + 2 * sizeof(U) + 1, 0xee);
+        copy_big_endian<U>(dst.data() + dst_at + 1, src.data() + src_at,
+                           count);
+        EXPECT_EQ(Bytes(dst.begin() + dst_at + 1,
+                        dst.begin() + dst_at + 1 + size),
+                  expected.bytes())
+            << sizeof(U) << "-byte words, count " << count << ", src +"
+            << src_at << ", dst +" << dst_at;
+        EXPECT_EQ(dst[dst_at], 0xee);
+        EXPECT_EQ(dst[dst_at + 1 + size], 0xee);
+
+        // Wire bytes back to host words.
+        Bytes wire(size + 2 * sizeof(U), 0x22);
+        std::copy(expected.bytes().begin(), expected.bytes().end(),
+                  wire.begin() + src_at);
+        Bytes host(size + 2 * sizeof(U) + 1, 0xee);
+        copy_big_endian<U>(host.data() + dst_at + 1, wire.data() + src_at,
+                           count);
+        std::vector<U> back(count);
+        if (size != 0) std::memcpy(back.data(), host.data() + dst_at + 1, size);
+        EXPECT_EQ(back, values) << sizeof(U) << "-byte words, count " << count
+                                << ", src +" << src_at << ", dst +" << dst_at;
+        EXPECT_EQ(host[dst_at], 0xee);
+        EXPECT_EQ(host[dst_at + 1 + size], 0xee);
+      }
+    }
+  }
+}
+
+TEST(CopyBigEndian, MatchesTheElementWiseEncoderAtEveryCountAndAlignment) {
+  check_copy_big_endian<std::uint16_t>();
+  check_copy_big_endian<std::uint32_t>();
+  check_copy_big_endian<std::uint64_t>();
 }
 
 TEST(Crc, SplitAtEveryOffsetMatchesOneShot) {

@@ -196,6 +196,7 @@ def check_fastpath(options: argparse.Namespace) -> int:
 # The arms the bytes gate holds, and the memcpy arm each is measured
 # against (registered in every bench binary with per-byte arms).
 BYTES_ARMS = ("Cap_Authentication/262144", "Cap_Encryption/262144",
+              "Chain_AuthEncryption/262144",
               "EncodeIntArray/65536", "DecodeIntArray/65536")
 MEMCPY_ARM = "Memcpy/262144"
 
