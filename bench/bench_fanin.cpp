@@ -47,6 +47,7 @@
 
 #include "bench_support.hpp"
 #include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/common/parse.hpp"
 #include "ohpx/introspect/http_exporter.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/runtime/world.hpp"
@@ -212,11 +213,24 @@ int run(int argc, char** argv) {
     } else if (arg == "--metrics-port" && i + 1 < argc) {
       // Port 0 is valid: the kernel picks, and the bench prints the
       // bound port for the scraper.
-      metrics_port = static_cast<std::uint16_t>(
-          std::strtoul(argv[++i], nullptr, 10));
+      const auto port = parse_number(argv[++i], 0, 65535);
+      if (!port) {
+        std::fprintf(stderr, "fanin: --metrics-port wants 0-65535, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      metrics_port = static_cast<std::uint16_t>(*port);
       serve_metrics = true;
     } else if (arg == "--metrics-hold" && i + 1 < argc) {
-      metrics_hold_s = std::strtod(argv[++i], nullptr);
+      const auto seconds = parse_decimal(argv[++i], 0.0, 86400.0);
+      if (!seconds) {
+        std::fprintf(stderr,
+                     "fanin: --metrics-hold wants seconds in [0, 86400], "
+                     "got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      metrics_hold_s = *seconds;
     }
   }
 

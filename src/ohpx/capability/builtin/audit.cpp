@@ -44,9 +44,8 @@ CapabilityDescriptor AuditCapability::descriptor() const {
 
 CapabilityPtr AuditCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const unsigned long long max_records =
-      std::stoull(descriptor.get_or("max_records", "1024"));
-  return std::make_shared<AuditCapability>(max_records);
+  return std::make_shared<AuditCapability>(
+      descriptor.integer("max_records", 1024));
 }
 
 }  // namespace ohpx::cap

@@ -20,15 +20,10 @@ Bytes wire_string(const std::string& text) {
 AuthenticationCapability::AuthenticationCapability(crypto::Key128 key,
                                                    std::string principal,
                                                    Scope scope)
-    : key_(key),
+    : Capability(scope),
+      key_(key),
       principal_(std::move(principal)),
-      principal_wire_(wire_string(principal_)),
-      scope_(scope) {}
-
-bool AuthenticationCapability::applicable(
-    const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+      principal_wire_(wire_string(principal_)) {}
 
 crypto::MacTag AuthenticationCapability::seal(crypto::SipHasher& hasher,
                                               const CallContext& call) const {
@@ -83,17 +78,16 @@ CapabilityDescriptor AuthenticationCapability::descriptor() const {
   d.kind = "authentication";
   d.params["key"] = key_.to_hex();
   d.params["principal"] = principal_;
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr AuthenticationCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
   const crypto::Key128 key = crypto::Key128::from_hex(descriptor.require("key"));
-  std::string principal = descriptor.get_or("principal", "anonymous");
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "cross_lan"));
-  return std::make_shared<AuthenticationCapability>(key, std::move(principal),
-                                                    scope);
+  return std::make_shared<AuthenticationCapability>(
+      key, descriptor.get_or("principal", "anonymous"),
+      descriptor.scope(Scope::cross_lan));
 }
 
 }  // namespace ohpx::cap

@@ -19,7 +19,6 @@
 #pragma once
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 #include "ohpx/crypto/key.hpp"
 #include "ohpx/crypto/mac.hpp"
 
@@ -32,7 +31,6 @@ class AuthenticationCapability final : public Capability {
                                     Scope scope = Scope::cross_lan);
 
   std::string_view kind() const noexcept override { return "authentication"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
   CapabilityDescriptor descriptor() const override;
@@ -62,7 +60,6 @@ class AuthenticationCapability final : public Capability {
   crypto::Key128 key_;
   std::string principal_;
   Bytes principal_wire_;  // the binding's tail: the principal as a wire string
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

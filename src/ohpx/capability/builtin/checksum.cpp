@@ -6,11 +6,7 @@
 
 namespace ohpx::cap {
 
-ChecksumCapability::ChecksumCapability(Scope scope) : scope_(scope) {}
-
-bool ChecksumCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+ChecksumCapability::ChecksumCapability(Scope scope) : Capability(scope) {}
 
 void ChecksumCapability::process(wire::Buffer& payload, const CallContext& call) {
   (void)call;
@@ -39,14 +35,13 @@ void ChecksumCapability::unprocess(wire::Buffer& payload, const CallContext& cal
 CapabilityDescriptor ChecksumCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "checksum";
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr ChecksumCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<ChecksumCapability>(scope);
+  return std::make_shared<ChecksumCapability>(descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 
 namespace ohpx::cap {
 
@@ -13,15 +12,11 @@ class ChecksumCapability final : public Capability {
   explicit ChecksumCapability(Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "checksum"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
   CapabilityDescriptor descriptor() const override;
 
   static CapabilityPtr from_descriptor(const CapabilityDescriptor& descriptor);
-
- private:
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

@@ -5,22 +5,18 @@
 namespace ohpx::cap {
 namespace {
 
-compress::CodecId codec_from_name(const std::string& name) {
+compress::CodecId codec_of(const CapabilityDescriptor& descriptor) {
+  const std::string name = descriptor.get_or("codec", "lz77");
   if (name == "identity") return compress::CodecId::identity;
   if (name == "rle") return compress::CodecId::rle;
   if (name == "lz77" || name == "lz") return compress::CodecId::lz;
-  throw CapabilityDenied(ErrorCode::capability_bad_payload,
-                         "unknown compression codec: " + name);
+  descriptor.refuse("codec", "identity, rle or lz77");
 }
 
 }  // namespace
 
 CompressionCapability::CompressionCapability(compress::CodecId codec, Scope scope)
-    : codec_(compress::make_codec(codec)), scope_(scope) {}
-
-bool CompressionCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+    : Capability(scope), codec_(compress::make_codec(codec)) {}
 
 void CompressionCapability::process(wire::Buffer& payload,
                                     const CallContext& call) {
@@ -44,16 +40,14 @@ CapabilityDescriptor CompressionCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "compression";
   d.params["codec"] = std::string(codec_->name());
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr CompressionCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const compress::CodecId codec =
-      codec_from_name(descriptor.get_or("codec", "lz77"));
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<CompressionCapability>(codec, scope);
+  return std::make_shared<CompressionCapability>(
+      codec_of(descriptor), descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

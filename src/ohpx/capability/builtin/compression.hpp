@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 #include "ohpx/compress/codec.hpp"
 
 namespace ohpx::cap {
@@ -17,7 +16,6 @@ class CompressionCapability final : public Capability {
                                  Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "compression"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
   CapabilityDescriptor descriptor() const override;
@@ -26,7 +24,6 @@ class CompressionCapability final : public Capability {
 
  private:
   std::unique_ptr<compress::Codec> codec_;
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

@@ -1,9 +1,8 @@
 #include "ohpx/capability/builtin/delegation.hpp"
 
-#include <charconv>
-
 #include "ohpx/common/endian.hpp"
 #include "ohpx/common/error.hpp"
+#include "ohpx/common/parse.hpp"
 #include "ohpx/crypto/mac.hpp"
 #include "ohpx/wire/decoder.hpp"
 #include "ohpx/wire/encoder.hpp"
@@ -22,15 +21,10 @@ crypto::Key128 key_of_token(const Bytes& token) {
   return crypto::Key128::from_seed(seed);
 }
 
-std::uint64_t parse_number(std::string_view text) {
-  std::uint64_t value = 0;
-  const auto result =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-    throw CapabilityDenied(ErrorCode::capability_bad_payload,
-                           "delegation caveat has a bad number");
-  }
-  return value;
+std::uint64_t caveat_number(std::string_view text) {
+  if (const auto value = parse_number(text, 0)) return *value;
+  throw CapabilityDenied(ErrorCode::capability_bad_payload,
+                         "delegation caveat has a bad number");
 }
 
 std::vector<std::string> split(std::string_view text, char separator) {
@@ -155,7 +149,7 @@ void DelegationCapability::enforce_caveat(const std::string& caveat,
                                           const wire::Buffer& payload,
                                           const CallContext& call) const {
   if (caveat.rfind("method<=", 0) == 0) {
-    if (call.method_id > parse_number(std::string_view(caveat).substr(8))) {
+    if (call.method_id > caveat_number(std::string_view(caveat).substr(8))) {
       throw CapabilityDenied(ErrorCode::capability_denied,
                              "delegation caveat violated: " + caveat);
     }
@@ -163,13 +157,13 @@ void DelegationCapability::enforce_caveat(const std::string& caveat,
   }
   if (caveat.rfind("method in ", 0) == 0) {
     for (const auto& item : split(std::string_view(caveat).substr(10), ',')) {
-      if (call.method_id == parse_number(item)) return;
+      if (call.method_id == caveat_number(item)) return;
     }
     throw CapabilityDenied(ErrorCode::capability_denied,
                            "delegation caveat violated: " + caveat);
   }
   if (caveat.rfind("size<=", 0) == 0) {
-    if (payload.size() > parse_number(std::string_view(caveat).substr(6))) {
+    if (payload.size() > caveat_number(std::string_view(caveat).substr(6))) {
       throw CapabilityDenied(ErrorCode::capability_denied,
                              "delegation caveat violated: " + caveat);
     }

@@ -3,11 +3,7 @@
 namespace ohpx::cap {
 
 EncryptionCapability::EncryptionCapability(crypto::Key128 key, Scope scope)
-    : key_(key), scope_(scope) {}
-
-bool EncryptionCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+    : Capability(scope), key_(key) {}
 
 void EncryptionCapability::process(wire::Buffer& payload,
                                    const CallContext& call) {
@@ -23,15 +19,15 @@ CapabilityDescriptor EncryptionCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "encryption";
   d.params["key"] = key_.to_hex();
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr EncryptionCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
   const crypto::Key128 key = crypto::Key128::from_hex(descriptor.require("key"));
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<EncryptionCapability>(key, scope);
+  return std::make_shared<EncryptionCapability>(
+      key, descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 #include "ohpx/crypto/key.hpp"
 #include "ohpx/crypto/stream_cipher.hpp"
 
@@ -21,7 +20,6 @@ class EncryptionCapability final : public Capability {
   explicit EncryptionCapability(crypto::Key128 key, Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "encryption"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
   CapabilityDescriptor descriptor() const override;
@@ -35,7 +33,6 @@ class EncryptionCapability final : public Capability {
 
  private:
   crypto::Key128 key_;
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

@@ -1,9 +1,10 @@
 #include "ohpx/capability/builtin/fault.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <limits>
 
 #include "ohpx/common/error.hpp"
+#include "ohpx/common/parse.hpp"
 #include "ohpx/common/rng.hpp"
 
 namespace ohpx::cap {
@@ -23,14 +24,23 @@ std::string join_ordinals(const std::vector<std::uint64_t>& ordinals) {
   return out;
 }
 
-std::vector<std::uint64_t> split_ordinals(const std::string& text) {
+/// The `refuse_at` parameter: ordinals join_ordinals() wrote, or none.
+std::vector<std::uint64_t> read_ordinals(
+    const CapabilityDescriptor& descriptor) {
   std::vector<std::uint64_t> out;
-  std::istringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoull(token));
+  const std::string text = descriptor.get_or("refuse_at", "");
+  if (text.empty()) return out;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = text.find(',', begin);
+    const auto ordinal =
+        parse_number(std::string_view(text).substr(begin, comma - begin), 0);
+    if (!ordinal) {
+      descriptor.refuse("refuse_at", "comma-separated request ordinals");
+    }
+    out.push_back(*ordinal);
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -109,11 +119,11 @@ CapabilityDescriptor FaultCapability::descriptor() const {
 CapabilityPtr FaultCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
   FaultSpec spec;
-  spec.fail_every = static_cast<std::uint32_t>(
-      std::stoull(descriptor.get_or("fail_every", "0")));
-  spec.refuse_ratio = std::stod(descriptor.get_or("ratio", "0"));
-  spec.seed = std::stoull(descriptor.get_or("seed", "1"));
-  spec.refuse_at = split_ordinals(descriptor.get_or("refuse_at", ""));
+  spec.fail_every = static_cast<std::uint32_t>(descriptor.integer(
+      "fail_every", 0, 0, std::numeric_limits<std::uint32_t>::max()));
+  spec.refuse_ratio = descriptor.decimal("ratio", 0.0, 0.0, 1.0);
+  spec.seed = descriptor.integer("seed", 1);
+  spec.refuse_at = read_ordinals(descriptor);
   return std::make_shared<FaultCapability>(std::move(spec));
 }
 

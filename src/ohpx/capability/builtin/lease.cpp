@@ -9,15 +9,17 @@ namespace ohpx::cap {
 
 using std::chrono::milliseconds;
 
-LeaseCapability::LeaseCapability(milliseconds ttl, Scope scope)
-    : expiry_ns_(resilience::now_ns() +
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(ttl)
-                     .count()),
-      scope_(scope) {}
+LeaseCapability::LeaseCapability(std::uint64_t ttl_ms, Scope scope)
+    : Capability(scope),
+      expiry_ns_(resilience::now_ns() +
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     milliseconds(std::min(ttl_ms, kLongestMs)))
+                     .count()) {}
 
-bool LeaseCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+LeaseCapability::LeaseCapability(milliseconds ttl, Scope scope)
+    : LeaseCapability(
+          static_cast<std::uint64_t>(std::max<std::int64_t>(0, ttl.count())),
+          scope) {}
 
 bool LeaseCapability::expired() const noexcept {
   return resilience::now_ns() >= expiry_ns_;
@@ -52,16 +54,15 @@ CapabilityDescriptor LeaseCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "lease";
   d.params["ttl_ms"] = std::to_string(remaining().count());
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr LeaseCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const long long ttl = std::stoll(descriptor.require("ttl_ms"));
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<LeaseCapability>(milliseconds(std::max(0LL, ttl)),
-                                           scope);
+  return std::make_shared<LeaseCapability>(
+      descriptor.integer("ttl_ms", std::nullopt),
+      descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

@@ -12,16 +12,24 @@
 #include <cstdint>
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 
 namespace ohpx::cap {
 
 class LeaseCapability final : public Capability {
  public:
-  explicit LeaseCapability(std::chrono::milliseconds ttl, Scope scope = Scope::always);
+  /// The longest lease, a year: a longer TTL is clamped to it, so the
+  /// nanosecond expiry cannot overflow.
+  static constexpr std::uint64_t kLongestMs = 365ull * 24 * 3600 * 1000;
+
+  /// A lease of `ttl_ms` from now, clamped to kLongestMs.  Takes a peer's
+  /// u64 as it arrives, from a descriptor or a directory snapshot.
+  explicit LeaseCapability(std::uint64_t ttl_ms, Scope scope = Scope::always);
+
+  /// A lease of `ttl` from now; a negative one is already expired.
+  explicit LeaseCapability(std::chrono::milliseconds ttl,
+                           Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "lease"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void admit(const CallContext& call) override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
@@ -36,7 +44,6 @@ class LeaseCapability final : public Capability {
   // Expiry on the resilience clock (nanoseconds on the installed source),
   // so ManualClock-driven tests can expire leases deterministically.
   std::int64_t expiry_ns_;
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

@@ -6,15 +6,12 @@
 namespace ohpx::cap {
 
 PaddingCapability::PaddingCapability(std::size_t block_size, Scope scope)
-    : block_size_(block_size), scope_(scope) {
-  if (block_size_ == 0) {
+    : Capability(scope), block_size_(block_size) {
+  if (block_size_ == 0 || block_size_ > kMaxBlockSize) {
     throw CapabilityDenied(ErrorCode::capability_bad_payload,
-                           "padding block size must be positive");
+                           "padding block size must be in [1, " +
+                               std::to_string(kMaxBlockSize) + "]");
   }
-}
-
-bool PaddingCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
 }
 
 void PaddingCapability::process(wire::Buffer& payload, const CallContext& call) {
@@ -48,17 +45,15 @@ CapabilityDescriptor PaddingCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "padding";
   d.params["block_size"] = std::to_string(block_size_);
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr PaddingCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const unsigned long long block =
-      std::stoull(descriptor.get_or("block_size", "256"));
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<PaddingCapability>(static_cast<std::size_t>(block),
-                                             scope);
+  return std::make_shared<PaddingCapability>(
+      descriptor.integer("block_size", 256, 1, kMaxBlockSize),
+      descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

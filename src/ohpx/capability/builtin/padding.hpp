@@ -8,17 +8,21 @@
 #pragma once
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 
 namespace ohpx::cap {
 
 class PaddingCapability final : public Capability {
  public:
+  /// The largest block size: process() rounds a payload up to a block, and
+  /// below this bound that round-up cannot wrap.
+  static constexpr std::size_t kMaxBlockSize = 64 * 1024;
+
+  /// Throws CapabilityDenied(capability_bad_payload) unless `block_size`
+  /// is in [1, kMaxBlockSize].
   explicit PaddingCapability(std::size_t block_size = 256,
                              Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "padding"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
   CapabilityDescriptor descriptor() const override;
@@ -29,7 +33,6 @@ class PaddingCapability final : public Capability {
 
  private:
   std::size_t block_size_;
-  Scope scope_;
 };
 
 }  // namespace ohpx::cap

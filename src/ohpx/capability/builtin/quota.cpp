@@ -5,11 +5,7 @@
 namespace ohpx::cap {
 
 QuotaCapability::QuotaCapability(std::uint64_t max_calls, Scope scope)
-    : max_calls_(max_calls), scope_(scope) {}
-
-bool QuotaCapability::applicable(const netsim::Placement& placement) const {
-  return scope_applies(scope_, placement);
-}
+    : Capability(scope), max_calls_(max_calls) {}
 
 void QuotaCapability::admit(const CallContext& call) {
   if (call.direction != Direction::request) return;
@@ -46,16 +42,15 @@ CapabilityDescriptor QuotaCapability::descriptor() const {
   CapabilityDescriptor d;
   d.kind = "quota";
   d.params["max_calls"] = std::to_string(remaining());
-  d.params["scope"] = std::string(to_string(scope_));
+  d.params["scope"] = std::string(to_string(scope()));
   return d;
 }
 
 CapabilityPtr QuotaCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const unsigned long long max_calls =
-      std::stoull(descriptor.require("max_calls"));
-  const Scope scope = scope_from_string(descriptor.get_or("scope", "always"));
-  return std::make_shared<QuotaCapability>(max_calls, scope);
+  return std::make_shared<QuotaCapability>(
+      descriptor.integer("max_calls", std::nullopt),
+      descriptor.scope(Scope::always));
 }
 
 }  // namespace ohpx::cap

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "ohpx/capability/capability.hpp"
-#include "ohpx/capability/scope.hpp"
 
 namespace ohpx::cap {
 
@@ -24,7 +23,6 @@ class QuotaCapability final : public Capability {
   explicit QuotaCapability(std::uint64_t max_calls, Scope scope = Scope::always);
 
   std::string_view kind() const noexcept override { return "quota"; }
-  bool applicable(const netsim::Placement& placement) const override;
   void admit(const CallContext& call) override;
   void process(wire::Buffer& payload, const CallContext& call) override;
   void unprocess(wire::Buffer& payload, const CallContext& call) override;
@@ -37,7 +35,6 @@ class QuotaCapability final : public Capability {
 
  private:
   std::uint64_t max_calls_;
-  Scope scope_;
   std::atomic<std::uint64_t> used_{0};
 };
 

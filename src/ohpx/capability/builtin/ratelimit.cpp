@@ -58,9 +58,9 @@ CapabilityDescriptor RateLimitCapability::descriptor() const {
 
 CapabilityPtr RateLimitCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const double rate = std::stod(descriptor.require("rate_per_sec"));
-  const double burst = std::stod(descriptor.require("burst"));
-  return std::make_shared<RateLimitCapability>(rate, burst);
+  return std::make_shared<RateLimitCapability>(
+      descriptor.decimal("rate_per_sec", std::nullopt),
+      descriptor.decimal("burst", std::nullopt));
 }
 
 }  // namespace ohpx::cap

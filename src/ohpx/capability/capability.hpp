@@ -11,15 +11,21 @@
 // Capabilities are exchangeable between processes: descriptor() lowers a
 // capability to a serializable CapabilityDescriptor (kind + string params)
 // that travels inside object references, and the CapabilityRegistry
-// re-instantiates it on the other side.
+// re-instantiates it on the other side.  A descriptor's parameters are
+// another process's bytes, so a factory reads each number through a typed
+// reader (integer(), decimal(), scope()) that takes exactly what the text
+// says, in the range the capability's arithmetic allows, or refuses it.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "ohpx/capability/scope.hpp"
 #include "ohpx/netsim/topology.hpp"
 #include "ohpx/wire/buffer.hpp"
 #include "ohpx/wire/decoder.hpp"
@@ -62,25 +68,53 @@ struct CapabilityDescriptor {
   /// Fetches a parameter with a fallback.
   std::string get_or(const std::string& name, std::string fallback) const;
 
+  /// Reads a parameter as a parse_number() in [min, max]; `fallback` when
+  /// it is absent, which nullopt makes an error.
+  std::uint64_t integer(
+      const std::string& name, std::optional<std::uint64_t> fallback,
+      std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+
+  /// Reads a parameter as a parse_decimal() in [min, max]; `fallback`
+  /// when it is absent, which nullopt makes an error.
+  double decimal(const std::string& name, std::optional<double> fallback,
+                 double min = 0.0,
+                 double max = std::numeric_limits<double>::max()) const;
+
+  /// Reads the `scope` parameter, `fallback` when it is absent.
+  Scope scope(Scope fallback) const;
+
+  /// Throws CapabilityDenied(capability_bad_payload) naming this kind,
+  /// parameter `name`, its value and what a value must be (`wanted`).
+  /// The typed readers refuse through this; so does a factory reading a
+  /// parameter of its own shape.
+  [[noreturn]] void refuse(const std::string& name,
+                           std::string_view wanted) const;
+
   friend bool operator==(const CapabilityDescriptor&,
                          const CapabilityDescriptor&) = default;
 };
 
 class Capability {
  public:
+  explicit Capability(Scope scope = Scope::always) noexcept : scope_(scope) {}
   virtual ~Capability() = default;
 
   /// Registry kind, e.g. "encryption" — stable across processes.
   virtual std::string_view kind() const noexcept = 0;
 
-  /// Whether this capability applies for the given client/server placement
-  /// (paper §4.3: an authentication capability may apply only across LANs).
-  /// Non-applicable capabilities make their whole glue protocol
-  /// non-applicable (glue applicability = AND of its capabilities').
-  virtual bool applicable(const netsim::Placement& placement) const {
-    (void)placement;
-    return true;
+  /// Whether this capability applies for the given client/server placement:
+  /// its scope's verdict (paper §4.3: an authentication capability may
+  /// apply only across LANs).  Non-applicable capabilities make their
+  /// whole glue protocol non-applicable (glue applicability = AND of its
+  /// capabilities').
+  bool applicable(const netsim::Placement& placement) const {
+    return scope_applies(scope_, placement);
   }
+
+  /// Where this capability applies.  Kinds built with a scope write it as
+  /// their descriptor's `scope` parameter.
+  Scope scope() const noexcept { return scope_; }
 
   /// Admission check run before the payload transform — leases, quotas and
   /// rate limits live here.  Throws CapabilityDenied to refuse the call.
@@ -103,6 +137,9 @@ class Capability {
   /// capabilities with server-only state (e.g. delegation root keys)
   /// override it.
   virtual CapabilityDescriptor server_descriptor() const { return descriptor(); }
+
+ private:
+  Scope scope_;
 };
 
 using CapabilityPtr = std::shared_ptr<Capability>;

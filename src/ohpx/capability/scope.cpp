@@ -1,7 +1,5 @@
 #include "ohpx/capability/scope.hpp"
 
-#include "ohpx/common/error.hpp"
-
 namespace ohpx::cap {
 
 bool scope_applies(Scope scope, const netsim::Placement& placement) {
@@ -30,7 +28,7 @@ std::string_view to_string(Scope scope) noexcept {
   return "?";
 }
 
-Scope scope_from_string(std::string_view name) {
+std::optional<Scope> scope_from_string(std::string_view name) noexcept {
   if (name == "always") return Scope::always;
   if (name == "cross_campus") return Scope::cross_campus;
   if (name == "cross_lan") return Scope::cross_lan;
@@ -38,8 +36,7 @@ Scope scope_from_string(std::string_view name) {
   if (name == "same_lan") return Scope::same_lan;
   if (name == "same_machine") return Scope::same_machine;
   if (name == "never") return Scope::never;
-  throw CapabilityDenied(ErrorCode::capability_bad_payload,
-                         "unknown scope: " + std::string(name));
+  return std::nullopt;
 }
 
 }  // namespace ohpx::cap

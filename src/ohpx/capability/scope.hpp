@@ -1,10 +1,10 @@
-// Placement scopes shared by built-in capabilities: where does this
-// capability apply?  The paper's authentication capability is the model
-// case — "applicable only when the client and the server are on different
-// LANs" (§4.3).
+// Placement scopes: where does a capability apply?  The Capability base
+// holds one and answers applicable() from it.  The paper's authentication
+// capability is the model case — "applicable only when the client and the
+// server are on different LANs" (§4.3).
 #pragma once
 
-#include <string>
+#include <optional>
 #include <string_view>
 
 #include "ohpx/netsim/topology.hpp"
@@ -26,8 +26,7 @@ bool scope_applies(Scope scope, const netsim::Placement& placement);
 
 std::string_view to_string(Scope scope) noexcept;
 
-/// Parses a scope name; throws CapabilityDenied(capability_bad_payload) on
-/// unknown input.
-Scope scope_from_string(std::string_view name);
+/// The scope to_string() names `name`; nullopt for any other text.
+std::optional<Scope> scope_from_string(std::string_view name) noexcept;
 
 }  // namespace ohpx::cap

@@ -1,19 +1,41 @@
 #include "ohpx/common/parse.hpp"
 
 #include <charconv>
+#include <cmath>
 
 namespace ohpx {
+namespace {
 
-std::optional<std::int64_t> parse_number(std::string_view text,
-                                         std::int64_t min, std::int64_t max) {
-  // from_chars alone would take a leading '-'.
-  if (text.empty() || text.front() < '0' || text.front() > '9') {
-    return std::nullopt;
-  }
-  std::int64_t value = 0;
+// from_chars alone would take a leading '-', and for a double also
+// "nan", "inf" and a leading '.'.
+bool starts_with_digit(std::string_view text) {
+  return !text.empty() && text.front() >= '0' && text.front() <= '9';
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> parse_number(std::string_view text,
+                                          std::uint64_t min,
+                                          std::uint64_t max) {
+  if (!starts_with_digit(text)) return std::nullopt;
+  std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc{} || stop != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_decimal(std::string_view text, double min,
+                                    double max) {
+  if (!starts_with_digit(text)) return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] =
+      std::from_chars(text.data(), end, value, std::chars_format::fixed);
+  if (error != std::errc{} || stop != end || !std::isfinite(value) ||
+      value < min || value > max) {
     return std::nullopt;
   }
   return value;

@@ -10,20 +10,24 @@
 // RemoteError, from a live server.  A rebind reports the dead replica to
 // the directory (report_dead — failover must not wait out the lease),
 // invalidates the NameClient cache, re-resolves, retries the call against
-// each remaining replica in directory order, and records one `failover`
-// anomaly.  Directory order is insertion order, so every client fails over
-// to the same survivor — deterministic, which the multi-process kill -9
-// test relies on.
+// the next replica in directory order that this call has not tried yet,
+// and records one `failover` anomaly.  A call tries each replica at most
+// once, so it ends even when the directory keeps listing dead replicas (a
+// standby refuses report_dead).  Directory order is insertion order, so
+// every client fails over to the same survivor — deterministic, which the
+// multi-process kill -9 test relies on.
 //
 // Calls routed through call() keep the acknowledged-call invariant from
 // the resilience layer: attempts() == successful calls + failovers, so a
 // test can prove no acknowledged call was lost across a kill.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
@@ -68,14 +72,15 @@ class ReplicaPointer {
   }
 
   /// Invokes `fn(stub)` with failover: a transport loss reports the
-  /// replica dead, re-resolves the name and retries against each
-  /// remaining replica.  Exhausting the replica set rethrows the last
+  /// replica dead, re-resolves the name and retries against each replica
+  /// this call has not tried.  Running out of them rethrows the last
   /// transport error; other errors (remote errors, deadline,
   /// backpressure) pass through untouched — they came from a live server
   /// or a saturated channel.
   template <typename Fn>
   auto call(Fn&& fn) {
     ensure_bound();
+    std::vector<orb::ObjectRef> tried;  // allocates only on a failover
     for (;;) {
       try {
         attempts_.fetch_add(1, std::memory_order_relaxed);
@@ -83,8 +88,8 @@ class ReplicaPointer {
       } catch (const TransportError& e) {
         if (e.code() == ErrorCode::backpressure) throw;
         // Copy, not reference: failover rebinds stub_ underneath.
-        const orb::ObjectRef dead = stub_.ref();
-        if (!failover_to_next(dead, e.code())) throw;
+        tried.push_back(stub_.ref());
+        if (!failover_to_next(tried, e.code())) throw;
       }
     }
   }
@@ -94,12 +99,14 @@ class ReplicaPointer {
     if (!stub_.bound()) stub_ = Stub(context_, names_.resolve(name_));
   }
 
-  /// Reports `dead`, re-resolves and binds the first replica that is not
-  /// `dead` — matched with same_replica(), because object ids collide
-  /// across processes.  False when no other replica is registered.
-  bool failover_to_next(const orb::ObjectRef& dead, ErrorCode cause) {
+  /// Reports the last of `tried` dead, re-resolves and binds the first
+  /// replica not in `tried` — matched with same_replica(), because object
+  /// ids collide across processes.  False when every registered replica
+  /// has been tried.
+  bool failover_to_next(const std::vector<orb::ObjectRef>& tried,
+                        ErrorCode cause) {
     try {
-      names_.report_dead(name_, dead);
+      names_.report_dead(name_, tried.back());
     } catch (const Error&) {
       // The directory itself may be unreachable; failover proceeds on
       // whatever resolve_all can still tell us below.
@@ -112,7 +119,12 @@ class ReplicaPointer {
       return false;
     }
     for (const orb::ObjectRef& ref : live.second) {
-      if (same_replica(ref, dead)) continue;
+      if (std::any_of(tried.begin(), tried.end(),
+                      [&ref](const orb::ObjectRef& done) {
+                        return same_replica(ref, done);
+                      })) {
+        continue;
+      }
       stub_ = Stub(context_, ref);
       failovers_.fetch_add(1, std::memory_order_relaxed);
       introspect::anomaly(introspect::EventKind::failover, cause, name_);

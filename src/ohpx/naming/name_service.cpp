@@ -9,19 +9,10 @@
 namespace ohpx::naming {
 namespace {
 
-// A TTL or a remaining time is a peer's u64; past a year it is capped, so
-// the lease's nanosecond expiry cannot overflow.
-constexpr std::uint64_t kLongestLeaseMs = 365ull * 24 * 3600 * 1000;
-
-std::shared_ptr<cap::LeaseCapability> lease_for(std::uint64_t ttl_ms) {
-  return std::make_shared<cap::LeaseCapability>(
-      std::chrono::milliseconds(std::min(ttl_ms, kLongestLeaseMs)));
-}
-
 std::shared_ptr<cap::LeaseCapability> make_lease(
     std::chrono::milliseconds ttl) {
   if (ttl.count() <= 0) return nullptr;  // permanent registration
-  return lease_for(static_cast<std::uint64_t>(ttl.count()));
+  return std::make_shared<cap::LeaseCapability>(ttl);
 }
 
 /// The high half of every catch-up sequence one servant mints.
@@ -462,7 +453,9 @@ bool NameServiceServant::apply_update(const NameSnapshot& snapshot) {
     for (const ReplicaSnapshot& replica : snapshot.replicas) {
       entry.replicas.push_back(ReplicaRecord{
           replica.replica_id, replica.ref,
-          replica.permanent ? nullptr : lease_for(replica.lease_remaining_ms)});
+          replica.permanent ? nullptr
+                            : std::make_shared<cap::LeaseCapability>(
+                                  replica.lease_remaining_ms)});
       next_replica_id_ = std::max(next_replica_id_, replica.replica_id + 1);
     }
   }

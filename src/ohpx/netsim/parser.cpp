@@ -1,10 +1,19 @@
 #include "ohpx/netsim/parser.hpp"
 
+#include <limits>
 #include <sstream>
 #include <vector>
 
+#include "ohpx/common/parse.hpp"
+
 namespace ohpx::netsim {
 namespace {
+
+// A custom link's bounds: a bandwidth up to a petabit per second, and a
+// latency whose nanoseconds fit the modeled clock.
+constexpr double kMaxMbps = 1e9;
+constexpr std::uint64_t kMaxLatencyUs =
+    std::numeric_limits<std::int64_t>::max() / 1000;
 
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
   throw Error(ErrorCode::wire_bad_value,
@@ -47,25 +56,21 @@ LinkSpec parse_link_spec(std::string_view token) {
   if (token == "t3") return wan_t3();
   if (token == "loopback") return loopback();
   if (token.rfind("custom:", 0) == 0) {
-    const std::string body(token.substr(7));
+    const std::string_view body = token.substr(7);
     const auto colon = body.find(':');
-    if (colon == std::string::npos) {
+    const auto mbps = parse_decimal(body.substr(0, colon), 0.0, kMaxMbps);
+    const auto latency_us =
+        colon == std::string_view::npos
+            ? std::nullopt
+            : parse_number(body.substr(colon + 1), 0, kMaxLatencyUs);
+    if (!mbps || *mbps <= 0.0 || !latency_us) {
       throw Error(ErrorCode::wire_bad_value,
-                  "custom link needs custom:<mbps>:<latency_us>");
+                  "custom link needs custom:<mbps>:<latency_us>, mbps a "
+                  "decimal in (0, 1e9] and latency_us an integer, got '" +
+                      std::string(token) + "'");
     }
-    try {
-      const double mbps = std::stod(body.substr(0, colon));
-      const long long latency_us = std::stoll(body.substr(colon + 1));
-      if (mbps <= 0 || latency_us < 0) {
-        throw Error(ErrorCode::wire_bad_value, "custom link values out of range");
-      }
-      return LinkSpec{"custom-" + body, mbps * 1e6,
-                      std::chrono::microseconds(latency_us)};
-    } catch (const std::invalid_argument&) {
-      throw Error(ErrorCode::wire_bad_value, "custom link values not numeric");
-    } catch (const std::out_of_range&) {
-      throw Error(ErrorCode::wire_bad_value, "custom link values out of range");
-    }
+    return LinkSpec{"custom-" + std::string(body), *mbps * 1e6,
+                    std::chrono::microseconds(*latency_us)};
   }
   throw Error(ErrorCode::wire_bad_value,
               "unknown link spec '" + std::string(token) + "'");
@@ -93,12 +98,11 @@ ParsedTopology parse_topology(std::string_view text) {
       out.lans[tokens[1]] = lan;
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i].rfind("campus=", 0) == 0) {
-          try {
-            out.topology().set_campus(
-                lan, static_cast<std::uint32_t>(std::stoul(tokens[i].substr(7))));
-          } catch (const std::exception&) {
-            fail(line_number, "bad campus id");
-          }
+          const auto campus =
+              parse_number(std::string_view(tokens[i]).substr(7), 0,
+                           std::numeric_limits<std::uint32_t>::max());
+          if (!campus) fail(line_number, "bad campus id '" + tokens[i] + "'");
+          out.topology().set_campus(lan, static_cast<std::uint32_t>(*campus));
         } else {
           try {
             out.topology().set_lan_link(lan, parse_link_spec(tokens[i]));

@@ -13,7 +13,10 @@
 //
 // Link specifiers are either a preset (ethernet10, ethernet100, atm155,
 // t3, loopback) or custom:<mbps>:<latency_us> (e.g. custom:622:200 for
-// OC-12 with 200 us latency).
+// OC-12 with 200 us latency): mbps a plain decimal in (0, 1e9], latency
+// an integer, both read by the strict readers of common/parse.hpp, so
+// "nan", "1e3" and "100abc" are refused.  So is a campus id that is not
+// a plain u32 ("campus=7x").
 #pragma once
 
 #include <map>

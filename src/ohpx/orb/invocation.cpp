@@ -50,6 +50,40 @@ ErrorCode decode_error_reply(const proto::ReplyMessage& reply,
 
 }  // namespace
 
+// Every call's preamble, sync and async: its deadline and its trace, in
+// scopes that live as long as the call, since it is constructed in the
+// caller's frame.  The caller then opens the rmi.invoke span in that
+// trace, as a local like every span.
+class CallCore::CallScope {
+ public:
+  CallScope(const CallCore& core, bool async) {
+    // The budget's deadline, tightened against any ambient one: a servant
+    // calling downstream spends its caller's remaining budget, never more.
+    const std::int64_t budget =
+        core.deadline_budget_ns_.load(std::memory_order_relaxed);
+    if (budget > 0) deadline_scope_.emplace(resilience::now_ns() + budget);
+    deadline_ = resilience::current_deadline_ns();
+    // A sync call checks it per attempt, an async call only here.
+    if (async && resilience::deadline_expired(deadline_)) deadline_spent(0);
+    // Root-or-join: a call outside any trace mints a root (if sampled); a
+    // servant's downstream call joins its caller's, so the causal chain
+    // lands in one tree.  Every call stamps its own header.
+    if (trace::TraceSink::active() && !trace::current_context().valid() &&
+        trace::should_sample()) {
+      trace_scope_.emplace(trace::mint_root());
+    }
+  }
+  CallScope(const CallScope&) = delete;
+  CallScope& operator=(const CallScope&) = delete;
+
+  std::int64_t deadline() const noexcept { return deadline_; }
+
+ private:
+  std::optional<resilience::DeadlineScope> deadline_scope_;
+  std::int64_t deadline_ = resilience::kNoDeadline;
+  std::optional<trace::ContextScope> trace_scope_;
+};
+
 void CallCore::feed_breaker(resilience::BreakerSet* breakers,
                             std::size_t entry, std::string_view protocol,
                             ErrorCode outcome) {
@@ -348,28 +382,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     local.disable_real_timing();
   }
 
-  // Mint this call's deadline from the configured budget, tightened
-  // against any ambient deadline (a servant calling downstream spends its
-  // caller's remaining budget, never more).  With no budget and no
-  // ambient deadline this is one relaxed load and one thread-local read.
-  std::optional<resilience::DeadlineScope> deadline_scope;
-  const std::int64_t budget =
-      deadline_budget_ns_.load(std::memory_order_relaxed);
-  if (budget > 0) {
-    deadline_scope.emplace(resilience::now_ns() + budget);
-  }
-  const std::int64_t deadline = resilience::current_deadline_ns();
-
-  // Root-or-join: a call made outside any trace mints a fresh root (if the
-  // sampling decision says so); a call made *inside* one — a servant
-  // invoking another object, a delegated hop — joins the ambient trace so
-  // the whole causal chain lands in one tree.  When tracing is inactive
-  // this whole block is one relaxed load.
-  std::optional<trace::ContextScope> trace_scope;
-  if (trace::TraceSink::active() && !trace::current_context().valid() &&
-      trace::should_sample()) {
-    trace_scope.emplace(trace::mint_root());
-  }
+  const CallScope scope(*this, /*async=*/false);
   trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");
   call_span.annotate_u64("obj", ref_.object_id());
   call_span.annotate_u64("method", method_id);
@@ -382,7 +395,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     // The budget bounds the *logical* call, retries and backoff waits
     // included — an expired budget ends the loop no matter how many
     // attempts the retry policy would still allow.
-    if (resilience::deadline_expired(deadline)) deadline_spent(attempt);
+    if (resilience::deadline_expired(scope.deadline())) deadline_spent(attempt);
 
     const bool use_cache =
         cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
@@ -406,7 +419,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
 
     const wire::MessageHeader header = request_header(
         oneway ? wire::MessageType::oneway : wire::MessageType::request,
-        method_id, deadline);
+        method_id, scope.deadline());
 
     if (use_cache) {
       calls_total_->fetch_add(1, std::memory_order_relaxed);
@@ -479,25 +492,9 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   // covers selection, submit and the round trip.
   ticket.watch = Stopwatch();
   ticket.latency = async_latency_;
-  // Mint the deadline exactly like the sync path: the reactor captures
-  // the ambient value at submit and cancels the future when it passes.
-  std::optional<resilience::DeadlineScope> deadline_scope;
-  const std::int64_t budget =
-      deadline_budget_ns_.load(std::memory_order_relaxed);
-  if (budget > 0) {
-    deadline_scope.emplace(resilience::now_ns() + budget);
-  }
-  const std::int64_t deadline = resilience::current_deadline_ns();
-  if (resilience::deadline_expired(deadline)) deadline_spent(0);
-
-  // Root-or-join, per call: each async submission stamps its own trace
-  // context into its own header — a thousand in-flight calls are a
-  // thousand distinct wire contexts, not one per flush batch.
-  std::optional<trace::ContextScope> trace_scope;
-  if (trace::TraceSink::active() && !trace::current_context().valid() &&
-      trace::should_sample()) {
-    trace_scope.emplace(trace::mint_root());
-  }
+  // The reactor captures the ambient deadline at submit and cancels the
+  // future when it passes.
+  const CallScope scope(*this, /*async=*/true);
   trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");
   call_span.annotate_u64("obj", ref_.object_id());
   call_span.annotate_u64("method", method_id);
@@ -515,7 +512,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   sel.proto_counter->fetch_add(1, std::memory_order_relaxed);
 
   const wire::MessageHeader header =
-      request_header(wire::MessageType::request, method_id, deadline);
+      request_header(wire::MessageType::request, method_id, scope.deadline());
   Future<proto::ReplyMessage> exchange;
   try {
     exchange = sel.protocol->invoke_async(header, args, sel.target());

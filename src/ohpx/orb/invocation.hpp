@@ -210,6 +210,9 @@ class CallCore {
       bool use_cache,
       const std::shared_ptr<resilience::BreakerSet>& breakers);
 
+  /// One call's preamble, sync and async (invocation.cpp).
+  class CallScope;
+
   wire::Buffer invoke_internal(std::uint32_t method_id, wire::Buffer args,
                                CostLedger* ledger, bool oneway);
 

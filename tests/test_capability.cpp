@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <thread>
 
 #include "ohpx/capability/builtin/audit.hpp"
@@ -21,6 +23,7 @@
 #include "ohpx/capability/registry.hpp"
 #include "ohpx/common/rng.hpp"
 #include "ohpx/crypto/mac.hpp"
+#include "ohpx/resilience/clock.hpp"
 #include "ohpx/wire/serialize.hpp"
 
 namespace ohpx::cap {
@@ -367,6 +370,20 @@ TEST(Lease, ZeroTtlIsBornExpired) {
   EXPECT_EQ(lease.remaining().count(), 0);
 }
 
+TEST(Lease, PeerTtlIsClampedToTheLongestLease) {
+  // 2^62 ms overflows the nanosecond expiry unless clamped first.
+  resilience::ScopedManualClock clock(1'000'000);
+  const std::chrono::milliseconds longest(LeaseCapability::kLongestMs);
+  for (const std::uint64_t ttl_ms :
+       {std::uint64_t{1} << 62, std::numeric_limits<std::uint64_t>::max(),
+        LeaseCapability::kLongestMs + 1}) {
+    EXPECT_EQ(LeaseCapability(ttl_ms).remaining(), longest) << ttl_ms;
+    const auto copy = CapabilityRegistry::instance().instantiate(
+        CapabilityDescriptor{"lease", {{"ttl_ms", std::to_string(ttl_ms)}}});
+    EXPECT_EQ(dynamic_cast<LeaseCapability&>(*copy).remaining(), longest);
+  }
+}
+
 // ---- rate limit -------------------------------------------------------------------
 
 TEST(RateLimit, BurstThenRefusal) {
@@ -530,7 +547,7 @@ TEST(Scopes, ParseAndFormatRoundTrip) {
                       Scope::never}) {
     EXPECT_EQ(scope_from_string(to_string(scope)), scope);
   }
-  EXPECT_THROW(scope_from_string("bogus"), CapabilityDenied);
+  EXPECT_EQ(scope_from_string("bogus"), std::nullopt);
 }
 
 TEST(Scopes, ApplicabilityMatrix) {
@@ -634,6 +651,118 @@ TEST(Registry, MissingParamRejected) {
   descriptor.kind = "encryption";  // missing "key"
   EXPECT_THROW(CapabilityRegistry::instance().instantiate(descriptor),
                CapabilityDenied);
+}
+
+// A descriptor's parameters come from another process: each is read as
+// exactly what its characters say, in the range the capability's
+// arithmetic allows, or refused naming the kind, the parameter and the
+// value.
+TEST(Registry, MalformedParamsRefusedByName) {
+  struct Case {
+    const char* kind;
+    const char* param;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"quota", "max_calls", "abc"},
+      {"quota", "max_calls", "-1"},
+      {"quota", "max_calls", "5calls"},
+      {"quota", "max_calls", "99999999999999999999999"},
+      {"quota", "max_calls", ""},
+      {"quota", "scope", "everywhere"},
+      {"lease", "ttl_ms", "soon"},
+      {"padding", "block_size", "x"},
+      {"padding", "block_size", "0"},
+      {"padding", "block_size", "65537"},
+      {"padding", "block_size", "18446744073709551615"},
+      {"audit", "max_records", ""},
+      {"ratelimit", "rate_per_sec", "fast"},
+      {"ratelimit", "rate_per_sec", "nan"},
+      {"ratelimit", "rate_per_sec", "inf"},
+      {"ratelimit", "rate_per_sec", "1e3"},
+      {"fault", "fail_every", "two"},
+      {"fault", "fail_every", "4294967296"},
+      {"fault", "ratio", "1.5"},
+      {"fault", "refuse_at", "1,x"},
+      {"fault", "refuse_at", "1,"},
+      {"compression", "codec", "zip"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.kind) + " " + c.param + "='" + c.value + "'");
+    CapabilityDescriptor descriptor{c.kind, {{c.param, c.value}}};
+    if (descriptor.kind == "ratelimit") descriptor.params["burst"] = "1";
+    try {
+      CapabilityRegistry::instance().instantiate(descriptor);
+      ADD_FAILURE() << "accepted";
+    } catch (const CapabilityDenied& e) {
+      EXPECT_EQ(e.code(), ErrorCode::capability_bad_payload);
+      const std::string what = e.what();
+      for (const std::string& part :
+           {"'" + std::string(c.kind) + "'", "'" + std::string(c.param) + "'",
+            "'" + std::string(c.value) + "'"}) {
+        EXPECT_NE(what.find(part), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+// Every builtin's descriptor, pinned parameter by parameter, and read back
+// to a capability whose descriptor is the same: descriptor -> instantiate
+// -> descriptor is a fixed point, decimals and a seed above 2^63 included.
+TEST(Registry, BuiltinDescriptorsArePinnedAndReadBack) {
+  resilience::ScopedManualClock clock;  // the lease's remaining time holds
+  const crypto::Key128 key = crypto::Key128::from_seed(0x5eed);
+  const auto verifier = DelegationCapability::make_root(key);
+  const auto bearer = verifier->attenuate("method<=3");
+  using Params = std::map<std::string, std::string>;
+  const std::pair<CapabilityPtr, Params> pinned[] = {
+      {std::make_shared<QuotaCapability>(9, Scope::cross_lan),
+       {{"max_calls", "9"}, {"scope", "cross_lan"}}},
+      {std::make_shared<LeaseCapability>(std::chrono::milliseconds(60'000),
+                                         Scope::same_machine),
+       {{"ttl_ms", "60000"}, {"scope", "same_machine"}}},
+      {std::make_shared<PaddingCapability>(64, Scope::remote),
+       {{"block_size", "64"}, {"scope", "remote"}}},
+      {std::make_shared<ChecksumCapability>(Scope::same_lan),
+       {{"scope", "same_lan"}}},
+      {std::make_shared<CompressionCapability>(compress::CodecId::rle,
+                                               Scope::cross_campus),
+       {{"codec", "rle"}, {"scope", "cross_campus"}}},
+      {std::make_shared<EncryptionCapability>(key, Scope::cross_lan),
+       {{"key", key.to_hex()}, {"scope", "cross_lan"}}},
+      {std::make_shared<AuthenticationCapability>(key, "alice", Scope::remote),
+       {{"key", key.to_hex()}, {"principal", "alice"}, {"scope", "remote"}}},
+      {std::make_shared<AuditCapability>(16), {{"max_records", "16"}}},
+      {std::make_shared<RateLimitCapability>(250.5, 8.0),
+       {{"rate_per_sec", "250.500000"}, {"burst", "8.000000"}}},
+      {std::make_shared<FaultCapability>(
+           FaultSpec{.fail_every = 3,
+                     .refuse_ratio = 0.25,
+                     .seed = (std::uint64_t{1} << 63) + 7,
+                     .refuse_at = {2, 5}}),
+       {{"fail_every", "3"},
+        {"ratio", "0.250000"},
+        {"seed", "9223372036854775815"},
+        {"refuse_at", "2,5"}}},
+      {bearer,
+       {{"role", "bearer"},
+        {"caveats", "method<=3"},
+        {"token", to_hex(bearer->token())}}},
+  };
+  for (const auto& [capability, params] : pinned) {
+    SCOPED_TRACE(std::string(capability->kind()));
+    const CapabilityDescriptor descriptor = capability->descriptor();
+    EXPECT_EQ(descriptor.params, params);
+    const CapabilityPtr copy =
+        CapabilityRegistry::instance().instantiate(descriptor);
+    EXPECT_EQ(copy->descriptor(), descriptor);
+    EXPECT_EQ(copy->scope(), capability->scope());
+  }
+  const CapabilityDescriptor root = verifier->server_descriptor();
+  EXPECT_EQ(root.params, (Params{{"role", "verifier"}, {"root_key", key.to_hex()}}));
+  EXPECT_EQ(
+      CapabilityRegistry::instance().instantiate(root)->server_descriptor(),
+      root);
 }
 
 TEST(Registry, CustomCapabilityPluggable) {

@@ -388,17 +388,22 @@ TEST(NamingBootstrap, DirectoryIsRefusedWithoutRetry) {
 
 // ---- replica failover ------------------------------------------------------
 
+/// A synthetic echo reference to a TCP coordinate nothing listens on
+/// (connect refused).
+orb::ObjectRef unreachable_echo(orb::ObjectId id) {
+  proto::ServerAddress address;
+  address.machine = netsim::kInvalidMachine;
+  address.tcp_host = "127.0.0.1";
+  address.tcp_port = 1;  // reserved port: nothing listens
+  proto::ProtoTable table;
+  table.add(proto::ProtocolEntry{"tcp", {}});
+  return orb::ObjectRef(id, "Echo", address, table);
+}
+
 TEST_F(NamingFixture, ReplicaPointerFailsOverFromDeadReplica) {
-  // First replica: a synthetic reference to a TCP coordinate nothing
-  // listens on (connect refused).  Second: a live TCP-served echo.
+  // First replica: unreachable.  Second: a live TCP-served echo.
   server_ctx_->enable_tcp();
-  proto::ServerAddress dead_address;
-  dead_address.machine = netsim::kInvalidMachine;
-  dead_address.tcp_host = "127.0.0.1";
-  dead_address.tcp_port = 1;  // reserved port: nothing listens
-  proto::ProtoTable dead_table;
-  dead_table.add(proto::ProtocolEntry{"tcp", {}});
-  const orb::ObjectRef dead_ref(0x0dead0, "Echo", dead_address, dead_table);
+  const orb::ObjectRef dead_ref = unreachable_echo(0x0dead0);
 
   const auto live_ref =
       orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
@@ -441,21 +446,33 @@ TEST_F(NamingFixture, ReplicaPointerFailsOverFromDeadReplica) {
 }
 
 TEST_F(NamingFixture, ReplicaPointerExhaustionRethrowsTransportError) {
-  proto::ServerAddress dead_address;
-  dead_address.machine = netsim::kInvalidMachine;
-  dead_address.tcp_host = "127.0.0.1";
-  dead_address.tcp_port = 1;
-  proto::ProtoTable dead_table;
-  dead_table.add(proto::ProtocolEntry{"tcp", {}});
-  const orb::ObjectRef only_dead(0x0dead1, "Echo", dead_address, dead_table);
-
-  host_->service().bind_replica("fx/echo", only_dead,
+  host_->service().bind_replica("fx/echo", unreachable_echo(0x0dead1),
                                 std::chrono::milliseconds(0));
   NameClient names(*client_ctx_, host_->ref());
   ReplicaPointer<scenario::EchoStub> echo(*client_ctx_, names, "fx/echo");
   EXPECT_THROW(
       echo.call([](scenario::EchoStub& stub) { return stub.ping(); }),
       TransportError);
+}
+
+TEST_F(NamingFixture, ReplicaPointerTriesEachReplicaOnce) {
+  // Two dead replicas, and a directory that keeps listing them: a standby
+  // refuses every dead report (not_primary, with no primary to name).
+  auto& service = host_->service();
+  service.bind_replica("sb/echo", unreachable_echo(0x0dead2),
+                       std::chrono::milliseconds(0));
+  service.bind_replica("sb/echo", unreachable_echo(0x0dead3),
+                       std::chrono::milliseconds(0));
+  service.set_role(NameServiceServant::Role::standby);
+
+  NameClient names(*client_ctx_, host_->ref());
+  ReplicaPointer<scenario::EchoStub> echo(*client_ctx_, names, "sb/echo");
+  EXPECT_THROW(
+      echo.call([](scenario::EchoStub& stub) { return stub.ping(); }),
+      TransportError);
+  EXPECT_EQ(echo.attempts(), 2u);
+  EXPECT_EQ(echo.failovers(), 1u);
+  EXPECT_EQ(service.resolve_all("sb/echo").second.size(), 2u);
 }
 
 // A servant whose own downstream call failed in the transport: the server

@@ -1,6 +1,8 @@
 // Tests for the topology description parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ohpx/netsim/parser.hpp"
 
 namespace ohpx::netsim {
@@ -83,6 +85,9 @@ TEST(Parser, MalformedInputsRejectedWithLineNumbers) {
       "loopback",                    // missing link
       "lan a badlink",               // unknown link on lan
       "lan a campus=x",              // bad campus id
+      "lan a campus=7x",             // a campus id with trailing bytes
+      "lan a campus=-1",
+      "lan a campus=4294967296",     // past u32
   };
   for (const char* text : bad_cases) {
     EXPECT_THROW(parse_topology(text), Error) << text;
@@ -90,10 +95,16 @@ TEST(Parser, MalformedInputsRejectedWithLineNumbers) {
 }
 
 TEST(Parser, MalformedCustomLinksRejected) {
-  EXPECT_THROW(parse_link_spec("custom:abc:10"), Error);
-  EXPECT_THROW(parse_link_spec("custom:100"), Error);
-  EXPECT_THROW(parse_link_spec("custom:-5:10"), Error);
-  EXPECT_THROW(parse_link_spec("warp-drive"), Error);
+  const std::string specs[] = {
+      "custom:abc:10",   "custom:100",       "custom:-5:10",
+      "warp-drive",      "custom:nan:5",     "custom:inf:5",
+      "custom:100abc:5", "custom:1e3:5",     "custom:0:5",
+      "custom:1e308:5",  "custom: 100:5",    "custom:100:5us",
+      "custom:100:-1",   "custom:100:",      "custom:" + std::string(320, '9') + ":5"};
+  for (const std::string& spec : specs) {
+    EXPECT_THROW(parse_link_spec(spec), Error) << spec;
+  }
+  EXPECT_DOUBLE_EQ(parse_link_spec("custom:0.5:0").bandwidth_bps, 0.5e6);
 }
 
 TEST(Parser, LookupFailuresThrow) {

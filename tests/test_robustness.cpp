@@ -11,12 +11,16 @@
 // prefix of what was written, or a typed refusal, and never an entry
 // version that goes backwards.  And for the bootstrap URIs and reference
 // files a client boots from: a typed refusal, or exactly what they say.
+// And for the capability descriptors a reference carries and the topology
+// texts a deployment hands over: a typed refusal, or a chain that opens
+// what it seals and links with finite, positive bandwidths.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,18 +30,24 @@
 #include <stdexcept>
 #include <string>
 
+#include "ohpx/capability/builtin/audit.hpp"
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/checksum.hpp"
 #include "ohpx/capability/builtin/compression.hpp"
 #include "ohpx/capability/builtin/delegation.hpp"
-#include "ohpx/capability/builtin/padding.hpp"
-#include "ohpx/capability/registry.hpp"
 #include "ohpx/capability/builtin/encryption.hpp"
+#include "ohpx/capability/builtin/fault.hpp"
+#include "ohpx/capability/builtin/lease.hpp"
+#include "ohpx/capability/builtin/padding.hpp"
+#include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/capability/builtin/ratelimit.hpp"
+#include "ohpx/capability/registry.hpp"
 #include "ohpx/common/endian.hpp"
 #include "ohpx/common/rng.hpp"
 #include "ohpx/naming/bootstrap.hpp"
 #include "ohpx/naming/journal.hpp"
 #include "ohpx/naming/name_service.hpp"
+#include "ohpx/netsim/parser.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/runtime/migration.hpp"
@@ -750,6 +760,28 @@ void flip_bits(Container& bytes, Xoshiro256& rng) {
   }
 }
 
+/// One seeded byte-level damage to a non-empty `bytes`: bit flips, a
+/// truncation (possibly to nothing), or a head of it spliced onto a tail
+/// of `other`.
+template <typename Container>
+void damage(Container& bytes, const Container& other, Xoshiro256& rng) {
+  switch (rng.next_below(3)) {
+    case 0:
+      flip_bits(bytes, rng);
+      break;
+    case 1:
+      bytes.resize(rng.next_below(bytes.size()));
+      break;
+    default:
+      bytes.resize(rng.next_below(bytes.size() + 1));
+      bytes.insert(bytes.end(),
+                   other.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next_below(other.size() + 1)),
+                   other.end());
+      break;
+  }
+}
+
 /// apply_update() under the fuzz invariants: only typed errors, and
 /// `record.name`'s version never goes down, across the apply and a
 /// resolve_all() of the name.
@@ -1104,30 +1136,18 @@ TEST_P(BootstrapFuzz, OnlyTypedRefusalsAndExactPorts) {
   for (int round = 0; round < 96; ++round) {
     SCOPED_TRACE("URI round " + std::to_string(round));
     std::string uri = uris[rng.next_below(uris.size())];
-    switch (rng.next_below(4)) {
-      case 0:
-        flip_bits(uri, rng);
-        break;
-      case 1:
-        uri.resize(rng.next_below(uri.size()));
-        break;
-      case 2: {
-        const std::string& other = uris[rng.next_below(uris.size())];
-        uri = uri.substr(0, rng.next_below(uri.size() + 1)) +
-              other.substr(rng.next_below(other.size() + 1));
-        break;
-      }
-      default: {  // one host:port spec's port text
-        std::vector<std::string> specs = uri_specs(uri);
-        std::string& spec = specs[rng.next_below(specs.size())];
-        if (names_a_file(spec)) break;
+    if (rng.next_below(4) < 3) {
+      damage(uri, uris[rng.next_below(uris.size())], rng);
+    } else {  // one host:port spec's port text
+      std::vector<std::string> specs = uri_specs(uri);
+      std::string& spec = specs[rng.next_below(specs.size())];
+      if (!names_a_file(spec)) {
         spec = spec.substr(0, spec.rfind(':') + 1) +
                port_edits[rng.next_below(std::size(port_edits))];
         uri.clear();
         for (const std::string& part : specs) {
           uri += (uri.empty() ? "" : ",") + part;
         }
-        break;
       }
     }
     if (names_a_missing_file(uri)) continue;
@@ -1144,6 +1164,354 @@ TEST_P(BootstrapFuzz, OnlyTypedRefusalsAndExactPorts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BootstrapFuzz,
                          ::testing::Values(0x61, 0x62, 0x63, 0x64, 0x65, 0x66,
                                            0x67, 0x68));
+
+// ---- mutated capability descriptors and topology texts ---------------------
+//
+// An object reference carries its glue entries' capability descriptors to
+// whichever process binds it, and a topology text is handed over by a
+// deployment; every number in either is read by the strict readers
+// (common/parse.hpp).  The corpus is descriptor() and server_descriptor()
+// of every builtin (with non-default scopes where a kind has one),
+// references carrying them in glue entries, and topology texts the tests
+// parse.  Every parameter of every descriptor, and every link spec and
+// campus id of every text, is set to each edge value (empty, 0, a max,
+// max + 1, 2^64, a sign, trailing bytes, nan, inf); then seeded rounds edit
+// one value (a digit, a sign, trailing bytes, an edge), a parameter name
+// or the kind, and damage() encoded references and texts.  Only typed
+// ohpx::Errors escape ObjectRef::from_bytes, instantiate and
+// parse_topology; every chain that instantiates seals and opens payloads
+// of 0-300 bytes back to themselves; every topology that parses has
+// finite, positive bandwidths.
+
+std::vector<cap::CapabilityDescriptor> descriptor_corpus() {
+  const crypto::Key128 key = crypto::Key128::from_seed(0xd35c);
+  const auto verifier = cap::DelegationCapability::make_root(key);
+  const cap::CapabilityPtr builtins[] = {
+      std::make_shared<cap::AuthenticationCapability>(key, "alice",
+                                                      cap::Scope::remote),
+      std::make_shared<cap::EncryptionCapability>(key, cap::Scope::cross_lan),
+      std::make_shared<cap::ChecksumCapability>(cap::Scope::same_lan),
+      std::make_shared<cap::CompressionCapability>(compress::CodecId::rle,
+                                                   cap::Scope::cross_campus),
+      std::make_shared<cap::PaddingCapability>(64, cap::Scope::remote),
+      std::make_shared<cap::QuotaCapability>(9, cap::Scope::cross_lan),
+      std::make_shared<cap::LeaseCapability>(std::chrono::milliseconds(60'000),
+                                             cap::Scope::same_machine),
+      std::make_shared<cap::AuditCapability>(16),
+      std::make_shared<cap::RateLimitCapability>(250.5, 8.0),
+      std::make_shared<cap::FaultCapability>(
+          cap::FaultSpec{.fail_every = 3,
+                         .refuse_ratio = 0.25,
+                         .seed = (std::uint64_t{1} << 63) + 7,
+                         .refuse_at = {2, 5}}),
+      verifier,
+      verifier->attenuate("method<=3")->attenuate("size<=4096"),
+  };
+  std::vector<cap::CapabilityDescriptor> corpus;
+  for (const cap::CapabilityPtr& capability : builtins) {
+    corpus.push_back(capability->descriptor());
+    corpus.push_back(capability->server_descriptor());
+  }
+  return corpus;
+}
+
+/// An encoded reference whose glue entry carries `descriptors`.
+std::string glued_ref_bytes(
+    const std::vector<cap::CapabilityDescriptor>& descriptors) {
+  proto::ProtoTable table;
+  table.add(proto::ProtocolEntry{
+      "glue", proto::encode_glue_proto_data(proto::GlueProtoData{
+                  7, proto::ProtocolEntry{"shm", {}}, descriptors})});
+  table.add(proto::ProtocolEntry{"shm", {}});
+  const Bytes raw =
+      orb::ObjectRef(0xca5e, "Echo", proto::ServerAddress{}, table).to_bytes();
+  return std::string(raw.begin(), raw.end());
+}
+
+std::string describe(const std::vector<cap::CapabilityDescriptor>& chain) {
+  std::string out;
+  for (const cap::CapabilityDescriptor& descriptor : chain) {
+    out += descriptor.kind + "{";
+    for (const auto& [name, value] : descriptor.params) {
+      out += " " + name + "='" + value + "'";
+    }
+    out += " } ";
+  }
+  return out;
+}
+
+/// instantiate_chain() under the fuzz invariants: a typed refusal, or a
+/// chain that seals and opens payloads back to themselves.  Replies, so
+/// that admission (quotas, leases, faults) and delegation tokens, which
+/// apply to requests, leave the payload pass alone.  True if it
+/// instantiated.
+bool chain_checked(const std::vector<cap::CapabilityDescriptor>& descriptors,
+                   Xoshiro256& rng) {
+  std::optional<cap::CapabilityChain> chain;
+  try {
+    chain.emplace(
+        cap::CapabilityRegistry::instance().instantiate_chain(descriptors));
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << describe(descriptors)
+                  << "escaped as an untyped error: " << e.what();
+    return false;
+  }
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1},
+        static_cast<std::size_t>(rng.next_below(301)), std::size_t{300}}) {
+    Bytes body(size);
+    for (auto& byte : body) byte = static_cast<std::uint8_t>(rng.next());
+    cap::CallContext call;
+    call.request_id = rng.next();
+    call.direction = cap::Direction::reply;
+    wire::Buffer payload(body);
+    try {
+      chain->process_outbound(payload, call);
+      chain->process_inbound(payload, call);
+      EXPECT_EQ(payload.bytes(), body)
+          << describe(descriptors) << "did not open what it sealed";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << describe(descriptors) << "failed on " << size
+                    << " bytes: " << e.what();
+    }
+  }
+  return true;
+}
+
+/// A reference's bytes under the fuzz invariants: from_bytes() and each
+/// glue entry's chain refuse typed or instantiate sound.
+void ref_checked(const std::string& raw, Xoshiro256& rng) {
+  try {
+    const orb::ObjectRef ref = orb::ObjectRef::from_bytes(BytesView(
+        reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size()));
+    for (const proto::ProtocolEntry& entry : ref.table().entries()) {
+      if (entry.name != "glue") continue;
+      chain_checked(proto::decode_glue_proto_data(entry.proto_data).capabilities,
+                    rng);
+    }
+  } catch (const Error&) {
+    // a damaged reference, refused typed
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "a damaged reference escaped as an untyped error: "
+                  << e.what();
+  }
+}
+
+const char* const kValueEdges[] = {
+    "",  "0",  "1",  "-1",  "+1",     " 1",  "1 ", "5calls", "0x10", "1e3",
+    "0.5", "nan", "inf", "-inf", "4294967295", "4294967296",  // u32 max, + 1
+    "65536", "65537",  // padding's largest block, + 1
+    "9223372036854775807", "18446744073709551615",  // i64 max, u64 max
+    "18446744073709551616", "99999999999999999999999",  // 2^64, past it
+    "1,x", "1,,2", "remote", "bogus"};
+
+std::string edited_value(std::string value, Xoshiro256& rng) {
+  switch (rng.next_below(4)) {
+    case 0: {  // one digit changed
+      std::vector<std::size_t> digits;
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        if (value[i] >= '0' && value[i] <= '9') digits.push_back(i);
+      }
+      if (digits.empty()) return value + "7";
+      value[digits[rng.next_below(digits.size())]] =
+          static_cast<char>('0' + rng.next_below(10));
+      return value;
+    }
+    case 1:
+      return (rng.next_below(2) == 0 ? "-" : "+") + value;
+    case 2: {
+      const char* tails[] = {"x", " ", ".", ".5", "0", "e9", "\n", "calls"};
+      return value + tails[rng.next_below(std::size(tails))];
+    }
+    default:
+      return kValueEdges[rng.next_below(std::size(kValueEdges))];
+  }
+}
+
+/// Renames one parameter, drops it, or changes the kind.
+void edit_names(cap::CapabilityDescriptor& descriptor, Xoshiro256& rng) {
+  const char* kinds[] = {"quota",       "lease",      "padding",
+                         "audit",       "ratelimit",  "fault",
+                         "checksum",    "compression", "encryption",
+                         "authentication", "delegation", "", "quota2"};
+  if (descriptor.params.empty() || rng.next_below(3) == 0) {
+    descriptor.kind = kinds[rng.next_below(std::size(kinds))];
+    return;
+  }
+  const auto victim = std::next(
+      descriptor.params.begin(),
+      static_cast<std::ptrdiff_t>(rng.next_below(descriptor.params.size())));
+  const std::string value = victim->second;
+  const std::string name = victim->first;
+  descriptor.params.erase(victim);
+  if (rng.next_below(2) == 0) descriptor.params[name + "_"] = value;
+}
+
+class CapabilityDescriptorFuzz
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CapabilityDescriptorFuzz, OnlyTypedRefusalsAndSoundChains) {
+  Xoshiro256 rng(GetParam());
+  const std::vector<cap::CapabilityDescriptor> corpus = descriptor_corpus();
+  for (const cap::CapabilityDescriptor& descriptor : corpus) {
+    ASSERT_TRUE(chain_checked({descriptor}, rng)) << describe({descriptor});
+  }
+
+  std::size_t refused = 0;
+  for (const cap::CapabilityDescriptor& descriptor : corpus) {
+    for (const auto& [name, value] : descriptor.params) {
+      for (const char* edge : kValueEdges) {
+        cap::CapabilityDescriptor edited = descriptor;
+        edited.params[name] = edge;
+        if (!chain_checked({edited}, rng)) ++refused;
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u) << "no edge value reached a refusal";
+
+  for (int round = 0; round < 256; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<cap::CapabilityDescriptor> chain;
+    for (std::uint64_t n = 1 + rng.next_below(3); n > 0; --n) {
+      chain.push_back(corpus[rng.next_below(corpus.size())]);
+    }
+    cap::CapabilityDescriptor& victim = chain[rng.next_below(chain.size())];
+    if (victim.params.empty() || rng.next_below(4) == 0) {
+      edit_names(victim, rng);
+    } else {
+      auto& value = std::next(victim.params.begin(),
+                              static_cast<std::ptrdiff_t>(
+                                  rng.next_below(victim.params.size())))
+                        ->second;
+      value = edited_value(value, rng);
+    }
+    chain_checked(chain, rng);
+  }
+
+  const std::vector<std::string> refs = {
+      glued_ref_bytes(corpus),
+      glued_ref_bytes({corpus[0], corpus[2], corpus[8], corpus[10]}),
+      glued_ref_bytes({corpus[16], corpus[18], corpus[22]})};
+  for (int round = 0; round < 128; ++round) {
+    SCOPED_TRACE("reference round " + std::to_string(round));
+    std::string raw = refs[rng.next_below(refs.size())];
+    damage(raw, refs[rng.next_below(refs.size())], rng);
+    ref_checked(raw, rng);
+  }
+}
+
+const char* const kTopologies[] = {
+    R"(# the paper's figure-4 world
+lan lab atm155 campus=0
+lan annex ethernet100 campus=0
+lan uni ethernet100 campus=1
+machine bigiron lab
+machine ws17 lab
+machine annex1 annex
+machine cluster uni
+wan lab annex atm155
+default_wan t3
+loopback custom:2000:20
+)",
+    "# nothing\n\nlan a # trailing\nmachine m a\n",
+    "lan cluster atm155\nmachine node0 cluster\nmachine node1 cluster\n",
+    "lan wet custom:622:200 campus=3\nlan dry custom:0.5:1500\n"
+    "wan wet dry custom:45:10000\ndefault_wan ethernet10\n"};
+
+const char* const kLinkEdges[] = {
+    "custom:nan:5",      "custom:inf:5",       "custom:-inf:5",
+    "custom:100abc:5",   "custom:1e308:5",     "custom:0:5",
+    "custom:-5:10",      "custom:+5:10",       "custom: 5:10",
+    "custom:5",          "custom:5:",          "custom:5:1e3",
+    "custom:0.000001:0", "custom:1000000000:0", "custom:1000000001:0",
+    "custom:5:9223372036854775807",  "custom:5:18446744073709551616",
+    "campus=7x",         "campus=-1",          "campus=4294967296",
+    "campus=",           "t3"};
+
+/// Byte offset and length of each link spec and campus id in `text`.
+std::vector<std::pair<std::size_t, std::size_t>> number_tokens(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  for (std::size_t begin = 0; begin < text.size();) {
+    begin = text.find_first_not_of(" \t\n", begin);
+    if (begin == std::string::npos) break;
+    const std::size_t end = std::min(text.find_first_of(" \t\n", begin),
+                                     text.size());
+    const std::string token = text.substr(begin, end - begin);
+    if (token.rfind("custom:", 0) == 0 || token.rfind("campus=", 0) == 0 ||
+        token == "t3" || token == "atm155" || token.rfind("ethernet", 0) == 0) {
+      tokens.emplace_back(begin, end - begin);
+    }
+    begin = end;
+  }
+  return tokens;
+}
+
+/// parse_topology() under the fuzz invariants; true if it parsed.
+bool topology_checked(const std::string& text) {
+  std::optional<netsim::ParsedTopology> parsed;
+  try {
+    parsed.emplace(netsim::parse_topology(text));
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "'" << text << "' escaped as an untyped error: "
+                  << e.what();
+    return false;
+  }
+  // Two probe machines on each LAN reach every link: the loopback, each
+  // LAN's own, and each pair's WAN or the default.
+  netsim::Topology& topology = parsed->topology();
+  std::vector<netsim::MachineId> probes;
+  for (const auto& [name, lan] : parsed->lans) {
+    probes.push_back(topology.add_machine(name + "/probe0", lan));
+    probes.push_back(topology.add_machine(name + "/probe1", lan));
+  }
+  for (const netsim::MachineId a : probes) {
+    for (const netsim::MachineId b : probes) {
+      const double bps = topology.link_between(a, b).bandwidth_bps;
+      EXPECT_TRUE(std::isfinite(bps) && bps > 0.0)
+          << "'" << text << "' parsed a bandwidth of " << bps;
+    }
+  }
+  return true;
+}
+
+TEST_P(CapabilityDescriptorFuzz, TopologiesParseSoundOrRefuseTyped) {
+  Xoshiro256 rng(GetParam());
+  const std::vector<std::string> texts(std::begin(kTopologies),
+                                       std::end(kTopologies));
+  std::size_t refused = 0;
+  for (const std::string& text : texts) {
+    ASSERT_TRUE(topology_checked(text)) << text;
+    for (const auto& [at, length] : number_tokens(text)) {
+      for (const char* edge : kLinkEdges) {
+        if (!topology_checked(std::string(text).replace(at, length, edge))) {
+          ++refused;
+        }
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u) << "no edge value reached a refusal";
+
+  for (int round = 0; round < 256; ++round) {
+    std::string text = texts[rng.next_below(texts.size())];
+    const auto tokens = number_tokens(text);
+    if (tokens.empty() || rng.next_below(2) == 0) {
+      damage(text, texts[rng.next_below(texts.size())], rng);
+    } else {
+      const auto& [at, length] = tokens[rng.next_below(tokens.size())];
+      text.replace(at, length, edited_value(text.substr(at, length), rng));
+    }
+    topology_checked(text);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CapabilityDescriptorFuzz,
+                         ::testing::Values(0x71, 0x72, 0x73, 0x74, 0x75, 0x76,
+                                           0x77, 0x78));
 
 }  // namespace
 }  // namespace ohpx

@@ -100,6 +100,17 @@ with the Python standard library only, and each is exercised by
                      load_be / store_be / load_le / store_le.  Shifts by a
                      computed amount (a keystream's `>> (8 * b)`) are out
                      of scope
+  number-parse       no std::sto* (stoi, stoul, stod, ...), strto* (strtol,
+                     strtoull, strtod, ...) or ato* (atoi, atol, atof) call
+                     in src/, tools/ or bench/ outside
+                     src/ohpx/common/parse.cpp.  Every number read from
+                     text goes through parse_number / parse_decimal /
+                     parse_host_port (common/parse.hpp), which take exactly
+                     what the characters say or refuse: those readers skip
+                     blanks, take a sign (stoull("-1") is 2^64-1), stop at
+                     the first bad character ("5calls" is 5), read "nan",
+                     or throw std::invalid_argument.  tests/ and
+                     benchmark/ are out of scope
 
 Usage:
   python3 tools/ohpx_lint.py [--root REPO_ROOT]   # lint the repo, exit 0/1
@@ -268,10 +279,11 @@ class Linter:
             if not any(rel == s or rel.startswith(s + "/") for s in skip):
                 yield path, path.read_text(encoding="utf-8", errors="replace")
 
-    def matches(self, pattern: re.Pattern, skip: tuple[str, ...] = ()):
-        """Yields (path, line, match) for each `pattern` match on a src/
-        line with its comments and literals blanked."""
-        for path, text in self.sources(skip=skip):
+    def matches(self, pattern: re.Pattern, skip: tuple[str, ...] = (),
+                top: str = "src"):
+        """Yields (path, line, match) for each `pattern` match on a line
+        under `top` with its comments and literals blanked."""
+        for path, text in self.sources(top, skip=skip):
             clean = strip_comments_and_strings(text)
             for lineno, line in enumerate(clean.splitlines(), 1):
                 for match in pattern.finditer(line):
@@ -724,13 +736,29 @@ class Linter:
                     "use load_be/store_be/load_le/store_le from "
                     f"{self.ENDIAN_HPP}")
 
+    PARSE_CPP = "src/ohpx/common/parse.cpp"
+    NUMBER_PARSE_RE = re.compile(
+        r"\b(sto(?:i|l|ll|ul|ull|f|d|ld)"
+        r"|strto(?:l|ll|ul|ull|f|d|ld|imax|umax)|ato(?:i|l|ll|f))\s*\(")
+
+    def check_number_parse(self) -> None:
+        for top in ("src", "tools", "bench"):
+            for source, lineno, match in self.matches(
+                    self.NUMBER_PARSE_RE, skip=(self.PARSE_CPP,), top=top):
+                self.report(
+                    source, lineno, "number-parse",
+                    f"{match.group(1)}() reads a number outside "
+                    f"{self.PARSE_CPP} — use parse_number / parse_decimal / "
+                    "parse_host_port, which refuse what the text does not "
+                    "spell exactly")
+
     # -- driver -------------------------------------------------------------
 
     RULES = ("pragma-once", "no-stdio", "no-naked-new", "cmake-lists",
              "cap-pairs", "chain-contract", "span-names", "anomaly-sites",
              "metric-names", "no-test-sleeps", "naked-mutex",
              "lock-across-send", "blocking-socket", "error-consistency",
-             "byte-order")
+             "byte-order", "number-parse")
 
     def lint(self) -> list[str]:
         """Runs every rule; the findings, deduplicated and sorted."""
@@ -1262,6 +1290,35 @@ FIXTURES = [
         "  return (static_cast<std::uint32_t>(p[1]) << 8) | p[0];\n"
         "}\n"
         "}  // namespace ohpx::naming\n"}),
+    # -- number-parse: one seeded reader per scanned directory
+    (["[number-parse]"], {"src/ohpx/netsim/dsl.cpp":
+        "namespace ohpx::netsim {\n"
+        "double mbps(const std::string& text) { return std::stod(text); }\n"
+        "}  // namespace ohpx::netsim\n"}),
+    (["[number-parse]"], {"tools/top.cpp":
+        "int port(const char* arg) { return std::atoi(arg); }\n"}),
+    (["[number-parse]"], {"bench/bench_hold.cpp":
+        "double hold(const char* arg) { return strtod(arg, nullptr); }\n"}),
+    # The strict readers themselves, look-alike names, from_chars, a
+    # mention in a comment or a string, and tests/, which the rule leaves
+    # out.
+    ([], {"src/ohpx/common/parse.cpp":
+              "namespace ohpx {\n"
+              "unsigned long long legacy(const char* s) {\n"
+              "  return std::strtoull(s, nullptr, 10);\n"
+              "}\n"
+              "}  // namespace ohpx\n",
+          "tools/flags.cpp":
+              "// not std::stoi(text): parse_number(text, 1)\n"
+              "void f(unsigned char* p, const char* b, const char* e,\n"
+              "       double& v) {\n"
+              "  store_be(p, 1u);\n"
+              "  std::from_chars(b, e, v);\n"
+              '  const char* doc = "atoi(argv[1])";\n'
+              "  (void)doc;\n"
+              "}\n",
+          "tests/test_flags.cpp":
+              "int f(const char* s) { return std::atoi(s); }\n"}),
     # -- false-positive guards: each must lint clean
     ([], {"src/clean.cpp":
         '#include "clean.hpp"\n'

@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
     };
     // A numeric flag's value is a strict parse_number() in [min, max]; a
     // malformed one is a usage error, like an unknown flag.
-    const auto number = [&](std::int64_t min, std::int64_t max) {
+    const auto number = [&](std::uint64_t min, std::uint64_t max) {
       const char* text = value();
       return text ? parse_number(text, min, max) : std::nullopt;
     };
     const char* v = nullptr;
-    std::optional<std::int64_t> n;
+    std::optional<std::uint64_t> n;
     if (flag == "--host" && (v = value())) {
       opts.host = v;
     } else if (flag == "--port" && (n = number(0, 65535))) {

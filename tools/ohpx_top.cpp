@@ -4,8 +4,9 @@
 // parses the Prometheus text format with no dependencies beyond the
 // socket API, and renders a per-context table — calls/s (from deltas
 // between polls), dispatch p50/p99 — plus the reactor gauges and every
-// registered breaker entry.  Standalone on purpose: it links nothing
-// from ohpx, so it can watch any process that serves the exposition.
+// registered breaker entry.  Standalone on purpose: of ohpx it links only
+// the strict readers of its flags (common/parse.hpp), so it can watch any
+// process that serves the exposition.
 //
 // usage: ohpx_top [HOST:]PORT [--interval SEC] [--once] [--raw]
 #include <arpa/inet.h>
@@ -13,15 +14,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "ohpx/common/parse.hpp"
 
 namespace {
 
@@ -129,7 +132,13 @@ std::vector<Sample> parse_exposition(const std::string& text) {
     } else {
       sample.name = line.substr(0, space);
     }
-    sample.value = std::strtod(line.c_str() + space + 1, nullptr);
+    // Prometheus writes the special values NaN, +Inf and -Inf; from_chars
+    // reads them once the '+' is skipped.
+    const char* value = line.data() + space + 1;
+    const char* last = line.data() + line.size();
+    if (value != last && *value == '+') ++value;
+    const auto [stop, error] = std::from_chars(value, last, sample.value);
+    if (error != std::errc{} || stop != last) continue;
     samples.push_back(std::move(sample));
   }
   return samples;
@@ -242,6 +251,12 @@ void render(const std::vector<Sample>& samples,
   std::fflush(stdout);
 }
 
+int usage(std::FILE* out, int status) {
+  std::fprintf(out, "usage: ohpx_top [HOST:]PORT [--interval SEC] [--once] "
+                    "[--raw]\n");
+  return status;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,25 +269,22 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--interval" && i + 1 < argc) {
-      interval_s = std::strtod(argv[++i], nullptr);
+      const auto seconds = ohpx::parse_decimal(argv[++i], 0.0, 86400.0);
+      if (!seconds) return usage(stderr, 2);
+      interval_s = *seconds;
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--raw") {
       raw = true;
     } else if (arg == "--help") {
-      std::printf("usage: ohpx_top [HOST:]PORT [--interval SEC] [--once] "
-                  "[--raw]\n");
-      return 0;
+      return usage(stdout, 0);
     } else if (!arg.empty() && arg[0] != '-') {
-      const std::size_t colon = arg.find(':');
-      if (colon == std::string::npos) {
-        port = static_cast<std::uint16_t>(std::strtoul(arg.c_str(), nullptr,
-                                                       10));
-      } else {
-        host = arg.substr(0, colon);
-        port = static_cast<std::uint16_t>(
-            std::strtoul(arg.c_str() + colon + 1, nullptr, 10));
-      }
+      // A bare PORT keeps the default host.
+      const auto address = ohpx::parse_host_port(
+          arg.find(':') == std::string::npos ? ":" + arg : arg);
+      if (!address) return usage(stderr, 2);
+      if (!address->host.empty()) host = address->host;
+      port = address->port;
     } else {
       std::fprintf(stderr, "ohpx-top: unknown argument %s\n", arg.c_str());
       return 2;

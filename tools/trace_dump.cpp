@@ -12,13 +12,14 @@
 //   --format chrome   Chrome trace_event JSON (chrome://tracing, Perfetto)
 //   --format text     aligned call trees, one per root span (default)
 //   --out FILE        write to FILE instead of stdout
-//   --calls N         plain calls per phase (default 4)
+//   --calls N         plain calls per phase, 1 to 1,000,000 (default 4)
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "ohpx/common/parse.hpp"
 #include "ohpx/ohpx.hpp"
 #include "ohpx/scenario/echo.hpp"
 
@@ -68,12 +69,14 @@ int main(int argc, char** argv) {
   int calls = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    std::optional<std::uint64_t> number;
     if (arg == "--format" && i + 1 < argc) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--calls" && i + 1 < argc) {
-      calls = std::atoi(argv[++i]);
+    } else if (arg == "--calls" && i + 1 < argc &&
+               (number = parse_number(argv[++i], 1, 1'000'000))) {
+      calls = static_cast<int>(*number);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--format chrome|text] [--out FILE] "
@@ -87,7 +90,6 @@ int main(int argc, char** argv) {
                  format.c_str());
     return 2;
   }
-  if (calls < 1) calls = 1;
 
   trace::TraceSink::global().set_sampling(trace::Sampling::always);
   const int made = run_workload(calls);
