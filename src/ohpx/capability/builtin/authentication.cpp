@@ -84,7 +84,8 @@ CapabilityDescriptor AuthenticationCapability::descriptor() const {
 
 CapabilityPtr AuthenticationCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const crypto::Key128 key = crypto::Key128::from_hex(descriptor.require("key"));
+  const crypto::Key128 key = crypto::Key128::from_bytes(
+      descriptor.hex("key", crypto::Key128::kSize));
   return std::make_shared<AuthenticationCapability>(
       key, descriptor.get_or("principal", "anonymous"),
       descriptor.scope(Scope::cross_lan));

@@ -204,14 +204,15 @@ CapabilityPtr DelegationCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
   const std::string role = descriptor.get_or("role", "bearer");
   if (role == "verifier") {
-    return make_root(crypto::Key128::from_hex(descriptor.require("root_key")));
+    return make_root(crypto::Key128::from_bytes(
+        descriptor.hex("root_key", crypto::Key128::kSize)));
   }
   std::vector<std::string> caveats;
   const std::string joined = descriptor.get_or("caveats", "");
   if (!joined.empty()) {
     for (auto& caveat : split(joined, '\n')) caveats.push_back(std::move(caveat));
   }
-  return make_bearer(std::move(caveats), from_hex(descriptor.require("token")));
+  return make_bearer(std::move(caveats), descriptor.hex("token"));
 }
 
 }  // namespace ohpx::cap

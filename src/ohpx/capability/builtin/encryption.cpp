@@ -25,7 +25,8 @@ CapabilityDescriptor EncryptionCapability::descriptor() const {
 
 CapabilityPtr EncryptionCapability::from_descriptor(
     const CapabilityDescriptor& descriptor) {
-  const crypto::Key128 key = crypto::Key128::from_hex(descriptor.require("key"));
+  const crypto::Key128 key = crypto::Key128::from_bytes(
+      descriptor.hex("key", crypto::Key128::kSize));
   return std::make_shared<EncryptionCapability>(
       key, descriptor.scope(Scope::always));
 }

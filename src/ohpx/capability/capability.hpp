@@ -12,9 +12,10 @@
 // capability to a serializable CapabilityDescriptor (kind + string params)
 // that travels inside object references, and the CapabilityRegistry
 // re-instantiates it on the other side.  A descriptor's parameters are
-// another process's bytes, so a factory reads each number through a typed
-// reader (integer(), decimal(), scope()) that takes exactly what the text
-// says, in the range the capability's arithmetic allows, or refuses it.
+// another process's bytes, so a factory reads each number and each key
+// through a typed reader (integer(), decimal(), scope(), hex()) that takes
+// exactly what the text says, in the range the capability's arithmetic
+// allows, or refuses it.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +84,12 @@ struct CapabilityDescriptor {
 
   /// Reads the `scope` parameter, `fallback` when it is absent.
   Scope scope(Scope fallback) const;
+
+  /// Reads a required parameter of hex digits (a key or a token) as its
+  /// bytes, exactly `size` of them when given.  Refuses as the readers
+  /// above do, but the message withholds the value: it is key material.
+  Bytes hex(const std::string& name,
+            std::optional<std::size_t> size = std::nullopt) const;
 
   /// Throws CapabilityDenied(capability_bad_payload) naming this kind,
   /// parameter `name`, its value and what a value must be (`wanted`).

@@ -20,9 +20,13 @@ std::string Key128::to_hex() const {
 }
 
 Key128 Key128::from_hex(std::string_view hex) {
-  const Bytes raw = ohpx::from_hex(hex);
-  if (raw.size() != 16) {
-    throw WireError(ErrorCode::wire_bad_value, "Key128 hex must be 32 digits");
+  return from_bytes(ohpx::from_hex(hex));
+}
+
+Key128 Key128::from_bytes(BytesView raw) {
+  if (raw.size() != kSize) {
+    throw WireError(ErrorCode::wire_bad_value,
+                    "Key128 must be 16 bytes (32 hex digits)");
   }
   Key128 key;
   std::copy(raw.begin(), raw.end(), key.bytes.begin());

@@ -9,10 +9,14 @@
 #include <string>
 #include <string_view>
 
+#include "ohpx/common/bytes.hpp"
+
 namespace ohpx::crypto {
 
 struct Key128 {
-  std::array<std::uint8_t, 16> bytes{};
+  static constexpr std::size_t kSize = 16;
+
+  std::array<std::uint8_t, kSize> bytes{};
 
   /// Two 64-bit halves, little-endian, used by SipHash and the keystream.
   std::uint64_t lo() const noexcept;
@@ -20,6 +24,10 @@ struct Key128 {
 
   std::string to_hex() const;
   static Key128 from_hex(std::string_view hex);
+
+  /// The key whose bytes are `raw`; throws WireError(wire_bad_value)
+  /// unless it holds exactly kSize of them.
+  static Key128 from_bytes(BytesView raw);
 
   /// Deterministic key derived from a seed (tests, examples).
   static Key128 from_seed(std::uint64_t seed) noexcept;

@@ -119,7 +119,7 @@ inline constexpr const char* kNamingJournalRecords = "naming.journal.records";
 // ---- server dispatch (orb/context.cpp) -------------------------------------
 
 inline constexpr const char* kServerRequests = "server.requests";
-/// Histogram: server-side dispatch latency (decode + route + servant).
+/// Histogram: server-side dispatch latency (route + servant).
 inline constexpr const char* kServerDispatchLatency = "server.dispatch";
 
 // ---- dynamic families ------------------------------------------------------

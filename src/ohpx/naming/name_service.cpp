@@ -9,10 +9,16 @@
 namespace ohpx::naming {
 namespace {
 
-std::shared_ptr<cap::LeaseCapability> make_lease(
-    std::chrono::milliseconds ttl) {
-  if (ttl.count() <= 0) return nullptr;  // permanent registration
-  return std::make_shared<cap::LeaseCapability>(ttl);
+// A TTL as the u64 a peer sends: zero is a permanent registration, and
+// LeaseCapability clamps any other to a year, so no value wraps.
+std::shared_ptr<cap::LeaseCapability> make_lease(std::uint64_t ttl_ms) {
+  if (ttl_ms == 0) return nullptr;  // permanent registration
+  return std::make_shared<cap::LeaseCapability>(ttl_ms);
+}
+
+// A local caller's TTL: a negative one registers permanently, as zero does.
+std::uint64_t ttl_ms_of(std::chrono::milliseconds ttl) {
+  return ttl.count() <= 0 ? 0 : static_cast<std::uint64_t>(ttl.count());
 }
 
 /// The high half of every catch-up sequence one servant mints.
@@ -69,15 +75,13 @@ void NameServiceServant::dispatch(std::uint32_t method_id, wire::Decoder& in,
       auto [name, raw, ttl_ms] =
           orb::unmarshal<std::string, Bytes, std::uint64_t>(in);
       orb::marshal_result(
-          out, bind_replica(name, orb::ObjectRef::from_bytes(raw),
-                            std::chrono::milliseconds(ttl_ms)));
+          out, bind_replica(name, orb::ObjectRef::from_bytes(raw), ttl_ms));
       return;
     }
     case kHeartbeat: {
       auto [name, replica_id, ttl_ms] =
           orb::unmarshal<std::string, std::uint64_t, std::uint64_t>(in);
-      orb::marshal_result(
-          out, heartbeat(name, replica_id, std::chrono::milliseconds(ttl_ms)));
+      orb::marshal_result(out, heartbeat(name, replica_id, ttl_ms));
       return;
     }
     case kUnbindReplica: {
@@ -212,6 +216,12 @@ std::size_t NameServiceServant::size() const {
 std::uint64_t NameServiceServant::bind_replica(const std::string& name,
                                                const orb::ObjectRef& ref,
                                                std::chrono::milliseconds ttl) {
+  return bind_replica(name, ref, ttl_ms_of(ttl));
+}
+
+std::uint64_t NameServiceServant::bind_replica(const std::string& name,
+                                               const orb::ObjectRef& ref,
+                                               std::uint64_t ttl_ms) {
   if (!ref.valid()) {
     throw ObjectError(ErrorCode::bad_object_ref,
                       "cannot bind an invalid reference");
@@ -223,7 +233,7 @@ std::uint64_t NameServiceServant::bind_replica(const std::string& name,
   prune_locked(name, entry);
   const std::uint64_t replica_id = next_replica_id_++;
   entry.replicas.push_back(ReplicaRecord{replica_id, ref.to_bytes(),
-                                         make_lease(ttl)});
+                                         make_lease(ttl_ms)});
   bump_version_locked(name);
   refresh_live_gauge_locked();
   return replica_id;
@@ -232,6 +242,12 @@ std::uint64_t NameServiceServant::bind_replica(const std::string& name,
 bool NameServiceServant::heartbeat(const std::string& name,
                                    std::uint64_t replica_id,
                                    std::chrono::milliseconds ttl) {
+  return heartbeat(name, replica_id, ttl_ms_of(ttl));
+}
+
+bool NameServiceServant::heartbeat(const std::string& name,
+                                   std::uint64_t replica_id,
+                                   std::uint64_t ttl_ms) {
   sync::LockGuard lock(mutex_);
   require_primary_locked("heartbeat");
   heartbeats_->fetch_add(1, std::memory_order_relaxed);
@@ -245,7 +261,7 @@ bool NameServiceServant::heartbeat(const std::string& name,
     // Nor do they change a registration's kind, which no version bump
     // would carry to the journal or a standby: a permanent one renews
     // nothing, and a zero TTL renews nothing.
-    if (record.lease && ttl.count() > 0) record.lease = make_lease(ttl);
+    if (record.lease && ttl_ms > 0) record.lease = make_lease(ttl_ms);
     return true;
   }
   return false;

@@ -202,6 +202,14 @@ class NameServiceServant final : public orb::Servant {
     std::vector<ReplicaRecord> replicas;
   };
 
+  /// bind_replica() and heartbeat() with the TTL as the u64 a peer sends
+  /// (dispatch() calls these): zero is no lease, and a TTL past a year
+  /// leases for a year (LeaseCapability::kLongestMs).
+  std::uint64_t bind_replica(const std::string& name,
+                             const orb::ObjectRef& ref, std::uint64_t ttl_ms);
+  bool heartbeat(const std::string& name, std::uint64_t replica_id,
+                 std::uint64_t ttl_ms);
+
   /// Drops expired replicas of one entry; bumps the version when anything
   /// went.  Returns the number dropped.  const because lease expiry makes
   /// every read path a potential pruner (entries_ et al. are mutable).

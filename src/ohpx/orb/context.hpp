@@ -4,10 +4,13 @@
 // classes), and acts as the client-side home of global pointers (request
 // ids, proto-pool).
 //
-// Server pipeline (per incoming frame):
-//   decode frame → [glue? strip glue id, unprocess through the server copy
-//   of the capability chain, admission checks] → dispatch to servant →
-//   [glue? process the reply back through the chain] → encode reply frame.
+// Server pipeline, split at the frame:
+//   handle_frame: decode frame → dispatch → encode reply frame, for the
+//     bearers that cross a wire (tcp, nexus-tcp, relay);
+//   dispatch: [glue? strip glue id, unprocess through the server copy of
+//     the capability chain, admission checks] → servant → [glue? process
+//     the reply back through the chain] → reply header, which the shm
+//     bearer calls directly with the caller's header and body.
 // Any exception becomes an error reply carrying the ohpx ErrorCode, which
 // the client re-raises as a typed exception.
 #pragma once
@@ -138,14 +141,26 @@ class Context {
   /// Fresh context id for ad-hoc construction (Worlds assign their own).
   static ContextId allocate_id() noexcept;
 
-  /// The complete server pipeline; public so transports acquired outside
-  /// the context (tests, custom listeners) can reuse it.
+  /// The server pipeline after the frame: serves one request given as its
+  /// header and body and returns the reply, whose payload is a pooled
+  /// buffer the caller owns; any failure is an error reply.  The shm
+  /// bearer calls it on the caller's thread, with the caller's buffers.
+  wire::ReplyEnvelope dispatch(const wire::MessageHeader& header,
+                               BytesView body) noexcept;
+
+  /// The complete framed pipeline: decode, dispatch(), encode the reply
+  /// (a frame that does not decode gets an error reply).  Public so
+  /// transports acquired outside the context (tests, custom listeners)
+  /// can reuse it.
   wire::Buffer handle_frame(const wire::Buffer& frame) noexcept;
 
  private:
-  wire::Buffer handle_frame_or_throw(const wire::Buffer& frame);
-  wire::Buffer error_frame(const wire::MessageHeader& request_header,
-                           ErrorCode code, const std::string& message) const;
+  wire::ReplyEnvelope dispatch_or_throw(const wire::MessageHeader& header,
+                                        BytesView body);
+  /// An error reply to `request_header`, counted under server.errors.<code>.
+  wire::ReplyEnvelope error_reply(const wire::MessageHeader& request_header,
+                                  ErrorCode code,
+                                  const std::string& message) const;
 
   ContextId id_;
   netsim::MachineId machine_;

@@ -109,9 +109,9 @@ class ObjectStub {
     }
     wire::Buffer reply =
         core_->invoke_raw(method_id, std::move(payload), ledger);
-    // Returning the decoded reply buffer to the pool closes the recycle
-    // loop opened in frame_roundtrip: steady-state calls reuse the same
-    // handful of warm allocations.
+    // Returning the reply buffer to the pool closes the recycle loop (on
+    // shm it is the server's result buffer): steady-state calls reuse the
+    // same handful of warm allocations.
     if constexpr (std::is_void_v<Ret>) {
       wire::BufferPool::local().release(std::move(reply));
       return;

@@ -5,8 +5,9 @@
 // table, asks each whether it is applicable for the current placement, and
 // invokes the first applicable one the local proto-pool allows (§3.2).
 //
-// The server half (the paper's *proto-class*) is a frame handler the server
-// context binds into the transport layer; see ohpx/orb/context.*.
+// The server half (the paper's *proto-class*) is the pair of handlers the
+// server context binds into the transport layer — frames for the bearers
+// that cross a wire, header and body for shm; see ohpx/orb/context.*.
 #pragma once
 
 #include <memory>
@@ -79,9 +80,10 @@ class Protocol {
 
 using ProtocolPtr = std::unique_ptr<Protocol>;
 
-/// Shared helper for the in-process protocols: frames the request,
+/// Shared helper for the framed in-process protocols: frames the request,
 /// exchanges it with `endpoint` through transport::roundtrip (over `link`
 /// when one is given, as nexus-tcp does), then decode_reply()s the reply.
+/// shm calls transport::dispatch instead and builds no frame.
 ReplyMessage frame_roundtrip(const std::string& endpoint,
                              const wire::MessageHeader& header,
                              const wire::Buffer& payload, CostLedger& ledger,

@@ -1,6 +1,7 @@
 #include "ohpx/protocol/shm.hpp"
 
 #include "ohpx/trace/trace.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx::proto {
 
@@ -12,7 +13,10 @@ ReplyMessage ShmProtocol::invoke(const wire::MessageHeader& header,
                                  const wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.shm");
-  return frame_roundtrip(target.address.endpoint, header, payload, ledger);
+  ReplyMessage reply = transport::dispatch(target.address.endpoint, header,
+                                           payload.view(), ledger);
+  check_reply(reply.header, header.request_id);
+  return reply;
 }
 
 }  // namespace ohpx::proto

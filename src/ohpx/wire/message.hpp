@@ -134,6 +134,11 @@ struct ReplyEnvelope {
   std::size_t frame_size = 0;
 };
 
+/// The size of the frame encode_frame() would build: the fixed header,
+/// the extensions `header` carries and `body_size` bytes of body.
+std::size_t frame_size(const MessageHeader& header,
+                       std::size_t body_size) noexcept;
+
 /// Serializes header + body into one contiguous frame.
 Buffer encode_frame(const MessageHeader& header, BytesView body);
 

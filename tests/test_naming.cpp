@@ -14,6 +14,7 @@
 #include "ohpx/naming/failover.hpp"
 #include "ohpx/naming/name_client.hpp"
 #include "ohpx/naming/name_service.hpp"
+#include "ohpx/resilience/clock.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
@@ -219,6 +220,59 @@ TEST_F(NamingFixture, SweepPurgesExpiredLeases) {
   EXPECT_EQ(service.sweep_expired(), 0u);  // idempotent
   EXPECT_FALSE(service.resolve("s/1").has_value());
   EXPECT_TRUE(service.resolve("s/2").has_value());
+}
+
+// Calls the directory the way a peer's request does: the arguments
+// marshalled, then NameServiceServant::dispatch.
+template <typename Ret, typename... Args>
+Ret call_as_peer(NameServiceServant& service, std::uint32_t method,
+                 const Args&... args) {
+  wire::Buffer request;
+  wire::Encoder enc(request);
+  wire::serialize_all(enc, args...);
+  wire::Decoder in(request.view());
+  wire::Buffer reply;
+  wire::Encoder out(reply);
+  service.dispatch(method, in, out);
+  return wire::decode_value<Ret>(reply.view());
+}
+
+// Permanent replicas of `name`: what the journal keeps of it.
+std::size_t durable_replicas(const NameServiceServant& service,
+                             const std::string& name) {
+  for (const NameSnapshot& snap : service.journal_snapshot()) {
+    if (snap.name == name) return snap.replicas.size();
+  }
+  return 0;
+}
+
+TEST_F(NamingFixture, PeerTtlPastAYearLeasesInsteadOfWrapping) {
+  resilience::ScopedManualClock scoped;
+  auto& service = host_->service();
+  const Bytes raw = make_echo_ref().to_bytes();
+  const std::uint64_t huge[] = {std::uint64_t{1} << 63, ~std::uint64_t{0}};
+  for (const std::uint64_t ttl_ms : huge) {
+    SCOPED_TRACE(ttl_ms);
+    const std::string name = "ttl/" + std::to_string(ttl_ms);
+    call_as_peer<std::uint64_t>(service, NameServiceServant::kBindReplica,
+                                name, raw, ttl_ms);
+    EXPECT_EQ(durable_replicas(service, name), 0u)
+        << "a lease clamped to a year, not a permanent registration";
+    EXPECT_TRUE(service.resolve(name).has_value());
+  }
+  call_as_peer<std::uint64_t>(service, NameServiceServant::kBindReplica,
+                              std::string("ttl/0"), raw, std::uint64_t{0});
+  EXPECT_EQ(durable_replicas(service, "ttl/0"), 1u) << "zero is permanent";
+
+  // A heartbeat renews a one-second lease for a year, not for nothing.
+  const std::uint64_t id = call_as_peer<std::uint64_t>(
+      service, NameServiceServant::kBindReplica, std::string("ttl/hb"), raw,
+      std::uint64_t{1000});
+  EXPECT_TRUE(call_as_peer<bool>(service, NameServiceServant::kHeartbeat,
+                                 std::string("ttl/hb"), id, huge[0]));
+  scoped.clock().advance(std::chrono::seconds(2));
+  EXPECT_TRUE(service.resolve("ttl/hb").has_value());
+  EXPECT_EQ(durable_replicas(service, "ttl/hb"), 0u);
 }
 
 TEST_F(NamingFixture, HeartbeatRenewsAndExpiredRegistrationRefuses) {

@@ -1,10 +1,15 @@
 // Unit tests for the ORB core: object references, the location service,
-// contexts (registration + the server frame pipeline, including hostile
-// frames), reference building, stubs and global pointers.
+// contexts (registration + the server pipeline, framed and direct,
+// including hostile frames), reference building, stubs and global
+// pointers.
 #include <gtest/gtest.h>
 
+#include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/capability/builtin/checksum.hpp"
+#include "ohpx/capability/builtin/encryption.hpp"
 #include "ohpx/capability/builtin/quota.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/context.hpp"
 #include "ohpx/transport/inproc.hpp"
 #include "ohpx/orb/global_pointer.hpp"
@@ -12,8 +17,10 @@
 #include "ohpx/orb/object_ref.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
+#include "ohpx/runtime/migration.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::orb {
 namespace {
@@ -262,6 +269,225 @@ TEST_F(OrbFixture, CorruptGluePayloadRejectedByChain) {
       request_frame(id, 1, payload, wire::kFlagGlueProcessed));
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::capability_bad_payload));
+}
+
+// ---- one server pipeline: dispatch() and handle_frame() ----------------
+
+wire::MessageHeader request_to(ObjectId object_id, std::uint32_t method) {
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = 4321;
+  header.object_id = object_id;
+  header.method_or_code = method;
+  return header;
+}
+
+wire::Buffer echo_args(const std::vector<std::int32_t>& values) {
+  wire::Buffer args;
+  wire::Encoder enc(args);
+  wire::serialize(enc, values);
+  return args;
+}
+
+std::uint64_t server_requests() {
+  return metrics::MetricsRegistry::global().counter(
+      metrics::names::kServerRequests);
+}
+
+// Serves one request through both entry points of the server pipeline:
+// the direct reply and the framed one must carry the same header and the
+// same body bytes, and each entry point counts the request once.
+wire::ReplyEnvelope serve_both_ways(Context& context,
+                                    const wire::MessageHeader& header,
+                                    const wire::Buffer& body) {
+  const std::uint64_t before = server_requests();
+  wire::ReplyEnvelope direct = context.dispatch(header, body.view());
+  EXPECT_EQ(server_requests(), before + 1);
+  const wire::Buffer reply_frame =
+      context.handle_frame(wire::encode_frame(header, body.view()));
+  EXPECT_EQ(server_requests(), before + 2);
+  BytesView framed_body;
+  const wire::MessageHeader framed =
+      wire::decode_frame(reply_frame.view(), framed_body);
+  EXPECT_EQ(direct.header, framed);
+  EXPECT_EQ(direct.payload.bytes(),
+            Bytes(framed_body.begin(), framed_body.end()));
+  return direct;
+}
+
+ErrorCode error_code_of(const wire::ReplyEnvelope& reply) {
+  EXPECT_EQ(reply.header.type, wire::MessageType::error_reply);
+  std::uint32_t code = 0;
+  std::string message;
+  wire::decode_error_body(reply.payload.view(), code, message);
+  EXPECT_EQ(code, reply.header.method_or_code);
+  return static_cast<ErrorCode>(code);
+}
+
+TEST_F(OrbFixture, DispatchAndHandleFrameReplyAlike) {
+  const ObjectId id = context_.activate(std::make_shared<EchoServant>());
+  const std::vector<std::int32_t> values{1, -2, 3};
+
+  wire::MessageHeader header = request_to(id, EchoServant::kEcho);
+  header.flags |= wire::kFlagCorrelation;
+  header.correlation_id = 77;
+  const wire::ReplyEnvelope reply =
+      serve_both_ways(context_, header, echo_args(values));
+  EXPECT_EQ(reply.header.type, wire::MessageType::reply);
+  EXPECT_EQ(reply.header.request_id, 4321u);
+  EXPECT_EQ(reply.header.correlation_id, 77u);
+  EXPECT_EQ(wire::decode_value<std::vector<std::int32_t>>(reply.payload.view()),
+            values);
+
+  wire::MessageHeader oneway = request_to(id, EchoServant::kEcho);
+  oneway.type = wire::MessageType::oneway;
+  const wire::ReplyEnvelope ack =
+      serve_both_ways(context_, oneway, echo_args(values));
+  EXPECT_EQ(ack.header.type, wire::MessageType::reply);
+  EXPECT_TRUE(ack.payload.empty()) << "a oneway ack carries no result";
+}
+
+TEST_F(OrbFixture, DispatchAndHandleFrameRefuseAlike) {
+  const ObjectId id = context_.activate(std::make_shared<EchoServant>());
+  const wire::Buffer no_args;
+
+  EXPECT_EQ(error_code_of(serve_both_ways(
+                context_, request_to(99999, EchoServant::kPing), no_args)),
+            ErrorCode::object_not_found);
+
+  // The servant throws std::runtime_error("echo failed").
+  EXPECT_EQ(error_code_of(serve_both_ways(
+                context_, request_to(id, EchoServant::kFail), no_args)),
+            ErrorCode::remote_application_error);
+
+  // The caller's budget ran out before the request was served.
+  wire::MessageHeader late = request_to(id, EchoServant::kPing);
+  late.flags |= wire::kFlagDeadline;
+  late.deadline_ns = resilience::now_ns();
+  EXPECT_EQ(error_code_of(serve_both_ways(context_, late, no_args)),
+            ErrorCode::deadline_exceeded);
+
+  // A revoked glue binding, and one whose quota is spent.
+  const std::uint32_t revoked =
+      context_.register_glue(id, cap::CapabilityChain{});
+  ASSERT_TRUE(context_.revoke_glue(revoked));
+  const std::uint32_t spent = context_.register_glue(
+      id, cap::CapabilityChain({std::make_shared<cap::QuotaCapability>(0)}));
+  for (const auto& [glue_id, code] :
+       {std::pair{revoked, ErrorCode::capability_unknown},
+        std::pair{spent, ErrorCode::capability_exhausted}}) {
+    wire::MessageHeader glued = request_to(id, EchoServant::kEcho);
+    glued.flags |= wire::kFlagGlueProcessed;
+    wire::Buffer body = echo_args({4, 5});
+    proto::prepend_glue_id(body, glue_id);
+    EXPECT_EQ(error_code_of(serve_both_ways(context_, glued, body)), code);
+  }
+
+  // The object migrated to another context: a stale reference.
+  proto::ServerAddress elsewhere;
+  elsewhere.context_id = context_.id() + 1;
+  location_.publish(id, elsewhere);
+  context_.deactivate(id, /*forget_location=*/false);
+  EXPECT_EQ(error_code_of(serve_both_ways(
+                context_, request_to(id, EchoServant::kPing), no_args)),
+            ErrorCode::stale_reference);
+}
+
+// Pooled buffers one call draws from this thread's pool at steady state
+// (reused + allocated: every acquire), over 1,000 calls.
+template <typename Call>
+std::uint64_t pooled_draws(Call&& call) {
+  for (int i = 0; i < 100; ++i) call();
+  const wire::BufferPool& pool = wire::BufferPool::local();
+  const std::uint64_t before = pool.reused() + pool.allocated();
+  for (int i = 0; i < 1000; ++i) call();
+  return pool.reused() + pool.allocated() - before;
+}
+
+TEST_F(OrbFixture, ShmEchoDrawsTwoPooledBuffersNexusFive) {
+  Context client(Context::allocate_id(), machine_, topology_, location_);
+  const auto servant = std::make_shared<EchoServant>();
+  GlobalPointer<EchoStub> shm(client,
+                              RefBuilder(context_, servant).shm().build());
+  GlobalPointer<EchoStub> nexus(client,
+                                RefBuilder(context_, servant).nexus().build());
+  const std::vector<std::int32_t> values(16, 7);
+
+  // shm: the caller's arguments and the server's result, which comes back
+  // as the reply.  nexus-tcp adds the request frame, the reply frame and
+  // the reply body copied out of it.
+  EXPECT_EQ(pooled_draws([&] { EXPECT_EQ(shm->echo(values), values); }),
+            2000u);
+  EXPECT_EQ(pooled_draws([&] { EXPECT_EQ(nexus->echo(values), values); }),
+            5000u);
+  EXPECT_EQ(shm->last_protocol(), "shm");
+  EXPECT_EQ(nexus->last_protocol(), "nexus-tcp");
+}
+
+// Echoes its argument bytes as they are, so a test picks the exact payload
+// size the capability chain sees.
+class RawEchoServant final : public Servant {
+ public:
+  static constexpr std::string_view kTypeName = "RawEcho";
+  std::string_view type_name() const noexcept override { return kTypeName; }
+  void dispatch(std::uint32_t method_id, wire::Decoder& in,
+                wire::Encoder& out) override {
+    (void)method_id;
+    out.put_raw(in.get_raw(in.remaining()));
+  }
+};
+
+class RawEchoStub : public ObjectStub {
+ public:
+  static constexpr std::string_view kTypeName = RawEchoServant::kTypeName;
+  using ObjectStub::ObjectStub;
+  wire::Buffer echo(wire::Buffer args) {
+    return core().invoke_raw(1, std::move(args), nullptr);
+  }
+};
+
+TEST_F(OrbFixture, GluedShmEchoRoundTripsEveryPayloadSize) {
+  Context client(Context::allocate_id(), machine_, topology_, location_);
+  const crypto::Key128 key = crypto::Key128::from_seed(0x5a11);
+  const auto ref =
+      RefBuilder(context_, std::make_shared<RawEchoServant>())
+          .glue({std::make_shared<cap::AuthenticationCapability>(
+                     key, "shm-test", cap::Scope::always),
+                 std::make_shared<cap::EncryptionCapability>(
+                     key, cap::Scope::always)},
+                "shm")
+          .build();
+  GlobalPointer<RawEchoStub> gp(client, ref);
+  for (const std::size_t size : {0u, 1u, 7u, 8u, 9u, 300000u}) {
+    SCOPED_TRACE(size);
+    Bytes payload(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    const wire::Buffer reply = gp->echo(wire::Buffer(payload));
+    EXPECT_EQ(reply.bytes(), payload);
+  }
+  EXPECT_EQ(gp->last_protocol(),
+            "glue[authentication,encryption]->shm");
+}
+
+TEST_F(OrbFixture, ShmCallAfterMigrationReachesTheNewContext) {
+  Context client(Context::allocate_id(), machine_, topology_, location_);
+  Context new_home(Context::allocate_id(), machine_, topology_, location_);
+  const auto ref =
+      RefBuilder(context_, std::make_shared<EchoServant>()).shm().build();
+  GlobalPointer<EchoStub> gp(client, ref);
+  EXPECT_EQ(gp->ping(), 1u);
+
+  runtime::migrate_shared(ref.object_id(), context_, new_home);
+  ASSERT_TRUE(new_home.hosts(ref.object_id()));
+  ASSERT_FALSE(context_.hosts(ref.object_id()));
+
+  // One request served: the call went to the new home first time, with no
+  // stale-reference refusal from the old one and no retry.
+  const std::uint64_t requests = server_requests();
+  EXPECT_EQ(gp->ping(), 2u);
+  EXPECT_EQ(server_requests(), requests + 1);
 }
 
 // ---- glue binding management ----------------------------------------------------------

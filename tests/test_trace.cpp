@@ -156,6 +156,33 @@ TEST_F(TraceFixture, EveryPipelineStageUnderOneTraceId) {
   EXPECT_EQ(spans_named(snap, "select").front().parent_span, invoke.span_id);
 }
 
+TEST_F(TraceFixture, ShmCallRecordsTheServerUnderTheCallersTraceAndNoFrame) {
+  // A servant on the client's machine: shm carries the call straight to
+  // the server's dispatch, with no frame to encode or decode.
+  orb::Context& local_ctx = world_.create_context(m_client_);
+  auto ref = orb::RefBuilder(local_ctx, std::make_shared<EchoServant>())
+                 .shm()
+                 .build();
+  EchoPointer gp(*client_ctx_, ref);
+  gp->ping();
+  ASSERT_EQ(gp->last_protocol(), "shm");
+
+  const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
+  EXPECT_TRUE(one_trace_id(snap));
+  for (const char* name :
+       {"rmi.invoke", "proto.shm", "server.dispatch", "servant.dispatch"}) {
+    EXPECT_EQ(spans_named(snap, name).size(), 1u) << name;
+  }
+  for (const char* name : {"wire.encode", "wire.decode"}) {
+    EXPECT_TRUE(spans_named(snap, name).empty()) << name;
+  }
+  const auto invoke = spans_named(snap, "rmi.invoke").front();
+  const auto server = spans_named(snap, "server.dispatch").front();
+  EXPECT_EQ(server.parent_span, invoke.span_id);
+  EXPECT_EQ(spans_named(snap, "servant.dispatch").front().parent_span,
+            server.span_id);
+}
+
 TEST_F(TraceFixture, DisabledTracingRecordsNothing) {
   trace::TraceSink::global().set_sampling(trace::Sampling::off);
   EXPECT_FALSE(trace::TraceSink::active());
