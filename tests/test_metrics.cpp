@@ -250,5 +250,38 @@ TEST(OrbInstrumentation, PerContextDispatchSeries) {
             snap.latency_counts.at(latency_key));
 }
 
+// A frame that does not decode never reaches Context::dispatch, but it is
+// a request all the same: every dispatch series counts it once.
+TEST(OrbInstrumentation, UndecodableFrameCountedOnEveryDispatchSeries) {
+  enable_deep_timing();
+  auto& registry = MetricsRegistry::global();
+
+  runtime::World world;
+  const auto lan = world.add_lan("lan");
+  orb::Context& server = world.create_context(world.add_machine("m0", lan));
+  const std::string requests_key =
+      "server.ctx.requests." + std::to_string(server.id());
+  const std::string latency_key =
+      "server.ctx.latency." + std::to_string(server.id());
+  const auto latency_count = [](const MetricsSnapshot& snap,
+                                const std::string& name) -> std::uint64_t {
+    const auto it = snap.latency_counts.find(name);
+    return it == snap.latency_counts.end() ? 0 : it->second;
+  };
+
+  const MetricsSnapshot before = registry.snapshot();
+  const std::uint64_t requests_before = registry.counter("server.requests");
+  const std::uint64_t ctx_requests_before = registry.counter(requests_key);
+  (void)server.handle_frame(wire::Buffer(Bytes(64, 0x77)));
+  const MetricsSnapshot after = registry.snapshot();
+
+  EXPECT_EQ(registry.counter("server.requests"), requests_before + 1);
+  EXPECT_EQ(registry.counter(requests_key), ctx_requests_before + 1);
+  EXPECT_EQ(latency_count(after, latency_key),
+            latency_count(before, latency_key) + 1);
+  EXPECT_EQ(latency_count(after, "server.dispatch"),
+            latency_count(before, "server.dispatch") + 1);
+}
+
 }  // namespace
 }  // namespace ohpx::metrics

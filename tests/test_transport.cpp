@@ -77,6 +77,33 @@ TEST(EndpointRegistryTest, RebindReplacesHandler) {
   registry.unbind(name);
 }
 
+// A fault injector rebinds a context's frame handler alone and restores
+// it later; the shm request handler bound beside it must survive both.
+TEST(EndpointRegistryTest, FrameOnlyRebindKeepsTheRequestHandler) {
+  auto& registry = EndpointRegistry::instance();
+  const std::string name = "test/ep-both";
+  const auto answer = [](std::uint64_t request_id) -> RequestHandler {
+    return [request_id](const wire::MessageHeader&, BytesView) {
+      wire::ReplyEnvelope reply;
+      reply.header.request_id = request_id;
+      return reply;
+    };
+  };
+  registry.bind(name, upper_caser(), answer(1));
+  registry.bind(name, [](const wire::Buffer&) { return make_payload("x"); });
+  EXPECT_EQ(registry.lookup(name)(make_payload("")).bytes(), bytes_of("x"));
+  EXPECT_EQ(registry.lookup_request(name)({}, {}).header.request_id, 1u);
+
+  registry.bind(name, upper_caser(), answer(2));
+  EXPECT_EQ(registry.lookup_request(name)({}, {}).header.request_id, 2u);
+  registry.unbind(name);
+
+  // A name first bound with a frame handler alone takes only frames.
+  registry.bind(name, upper_caser());
+  EXPECT_THROW(registry.lookup_request(name), TransportError);
+  registry.unbind(name);
+}
+
 // ---- in-process roundtrip ----------------------------------------------------------
 
 TEST(InProcChannelTest, RoundTripAndLedger) {

@@ -599,6 +599,23 @@ TEST(Frame, UnknownTypeRejected) {
   EXPECT_THROW(decode_frame(frame.view(), body), WireError);
 }
 
+// frame_size() is what the shm bearer charges the ledger for a frame it
+// never builds: it must be the size encode_frame() builds, under every
+// combination of flags and extensions.
+TEST(Frame, SizeMatchesTheEncodedFrameForEveryFlagCombination) {
+  for (std::uint16_t flags = 0; flags < 16; ++flags) {
+    MessageHeader header = sample_header();
+    header.flags = flags;
+    for (const std::size_t body_size : {0u, 1u, 300u}) {
+      SCOPED_TRACE("flags " + std::to_string(flags) + ", body " +
+                   std::to_string(body_size));
+      const Bytes body(body_size, 0x5a);
+      EXPECT_EQ(frame_size(header, body_size),
+                encode_frame(header, body).size());
+    }
+  }
+}
+
 TEST(Frame, ErrorBodyRoundTrip) {
   Buffer body = encode_error_body(503, "object not found");
   std::uint32_t code = 0;
