@@ -7,8 +7,13 @@
 //               location and re-scans the table (the seed behaviour);
 //   cache on  — the memoized selection revalidated against the location
 //               epoch and pool generation (the default).
-// Reported per arm: sustained calls/sec plus per-call p50/p99 latency
-// sampled with a monotonic clock around each invocation.
+// The arms run in short alternating blocks (off then on, on then off,
+// ...), so a slow stretch of a shared host lands on both arms of a block
+// instead of on one whole arm.  The reported speedup is the median of
+// the per-block ratios (uncached block time over cached block time).
+// Reported per arm: sustained calls/sec over all of its blocks plus
+// per-call p50/p99 latency sampled with a monotonic clock around each
+// invocation, in a second series of alternating blocks.
 //
 // Hand-rolled main (not google-benchmark): the per-call percentiles and
 // the paired on/off speedup need one fixture shared across both arms.
@@ -40,6 +45,8 @@ struct Arm {
   std::uint64_t iterations = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  double seconds = 0.0;           // the unsampled blocks' time
+  std::vector<double> samples{};  // per-call ns of the sampled blocks
 };
 
 double percentile(std::vector<double>& samples, double q) {
@@ -50,45 +57,39 @@ double percentile(std::vector<double>& samples, double q) {
   return samples[rank];
 }
 
-Arm run_arm(scenario::EchoPointer& gp, bool cache_on, std::size_t warmup,
-            std::size_t iterations) {
+// One arm's block: a few untimed calls to settle the caches after the
+// switch, then `calls` timed calls; returns the block's seconds, and adds
+// them to the arm's.  `sampled` times each call on its own instead and
+// records it in the arm's samples.
+double run_block(scenario::EchoPointer& gp, bool cache_on, std::size_t calls,
+                 Arm& arm, bool sampled) {
+  constexpr std::size_t kSettleCalls = 64;
   gp->set_selection_cache(cache_on);
-  for (std::size_t i = 0; i < warmup; ++i) gp->ping();
+  for (std::size_t i = 0; i < kSettleCalls; ++i) gp->ping();
 
   auto& registry = metrics::MetricsRegistry::global();
   const std::uint64_t hits0 = registry.counter("rmi.select.cache_hit");
   const std::uint64_t misses0 = registry.counter("rmi.select.cache_miss");
-
-  // Throughput loop: no per-call clocks, so calls/sec measures the
-  // pipeline alone rather than the sampling overhead.
-  const auto series_start = Clock::now();
-  for (std::size_t i = 0; i < iterations; ++i) gp->ping();
-  const double series_seconds =
-      std::chrono::duration<double>(Clock::now() - series_start).count();
-
-  // Separate sampled loop for the percentiles.
-  std::vector<double> samples;
-  samples.reserve(iterations);
-  for (std::size_t i = 0; i < iterations; ++i) {
-    const auto call_start = Clock::now();
-    gp->ping();
-    samples.push_back(std::chrono::duration<double, std::nano>(
-                          Clock::now() - call_start)
-                          .count());
+  const auto block_start = Clock::now();
+  if (!sampled) {
+    // No per-call clocks: calls/sec measures the pipeline alone rather
+    // than the sampling overhead.
+    for (std::size_t i = 0; i < calls; ++i) gp->ping();
+  } else {
+    for (std::size_t i = 0; i < calls; ++i) {
+      const auto call_start = Clock::now();
+      gp->ping();
+      arm.samples.push_back(std::chrono::duration<double, std::nano>(
+                                Clock::now() - call_start)
+                                .count());
+    }
   }
-
-  Arm arm;
-  arm.name =
-      cache_on ? "invoke_fastpath/cache_on" : "invoke_fastpath/cache_off";
-  arm.iterations = iterations;
-  arm.calls_per_sec =
-      series_seconds > 0.0 ? static_cast<double>(iterations) / series_seconds
-                           : 0.0;
-  arm.p50_ns = percentile(samples, 0.50);
-  arm.p99_ns = percentile(samples, 0.99);
-  arm.cache_hits = registry.counter("rmi.select.cache_hit") - hits0;
-  arm.cache_misses = registry.counter("rmi.select.cache_miss") - misses0;
-  return arm;
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - block_start).count();
+  if (!sampled) arm.seconds += seconds;
+  arm.cache_hits += registry.counter("rmi.select.cache_hit") - hits0;
+  arm.cache_misses += registry.counter("rmi.select.cache_miss") - misses0;
+  return seconds;
 }
 
 int run(int argc, char** argv) {
@@ -100,6 +101,10 @@ int run(int argc, char** argv) {
   }
   const std::size_t warmup = smoke ? 200 : 5000;
   const std::size_t iterations = smoke ? 2000 : 200000;
+  // 5,000 calls a block in the full run: a few milliseconds per arm, so
+  // the two arms of a block see the same host.
+  const std::size_t blocks = smoke ? 4 : 40;
+  const std::size_t block_calls = iterations / blocks;
 
   // Figure 3 shape: authenticated glue preferred (not applicable here —
   // client and server share the machine), shm the winner, nexus fallback.
@@ -121,36 +126,73 @@ int run(int argc, char** argv) {
           .build();
   scenario::EchoPointer gp(client_ctx, ref);
 
-  Arm off = run_arm(gp, /*cache_on=*/false, warmup, iterations);
-  Arm on = run_arm(gp, /*cache_on=*/true, warmup, iterations);
-  const double speedup =
-      off.calls_per_sec > 0.0 ? on.calls_per_sec / off.calls_per_sec : 0.0;
+  // Arm 0 runs with the selection cache off, arm 1 with it on.
+  Arm arms[2] = {Arm{"invoke_fastpath/cache_off"},
+                 Arm{"invoke_fastpath/cache_on"}};
+  for (Arm& arm : arms) arm.samples.reserve(blocks * block_calls);
+  for (bool cache_on : {false, true}) {
+    gp->set_selection_cache(cache_on);
+    for (std::size_t i = 0; i < warmup; ++i) gp->ping();
+  }
+
+  // Two series of alternating blocks, the order flipped every block so
+  // neither arm always runs second: the first times whole blocks for
+  // calls/sec and the per-block ratios, the second times each call for
+  // the percentiles.
+  std::vector<double> ratios;
+  for (bool sampled : {false, true}) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      double seconds[2] = {0.0, 0.0};
+      for (const std::size_t i : {b % 2, 1 - b % 2}) {
+        seconds[i] = run_block(gp, i == 1, block_calls, arms[i], sampled);
+      }
+      if (!sampled && seconds[1] > 0.0) {
+        ratios.push_back(seconds[0] / seconds[1]);
+      }
+    }
+  }
+  for (Arm& arm : arms) {
+    arm.iterations = blocks * block_calls;
+    arm.calls_per_sec = arm.seconds > 0.0
+                            ? static_cast<double>(arm.iterations) / arm.seconds
+                            : 0.0;
+    arm.p50_ns = percentile(arm.samples, 0.50);
+    arm.p99_ns = percentile(arm.samples, 0.99);
+  }
+  const double speedup = percentile(ratios, 0.50);
+  const double ratio_q1 = percentile(ratios, 0.25);
+  const double ratio_q3 = percentile(ratios, 0.75);
 
   std::printf(
       "invoke_fastpath: shm ping, table=[glue(auth), shm, nexus-tcp]%s\n",
       smoke ? " (smoke)" : "");
-  for (const Arm* arm : {&off, &on}) {
+  for (const Arm& arm : arms) {
     std::printf("  %-28s %12.0f calls/s   p50 %8.0f ns   p99 %8.0f ns"
                 "   (hits %llu, misses %llu)\n",
-                arm->name.c_str(), arm->calls_per_sec, arm->p50_ns, arm->p99_ns,
-                static_cast<unsigned long long>(arm->cache_hits),
-                static_cast<unsigned long long>(arm->cache_misses));
+                arm.name.c_str(), arm.calls_per_sec, arm.p50_ns, arm.p99_ns,
+                static_cast<unsigned long long>(arm.cache_hits),
+                static_cast<unsigned long long>(arm.cache_misses));
   }
-  std::printf("  speedup (cached / uncached): %.2fx\n", speedup);
+  std::printf("  speedup (cached / uncached): %.2fx, median of %zu blocks "
+              "of %zu calls (quartiles %.2fx-%.2fx)\n",
+              speedup, ratios.size(), block_calls, ratio_q1, ratio_q3);
 
   std::vector<JsonRecord> records;
-  for (const Arm* arm : {&off, &on}) {
+  for (const Arm& arm : arms) {
     records.push_back(JsonRecord{
-        arm->name,
-        {{"calls_per_sec", arm->calls_per_sec},
-         {"p50_ns", arm->p50_ns},
-         {"p99_ns", arm->p99_ns},
-         {"iterations", static_cast<double>(arm->iterations)},
-         {"cache_hits", static_cast<double>(arm->cache_hits)},
-         {"cache_misses", static_cast<double>(arm->cache_misses)}}});
+        arm.name,
+        {{"calls_per_sec", arm.calls_per_sec},
+         {"p50_ns", arm.p50_ns},
+         {"p99_ns", arm.p99_ns},
+         {"iterations", static_cast<double>(arm.iterations)},
+         {"cache_hits", static_cast<double>(arm.cache_hits)},
+         {"cache_misses", static_cast<double>(arm.cache_misses)}}});
   }
   records.push_back(JsonRecord{"invoke_fastpath/speedup",
-                               {{"cached_over_uncached", speedup}}});
+                               {{"cached_over_uncached", speedup},
+                                {"blocks", static_cast<double>(ratios.size())},
+                                {"block_ratio_q1", ratio_q1},
+                                {"block_ratio_q3", ratio_q3}}});
   if (!write_json_records(json_path, records)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;

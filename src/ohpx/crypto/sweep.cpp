@@ -8,15 +8,28 @@
 namespace ohpx::crypto {
 namespace {
 
+// A stage an instantiation of fused() does not run: nothing to copy,
+// construct or step.
+struct Idle {};
+
+template <bool kRun, typename Stage>
+auto copy_of(const Stage* stage) noexcept {
+  if constexpr (kRun) {
+    return *stage;
+  } else {
+    return Idle{};
+  }
+}
+
 // The fused loop over `words` whole words.  The states run on copies:
 // stepped through references, they would be reloaded after each store to
 // `dst`, which may alias them as far as the compiler knows.  A stage the
-// instantiation does not run is a dummy nothing reads.
+// instantiation does not run may be null and is never touched.
 template <bool kMac, bool kMacFirst, bool kCipher, bool kStore>
 void fused(const std::uint8_t* src, std::uint8_t* dst, std::size_t words,
-           SipHasher& mac_state, StreamCipher& cipher_state) noexcept {
-  SipHasher mac = mac_state;
-  StreamCipher cipher = cipher_state;
+           SipHasher* mac_state, StreamCipher* cipher_state) noexcept {
+  [[maybe_unused]] auto mac = copy_of<kMac>(mac_state);
+  [[maybe_unused]] auto cipher = copy_of<kCipher>(cipher_state);
   for (std::size_t i = 0; i < words * 8; i += 8) {
     std::uint64_t word = load_le<std::uint64_t>(src + i);
     if constexpr (kMac && kMacFirst) mac.absorb_word(word);
@@ -24,8 +37,8 @@ void fused(const std::uint8_t* src, std::uint8_t* dst, std::size_t words,
     if constexpr (kMac && !kMacFirst) mac.absorb_word(word);
     if constexpr (kStore) store_le<std::uint64_t>(dst + i, word);
   }
-  if constexpr (kMac) mac_state = mac;
-  if constexpr (kCipher) cipher_state = cipher;
+  if constexpr (kMac) *mac_state = mac;
+  if constexpr (kCipher) *cipher_state = cipher;
 }
 
 }  // namespace
@@ -42,21 +55,17 @@ void sweep(BytesView src, std::uint8_t* dst,
   if ((mac == nullptr || mac->aligned()) &&
       (cipher == nullptr || cipher->aligned())) {
     const std::size_t words = src.size() / 8;
-    SipHasher no_mac{Key128{}};
-    StreamCipher no_cipher{Key128{}, 0};
-    SipHasher& m = mac ? *mac : no_mac;
-    StreamCipher& c = cipher ? *cipher : no_cipher;
     const std::uint8_t* in = src.data();
     if (mac && cipher && mac_first) {
-      fused<true, true, true, true>(in, dst, words, m, c);
+      fused<true, true, true, true>(in, dst, words, mac, cipher);
     } else if (mac && cipher) {
-      fused<true, false, true, true>(in, dst, words, m, c);
+      fused<true, false, true, true>(in, dst, words, mac, cipher);
     } else if (cipher) {
-      fused<false, false, true, true>(in, dst, words, m, c);
+      fused<false, false, true, true>(in, dst, words, mac, cipher);
     } else if (mac && store) {
-      fused<true, true, false, true>(in, dst, words, m, c);
+      fused<true, true, false, true>(in, dst, words, mac, cipher);
     } else if (mac) {
-      fused<true, true, false, false>(in, dst, words, m, c);
+      fused<true, true, false, false>(in, dst, words, mac, cipher);
     } else if (store && words > 0) {
       std::memcpy(dst, in, words * 8);
     }

@@ -135,6 +135,16 @@ LinkSpec Topology::link_between(MachineId a, MachineId b) const {
   sync::LockGuard lock(mutex_);
   check_machine(a);
   check_machine(b);
+  return link_locked(a, b);
+}
+
+LinkSpec Topology::link_or_wan_t3(MachineId a, MachineId b) const {
+  sync::LockGuard lock(mutex_);
+  if (a >= machines_.size() || b >= machines_.size()) return wan_t3();
+  return link_locked(a, b);
+}
+
+const LinkSpec& Topology::link_locked(MachineId a, MachineId b) const {
   if (a == b) return loopback_;
   const LanId lan_a = machines_[a].lan;
   const LanId lan_b = machines_[b].lan;

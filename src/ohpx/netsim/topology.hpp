@@ -93,6 +93,11 @@ class Topology {
   /// The link a message between `a` and `b` traverses.
   LinkSpec link_between(MachineId a, MachineId b) const;
 
+  /// As link_between(), but a machine this topology does not know (an id
+  /// minted in another process) gets wan_t3() instead of an error: one
+  /// lookup under one lock, for the per-call link of a Placement.
+  LinkSpec link_or_wan_t3(MachineId a, MachineId b) const;
+
   // -- load tracking (for the high-water-mark balancer) --
   void set_load(MachineId m, double load);
   void add_load(MachineId m, double delta);
@@ -103,6 +108,8 @@ class Topology {
  private:
   void check_machine(MachineId m) const;
   void check_lan(LanId lan) const;
+  const LinkSpec& link_locked(MachineId a, MachineId b) const
+      OHPX_REQUIRES(mutex_);
 
   struct Machine {
     std::string name;
@@ -152,8 +159,8 @@ struct Placement {
            topology->same_campus(client_machine, server_machine);
   }
   LinkSpec link() const {
-    if (!resolvable()) return wan_t3();
-    return topology->link_between(client_machine, server_machine);
+    if (topology == nullptr) return wan_t3();
+    return topology->link_or_wan_t3(client_machine, server_machine);
   }
 };
 

@@ -52,10 +52,10 @@ class DispatchTimer {
   std::optional<Stopwatch> watch_;
 };
 
-// Frames a reply for the framed bearers.  Pooled: on the framed
-// in-process paths (nexus-tcp, relay) the client releases the frame back
-// to this thread's pool after decoding, closing the recycle loop; the
-// payload goes back to the pool here.
+// Frames a reply for the framed bearers.  Pooled: on the relay path the
+// client releases the frame back to this thread's pool after decoding,
+// and the TCP listener once the frame is sent, closing the recycle loop;
+// the payload goes back to the pool here.
 wire::Buffer reply_frame(wire::ReplyEnvelope reply) {
   auto& pool = wire::BufferPool::local();
   wire::Buffer frame =
@@ -330,8 +330,9 @@ wire::ReplyEnvelope Context::dispatch_or_throw(
   }
 
   // Zero-copy dispatch: the common path decodes arguments straight out of
-  // the request body (the caller's buffer on the shm path, the request
-  // frame otherwise); a glued one decodes what the chain opened from it.
+  // the request body (the caller's buffer on the shm and nexus-tcp
+  // paths, the request frame otherwise); a glued one decodes what the
+  // chain opened from it.
   BytesView payload_view = body;
   wire::Buffer payload;
 
@@ -383,10 +384,10 @@ wire::ReplyEnvelope Context::dispatch_or_throw(
   }
 
   wire::Decoder in(payload_view);
-  // Pooled: the reply's payload.  The shm client releases it into its
-  // thread's pool after decoding, handle_frame once it is framed, so a
-  // busy server recycles one warm result buffer per thread instead of
-  // allocating per dispatch.
+  // Pooled: the reply's payload.  The shm and nexus-tcp clients release
+  // it into their thread's pool after decoding, handle_frame once it is
+  // framed, so a busy server recycles one warm result buffer per thread
+  // instead of allocating per dispatch.
   wire::Buffer result = wire::BufferPool::local().acquire();
   wire::Encoder out(result);
   {

@@ -6,11 +6,11 @@
 //
 // Server pipeline, split at the frame:
 //   handle_frame: decode frame → dispatch → encode reply frame, for the
-//     bearers that cross a wire (tcp, nexus-tcp, relay);
+//     bearers that carry frames (tcp, relay);
 //   dispatch: [glue? strip glue id, unprocess through the server copy of
 //     the capability chain, admission checks] → servant → [glue? process
-//     the reply back through the chain] → reply header, which the shm
-//     bearer calls directly with the caller's header and body.
+//     the reply back through the chain] → reply header, which the shm and
+//     nexus-tcp bearers call directly with the caller's header and body.
 // Any exception becomes an error reply carrying the ohpx ErrorCode, which
 // the client re-raises as a typed exception.
 #pragma once
@@ -143,8 +143,9 @@ class Context {
 
   /// The server pipeline after the frame: serves one request given as its
   /// header and body and returns the reply, whose payload is a pooled
-  /// buffer the caller owns; any failure is an error reply.  The shm
-  /// bearer calls it on the caller's thread, with the caller's buffers.
+  /// buffer the caller owns; any failure is an error reply.  The shm and
+  /// nexus-tcp bearers call it on the caller's thread, with the caller's
+  /// buffers.
   wire::ReplyEnvelope dispatch(const wire::MessageHeader& header,
                                BytesView body) noexcept;
 

@@ -2,6 +2,7 @@
 
 #include "ohpx/netsim/topology.hpp"
 #include "ohpx/trace/trace.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx::proto {
 
@@ -17,8 +18,10 @@ ReplyMessage NexusSimProtocol::invoke(const wire::MessageHeader& header,
   // The link follows the placement per call, so a migration across LANs
   // changes the modeled time of the very next call.
   const netsim::LinkSpec link = target.placement.link();
-  return frame_roundtrip(target.address.endpoint, header, payload, ledger,
-                         &link);
+  ReplyMessage reply = transport::dispatch(target.address.endpoint, header,
+                                           payload.view(), ledger, &link);
+  check_reply(reply.header, header.request_id);
+  return reply;
 }
 
 }  // namespace ohpx::proto

@@ -1,7 +1,10 @@
-// "Nexus-based TCP" protocol over the simulated network: frames travel
-// through the in-process endpoint registry while the call is charged
-// modeled wire time for the link the topology reports between client and
-// server machines (ATM, Ethernet, WAN...).  This is the deterministic
+// "Nexus-based TCP" protocol over the simulated network: the request
+// header and the caller's payload go to the server context's dispatch
+// (transport::dispatch, as shm does), while the call is charged modeled
+// wire time for the link the topology reports between client and server
+// machines (ATM, Ethernet, WAN...) and is subject to the seeded fault
+// plan.  The wire is a model, so nothing is framed: the time is charged
+// from the sizes the frames would have had.  This is the deterministic
 // stand-in for the paper's Nexus TCP protocol (DESIGN.md §2).
 #pragma once
 

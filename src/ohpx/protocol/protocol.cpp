@@ -1,9 +1,6 @@
 #include "ohpx/protocol/protocol.hpp"
 
 #include "ohpx/common/error.hpp"
-#include "ohpx/trace/trace.hpp"
-#include "ohpx/transport/inproc.hpp"
-#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::proto {
 
@@ -34,50 +31,6 @@ void check_reply(const wire::MessageHeader& header,
     throw ProtocolError(ErrorCode::protocol_unknown,
                         "reply for a different request id");
   }
-}
-
-ReplyMessage frame_roundtrip(const std::string& endpoint,
-                             const wire::MessageHeader& header,
-                             const wire::Buffer& payload, CostLedger& ledger,
-                             const netsim::LinkSpec* link) {
-  auto& pool = wire::BufferPool::local();
-  wire::Buffer request_frame =
-      pool.acquire(wire::kHeaderSize + payload.size());
-  {
-    ScopedRealTime timer(ledger);
-    trace::Span encode_span(trace::SpanKind::encode, "wire.encode");
-    encode_span.annotate_u64("bytes", payload.size());
-    wire::encode_frame_into(request_frame, header, payload.view());
-  }
-  wire::Buffer reply_frame;
-  {
-    // The transport span covers send + server turnaround + receive; on the
-    // in-process path the server's own spans nest inside it time-wise but
-    // parent under the client call via the wire context, not this thread.
-    trace::Span transport_span(trace::SpanKind::transport, "transport");
-    reply_frame = transport::roundtrip(endpoint, request_frame, ledger, link);
-  }
-  pool.release(std::move(request_frame));
-  return decode_reply(std::move(reply_frame), header, ledger);
-}
-
-ReplyMessage decode_reply(wire::Buffer reply_frame,
-                          const wire::MessageHeader& header,
-                          CostLedger& ledger) {
-  ScopedRealTime timer(ledger);
-  trace::Span decode_span(trace::SpanKind::decode, "wire.decode");
-  BytesView body;
-  ReplyMessage reply;
-  reply.header = wire::decode_frame(reply_frame.view(), body);
-  check_reply(reply.header, header.request_id);
-  // Pool the body copy too: the stub releases it after decoding, so the
-  // in-process loop (request frame, reply frame, reply body) runs
-  // allocation-free at steady state.
-  auto& pool = wire::BufferPool::local();
-  reply.payload = pool.acquire(body.size());
-  reply.payload.append(body);
-  pool.release(std::move(reply_frame));
-  return reply;
 }
 
 }  // namespace ohpx::proto

@@ -7,7 +7,8 @@
 //
 // The server half (the paper's *proto-class*) is the pair of handlers the
 // server context binds into the transport layer — frames for the bearers
-// that cross a wire, header and body for shm; see ohpx/orb/context.*.
+// that carry frames (tcp, relay), header and body for shm and nexus-tcp;
+// see ohpx/orb/context.*.
 #pragma once
 
 #include <memory>
@@ -19,10 +20,6 @@
 #include "ohpx/protocol/target.hpp"
 #include "ohpx/wire/buffer.hpp"
 #include "ohpx/wire/message.hpp"
-
-namespace ohpx::netsim {
-struct LinkSpec;
-}
 
 namespace ohpx::proto {
 
@@ -79,22 +76,6 @@ class Protocol {
 };
 
 using ProtocolPtr = std::unique_ptr<Protocol>;
-
-/// Shared helper for the framed in-process protocols: frames the request,
-/// exchanges it with `endpoint` through transport::roundtrip (over `link`
-/// when one is given, as nexus-tcp does), then decode_reply()s the reply.
-/// shm calls transport::dispatch instead and builds no frame.
-ReplyMessage frame_roundtrip(const std::string& endpoint,
-                             const wire::MessageHeader& header,
-                             const wire::Buffer& payload, CostLedger& ledger,
-                             const netsim::LinkSpec* link = nullptr);
-
-/// frame_roundtrip's reply half: decodes `reply_frame`, check_reply()s it
-/// against the request `header`, and copies the body into a pooled
-/// buffer, giving the frame back to the pool.
-ReplyMessage decode_reply(wire::Buffer reply_frame,
-                          const wire::MessageHeader& header,
-                          CostLedger& ledger);
 
 /// The one check of a reply header against the request it answers:
 /// throws ProtocolError(protocol_unknown) for a request-typed frame or a

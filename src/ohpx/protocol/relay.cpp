@@ -7,6 +7,29 @@
 #include "ohpx/wire/encoder.hpp"
 
 namespace ohpx::proto {
+namespace {
+
+// Decodes the reply frame, check_reply()s it against the request `header`
+// and copies the body into a pooled buffer, giving the frame back to the
+// pool: the stub releases the body after decoding, so a relayed call
+// recycles its buffers at steady state.
+ReplyMessage decode_reply(wire::Buffer reply_frame,
+                          const wire::MessageHeader& header,
+                          CostLedger& ledger) {
+  ScopedRealTime timer(ledger);
+  trace::Span decode_span(trace::SpanKind::decode, "wire.decode");
+  BytesView body;
+  ReplyMessage reply;
+  reply.header = wire::decode_frame(reply_frame.view(), body);
+  check_reply(reply.header, header.request_id);
+  auto& pool = wire::BufferPool::local();
+  reply.payload = pool.acquire(body.size());
+  reply.payload.append(body);
+  pool.release(std::move(reply_frame));
+  return reply;
+}
+
+}  // namespace
 
 RelayForwarder::RelayForwarder(std::string gateway_endpoint)
     : endpoint_(std::move(gateway_endpoint)) {
@@ -63,11 +86,19 @@ ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
       payload.size());
   {
     ScopedRealTime timer(ledger);
+    trace::Span encode_span(trace::SpanKind::encode, "wire.encode");
+    encode_span.annotate_u64("bytes", payload.size());
     wire::Encoder(envelope).put_string(target.address.endpoint);
     wire::append_frame(envelope, header, payload.view());
   }
-  wire::Buffer reply_frame =
-      transport::roundtrip(gateway_endpoint_, envelope, ledger);
+  wire::Buffer reply_frame;
+  {
+    // The transport span covers send + gateway hop + server turnaround;
+    // the server's own spans nest inside it time-wise but parent under
+    // the client call via the wire context, not this thread.
+    trace::Span transport_span(trace::SpanKind::transport, "transport");
+    reply_frame = transport::roundtrip(gateway_endpoint_, envelope, ledger);
+  }
   pool.release(std::move(envelope));
   return decode_reply(std::move(reply_frame), header, ledger);
 }

@@ -61,26 +61,17 @@ void check_send_deadline() {
   }
 }
 
-// One delivery to the bound handler: what every framed in-process call
-// does, with or without a link.
-wire::Buffer deliver(const std::string& endpoint, const wire::Buffer& request,
-                     CostLedger& ledger) {
-  check_send_deadline();
-  FrameHandler handler = EndpointRegistry::instance().lookup(endpoint);
-  ledger.add_bytes_sent(request.size());
-  ScopedRealTime timer(ledger);
-  wire::Buffer reply = handler(request);
-  ledger.add_bytes_received(reply.size());
-  return reply;
-}
-
-}  // namespace
-
-wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
-                       CostLedger& ledger, const netsim::LinkSpec* link) {
-  if (link == nullptr) return deliver(endpoint, request, ledger);
-
-  ledger.add_modeled(link->transfer_time(request.size()));
+// The simulated network around dispatch(): the request's modeled wire
+// time, the fault plan's decision, one or two deliveries (each checks the
+// deadline), the reply's modeled wire time.  Time is charged from the
+// sizes the frames would have had, so a call costs what its framed
+// exchange did.
+wire::ReplyEnvelope dispatch_over(const std::string& endpoint,
+                                  const wire::MessageHeader& header,
+                                  BytesView body, CostLedger& ledger,
+                                  const netsim::LinkSpec& link) {
+  ledger.add_modeled(
+      link.transfer_time(wire::frame_size(header, body.size())));
 
   resilience::FaultDecision fault;
   auto& injector = resilience::FaultInjector::instance();
@@ -90,7 +81,7 @@ wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
 
   switch (fault.kind) {
     case resilience::FaultKind::drop:
-      // The frame dies on the simulated wire; the bound handler never runs.
+      // The request dies on the simulated wire; the handler never runs.
       throw TransportError(ErrorCode::transport_io,
                            "fault injection: frame to '" + endpoint +
                                "' dropped");
@@ -102,29 +93,49 @@ wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
       // The network delivered the request twice; the first reply is lost,
       // the second is what the caller sees (server-side counters observe
       // both deliveries).
-      (void)deliver(endpoint, request, ledger);
+      (void)dispatch(endpoint, header, body, ledger);
       break;
     case resilience::FaultKind::none:
     case resilience::FaultKind::corrupt:
       break;
   }
 
-  wire::Buffer reply = deliver(endpoint, request, ledger);
-  ledger.add_modeled(link->transfer_time(reply.size()));
+  wire::ReplyEnvelope reply = dispatch(endpoint, header, body, ledger);
+  ledger.add_modeled(link.transfer_time(reply.frame_size));
 
-  if (fault.kind == resilience::FaultKind::corrupt && reply.size() > 0) {
-    // Flip the last byte of the reply.  For a reply with a body that is a
-    // body byte (a checksum capability catches it); for a bare header it
-    // lands in the CRC field and framing catches it.  Either way the
-    // corruption is *detected*, never silently consumed.
-    reply.data()[reply.size() - 1] ^= 0xff;
+  if (fault.kind == resilience::FaultKind::corrupt) {
+    // The byte a reply frame ends with: the body's last byte, which a
+    // checksum capability catches, or for a bare header its CRC, which
+    // framing catches.  Either way the corruption is *detected*, never
+    // silently consumed.
+    if (reply.payload.empty()) {
+      throw WireError(ErrorCode::wire_bad_checksum,
+                      "frame header CRC mismatch");
+    }
+    reply.payload.data()[reply.payload.size() - 1] ^= 0xff;
   }
+  return reply;
+}
+
+}  // namespace
+
+wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
+                       CostLedger& ledger) {
+  check_send_deadline();
+  FrameHandler handler = EndpointRegistry::instance().lookup(endpoint);
+  ledger.add_bytes_sent(request.size());
+  ScopedRealTime timer(ledger);
+  wire::Buffer reply = handler(request);
+  ledger.add_bytes_received(reply.size());
   return reply;
 }
 
 wire::ReplyEnvelope dispatch(const std::string& endpoint,
                              const wire::MessageHeader& header, BytesView body,
-                             CostLedger& ledger) {
+                             CostLedger& ledger, const netsim::LinkSpec* link) {
+  if (link != nullptr) {
+    return dispatch_over(endpoint, header, body, ledger, *link);
+  }
   check_send_deadline();
   RequestHandler handler =
       EndpointRegistry::instance().lookup_request(endpoint);

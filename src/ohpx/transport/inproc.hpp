@@ -1,11 +1,11 @@
 // In-process transport: a process-wide registry of named endpoints, the
 // one call that exchanges a frame with one, and the one call that hands a
-// request to one with no frame.  roundtrip() is the bearer for the relay
-// protocol and, with a modeled link, for the simulated network protocol
-// (nexus-tcp): frames go to the bound frame handler directly, and a link
-// only adds modeled wire time and the fault plan.  dispatch() is the
-// shared-memory protocol's bearer: the bound request handler serves the
-// caller's header and body on the calling thread, and nothing is framed.
+// request to one with no frame.  dispatch() is the bearer of the
+// shared-memory protocol and, with a modeled link, of the simulated
+// network protocol (nexus-tcp): the bound request handler serves the
+// caller's header and body on the calling thread, nothing is framed, and
+// a link only adds modeled wire time and the fault plan.  roundtrip() is
+// the relay protocol's bearer: frames go to the bound frame handler.
 #pragma once
 
 #include <functional>
@@ -45,11 +45,12 @@ class EndpointRegistry {
   /// Binds `name` to a frame handler and, for a server context, the
   /// request handler beside it.  Rebinding an existing name replaces the
   /// frame handler, and the request handler only when one is given: a
-  /// frame handler alone (a test's fault injector, say) keeps the shm
-  /// service already bound.  shm calls go to the request handler and never
-  /// pass through the frame handler, so a frame handler wrapped this way
-  /// sees only the framed bearers' calls.  A name first bound with no
-  /// request handler takes only frames.
+  /// frame handler alone keeps the request handler already bound.  shm
+  /// and nexus-tcp calls go to the request handler and never pass through
+  /// the frame handler, so a frame handler wrapped this way sees only the
+  /// framed bearers' calls (relay); a fault injector for nexus-tcp wraps
+  /// the request handler.  A name first bound with no request handler
+  /// takes only frames.
   void bind(const std::string& name, FrameHandler handler,
             RequestHandler request = nullptr);
 
@@ -81,14 +82,10 @@ class EndpointRegistry {
 /// Sends `request` to the frame handler bound to `endpoint` and returns its
 /// reply frame.  The handler is looked up per call, so a rebinding
 /// (migration) takes effect on the next call.  The bytes both ways and the
-/// real time of the exchange go on `ledger`.  With a `link`, the call also
-/// crosses the simulated network: the link's modeled time both ways goes
-/// on `ledger`, and the seeded fault plan (resilience/fault_plan.hpp) may
-/// drop, delay, duplicate or corrupt the exchange.  Throws
-/// DeadlineExceeded when the caller's budget is spent before the send.
+/// real time of the exchange go on `ledger`.  Throws DeadlineExceeded when
+/// the caller's budget is spent before the send.
 wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
-                       CostLedger& ledger,
-                       const netsim::LinkSpec* link = nullptr);
+                       CostLedger& ledger);
 
 /// Hands `header` and `body` to the request handler bound to `endpoint`
 /// and returns its reply: no frame is built, checked or copied either
@@ -96,8 +93,20 @@ wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
 /// DeadlineExceeded when the caller's budget is spent before the send;
 /// `ledger` gets the bytes the two frames would have carried and the real
 /// time of the call.
+///
+/// With a `link`, the call crosses the simulated network: the link's
+/// modeled time for those frame sizes goes on `ledger` both ways, and the
+/// seeded fault plan (resilience/fault_plan.hpp) may drop the request
+/// (TransportError), delay it, deliver it twice (the caller sees the
+/// second reply) or corrupt the reply.  With no frame to carry it,
+/// corruption flips the last byte of the reply body, the byte a frame
+/// would have ended with, so a checksum capability catches it; a reply
+/// with no body ends in the header's CRC, so the call fails with
+/// WireError(wire_bad_checksum) as decoding that frame would.  The
+/// deadline is checked before each delivery.
 wire::ReplyEnvelope dispatch(const std::string& endpoint,
                              const wire::MessageHeader& header, BytesView body,
-                             CostLedger& ledger);
+                             CostLedger& ledger,
+                             const netsim::LinkSpec* link = nullptr);
 
 }  // namespace ohpx::transport

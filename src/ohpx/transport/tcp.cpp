@@ -57,6 +57,10 @@ void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
     sendmsg_full(fd, iov, iov_count);
     next += batched;
   }
+  // The frames came from this serving thread's pool (Context::handle_frame
+  // draws each reply frame there); sent, they go back to it.
+  wire::BufferPool& pool = wire::BufferPool::local();
+  for (wire::Buffer& reply : replies) pool.release(std::move(reply));
   replies.clear();
 }
 

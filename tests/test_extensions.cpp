@@ -21,6 +21,7 @@
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx {
 namespace {
@@ -412,8 +413,10 @@ TEST_F(ExtensionFixture, CustomProtocolParticipatesInSelection) {
                                const wire::Buffer& payload,
                                const proto::CallTarget& target,
                                CostLedger& ledger) override {
-      return proto::frame_roundtrip(target.address.endpoint, header, payload,
-                                    ledger);
+      proto::ReplyMessage reply = transport::dispatch(
+          target.address.endpoint, header, payload.view(), ledger);
+      proto::check_reply(reply.header, header.request_id);
+      return reply;
     }
   };
   proto::ProtocolRegistry::instance().register_factory(

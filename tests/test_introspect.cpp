@@ -9,13 +9,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ohpx/common/exposition_text.hpp"
 #include "ohpx/introspect/exposition.hpp"
 #include "ohpx/introspect/flight_recorder.hpp"
 #include "ohpx/introspect/http_exporter.hpp"
@@ -167,6 +171,104 @@ TEST(Exposition, BreakerStatesRenderWithLabels) {
   stub.set_breaker_config(resilience::BreakerConfig{});
   EXPECT_EQ(render_exposition().find("ohpx_breaker_state{set=\"" + label),
             std::string::npos);
+}
+
+// ---- reading the exposition back -------------------------------------------
+
+// The value a writer line ends with, read on its own: the writer puts no
+// timestamp after it.
+double trailing_value(const std::string& line) {
+  const std::string token = line.substr(line.rfind(' ') + 1);
+  double value = 0.0;
+  const auto [stop, error] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  EXPECT_TRUE(error == std::errc{} && stop == token.data() + token.size())
+      << line;
+  return value;
+}
+
+bool same_value(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+TEST(ExpositionReader, EveryWrittenLineReadsAsItsOwnValue) {
+  // A breaker set, so the payload holds labelled gauges too.
+  runtime::World world;
+  const auto lan = world.add_lan("lan");
+  orb::Context& client = world.create_context(world.add_machine("c", lan));
+  orb::Context& server = world.create_context(world.add_machine("s", lan));
+  EchoStub stub(client,
+                orb::RefBuilder(server, std::make_shared<EchoServant>())
+                    .build());
+  resilience::BreakerConfig config;
+  config.failure_threshold = 3;
+  stub.set_breaker_config(config);
+  stub.ping();
+
+  metrics::MetricsRegistry registry;
+  registry.increment(metrics::names::kRmiCalls, 7);
+  registry.increment(metrics::names::protocol_calls("nexus-tcp"), 5);
+  registry.record_latency(metrics::names::context_latency(3),
+                          std::chrono::microseconds(10));
+  const std::string text = render_registry_families(registry.snapshot()) +
+                           render_exposition();
+
+  std::size_t lines = 0;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(start, end - start);
+    start = end + 1;
+    if (line.empty() || line[0] == '#') {
+      EXPECT_FALSE(parse_exposition_line(line).has_value()) << line;
+      continue;
+    }
+    ++lines;
+    const double expected = trailing_value(line);
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    for (const std::string& form :
+         {line, line + " 1712345678901", line + " -5"}) {
+      const auto sample = parse_exposition_line(form);
+      ASSERT_TRUE(sample.has_value()) << form;
+      EXPECT_EQ(sample->name, name) << form;
+      EXPECT_TRUE(same_value(sample->value, expected))
+          << form << " read as " << sample->value;
+    }
+  }
+  EXPECT_GT(lines, 20u);
+  EXPECT_EQ(parse_exposition(text).size(), lines);
+  stub.set_breaker_config(resilience::BreakerConfig{});
+}
+
+TEST(ExpositionReader, SpecialValuesTimestampsAndQuotedLabels) {
+  const auto value_of = [](std::string_view line) {
+    const auto sample = parse_exposition_line(line);
+    EXPECT_TRUE(sample.has_value()) << line;
+    return sample ? sample->value : 0.0;
+  };
+  EXPECT_EQ(value_of("up +Inf"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(value_of("up -Inf 17"), -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(value_of("up NaN")));
+  EXPECT_TRUE(std::isnan(value_of("up{q=\"0.5\"} NaN 1712345678901")));
+  EXPECT_EQ(value_of("up 1.5e3 1712345678901"), 1500.0);
+  EXPECT_EQ(value_of("up\t2\r"), 2.0);
+
+  // A label value may hold blanks, commas, braces and escapes.
+  const auto sample = parse_exposition_line(
+      "ohpx_breaker_state{set=\"a b}, c\",entry=\"q\\\"\\\\\\n\",} 1 99");
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->name, "ohpx_breaker_state");
+  EXPECT_EQ(sample->labels.at("set"), "a b}, c");
+  EXPECT_EQ(sample->labels.at("entry"), "q\"\\\n");
+  EXPECT_EQ(sample->value, 1.0);
+
+  for (const char* bad :
+       {"", "# TYPE up gauge", "up", "up ", "up x", "up ++Inf", "up 1 2 3",
+        "up 1 1.5", "up 1 ts", "up{a=\"b\" 1", "up{a=b} 1", "{a=\"b\"} 1",
+        "up {a=\"b\"} 1"}) {
+    EXPECT_FALSE(parse_exposition_line(bad).has_value()) << bad;
+  }
 }
 
 // ---- HTTP exporter ---------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "ohpx/runtime/migration.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/trace/trace.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::orb {
@@ -404,7 +405,7 @@ std::uint64_t pooled_draws(Call&& call) {
   return pool.reused() + pool.allocated() - before;
 }
 
-TEST_F(OrbFixture, ShmEchoDrawsTwoPooledBuffersNexusFive) {
+TEST_F(OrbFixture, ShmAndNexusEchoesDrawTwoPooledBuffers) {
   Context client(Context::allocate_id(), machine_, topology_, location_);
   const auto servant = std::make_shared<EchoServant>();
   GlobalPointer<EchoStub> shm(client,
@@ -413,15 +414,97 @@ TEST_F(OrbFixture, ShmEchoDrawsTwoPooledBuffersNexusFive) {
                                 RefBuilder(context_, servant).nexus().build());
   const std::vector<std::int32_t> values(16, 7);
 
-  // shm: the caller's arguments and the server's result, which comes back
-  // as the reply.  nexus-tcp adds the request frame, the reply frame and
-  // the reply body copied out of it.
+  // Each: the caller's arguments and the server's result, which comes
+  // back as the reply.  nexus-tcp's wire is a model, so it adds no frame.
   EXPECT_EQ(pooled_draws([&] { EXPECT_EQ(shm->echo(values), values); }),
             2000u);
   EXPECT_EQ(pooled_draws([&] { EXPECT_EQ(nexus->echo(values), values); }),
-            5000u);
+            2000u);
   EXPECT_EQ(shm->last_protocol(), "shm");
   EXPECT_EQ(nexus->last_protocol(), "nexus-tcp");
+}
+
+// EchoStub with the call layer's cost ledger in reach for a oneway call.
+class CostedEchoStub : public EchoStub {
+ public:
+  using EchoStub::EchoStub;
+  void ping_oneway(CostLedger& ledger) {
+    core().invoke_oneway(EchoServant::kPing, wire::Buffer(), &ledger);
+  }
+};
+
+TEST_F(OrbFixture, NexusLedgerChargesTheFramesItNoLongerBuilds) {
+  Context client(Context::allocate_id(), machine_, topology_, location_);
+  const auto servant = std::make_shared<EchoServant>();
+  GlobalPointer<CostedEchoStub> plain(
+      client, RefBuilder(context_, servant).nexus().build());
+  GlobalPointer<CostedEchoStub> glued(
+      client,
+      RefBuilder(context_, servant)
+          .glue({std::make_shared<cap::ChecksumCapability>()}, "nexus-tcp")
+          .build());
+
+  // Watch what crosses the modeled wire: the request's header and body
+  // and the reply, and the frames the framed exchange encoded for them.
+  auto& registry = transport::EndpointRegistry::instance();
+  const std::string& endpoint = context_.endpoint_name();
+  const transport::RequestHandler serve = registry.lookup_request(endpoint);
+  std::size_t request_frame = 0;
+  std::size_t reply_frame = 0;
+  std::uint16_t request_flags = 0;
+  registry.bind(endpoint, registry.lookup(endpoint),
+                [&](const wire::MessageHeader& header, BytesView body) {
+                  wire::ReplyEnvelope reply = serve(header, body);
+                  request_frame = wire::encode_frame(header, body).size();
+                  reply_frame = wire::encode_frame(reply.header,
+                                                   reply.payload.view())
+                                    .size();
+                  request_flags = header.flags;
+                  return reply;
+                });
+
+  const netsim::LinkSpec link = topology_.link_between(machine_, machine_);
+  const auto expect_framed_charge = [&](const CostLedger& ledger,
+                                        const char* call) {
+    EXPECT_EQ(ledger.bytes_sent(), request_frame) << call;
+    EXPECT_EQ(ledger.bytes_received(), reply_frame) << call;
+    EXPECT_EQ(ledger.modeled(), link.transfer_time(request_frame) +
+                                    link.transfer_time(reply_frame))
+        << call;
+  };
+
+  CostLedger ping;
+  EXPECT_EQ(plain->call_with_cost<std::uint64_t>(&ping, EchoServant::kPing),
+            1u);
+  EXPECT_EQ(plain->last_protocol(), "nexus-tcp");
+  EXPECT_EQ(reply_frame, wire::kHeaderSize + 8u) << "the u64 ping count";
+  expect_framed_charge(ping, "ping");
+
+  CostLedger echo;
+  const std::vector<std::int32_t> values(16, 7);
+  EXPECT_EQ(plain->echo_with_cost(echo, values), values);
+  expect_framed_charge(echo, "echo");
+
+  CostLedger oneway;
+  plain->ping_oneway(oneway);
+  EXPECT_EQ(reply_frame, wire::kHeaderSize) << "the ack has no body";
+  expect_framed_charge(oneway, "oneway");
+
+  // Glued, traced and under a deadline: the header carries both
+  // extensions, and the body the sealed arguments behind the glue id.
+  trace::TraceSink::global().set_sampling(trace::Sampling::always);
+  glued->set_deadline_budget(std::chrono::seconds(5));
+  CostLedger glued_echo;
+  EXPECT_EQ(glued->echo_with_cost(glued_echo, values), values);
+  trace::TraceSink::global().set_sampling(trace::Sampling::off);
+  trace::TraceSink::global().clear();
+  EXPECT_EQ(glued->last_protocol(), "glue[checksum]->nexus-tcp");
+  const std::uint16_t carried = wire::kFlagGlueProcessed |
+                                wire::kFlagTraceContext | wire::kFlagDeadline;
+  EXPECT_EQ(request_flags & carried, carried);
+  expect_framed_charge(glued_echo, "glued echo");
+
+  registry.bind(endpoint, registry.lookup(endpoint), serve);
 }
 
 // Echoes its argument bytes as they are, so a test picks the exact payload

@@ -304,19 +304,22 @@ class ResilienceFixture : public ::testing::Test {
     return metrics::MetricsRegistry::global().counter(name);
   }
 
-  /// Replaces the server's in-proc endpoint handler; returns the original
-  /// so tests can restore it (or wrap it).
-  transport::FrameHandler sabotage_endpoint(transport::FrameHandler handler) {
+  /// Replaces the server's in-proc request handler, the one nexus-tcp
+  /// hands each call to, and keeps its frame handler; returns the
+  /// original so tests can restore it (or wrap it).
+  transport::RequestHandler sabotage_endpoint(
+      transport::RequestHandler handler) {
     auto& registry = transport::EndpointRegistry::instance();
-    const transport::FrameHandler original =
-        registry.lookup(server_ctx_->endpoint_name());
-    registry.bind(server_ctx_->endpoint_name(), std::move(handler));
+    const std::string& name = server_ctx_->endpoint_name();
+    const transport::RequestHandler original = registry.lookup_request(name);
+    registry.bind(name, registry.lookup(name), std::move(handler));
     return original;
   }
 
-  void restore_endpoint(const transport::FrameHandler& original) {
-    transport::EndpointRegistry::instance().bind(server_ctx_->endpoint_name(),
-                                                 original);
+  void restore_endpoint(const transport::RequestHandler& original) {
+    auto& registry = transport::EndpointRegistry::instance();
+    const std::string& name = server_ctx_->endpoint_name();
+    registry.bind(name, registry.lookup(name), original);
   }
 
   runtime::World world_;
@@ -336,7 +339,7 @@ TEST_F(ResilienceFixture, DeadlineStopsTheRetryLoop) {
   // first retry finds the 1ms budget spent and gives up with
   // deadline_exceeded instead of retrying forever.
   const auto original = sabotage_endpoint(
-      [&scoped](const wire::Buffer&) -> wire::Buffer {
+      [&scoped](const wire::MessageHeader&, BytesView) -> wire::ReplyEnvelope {
         scoped.clock().advance(2ms);
         throw TransportError(ErrorCode::transport_closed, "injected outage");
       });
@@ -361,15 +364,16 @@ TEST_F(ResilienceFixture, ExpiredWireDeadlineRefusesServerDispatch) {
   EchoPointer gp(*client_ctx_, make_echo_ref());
   gp->set_deadline_budget(1ms);
 
-  // The frame arrives "late": virtual time jumps past the carried deadline
-  // before the server pipeline runs, so dispatch is refused server-side
-  // and the error reply carries deadline_exceeded back.
-  const transport::FrameHandler original =
-      transport::EndpointRegistry::instance().lookup(
+  // The request arrives "late": virtual time jumps past the carried
+  // deadline before the server pipeline runs, so dispatch is refused
+  // server-side and the error reply carries deadline_exceeded back.
+  const transport::RequestHandler original =
+      transport::EndpointRegistry::instance().lookup_request(
           server_ctx_->endpoint_name());
-  sabotage_endpoint([&scoped, original](const wire::Buffer& frame) {
+  sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
+                                        BytesView body) {
     scoped.clock().advance(2ms);
-    return original(frame);
+    return original(header, body);
   });
 
   try {
@@ -447,7 +451,7 @@ TEST_F(ResilienceFixture, BreakerOpensAndSelectionFailsOverToTcp) {
   gp->set_breaker_config(config);
 
   const auto original = sabotage_endpoint(
-      [](const wire::Buffer&) -> wire::Buffer {
+      [](const wire::MessageHeader&, BytesView) -> wire::ReplyEnvelope {
         throw TransportError(ErrorCode::transport_closed, "nexus is down");
       });
 
@@ -494,7 +498,7 @@ TEST_P(BreakerRecovery, BreakerRecoversAfterCooldownProbe) {
   gp->set_breaker_config(config);
 
   const auto original = sabotage_endpoint(
-      [](const wire::Buffer&) -> wire::Buffer {
+      [](const wire::MessageHeader&, BytesView) -> wire::ReplyEnvelope {
         throw TransportError(ErrorCode::transport_closed, "nexus is down");
       });
 
@@ -565,6 +569,38 @@ TEST_F(ResilienceFixture, CorruptedReplyIsCaughtByChecksumAndRetried) {
   EXPECT_EQ(counter("rmi.retries"), retries_before + 1);
 }
 
+TEST_F(ResilienceFixture, CorruptedEmptyReplyFailsItsChecksumAndIsRetried) {
+  EchoPointer gp(*client_ctx_, make_echo_ref());
+  EXPECT_EQ(gp->ping(), 1u);  // warm the selection cache
+
+  resilience::ScopedFaultPlan plan;
+  resilience::FaultSchedule schedule;
+  schedule.scripted = {{0, resilience::FaultKind::corrupt}};
+  plan.add(server_ctx_->endpoint_name(), schedule);
+
+  // A oneway ack has no body: the corrupted byte is the one its frame
+  // would have ended with, the header CRC, so the attempt fails with
+  // wire_bad_checksum as decoding that frame would, and is retried.
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
+  const std::uint64_t retries_before = counter("rmi.retries");
+  gp->call_oneway(EchoServant::kPing);
+  EXPECT_EQ(counter("rmi.retries"), retries_before + 1);
+  std::vector<ErrorCode> retried;
+  for (const auto& record : recorder.snapshot()) {
+    if (record.kind == introspect::EventKind::retry) {
+      retried.push_back(static_cast<ErrorCode>(record.code));
+    }
+  }
+  EXPECT_EQ(retried, std::vector<ErrorCode>{ErrorCode::wire_bad_checksum});
+  EXPECT_EQ(servant_->pings(), 3u)
+      << "the warm-up ping, then the oneway delivered on both attempts";
+  EXPECT_EQ(resilience::FaultInjector::instance().call_count(
+                server_ctx_->endpoint_name()),
+            2u);
+  recorder.clear();
+}
+
 TEST_F(ResilienceFixture, DeadlineSpentInsideTheProtocolIsRecordedOnce) {
   resilience::ScopedManualClock scoped;
   servant_ = std::make_shared<EchoServant>();
@@ -576,11 +612,12 @@ TEST_F(ResilienceFixture, DeadlineSpentInsideTheProtocolIsRecordedOnce) {
 
   // The server answers in time, but the reply arrives late: the client's
   // reply chain finds the budget spent inside the protocol.
-  const transport::FrameHandler original =
-      transport::EndpointRegistry::instance().lookup(
+  const transport::RequestHandler original =
+      transport::EndpointRegistry::instance().lookup_request(
           server_ctx_->endpoint_name());
-  sabotage_endpoint([&scoped, original](const wire::Buffer& frame) {
-    wire::Buffer reply = original(frame);
+  sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
+                                        BytesView body) {
+    wire::ReplyEnvelope reply = original(header, body);
     scoped.clock().advance(2ms);
     return reply;
   });

@@ -130,16 +130,23 @@ class TraceFixture : public ::testing::Test {
 };
 
 TEST_F(TraceFixture, EveryPipelineStageUnderOneTraceId) {
+  // Relay carries frames, so its call records every stage: encode, the
+  // transport leg, the server, decode.
+  proto::RelayForwarder gateway("gw/stages");
   auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
-                 .nexus()
+                 .custom(proto::ProtocolEntry{
+                     "relay",
+                     proto::RelayProtocol::make_proto_data("gw/stages")})
                  .build();
+  client_ctx_->pool().enable("relay");
   EchoPointer gp(*client_ctx_, ref);
   gp->ping();
+  ASSERT_EQ(gp->last_protocol(), "relay[gw/stages]");
 
   const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
   EXPECT_TRUE(one_trace_id(snap));
   for (const char* name : {"rmi.invoke", "select", "wire.encode",
-                           "wire.decode", "transport", "proto.nexus",
+                           "wire.decode", "transport", "proto.relay",
                            "server.dispatch", "servant.dispatch"}) {
     EXPECT_EQ(spans_named(snap, name).size(), 1u) << name;
   }
@@ -154,6 +161,32 @@ TEST_F(TraceFixture, EveryPipelineStageUnderOneTraceId) {
   EXPECT_EQ(server.parent_span, invoke.span_id);
   EXPECT_EQ(servant.parent_span, server.span_id);
   EXPECT_EQ(spans_named(snap, "select").front().parent_span, invoke.span_id);
+}
+
+TEST_F(TraceFixture, NexusCallRecordsTheServerUnderTheCallersTraceAndNoFrame) {
+  // nexus-tcp's wire is a model: the call goes straight to the server's
+  // dispatch, as shm's does, with no frame to encode, carry or decode.
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .nexus()
+                 .build();
+  EchoPointer gp(*client_ctx_, ref);
+  gp->ping();
+  ASSERT_EQ(gp->last_protocol(), "nexus-tcp");
+
+  const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
+  EXPECT_TRUE(one_trace_id(snap));
+  for (const char* name : {"rmi.invoke", "proto.nexus", "server.dispatch",
+                           "servant.dispatch"}) {
+    EXPECT_EQ(spans_named(snap, name).size(), 1u) << name;
+  }
+  for (const char* name : {"wire.encode", "transport", "wire.decode"}) {
+    EXPECT_TRUE(spans_named(snap, name).empty()) << name;
+  }
+  const auto invoke = spans_named(snap, "rmi.invoke").front();
+  const auto server = spans_named(snap, "server.dispatch").front();
+  EXPECT_EQ(server.parent_span, invoke.span_id);
+  EXPECT_EQ(spans_named(snap, "servant.dispatch").front().parent_span,
+            server.span_id);
 }
 
 TEST_F(TraceFixture, ShmCallRecordsTheServerUnderTheCallersTraceAndNoFrame) {
@@ -231,23 +264,26 @@ TEST_F(TraceFixture, TransportRetryKeepsTheTraceId) {
   // Make the server endpoint fail exactly once: the cached selection hits
   // a TransportError, CallCore drops the cache entry and retries — all
   // inside the same rmi.invoke span, so the trace shows both attempts.
+  // nexus-tcp hands each call to the endpoint's request handler, so that
+  // is the one wrapped; the frame handler stays bound.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string endpoint = server_ctx_->endpoint_name();
-  const transport::FrameHandler original = registry.lookup(endpoint);
+  const transport::RequestHandler original = registry.lookup_request(endpoint);
   auto failed_once = std::make_shared<bool>(false);
-  registry.bind(endpoint,
-                [original, failed_once](const wire::Buffer& frame) {
+  registry.bind(endpoint, registry.lookup(endpoint),
+                [original, failed_once](const wire::MessageHeader& header,
+                                        BytesView body) {
                   if (!*failed_once) {
                     *failed_once = true;
                     throw TransportError(ErrorCode::transport_closed,
                                          "injected endpoint failure");
                   }
-                  return original(frame);
+                  return original(header, body);
                 });
 
   trace::TraceSink::global().clear();
   EXPECT_EQ(gp->ping(), 2u);
-  registry.bind(endpoint, original);
+  registry.bind(endpoint, registry.lookup(endpoint), original);
 
   const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
   EXPECT_TRUE(one_trace_id(snap));

@@ -15,12 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/netsim/topology.hpp"
+#include "ohpx/resilience/fault_plan.hpp"
 #include "ohpx/sync/mutex.hpp"
 #include "ohpx/transport/http.hpp"
 #include "ohpx/transport/inproc.hpp"
@@ -138,20 +140,86 @@ TEST(InProcChannelTest, ResolvesPerCall) {
 
 // ---- over a modeled link -------------------------------------------------------------
 
+// A request handler that answers with the request's body upper-cased, or
+// with `reply_body` when one is given.
+RequestHandler upper_casing_server(std::optional<std::string> reply_body =
+                                       std::nullopt) {
+  return [reply_body](const wire::MessageHeader& header, BytesView body) {
+    wire::ReplyEnvelope reply;
+    reply.header.type = wire::MessageType::reply;
+    reply.header.request_id = header.request_id;
+    reply.payload = reply_body ? make_payload(*reply_body)
+                               : wire::Buffer(body.data(), body.size());
+    for (auto& b : reply.payload.mutable_view()) {
+      if (b >= 'a' && b <= 'z') b = static_cast<std::uint8_t>(b - 'a' + 'A');
+    }
+    return reply;
+  };
+}
+
 TEST(SimChannelTest, ChargesModeledTimeBothWays) {
   auto& registry = EndpointRegistry::instance();
-  registry.bind("test/sim", upper_caser());
+  registry.bind("test/sim", upper_caser(), upper_casing_server());
 
   const netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};  // 1 MB/s, 1 us
+  const wire::Buffer body = make_payload(std::string(1000, 'a'));
+  wire::MessageHeader header;
+  header.request_id = 7;
   CostLedger ledger;
-  transport::roundtrip("test/sim", make_payload(std::string(1000, 'a')), ledger,
-                       &link);
-  // Each direction: 1000 ns latency + 1000 bytes / 1 MBps = 1 ms.
+  const wire::ReplyEnvelope reply =
+      transport::dispatch("test/sim", header, body.view(), ledger, &link);
+  EXPECT_EQ(reply.payload.bytes(), bytes_of(std::string(1000, 'A')));
+  // Each direction: 1000 ns latency + the frame the call would have
+  // carried (1,000 bytes of body behind a 32-byte header) at 1 MBps.
+  const std::size_t request_frame =
+      wire::encode_frame(header, body.view()).size();
+  const std::size_t reply_frame =
+      wire::encode_frame(reply.header, reply.payload.view()).size();
+  EXPECT_EQ(request_frame, wire::frame_size(header, body.size()));
+  EXPECT_EQ(reply.frame_size, reply_frame);
+  const Nanoseconds expected =
+      link.transfer_time(request_frame) + link.transfer_time(reply_frame);
+  EXPECT_EQ(ledger.modeled(), expected);
   const double modeled_ms =
       static_cast<double>(ledger.modeled().count()) / 1e6;
-  EXPECT_NEAR(modeled_ms, 2.002, 0.01);
+  EXPECT_NEAR(modeled_ms, static_cast<double>(expected.count()) / 1e6, 0.01);
+  EXPECT_EQ(ledger.bytes_sent(), request_frame);
+  EXPECT_EQ(ledger.bytes_received(), reply_frame);
 
   registry.unbind("test/sim");
+}
+
+TEST(SimChannelTest, CorruptFlipsTheLastBodyByteOrFailsABareReply) {
+  auto& registry = EndpointRegistry::instance();
+  registry.bind("test/sim-body", upper_caser(), upper_casing_server("ok"));
+  registry.bind("test/sim-bare", upper_caser(), upper_casing_server(""));
+  const netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};
+  resilience::ScopedFaultPlan plan;
+  resilience::FaultSchedule schedule;
+  schedule.scripted = {{0, resilience::FaultKind::corrupt}};
+  plan.add("test/sim-body", schedule);
+  plan.add("test/sim-bare", schedule);
+
+  // The byte a reply frame ends with: the body's last byte...
+  CostLedger ledger;
+  const wire::ReplyEnvelope reply =
+      transport::dispatch("test/sim-body", {}, {}, ledger, &link);
+  EXPECT_EQ(reply.payload.bytes(), (Bytes{'O', 'K' ^ 0xff}));
+  // ...or, with no body, the header's CRC: the call fails as the frame
+  // would have failed to decode.
+  try {
+    transport::dispatch("test/sim-bare", {}, {}, ledger, &link);
+    FAIL() << "a corrupted bare reply must not be delivered";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::wire_bad_checksum);
+  }
+  // The fault was scripted for the first call only.
+  EXPECT_TRUE(
+      transport::dispatch("test/sim-bare", {}, {}, ledger, &link)
+          .payload.empty());
+
+  registry.unbind("test/sim-body");
+  registry.unbind("test/sim-bare");
 }
 
 // ---- real TCP ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ counts, and gates only those that no runner's speed or noise moves.
 
   fastpath  BENCH_fastpath.json must keep the selection cache's
             cached-over-uncached speedup within --tolerance of the
-            committed baseline's speedup.  A hot-path regression that
-            slows *only* the cached arm shrinks the ratio and trips the
-            gate; noise that slows the whole run does not (it moves both
-            arms together).  This is the "<5% cached-p50 regression"
-            budget in ratio form.
+            committed baseline's speedup.  The bench times the two arms in
+            short alternating blocks and reports the median of the
+            per-block ratios, so a slow stretch of the host lands on both
+            arms of a block.  A hot-path regression that slows *only* the
+            cached arm shrinks the ratio and trips the gate; noise that
+            slows the whole run does not (it moves both arms together).
+            This is the "<5% cached-p50 regression" budget in ratio form.
 
   allocs    BENCH_allocs.json pins what one call costs the allocator at
             steady state, per bench_allocs arm (shm, sync and async tcp,

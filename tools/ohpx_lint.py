@@ -68,12 +68,13 @@ with the Python standard library only, and each is exercised by
                      blocks for a network roundtrip above the transport
                      layer: a protocol's invoke() (`->invoke(` /
                      `.invoke(`, where TCP parks on the reactor's reply) or
-                     a roundtrip() call (`transport::roundtrip(`, the
-                     in-process and simulated bearers' one exchange, which
-                     runs the server's handler).  A lock held across a
-                     network roundtrip serializes the caller on a peer's
-                     latency — copy what you need, drop the lock, then
-                     send.
+                     a roundtrip() call (`transport::roundtrip(`, relay's
+                     in-process frame exchange, which runs the server's
+                     handler; shm's and nexus-tcp's transport::dispatch is
+                     reached only through a protocol's invoke()).  A lock
+                     held across a network roundtrip serializes the caller
+                     on a peer's latency — copy what you need, drop the
+                     lock, then send.
                      src/ohpx/transport/ itself is exempt: there a lock
                      guards the transport's own fds and queues (the
                      reactor's mutex, a listener's connection set), which
@@ -85,9 +86,9 @@ with the Python standard library only, and each is exercised by
                      transport layer talks through Reactor::submit, which
                      owns nonblocking I/O, fd lifecycle and the
                      inflight-window contract, or through
-                     transport::roundtrip for in-process and simulated
-                     calls; a raw blocking syscall parks a caller thread
-                     the reactor cannot see.
+                     transport::roundtrip and transport::dispatch for
+                     in-process and simulated calls; a raw blocking
+                     syscall parks a caller thread the reactor cannot see.
   error-consistency  every ErrorCode enumerator has a name in to_string
                      (src/ohpx/common/error.cpp) and an explicit verdict in
                      is_retryable (src/ohpx/resilience/retry.cpp), whose
@@ -658,8 +659,8 @@ class Linter:
                 f"::{match.group(1)}() outside src/ohpx/transport/ "
                 "— socket I/O and accepting listeners belong to "
                 "the transport layer (Reactor::submit for outbound "
-                "TCP, transport::roundtrip for in-process and "
-                "simulated calls, "
+                "TCP, transport::roundtrip and transport::dispatch for "
+                "in-process and simulated calls, "
                 "TcpListener for accepting sockets); a raw syscall "
                 "parks a thread or owns an fd the reactor cannot see")
 

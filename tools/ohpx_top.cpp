@@ -5,7 +5,8 @@
 // socket API, and renders a per-context table — calls/s (from deltas
 // between polls), dispatch p50/p99 — plus the reactor gauges and every
 // registered breaker entry.  Standalone on purpose: of ohpx it links only
-// the strict readers of its flags (common/parse.hpp), so it can watch any
+// ohpx_common, for the strict readers of its flags (common/parse.hpp) and
+// of the exposition (common/exposition_text.hpp), so it can watch any
 // process that serves the exposition.
 //
 // usage: ohpx_top [HOST:]PORT [--interval SEC] [--once] [--raw]
@@ -14,7 +15,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -24,15 +24,10 @@
 #include <thread>
 #include <vector>
 
+#include "ohpx/common/exposition_text.hpp"
 #include "ohpx/common/parse.hpp"
 
 namespace {
-
-struct Sample {
-  std::string name;
-  std::map<std::string, std::string> labels;
-  double value = 0.0;
-};
 
 // ---- transport -------------------------------------------------------------
 
@@ -86,64 +81,6 @@ std::string http_get(const std::string& host, std::uint16_t port,
   return response.substr(split + 4);
 }
 
-// ---- exposition parser -----------------------------------------------------
-
-std::map<std::string, std::string> parse_labels(const std::string& text) {
-  std::map<std::string, std::string> labels;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eq = text.find('=', pos);
-    if (eq == std::string::npos) break;
-    const std::string key = text.substr(pos, eq - pos);
-    if (eq + 1 >= text.size() || text[eq + 1] != '"') break;
-    std::string value;
-    std::size_t i = eq + 2;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) ++i;
-      value.push_back(text[i]);
-      ++i;
-    }
-    labels.emplace(key, value);
-    pos = i + 1;
-    while (pos < text.size() && (text[pos] == ',' || text[pos] == ' ')) ++pos;
-  }
-  return labels;
-}
-
-std::vector<Sample> parse_exposition(const std::string& text) {
-  std::vector<Sample> samples;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty() || line[0] == '#') continue;
-
-    Sample sample;
-    const std::size_t brace = line.find('{');
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos) continue;
-    if (brace != std::string::npos && brace < space) {
-      sample.name = line.substr(0, brace);
-      const std::size_t close = line.find('}', brace);
-      if (close == std::string::npos) continue;
-      sample.labels = parse_labels(line.substr(brace + 1, close - brace - 1));
-    } else {
-      sample.name = line.substr(0, space);
-    }
-    // Prometheus writes the special values NaN, +Inf and -Inf; from_chars
-    // reads them once the '+' is skipped.
-    const char* value = line.data() + space + 1;
-    const char* last = line.data() + line.size();
-    if (value != last && *value == '+') ++value;
-    const auto [stop, error] = std::from_chars(value, last, sample.value);
-    if (error != std::errc{} || stop != last) continue;
-    samples.push_back(std::move(sample));
-  }
-  return samples;
-}
-
 // ---- table rendering -------------------------------------------------------
 
 struct ContextRow {
@@ -152,8 +89,8 @@ struct ContextRow {
   double p99_us = 0.0;
 };
 
-double find_value(const std::vector<Sample>& samples, const char* name,
-                  double fallback = 0.0) {
+double find_value(const std::vector<ohpx::ExpositionSample>& samples,
+                  const char* name, double fallback = 0.0) {
   for (const auto& sample : samples) {
     if (sample.name == name) return sample.value;
   }
@@ -166,7 +103,7 @@ const char* breaker_state_name(double value) {
   return "half-open";
 }
 
-void render(const std::vector<Sample>& samples,
+void render(const std::vector<ohpx::ExpositionSample>& samples,
             std::map<std::string, double>& previous_requests,
             double interval_s, bool clear_screen) {
   std::map<std::string, ContextRow> contexts;
@@ -305,7 +242,8 @@ int main(int argc, char** argv) {
     } else if (raw) {
       std::fputs(payload.c_str(), stdout);
     } else {
-      render(parse_exposition(payload), previous_requests, interval_s, !once);
+      render(ohpx::parse_exposition(payload), previous_requests, interval_s,
+             !once);
     }
     if (once) return 0;
     std::this_thread::sleep_for(
