@@ -20,7 +20,10 @@
 // (how much of the per-call cost pipelining hides) and serial/bare, the
 // share of the sync TCP bearer's rate the ORB keeps: end to end over the
 // bare round trip, HAM's measure of ORB overhead.  reactor/glue is what
-// an async call pays for a capability chain (recorded, not gated).
+// an async call pays for a capability chain (recorded, not gated).  The
+// reactor arm also reports the frames per sendmsg batch of its timed
+// loop (reactor.frames over reactor.batches): batching itself, which
+// thread placement does not move the way it moves the serial arm's rate.
 //
 // Hand-rolled main (not google-benchmark): the fan-in arm needs a
 // sliding window of futures, not a per-iteration callable.  Flags:
@@ -49,6 +52,8 @@
 #include "ohpx/capability/builtin/quota.hpp"
 #include "ohpx/common/parse.hpp"
 #include "ohpx/introspect/http_exporter.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
@@ -65,6 +70,7 @@ struct Arm {
   double calls_per_sec = 0.0;
   std::uint64_t calls = 0;
   std::uint64_t inflight = 0;
+  double frames_per_batch = 0.0;  // the reactor arms' sendmsg batching
 };
 
 Arm run_serial(scenario::EchoStub& stub, std::size_t warmup,
@@ -180,6 +186,14 @@ Arm run_reactor(std::string name, scenario::EchoStub& stub,
   std::vector<ohpx::Future<std::uint64_t>> window;
   window.reserve(calls);
   std::size_t drained = 0;
+  // Every frame the reactor sends, a leader's included, goes out in a
+  // counted sendmsg batch.
+  auto& registry = metrics::MetricsRegistry::global();
+  const auto* frames = registry.counter_handle(metrics::names::kReactorFrames);
+  const auto* batches =
+      registry.counter_handle(metrics::names::kReactorBatches);
+  const std::uint64_t frames_before = frames->load();
+  const std::uint64_t batches_before = batches->load();
   const auto start = Clock::now();
   for (std::size_t i = 0; i < calls; ++i) {
     if (i - drained >= inflight) window[drained++].get();
@@ -189,6 +203,8 @@ Arm run_reactor(std::string name, scenario::EchoStub& stub,
   while (drained < window.size()) window[drained++].get();
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
+  const std::uint64_t sent = frames->load() - frames_before;
+  const std::uint64_t sendmsgs = batches->load() - batches_before;
 
   Arm arm;
   arm.name = std::move(name);
@@ -196,6 +212,9 @@ Arm run_reactor(std::string name, scenario::EchoStub& stub,
   arm.inflight = inflight;
   arm.calls_per_sec =
       seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
+  arm.frames_per_batch =
+      sendmsgs > 0 ? static_cast<double>(sent) / static_cast<double>(sendmsgs)
+                   : 0.0;
   return arm;
 }
 
@@ -296,6 +315,8 @@ int run(int argc, char** argv) {
   }
   std::printf("  speedup (reactor / serial @ %zu in flight): %.2fx\n",
               inflight, speedup);
+  std::printf("  frames per sendmsg batch: reactor %.1f, glue %.1f\n",
+              reactor.frames_per_batch, glue.frames_per_batch);
   std::printf("  serial / bare round trip: %.3f\n", serial_over_bare);
   std::printf("  reactor / glue[quota]->tcp: %.2fx\n", reactor_over_glue);
 
@@ -311,6 +332,8 @@ int run(int argc, char** argv) {
                                {{"reactor_over_serial", speedup},
                                 {"serial_over_bare", serial_over_bare},
                                 {"reactor_over_glue", reactor_over_glue},
+                                {"reactor_frames_per_batch",
+                                 reactor.frames_per_batch},
                                 {"inflight", static_cast<double>(inflight)}}});
   if (!write_json_records(json_path, records)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -6,7 +6,7 @@
 //   netsim    — machine/LAN topology, link models, load
 //   crypto    — stream cipher, SipHash MAC, keys
 //   compress  — RLE / LZ77 codecs
-//   transport — in-process roundtrip (optionally over a modeled link), TCP
+//   transport — in-process dispatch (optionally over a modeled link), TCP
 //   cap       — capabilities, chains, registry (paper §4)
 //   proto     — proto-objects, proto-pools, glue protocol, selection (§3)
 //   orb       — object references, contexts, servants, global pointers (§2)

@@ -52,10 +52,9 @@ class DispatchTimer {
   std::optional<Stopwatch> watch_;
 };
 
-// Frames a reply for the framed bearers.  Pooled: on the relay path the
-// client releases the frame back to this thread's pool after decoding,
-// and the TCP listener once the frame is sent, closing the recycle loop;
-// the payload goes back to the pool here.
+// Frames a reply for the TCP listener.  Pooled: the listener releases the
+// frame back to this thread's pool once it is sent, closing the recycle
+// loop; the payload goes back to the pool here.
 wire::Buffer reply_frame(wire::ReplyEnvelope reply) {
   auto& pool = wire::BufferPool::local();
   wire::Buffer frame =
@@ -88,9 +87,7 @@ Context::Context(ContextId id, netsim::MachineId machine,
       ctx_dispatch_latency_(metrics::MetricsRegistry::global().latency_handle(
           metrics::names::context_latency(id))) {
   transport::EndpointRegistry::instance().bind(
-      endpoint_,
-      [this](const wire::Buffer& frame) { return handle_frame(frame); },
-      [this](const wire::MessageHeader& header, BytesView body) {
+      endpoint_, [this](const wire::MessageHeader& header, BytesView body) {
         return dispatch(header, body);
       });
 }
@@ -113,7 +110,7 @@ void Context::enable_tcp(const std::string& listen_host, std::uint16_t port,
   if (listener_) return;
   listener_ = std::make_unique<transport::TcpListener>(
       listen_host, port,
-      [this](const wire::Buffer& frame) { return handle_frame(frame); });
+      [this](BytesView frame) { return handle_frame(frame); });
   if (!advertise_host.empty()) {
     advertise_host_ = advertise_host;
   } else if (listen_host.empty() || listen_host == "0.0.0.0") {
@@ -268,11 +265,11 @@ wire::ReplyEnvelope Context::dispatch(const wire::MessageHeader& header,
   }
 }
 
-wire::Buffer Context::handle_frame(const wire::Buffer& frame) noexcept {
+wire::Buffer Context::handle_frame(BytesView frame) noexcept {
   wire::MessageHeader header;
   BytesView body;
   try {
-    header = wire::decode_frame(frame.view(), body);
+    header = wire::decode_frame(frame, body);
   } catch (const Error& e) {
     // A frame that does not decode is a request all the same: counted
     // and timed once like any other, answered with an error reply that
@@ -330,8 +327,8 @@ wire::ReplyEnvelope Context::dispatch_or_throw(
   }
 
   // Zero-copy dispatch: the common path decodes arguments straight out of
-  // the request body (the caller's buffer on the shm and nexus-tcp
-  // paths, the request frame otherwise); a glued one decodes what the
+  // the request body (the caller's buffer on the in-process paths, the
+  // connection's receive buffer on tcp); a glued one decodes what the
   // chain opened from it.
   BytesView payload_view = body;
   wire::Buffer payload;
@@ -384,10 +381,10 @@ wire::ReplyEnvelope Context::dispatch_or_throw(
   }
 
   wire::Decoder in(payload_view);
-  // Pooled: the reply's payload.  The shm and nexus-tcp clients release
-  // it into their thread's pool after decoding, handle_frame once it is
-  // framed, so a busy server recycles one warm result buffer per thread
-  // instead of allocating per dispatch.
+  // Pooled: the reply's payload.  The in-process clients release it into
+  // their thread's pool after decoding, handle_frame once it is framed,
+  // so a busy server recycles one warm result buffer per thread instead
+  // of allocating per dispatch.
   wire::Buffer result = wire::BufferPool::local().acquire();
   wire::Encoder out(result);
   {

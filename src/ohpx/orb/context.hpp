@@ -5,12 +5,14 @@
 // ids, proto-pool).
 //
 // Server pipeline, split at the frame:
-//   handle_frame: decode frame → dispatch → encode reply frame, for the
-//     bearers that carry frames (tcp, relay);
 //   dispatch: [glue? strip glue id, unprocess through the server copy of
 //     the capability chain, admission checks] → servant → [glue? process
-//     the reply back through the chain] → reply header, which the shm and
-//     nexus-tcp bearers call directly with the caller's header and body.
+//     the reply back through the chain] → reply header: the one handler
+//     the context binds into the endpoint registry, which every
+//     in-process bearer (shm, relay, nexus-tcp) calls with the caller's
+//     header and body;
+//   handle_frame: decode frame → dispatch → encode reply frame, for the
+//     one bearer that carries frames (tcp).
 // Any exception becomes an error reply carrying the ohpx ErrorCode, which
 // the client re-raises as a typed exception.
 #pragma once
@@ -143,17 +145,17 @@ class Context {
 
   /// The server pipeline after the frame: serves one request given as its
   /// header and body and returns the reply, whose payload is a pooled
-  /// buffer the caller owns; any failure is an error reply.  The shm and
-  /// nexus-tcp bearers call it on the caller's thread, with the caller's
+  /// buffer the caller owns; any failure is an error reply.  The
+  /// in-process bearers call it on the caller's thread, with the caller's
   /// buffers.
   wire::ReplyEnvelope dispatch(const wire::MessageHeader& header,
                                BytesView body) noexcept;
 
   /// The complete framed pipeline: decode, dispatch(), encode the reply
-  /// (a frame that does not decode gets an error reply).  Public so
-  /// transports acquired outside the context (tests, custom listeners)
-  /// can reuse it.
-  wire::Buffer handle_frame(const wire::Buffer& frame) noexcept;
+  /// (a frame that does not decode gets an error reply).  The TCP
+  /// listener calls it with each request as the view it was read into;
+  /// public so tests and custom listeners can reuse it.
+  wire::Buffer handle_frame(BytesView frame) noexcept;
 
  private:
   wire::ReplyEnvelope dispatch_or_throw(const wire::MessageHeader& header,

@@ -5,10 +5,11 @@
 // table, asks each whether it is applicable for the current placement, and
 // invokes the first applicable one the local proto-pool allows (§3.2).
 //
-// The server half (the paper's *proto-class*) is the pair of handlers the
-// server context binds into the transport layer — frames for the bearers
-// that carry frames (tcp, relay), header and body for shm and nexus-tcp;
-// see ohpx/orb/context.*.
+// The server half (the paper's *proto-class*) is the server context's
+// pipeline: the one request handler it binds into the endpoint registry,
+// which every in-process bearer (shm, relay, nexus-tcp) calls with the
+// header and body, and the frame handler its TCP listener calls with each
+// request frame; see ohpx/orb/context.*.
 #pragma once
 
 #include <memory>

@@ -1,12 +1,14 @@
 // Relay protocol: gateway traversal for clients that cannot (or may not)
 // reach a server endpoint directly.
 //
-// A gateway context hosts a RelayForwarder — an endpoint whose frames are
-// envelopes: `string target-endpoint ‖ raw inner frame`.  The forwarder
-// unwraps the envelope, performs the inner round trip against the target,
-// and returns the reply.  The client-side RelayProtocol wraps every
-// request in such an envelope addressed to the gateway; its proto-data is
-// simply the gateway endpoint name.
+// A gateway context hosts a RelayForwarder — an endpoint whose request
+// bodies are envelopes: `string target-endpoint ‖ request body`.  The
+// forwarder reads the name and dispatches the rest to the target with the
+// caller's header, so the target's reply is the caller's.  The
+// client-side RelayProtocol wraps every request body in such an envelope
+// and dispatches it to the gateway; its proto-data is simply the gateway
+// endpoint name.  Nothing is framed: relay rides transport::dispatch like
+// every in-process bearer.
 //
 // This is a worked example of the paper's "custom protocols via a
 // standard interface" (§3.2) that is useful in its own right: references
@@ -23,7 +25,7 @@
 namespace ohpx::proto {
 
 /// Gateway side: binds `gateway_endpoint` into the endpoint registry and
-/// forwards enveloped frames.  Unbinds on destruction.
+/// forwards enveloped requests.  Unbinds on destruction.
 class RelayForwarder {
  public:
   explicit RelayForwarder(std::string gateway_endpoint);
@@ -36,7 +38,8 @@ class RelayForwarder {
   std::uint64_t forwarded() const noexcept;
 
  private:
-  wire::Buffer handle(const wire::Buffer& envelope);
+  wire::ReplyEnvelope handle(const wire::MessageHeader& header,
+                             BytesView envelope);
 
   std::string endpoint_;
   std::atomic<std::uint64_t> forwarded_{0};

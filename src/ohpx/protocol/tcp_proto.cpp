@@ -28,7 +28,10 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
         target.address.tcp_host, target.address.tcp_port, header,
         payload.view());
   }
-  ledger.add_bytes_sent(wire::kHeaderSize + payload.size());
+  // The request frame as the reactor sent it: the header carries no
+  // correlation id until Reactor::stage stamps one on it.
+  ledger.add_bytes_sent(wire::frame_size(header, payload.size()) +
+                        wire::kCorrelationExtensionSize);
   ledger.add_bytes_received(raw.frame_size);
   // The reactor already decoded the frame (header, body, CRC) to
   // demultiplex by correlation id, and RawReply is ReplyMessage: all that

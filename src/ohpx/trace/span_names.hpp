@@ -46,8 +46,8 @@ inline constexpr const char* kRegistered[] = {
     "servant.dispatch",  // orb: servant-side method execution
     "server.dispatch",   // orb: server-side request decode + route
     "transport",         // transport: channel send/receive leg
-    "wire.decode",       // wire: frame decode
-    "wire.encode",       // wire: frame encode
+    "wire.decode",       // wire: frame or relay envelope decode
+    "wire.encode",       // wire: frame or relay envelope encode
 };
 
 }  // namespace ohpx::trace::names

@@ -15,12 +15,9 @@ EndpointRegistry& EndpointRegistry::instance() {
   return registry;
 }
 
-void EndpointRegistry::bind(const std::string& name, FrameHandler handler,
-                            RequestHandler request) {
+void EndpointRegistry::bind(const std::string& name, RequestHandler handler) {
   sync::LockGuard lock(mutex_);
-  Endpoint& endpoint = handlers_[name];
-  endpoint.frame = std::move(handler);
-  if (request) endpoint.request = std::move(request);
+  handlers_[name] = std::move(handler);
 }
 
 void EndpointRegistry::unbind(const std::string& name) {
@@ -28,24 +25,14 @@ void EndpointRegistry::unbind(const std::string& name) {
   handlers_.erase(name);
 }
 
-FrameHandler EndpointRegistry::lookup(const std::string& name) const {
+RequestHandler EndpointRegistry::lookup(const std::string& name) const {
   sync::LockGuard lock(mutex_);
   const auto it = handlers_.find(name);
   if (it == handlers_.end()) {
     throw TransportError(ErrorCode::transport_unknown_endpoint,
                          "no endpoint bound to '" + name + "'");
   }
-  return it->second.frame;
-}
-
-RequestHandler EndpointRegistry::lookup_request(const std::string& name) const {
-  sync::LockGuard lock(mutex_);
-  const auto it = handlers_.find(name);
-  if (it == handlers_.end() || !it->second.request) {
-    throw TransportError(ErrorCode::transport_unknown_endpoint,
-                         "no request handler bound to '" + name + "'");
-  }
-  return it->second.request;
+  return it->second;
 }
 
 bool EndpointRegistry::contains(const std::string& name) const {
@@ -54,12 +41,6 @@ bool EndpointRegistry::contains(const std::string& name) const {
 }
 
 namespace {
-
-void check_send_deadline() {
-  if (resilience::deadline_expired(resilience::current_deadline_ns())) {
-    throw DeadlineExceeded("deadline exceeded before transport send");
-  }
-}
 
 // The simulated network around dispatch(): the request's modeled wire
 // time, the fault plan's decision, one or two deliveries (each checks the
@@ -119,26 +100,16 @@ wire::ReplyEnvelope dispatch_over(const std::string& endpoint,
 
 }  // namespace
 
-wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
-                       CostLedger& ledger) {
-  check_send_deadline();
-  FrameHandler handler = EndpointRegistry::instance().lookup(endpoint);
-  ledger.add_bytes_sent(request.size());
-  ScopedRealTime timer(ledger);
-  wire::Buffer reply = handler(request);
-  ledger.add_bytes_received(reply.size());
-  return reply;
-}
-
 wire::ReplyEnvelope dispatch(const std::string& endpoint,
                              const wire::MessageHeader& header, BytesView body,
                              CostLedger& ledger, const netsim::LinkSpec* link) {
   if (link != nullptr) {
     return dispatch_over(endpoint, header, body, ledger, *link);
   }
-  check_send_deadline();
-  RequestHandler handler =
-      EndpointRegistry::instance().lookup_request(endpoint);
+  if (resilience::deadline_expired(resilience::current_deadline_ns())) {
+    throw DeadlineExceeded("deadline exceeded before transport send");
+  }
+  RequestHandler handler = EndpointRegistry::instance().lookup(endpoint);
   ledger.add_bytes_sent(wire::frame_size(header, body.size()));
   wire::ReplyEnvelope reply;
   {

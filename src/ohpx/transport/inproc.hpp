@@ -1,11 +1,10 @@
-// In-process transport: a process-wide registry of named endpoints, the
-// one call that exchanges a frame with one, and the one call that hands a
-// request to one with no frame.  dispatch() is the bearer of the
-// shared-memory protocol and, with a modeled link, of the simulated
-// network protocol (nexus-tcp): the bound request handler serves the
+// In-process transport: a process-wide registry of named endpoints and the
+// one call that hands a request to one.  dispatch() is the bearer of every
+// in-process protocol: shared memory, relay and, with a modeled link, the
+// simulated network (nexus-tcp).  The bound request handler serves the
 // caller's header and body on the calling thread, nothing is framed, and
-// a link only adds modeled wire time and the fault plan.  roundtrip() is
-// the relay protocol's bearer: frames go to the bound frame handler.
+// a link only adds modeled wire time and the fault plan.  Frames exist
+// only on the TCP wire (tcp.hpp).
 #pragma once
 
 #include <functional>
@@ -15,7 +14,6 @@
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/common/clock.hpp"
 #include "ohpx/sync/mutex.hpp"
-#include "ohpx/wire/buffer.hpp"
 #include "ohpx/wire/message.hpp"
 
 namespace ohpx::netsim {
@@ -23,10 +21,6 @@ struct LinkSpec;
 }
 
 namespace ohpx::transport {
-
-/// Server-side frame handler: consumes a request frame, produces the reply
-/// frame.  Must be thread-safe; may be invoked concurrently.
-using FrameHandler = std::function<wire::Buffer(const wire::Buffer&)>;
 
 /// Server-side request handler: serves one request given as its header
 /// and body, on the calling thread, and returns the reply (an error reply
@@ -42,57 +36,30 @@ class EndpointRegistry {
  public:
   static EndpointRegistry& instance();
 
-  /// Binds `name` to a frame handler and, for a server context, the
-  /// request handler beside it.  Rebinding an existing name replaces the
-  /// frame handler, and the request handler only when one is given: a
-  /// frame handler alone keeps the request handler already bound.  shm
-  /// and nexus-tcp calls go to the request handler and never pass through
-  /// the frame handler, so a frame handler wrapped this way sees only the
-  /// framed bearers' calls (relay); a fault injector for nexus-tcp wraps
-  /// the request handler.  A name first bound with no request handler
-  /// takes only frames.
-  void bind(const std::string& name, FrameHandler handler,
-            RequestHandler request = nullptr);
+  /// Binds `name` to `handler`; rebinding an existing name replaces it.
+  void bind(const std::string& name, RequestHandler handler);
 
   void unbind(const std::string& name);
 
-  /// Looks up a frame handler; throws
+  /// Looks up a handler; throws
   /// TransportError(transport_unknown_endpoint).
-  FrameHandler lookup(const std::string& name) const;
-
-  /// Looks up a request handler; throws
-  /// TransportError(transport_unknown_endpoint) when `name` is unbound or
-  /// takes only frames.
-  RequestHandler lookup_request(const std::string& name) const;
+  RequestHandler lookup(const std::string& name) const;
 
   bool contains(const std::string& name) const;
 
  private:
   EndpointRegistry() = default;
 
-  struct Endpoint {
-    FrameHandler frame;
-    RequestHandler request;
-  };
-
   mutable sync::Mutex mutex_{"transport.inproc.endpoints"};
-  std::map<std::string, Endpoint> handlers_ OHPX_GUARDED_BY(mutex_);
+  std::map<std::string, RequestHandler> handlers_ OHPX_GUARDED_BY(mutex_);
 };
-
-/// Sends `request` to the frame handler bound to `endpoint` and returns its
-/// reply frame.  The handler is looked up per call, so a rebinding
-/// (migration) takes effect on the next call.  The bytes both ways and the
-/// real time of the exchange go on `ledger`.  Throws DeadlineExceeded when
-/// the caller's budget is spent before the send.
-wire::Buffer roundtrip(const std::string& endpoint, const wire::Buffer& request,
-                       CostLedger& ledger);
 
 /// Hands `header` and `body` to the request handler bound to `endpoint`
 /// and returns its reply: no frame is built, checked or copied either
-/// way.  Like roundtrip() it looks the handler up per call and throws
-/// DeadlineExceeded when the caller's budget is spent before the send;
-/// `ledger` gets the bytes the two frames would have carried and the real
-/// time of the call.
+/// way.  The handler is looked up per call, so a rebinding (migration)
+/// takes effect on the next call.  Throws DeadlineExceeded when the
+/// caller's budget is spent before the send.  `ledger` gets the bytes the
+/// two frames would have carried and the real time of the call.
 ///
 /// With a `link`, the call crosses the simulated network: the link's
 /// modeled time for those frame sizes goes on `ledger` both ways, and the

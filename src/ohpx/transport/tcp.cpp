@@ -323,17 +323,13 @@ void TcpListener::serve_connection(int fd) {
   // prevents deadlock — the client may be waiting on these replies).
   // One call at a time still costs one recv + one send, exactly the old
   // behaviour; a reactor fan-in burst costs two syscalls per *batch*.
+  // Each request is served as the view it arrived in: the handler returns
+  // before the next fill() can move the reader's buffer.
   FrameReader reader;
   std::vector<wire::Buffer> replies;
-  wire::BufferPool& pool = wire::BufferPool::local();
   while (!listener_.stopping()) {
     while (const std::optional<BytesView> frame = reader.next()) {
-      // FrameHandler takes a wire::Buffer; the copy reuses a pooled
-      // allocation instead of zero-filling a fresh one.
-      wire::Buffer request = pool.acquire(frame->size());
-      request.append(*frame);
-      replies.push_back(handler_(request));
-      pool.release(std::move(request));
+      replies.push_back(handler_(*frame));
     }
     if (!replies.empty()) write_reply_batch(fd, replies);
 

@@ -4,9 +4,10 @@
 // the TcpListener below parses requests with it, and the epoll reactor
 // (reactor.hpp), which carries every outbound call, parses replies with
 // it; the one frame cap lives there.  The accepting side is one Listener,
-// shared with the introspection plane's HttpListener (http.hpp).  The
-// benchmark suite instead uses the netsim-timed in-process roundtrip
-// (inproc.hpp) so results are deterministic (DESIGN.md §2).
+// shared with the introspection plane's HttpListener (http.hpp).  Frames
+// exist only here, on the wire: the in-process bearers hand the server a
+// header and body (inproc.hpp), and the benchmark suite's netsim-timed
+// calls go that way so results are deterministic (DESIGN.md §2).
 // Listeners default to loopback but can bind any local interface, which
 // is what lets a World span OS processes and machines
 // (docs/deployment.md).
@@ -30,9 +31,15 @@
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/common/bytes.hpp"
 #include "ohpx/sync/mutex.hpp"
-#include "ohpx/transport/inproc.hpp"
+#include "ohpx/wire/buffer.hpp"
 
 namespace ohpx::transport {
+
+/// Server-side frame handler: consumes one request frame, produces the
+/// reply frame.  The request is a view into the connection's FrameReader,
+/// valid only during the call.  Must be thread-safe; may be invoked
+/// concurrently.
+using FrameHandler = std::function<wire::Buffer(BytesView)>;
 
 /// Every frame on a TCP stream is preceded by its length as a u32
 /// big-endian prefix of this many bytes.
@@ -135,8 +142,8 @@ class Listener {
 
 /// Frame server on a Listener: dispatches each frame of a connection into
 /// `handler`, which runs on that connection's thread.  Each request is
-/// copied out of the connection's FrameReader into a buffer from the
-/// thread's BufferPool.
+/// handed over as the view the connection's FrameReader read it into;
+/// nothing is copied.
 class TcpListener {
  public:
   TcpListener(std::uint16_t port, FrameHandler handler);

@@ -29,11 +29,6 @@ Buffer encode_frame(const MessageHeader& header, BytesView body) {
 // format is unchanged.
 void encode_frame_into(Buffer& out, const MessageHeader& header,
                        BytesView body) {
-  out.clear();
-  append_frame(out, header, body);
-}
-
-void append_frame(Buffer& out, const MessageHeader& header, BytesView body) {
   std::uint8_t raw[kHeaderSize + kTraceExtensionSize + kDeadlineExtensionSize +
                    kCorrelationExtensionSize];
   store_be<std::uint32_t>(raw, kFrameMagic);
@@ -61,7 +56,8 @@ void append_frame(Buffer& out, const MessageHeader& header, BytesView body) {
     store_be<std::uint64_t>(raw + prefix, header.correlation_id);
     prefix += kCorrelationExtensionSize;
   }
-  out.reserve(out.size() + frame_size(header, body.size()));
+  out.clear();
+  out.reserve(frame_size(header, body.size()));
   out.append(BytesView(raw, prefix));
   out.append(body);
 }

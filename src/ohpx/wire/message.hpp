@@ -147,10 +147,6 @@ Buffer encode_frame(const MessageHeader& header, BytesView body);
 void encode_frame_into(Buffer& out, const MessageHeader& header,
                        BytesView body);
 
-/// As encode_frame_into, but appends the frame after what `out` holds
-/// (an envelope's prefix).
-void append_frame(Buffer& out, const MessageHeader& header, BytesView body);
-
 /// Parses and validates a frame header; returns the header and sets
 /// `body` to the view of the remaining bytes.  Throws WireError on any
 /// malformed input (bad magic/version/CRC, truncation).

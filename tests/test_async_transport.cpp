@@ -314,7 +314,7 @@ TEST_F(AsyncTransportFixture, AsyncTransportFaultOpensBreakerWithRecords) {
 class DroppingListener {
  public:
   DroppingListener()
-      : listener_(0, [this](const wire::Buffer&) -> wire::Buffer {
+      : listener_(0, [this](BytesView) -> wire::Buffer {
           ++frames_;
           throw std::runtime_error("drop the connection");
         }) {}

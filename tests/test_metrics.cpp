@@ -272,7 +272,7 @@ TEST(OrbInstrumentation, UndecodableFrameCountedOnEveryDispatchSeries) {
   const MetricsSnapshot before = registry.snapshot();
   const std::uint64_t requests_before = registry.counter("server.requests");
   const std::uint64_t ctx_requests_before = registry.counter(requests_key);
-  (void)server.handle_frame(wire::Buffer(Bytes(64, 0x77)));
+  (void)server.handle_frame(wire::Buffer(Bytes(64, 0x77)).view());
   const MetricsSnapshot after = registry.snapshot();
 
   EXPECT_EQ(registry.counter("server.requests"), requests_before + 1);

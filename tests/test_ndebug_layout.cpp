@@ -16,9 +16,9 @@ namespace ohpx {
 namespace {
 
 // Answers every request frame with a reply frame carrying the same body.
-wire::Buffer echo_frame(const wire::Buffer& frame) {
+wire::Buffer echo_frame(BytesView frame) {
   BytesView body;
-  wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+  wire::MessageHeader header = wire::decode_frame(frame, body);
   header.type = wire::MessageType::reply;
   return wire::encode_frame(header, body);
 }

@@ -177,14 +177,14 @@ std::uint32_t error_code_of(const wire::Buffer& reply_frame) {
 
 TEST_F(OrbFixture, GarbageFrameYieldsErrorReply) {
   const wire::Buffer garbage(Bytes(64, 0x77));
-  const wire::Buffer reply = context_.handle_frame(garbage);
+  const wire::Buffer reply = context_.handle_frame(garbage.view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::wire_bad_magic));
 }
 
 TEST_F(OrbFixture, UnknownObjectYieldsObjectNotFound) {
   const wire::Buffer reply =
-      context_.handle_frame(request_frame(99999, 1, wire::Buffer{}));
+      context_.handle_frame(request_frame(99999, 1, wire::Buffer{}).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::object_not_found));
 }
@@ -199,7 +199,7 @@ TEST_F(OrbFixture, MigratedObjectYieldsStaleReference) {
   context_.deactivate(id, /*forget_location=*/false);
 
   const wire::Buffer reply =
-      context_.handle_frame(request_frame(id, 1, wire::Buffer{}));
+      context_.handle_frame(request_frame(id, 1, wire::Buffer{}).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::stale_reference));
 }
@@ -207,7 +207,7 @@ TEST_F(OrbFixture, MigratedObjectYieldsStaleReference) {
 TEST_F(OrbFixture, UnknownMethodYieldsMethodNotFound) {
   const ObjectId id = context_.activate(std::make_shared<EchoServant>());
   const wire::Buffer reply =
-      context_.handle_frame(request_frame(id, 424242, wire::Buffer{}));
+      context_.handle_frame(request_frame(id, 424242, wire::Buffer{}).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::method_not_found));
 }
@@ -229,7 +229,7 @@ TEST_F(OrbFixture, NonRequestFrameRejected) {
   header.type = wire::MessageType::reply;
   header.object_id = 1;
   const wire::Buffer reply =
-      context_.handle_frame(wire::encode_frame(header, {}));
+      context_.handle_frame(wire::encode_frame(header, {}).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::protocol_unknown));
 }
@@ -239,7 +239,7 @@ TEST_F(OrbFixture, GlueFlagWithoutBindingRejected) {
   wire::Buffer payload;
   proto::prepend_glue_id(payload, 424242);  // no such binding
   const wire::Buffer reply = context_.handle_frame(
-      request_frame(id, 1, payload, wire::kFlagGlueProcessed));
+      request_frame(id, 1, payload, wire::kFlagGlueProcessed).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::capability_unknown));
 }
@@ -254,7 +254,7 @@ TEST_F(OrbFixture, GlueBindingObjectMismatchRejected) {
   wire::Buffer payload;
   proto::prepend_glue_id(payload, glue_id);
   const wire::Buffer reply = context_.handle_frame(
-      request_frame(other, 1, payload, wire::kFlagGlueProcessed));
+      request_frame(other, 1, payload, wire::kFlagGlueProcessed).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::capability_denied));
 }
@@ -267,7 +267,7 @@ TEST_F(OrbFixture, CorruptGluePayloadRejectedByChain) {
   wire::Buffer payload(Bytes{1, 2, 3});  // not checksum-protected
   proto::prepend_glue_id(payload, glue_id);
   const wire::Buffer reply = context_.handle_frame(
-      request_frame(id, 1, payload, wire::kFlagGlueProcessed));
+      request_frame(id, 1, payload, wire::kFlagGlueProcessed).view());
   EXPECT_EQ(error_code_of(reply),
             static_cast<std::uint32_t>(ErrorCode::capability_bad_payload));
 }
@@ -305,7 +305,7 @@ wire::ReplyEnvelope serve_both_ways(Context& context,
   wire::ReplyEnvelope direct = context.dispatch(header, body.view());
   EXPECT_EQ(server_requests(), before + 1);
   const wire::Buffer reply_frame =
-      context.handle_frame(wire::encode_frame(header, body.view()));
+      context.handle_frame(wire::encode_frame(header, body.view()).view());
   EXPECT_EQ(server_requests(), before + 2);
   BytesView framed_body;
   const wire::MessageHeader framed =
@@ -448,20 +448,19 @@ TEST_F(OrbFixture, NexusLedgerChargesTheFramesItNoLongerBuilds) {
   // and the reply, and the frames the framed exchange encoded for them.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string& endpoint = context_.endpoint_name();
-  const transport::RequestHandler serve = registry.lookup_request(endpoint);
+  const transport::RequestHandler serve = registry.lookup(endpoint);
   std::size_t request_frame = 0;
   std::size_t reply_frame = 0;
   std::uint16_t request_flags = 0;
-  registry.bind(endpoint, registry.lookup(endpoint),
-                [&](const wire::MessageHeader& header, BytesView body) {
-                  wire::ReplyEnvelope reply = serve(header, body);
-                  request_frame = wire::encode_frame(header, body).size();
-                  reply_frame = wire::encode_frame(reply.header,
-                                                   reply.payload.view())
-                                    .size();
-                  request_flags = header.flags;
-                  return reply;
-                });
+  registry.bind(endpoint, [&](const wire::MessageHeader& header,
+                              BytesView body) {
+    wire::ReplyEnvelope reply = serve(header, body);
+    request_frame = wire::encode_frame(header, body).size();
+    reply_frame =
+        wire::encode_frame(reply.header, reply.payload.view()).size();
+    request_flags = header.flags;
+    return reply;
+  });
 
   const netsim::LinkSpec link = topology_.link_between(machine_, machine_);
   const auto expect_framed_charge = [&](const CostLedger& ledger,
@@ -504,7 +503,7 @@ TEST_F(OrbFixture, NexusLedgerChargesTheFramesItNoLongerBuilds) {
   EXPECT_EQ(request_flags & carried, carried);
   expect_framed_charge(glued_echo, "glued echo");
 
-  registry.bind(endpoint, registry.lookup(endpoint), serve);
+  registry.bind(endpoint, serve);
 }
 
 // Echoes its argument bytes as they are, so a test picks the exact payload

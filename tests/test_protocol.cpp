@@ -24,6 +24,8 @@
 #include "ohpx/protocol/select.hpp"
 #include "ohpx/protocol/shm.hpp"
 #include "ohpx/protocol/tcp_proto.hpp"
+#include "ohpx/resilience/clock.hpp"
+#include "ohpx/resilience/deadline.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/serialize.hpp"
@@ -361,9 +363,9 @@ TEST(Glue, DescribeShowsChainAndDelegate) {
 
 // Answers every request frame with a reply frame carrying the same body:
 // a call marshalling one value gets that value back.
-wire::Buffer echo_frame(const wire::Buffer& frame) {
+wire::Buffer echo_frame(BytesView frame) {
   BytesView body;
-  wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+  wire::MessageHeader header = wire::decode_frame(frame, body);
   header.type = wire::MessageType::reply;
   return wire::encode_frame(header, body);
 }
@@ -396,8 +398,14 @@ class TcpStubFixture : public ::testing::Test {
   orb::Context* client_ctx_ = nullptr;
 };
 
+// Each way the ledger charges the whole frame: the request as the reactor
+// sent it (the correlation id it stamps included), as the server read it.
 TEST(TcpProtocolTest, InvokeChargesTheLedger) {
-  transport::TcpListener listener(0, echo_frame);
+  std::atomic<std::size_t> request_frame{0};
+  transport::TcpListener listener(0, [&request_frame](BytesView frame) {
+    request_frame = frame.size();
+    return echo_frame(frame);
+  });
   TcpProtocol tcp;
   CallTarget target;
   target.address.tcp_host = "127.0.0.1";
@@ -411,8 +419,33 @@ TEST(TcpProtocolTest, InvokeChargesTheLedger) {
   EXPECT_EQ(reply.payload.bytes(), (Bytes{1, 2, 3}));
   EXPECT_EQ(reply.header.request_id, 7u);
   EXPECT_GT(ledger.real().count(), 0);
-  EXPECT_EQ(ledger.bytes_sent(), wire::kHeaderSize + 3u);
+  EXPECT_EQ(ledger.bytes_sent(), request_frame.load());
+  EXPECT_EQ(ledger.bytes_sent(),
+            wire::kHeaderSize + wire::kCorrelationExtensionSize + 3u);
   EXPECT_EQ(ledger.bytes_received(), reply.frame_size);
+
+  // Traced and under a deadline: the request carries all three
+  // extensions.
+  const std::int64_t deadline =
+      resilience::now_ns() + std::int64_t{60} * 1000 * 1000 * 1000;
+  resilience::DeadlineScope scope(deadline);
+  header.request_id = 8;
+  header.flags = wire::kFlagTraceContext | wire::kFlagDeadline;
+  header.trace_hi = 1;
+  header.trace_lo = 2;
+  header.trace_parent_span = 3;
+  header.trace_flags = wire::kTraceFlagSampled;
+  header.deadline_ns = deadline;
+  CostLedger traced;
+  const ReplyMessage traced_reply =
+      tcp.invoke(header, payload, target, traced);
+  EXPECT_EQ(traced_reply.header.request_id, 8u);
+  EXPECT_EQ(traced.bytes_sent(), request_frame.load());
+  EXPECT_EQ(traced.bytes_sent(),
+            wire::kHeaderSize + wire::kTraceExtensionSize +
+                wire::kDeadlineExtensionSize +
+                wire::kCorrelationExtensionSize + 3u);
+  EXPECT_EQ(traced.bytes_received(), traced_reply.frame_size);
 }
 
 TEST_F(TcpStubFixture, ReconnectsAfterServerRestart) {
@@ -438,7 +471,7 @@ TEST_F(TcpStubFixture, WireAttemptsNeverExceedMaxAttempts) {
   // handler counts, then throws, and the listener closes the connection.
   std::atomic<int> handled{0};
   transport::TcpListener listener(
-      0, [&handled](const wire::Buffer&) -> wire::Buffer {
+      0, [&handled](BytesView) -> wire::Buffer {
         ++handled;
         throw std::runtime_error("drop the connection");
       });
@@ -481,9 +514,9 @@ TEST_P(MismatchedReplyTest, SyncAndAsyncCallsThrowProtocolUnknown) {
   const bool request_typed = std::get<0>(GetParam());
   const bool through_glue = std::get<1>(GetParam());
   transport::TcpListener listener(
-      0, [request_typed](const wire::Buffer& frame) {
+      0, [request_typed](BytesView frame) {
         BytesView body;
-        wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+        wire::MessageHeader header = wire::decode_frame(frame, body);
         if (!request_typed) {
           header.type = wire::MessageType::reply;
           ++header.request_id;

@@ -2,15 +2,20 @@
 // capability, including their combination with group-pointer failover.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "ohpx/capability/builtin/fault.hpp"
 #include "ohpx/capability/registry.hpp"
 #include "ohpx/hpcxx/group_pointer.hpp"
+#include "ohpx/orb/global_pointer.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/relay.hpp"
 #include "ohpx/runtime/migration.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/inproc.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
+#include "ohpx/wire/encoder.hpp"
 
 namespace ohpx {
 namespace {
@@ -77,12 +82,140 @@ TEST_F(RelayFixture, RelayedFramesComeFromTheBufferPool) {
   const std::uint64_t allocated = wire::BufferPool::global_stats().allocated;
   const std::uint64_t relayed_draws = pool_draws(via_gateway, kCalls);
   EXPECT_EQ(wire::BufferPool::global_stats().allocated, allocated);
-  // ...and the relay's frames are pool buffers too, six per call: the
-  // caller's arguments, its envelope (the request frame encoded after the
-  // target's name), the gateway's copy of the inner frame, the server's
-  // result, the reply frame and the reply body copied out of it.
-  EXPECT_EQ(relayed_draws, 6u * kCalls);
+  // ...and the relay's envelope is a pool buffer too, three per call: the
+  // caller's arguments, its envelope (the request body after the target's
+  // name) and the server's result, which comes back as the reply.
+  EXPECT_EQ(relayed_draws, 3u * kCalls);
   EXPECT_EQ(gateway.forwarded(), 20u + kCalls);
+}
+
+// EchoStub with the call layer's cost ledger in reach for a oneway call.
+class CostedEchoStub : public EchoStub {
+ public:
+  using EchoStub::EchoStub;
+  void ping_oneway(CostLedger& ledger) {
+    core().invoke_oneway(EchoServant::kPing, wire::Buffer(), &ledger);
+  }
+};
+
+TEST_F(RelayFixture, RelayLedgerChargesTheFramesItNoLongerBuilds) {
+  proto::RelayForwarder gateway("gw/ledger");
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .custom(proto::ProtocolEntry{
+                     "relay", proto::RelayProtocol::make_proto_data("gw/ledger")})
+                 .build();
+  client_ctx_->pool().enable("relay");
+  orb::GlobalPointer<CostedEchoStub> gp(*client_ctx_, ref);
+
+  // Watch what reaches the server: the request's header and body and the
+  // reply, and the frames a framed exchange would encode for them.
+  auto& registry = transport::EndpointRegistry::instance();
+  const std::string& endpoint = server_ctx_->endpoint_name();
+  const transport::RequestHandler serve = registry.lookup(endpoint);
+  std::size_t request_frame = 0;
+  std::size_t reply_frame = 0;
+  std::uint16_t request_flags = 0;
+  registry.bind(endpoint, [&](const wire::MessageHeader& header,
+                              BytesView body) {
+    wire::ReplyEnvelope reply = serve(header, body);
+    request_frame = wire::encode_frame(header, body).size();
+    reply_frame =
+        wire::encode_frame(reply.header, reply.payload.view()).size();
+    request_flags = header.flags;
+    return reply;
+  });
+
+  // Sent: the envelope a framed relay carried, the target's name (a u32
+  // length and its bytes) and then the request frame.  Received: the
+  // reply frame.
+  const auto expect_framed_charge = [&](const CostLedger& ledger,
+                                        const char* call) {
+    EXPECT_EQ(ledger.bytes_sent(), 4 + endpoint.size() + request_frame)
+        << call;
+    EXPECT_EQ(ledger.bytes_received(), reply_frame) << call;
+  };
+
+  CostLedger ping;
+  EXPECT_EQ(gp->call_with_cost<std::uint64_t>(&ping, EchoServant::kPing), 1u);
+  EXPECT_EQ(gp->last_protocol(), "relay[gw/ledger]");
+  EXPECT_EQ(request_frame, wire::kHeaderSize) << "a ping has no arguments";
+  EXPECT_EQ(reply_frame, wire::kHeaderSize + 8u) << "the u64 ping count";
+  expect_framed_charge(ping, "ping");
+
+  CostLedger echo;
+  const std::vector<std::int32_t> values(16, 7);
+  EXPECT_EQ(gp->echo_with_cost(echo, values), values);
+  EXPECT_EQ(reply_frame, wire::kHeaderSize + 4u + 64u) << "16 int32";
+  expect_framed_charge(echo, "echo");
+
+  CostLedger oneway;
+  gp->ping_oneway(oneway);
+  EXPECT_EQ(reply_frame, wire::kHeaderSize) << "the ack has no body";
+  expect_framed_charge(oneway, "oneway");
+
+  gp->set_deadline_budget(std::chrono::seconds(5));
+  CostLedger deadline;
+  EXPECT_EQ(gp->echo_with_cost(deadline, values), values);
+  EXPECT_EQ(request_flags & wire::kFlagDeadline, wire::kFlagDeadline);
+  EXPECT_EQ(request_frame, wire::kHeaderSize + wire::kDeadlineExtensionSize +
+                               4u + 64u);
+  expect_framed_charge(deadline, "echo under a deadline");
+  EXPECT_EQ(gateway.forwarded(), 4u);
+
+  registry.bind(endpoint, serve);
+}
+
+// A request for the echo servant's ping count, as the gateway receives it.
+wire::MessageHeader ping_request(const orb::ObjectRef& ref) {
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = 1;
+  header.object_id = ref.object_id();
+  header.method_or_code = EchoServant::kPing;
+  return header;
+}
+
+TEST_F(RelayFixture, ForwarderRefusesABodyThatIsNotAnEnvelope) {
+  proto::RelayForwarder gateway("gw/malformed");
+  const auto servant = std::make_shared<EchoServant>();
+  const auto ref = orb::RefBuilder(*server_ctx_, servant).nexus().build();
+
+  // Empty, and a name whose length runs past the end of the body.
+  wire::Buffer past_end;
+  wire::Encoder enc(past_end);
+  enc.put_u32(static_cast<std::uint32_t>(
+      server_ctx_->endpoint_name().size() + 1));
+  enc.put_raw(bytes_of(server_ctx_->endpoint_name()));
+  for (const wire::Buffer& body : {wire::Buffer{}, past_end}) {
+    CostLedger ledger;
+    try {
+      (void)transport::dispatch("gw/malformed", ping_request(ref),
+                                body.view(), ledger);
+      ADD_FAILURE() << "a " << body.size()
+                    << "-byte body is not an envelope";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::wire_truncated);
+    }
+  }
+  EXPECT_EQ(gateway.forwarded(), 0u);
+  EXPECT_EQ(servant->pings(), 0u) << "no servant was reached";
+}
+
+TEST_F(RelayFixture, ForwarderFailsAnEnvelopeNamingNoEndpoint) {
+  proto::RelayForwarder gateway("gw/nowhere");
+  const auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                       .nexus()
+                       .build();
+  wire::Buffer envelope;
+  wire::Encoder(envelope).put_string("ctx/no-such-endpoint");
+  CostLedger ledger;
+  try {
+    (void)transport::dispatch("gw/nowhere", ping_request(ref),
+                              envelope.view(), ledger);
+    FAIL() << "the envelope names no bound endpoint";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
+  }
 }
 
 TEST_F(RelayFixture, RelayFollowsMigration) {

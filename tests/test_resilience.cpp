@@ -305,21 +305,20 @@ class ResilienceFixture : public ::testing::Test {
   }
 
   /// Replaces the server's in-proc request handler, the one nexus-tcp
-  /// hands each call to, and keeps its frame handler; returns the
-  /// original so tests can restore it (or wrap it).
+  /// hands each call to; returns the original so tests can restore it (or
+  /// wrap it).
   transport::RequestHandler sabotage_endpoint(
       transport::RequestHandler handler) {
     auto& registry = transport::EndpointRegistry::instance();
     const std::string& name = server_ctx_->endpoint_name();
-    const transport::RequestHandler original = registry.lookup_request(name);
-    registry.bind(name, registry.lookup(name), std::move(handler));
+    const transport::RequestHandler original = registry.lookup(name);
+    registry.bind(name, std::move(handler));
     return original;
   }
 
   void restore_endpoint(const transport::RequestHandler& original) {
-    auto& registry = transport::EndpointRegistry::instance();
-    const std::string& name = server_ctx_->endpoint_name();
-    registry.bind(name, registry.lookup(name), original);
+    transport::EndpointRegistry::instance().bind(
+        server_ctx_->endpoint_name(), original);
   }
 
   runtime::World world_;
@@ -368,7 +367,7 @@ TEST_F(ResilienceFixture, ExpiredWireDeadlineRefusesServerDispatch) {
   // deadline before the server pipeline runs, so dispatch is refused
   // server-side and the error reply carries deadline_exceeded back.
   const transport::RequestHandler original =
-      transport::EndpointRegistry::instance().lookup_request(
+      transport::EndpointRegistry::instance().lookup(
           server_ctx_->endpoint_name());
   sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
                                         BytesView body) {
@@ -613,7 +612,7 @@ TEST_F(ResilienceFixture, DeadlineSpentInsideTheProtocolIsRecordedOnce) {
   // The server answers in time, but the reply arrives late: the client's
   // reply chain finds the budget spent inside the protocol.
   const transport::RequestHandler original =
-      transport::EndpointRegistry::instance().lookup_request(
+      transport::EndpointRegistry::instance().lookup(
           server_ctx_->endpoint_name());
   sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
                                         BytesView body) {

@@ -129,7 +129,7 @@ class RobustnessFixture : public ::testing::Test {
 };
 
 TEST_F(RobustnessFixture, ValidFrameStillWorks) {
-  const wire::Buffer reply = server_ctx_->handle_frame(valid_frame());
+  const wire::Buffer reply = server_ctx_->handle_frame(valid_frame().view());
   BytesView body;
   EXPECT_EQ(wire::decode_frame(reply.view(), body).type,
             wire::MessageType::reply);
@@ -143,7 +143,7 @@ TEST_F(RobustnessFixture, SingleBitFlipsNeverCrash) {
     for (int bit = 0; bit < 8; ++bit) {
       wire::Buffer mutated = pristine;
       mutated.data()[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      expect_well_formed_reply(server_ctx_->handle_frame(mutated));
+      expect_well_formed_reply(server_ctx_->handle_frame(mutated.view()));
     }
   }
 }
@@ -152,7 +152,7 @@ TEST_F(RobustnessFixture, TruncationsNeverCrash) {
   const wire::Buffer pristine = valid_frame();
   for (std::size_t keep = 0; keep < pristine.size(); keep += 3) {
     wire::Buffer truncated(pristine.data(), keep);
-    expect_well_formed_reply(server_ctx_->handle_frame(truncated));
+    expect_well_formed_reply(server_ctx_->handle_frame(truncated.view()));
   }
 }
 
@@ -167,7 +167,7 @@ TEST_P(RandomFrameFuzz, RandomBlobsNeverCrash) {
     for (auto& byte : garbage.mutable_view()) {
       byte = static_cast<std::uint8_t>(rng.next());
     }
-    expect_well_formed_reply(server_ctx_->handle_frame(garbage));
+    expect_well_formed_reply(server_ctx_->handle_frame(garbage.view()));
   }
 }
 
@@ -181,7 +181,7 @@ TEST_P(RandomFrameFuzz, RandomMutationsOfValidFramesNeverCrash) {
       mutated.data()[rng.next_below(mutated.size())] =
           static_cast<std::uint8_t>(rng.next());
     }
-    expect_well_formed_reply(server_ctx_->handle_frame(mutated));
+    expect_well_formed_reply(server_ctx_->handle_frame(mutated.view()));
   }
 }
 

@@ -130,8 +130,8 @@ class TraceFixture : public ::testing::Test {
 };
 
 TEST_F(TraceFixture, EveryPipelineStageUnderOneTraceId) {
-  // Relay carries frames, so its call records every stage: encode, the
-  // transport leg, the server, decode.
+  // Relay builds an envelope, so its call records every stage: encode,
+  // the transport leg, the forwarder's decode, the server.
   proto::RelayForwarder gateway("gw/stages");
   auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
                  .custom(proto::ProtocolEntry{
@@ -265,25 +265,25 @@ TEST_F(TraceFixture, TransportRetryKeepsTheTraceId) {
   // a TransportError, CallCore drops the cache entry and retries — all
   // inside the same rmi.invoke span, so the trace shows both attempts.
   // nexus-tcp hands each call to the endpoint's request handler, so that
-  // is the one wrapped; the frame handler stays bound.
+  // is the one wrapped.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string endpoint = server_ctx_->endpoint_name();
-  const transport::RequestHandler original = registry.lookup_request(endpoint);
+  const transport::RequestHandler original = registry.lookup(endpoint);
   auto failed_once = std::make_shared<bool>(false);
-  registry.bind(endpoint, registry.lookup(endpoint),
-                [original, failed_once](const wire::MessageHeader& header,
-                                        BytesView body) {
-                  if (!*failed_once) {
-                    *failed_once = true;
-                    throw TransportError(ErrorCode::transport_closed,
-                                         "injected endpoint failure");
-                  }
-                  return original(header, body);
-                });
+  registry.bind(endpoint, [original, failed_once](
+                              const wire::MessageHeader& header,
+                              BytesView body) {
+    if (!*failed_once) {
+      *failed_once = true;
+      throw TransportError(ErrorCode::transport_closed,
+                           "injected endpoint failure");
+    }
+    return original(header, body);
+  });
 
   trace::TraceSink::global().clear();
   EXPECT_EQ(gp->ping(), 2u);
-  registry.bind(endpoint, registry.lookup(endpoint), original);
+  registry.bind(endpoint, original);
 
   const trace::TraceSnapshot snap = trace::TraceSink::global().snapshot();
   EXPECT_TRUE(one_trace_id(snap));

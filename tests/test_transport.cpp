@@ -1,5 +1,5 @@
 // Unit tests for the transport layer: endpoint registry, the in-process
-// roundtrip and its modeled-link cost accounting, and the real TCP
+// dispatch and its modeled-link cost accounting, and the real TCP
 // listener driven by the reactor (loopback sockets), and the framing both
 // ends share: FrameReader unit cases over a socketpair, then the
 // listener's edge cases from a raw client socket.  Last, the accepting
@@ -38,108 +38,6 @@ wire::Buffer make_payload(std::string_view text) {
                       text.size());
 }
 
-FrameHandler upper_caser() {
-  return [](const wire::Buffer& request) {
-    wire::Buffer reply = request;
-    for (auto& b : reply.mutable_view()) {
-      if (b >= 'a' && b <= 'z') b = static_cast<std::uint8_t>(b - 'a' + 'A');
-    }
-    return reply;
-  };
-}
-
-// ---- endpoint registry ----------------------------------------------------------
-
-TEST(EndpointRegistryTest, BindLookupUnbind) {
-  auto& registry = EndpointRegistry::instance();
-  const std::string name = "test/ep-1";
-  registry.bind(name, upper_caser());
-  EXPECT_TRUE(registry.contains(name));
-  FrameHandler handler = registry.lookup(name);
-  EXPECT_EQ(handler(make_payload("hi")).bytes(), bytes_of("HI"));
-  registry.unbind(name);
-  EXPECT_FALSE(registry.contains(name));
-}
-
-TEST(EndpointRegistryTest, LookupMissingThrows) {
-  try {
-    EndpointRegistry::instance().lookup("test/no-such");
-    FAIL();
-  } catch (const TransportError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
-  }
-}
-
-TEST(EndpointRegistryTest, RebindReplacesHandler) {
-  auto& registry = EndpointRegistry::instance();
-  const std::string name = "test/ep-rebind";
-  registry.bind(name, [](const wire::Buffer&) { return make_payload("old"); });
-  registry.bind(name, [](const wire::Buffer&) { return make_payload("new"); });
-  EXPECT_EQ(registry.lookup(name)(make_payload("")).bytes(), bytes_of("new"));
-  registry.unbind(name);
-}
-
-// A fault injector rebinds a context's frame handler alone and restores
-// it later; the shm request handler bound beside it must survive both.
-TEST(EndpointRegistryTest, FrameOnlyRebindKeepsTheRequestHandler) {
-  auto& registry = EndpointRegistry::instance();
-  const std::string name = "test/ep-both";
-  const auto answer = [](std::uint64_t request_id) -> RequestHandler {
-    return [request_id](const wire::MessageHeader&, BytesView) {
-      wire::ReplyEnvelope reply;
-      reply.header.request_id = request_id;
-      return reply;
-    };
-  };
-  registry.bind(name, upper_caser(), answer(1));
-  registry.bind(name, [](const wire::Buffer&) { return make_payload("x"); });
-  EXPECT_EQ(registry.lookup(name)(make_payload("")).bytes(), bytes_of("x"));
-  EXPECT_EQ(registry.lookup_request(name)({}, {}).header.request_id, 1u);
-
-  registry.bind(name, upper_caser(), answer(2));
-  EXPECT_EQ(registry.lookup_request(name)({}, {}).header.request_id, 2u);
-  registry.unbind(name);
-
-  // A name first bound with a frame handler alone takes only frames.
-  registry.bind(name, upper_caser());
-  EXPECT_THROW(registry.lookup_request(name), TransportError);
-  registry.unbind(name);
-}
-
-// ---- in-process roundtrip ----------------------------------------------------------
-
-TEST(InProcChannelTest, RoundTripAndLedger) {
-  auto& registry = EndpointRegistry::instance();
-  registry.bind("test/inproc", upper_caser());
-
-  CostLedger ledger;
-  wire::Buffer reply =
-      transport::roundtrip("test/inproc", make_payload("abc"), ledger);
-  EXPECT_EQ(reply.bytes(), bytes_of("ABC"));
-  EXPECT_EQ(ledger.bytes_sent(), 3u);
-  EXPECT_EQ(ledger.bytes_received(), 3u);
-  EXPECT_EQ(ledger.modeled().count(), 0);
-
-  registry.unbind("test/inproc");
-}
-
-TEST(InProcChannelTest, ResolvesPerCall) {
-  auto& registry = EndpointRegistry::instance();
-  CostLedger ledger;
-  // Endpoint does not exist yet.
-  EXPECT_THROW(transport::roundtrip("test/latebound", make_payload("x"), ledger),
-               TransportError);
-  // Binding afterwards makes the same endpoint name work (migration
-  // depends on this late-binding behaviour).
-  registry.bind("test/latebound", upper_caser());
-  EXPECT_EQ(
-      transport::roundtrip("test/latebound", make_payload("x"), ledger).bytes(),
-      bytes_of("X"));
-  registry.unbind("test/latebound");
-}
-
-// ---- over a modeled link -------------------------------------------------------------
-
 // A request handler that answers with the request's body upper-cased, or
 // with `reply_body` when one is given.
 RequestHandler upper_casing_server(std::optional<std::string> reply_body =
@@ -157,9 +55,90 @@ RequestHandler upper_casing_server(std::optional<std::string> reply_body =
   };
 }
 
+// A request handler whose reply carries `text` as its body.
+RequestHandler answers(std::string text) {
+  return [text](const wire::MessageHeader&, BytesView) {
+    wire::ReplyEnvelope reply;
+    reply.payload = make_payload(text);
+    return reply;
+  };
+}
+
+// ---- endpoint registry ----------------------------------------------------------
+
+TEST(EndpointRegistryTest, BindLookupUnbind) {
+  auto& registry = EndpointRegistry::instance();
+  const std::string name = "test/ep-1";
+  registry.bind(name, upper_casing_server());
+  EXPECT_TRUE(registry.contains(name));
+  RequestHandler handler = registry.lookup(name);
+  const wire::Buffer body = make_payload("hi");
+  EXPECT_EQ(handler({}, body.view()).payload.bytes(), bytes_of("HI"));
+  registry.unbind(name);
+  EXPECT_FALSE(registry.contains(name));
+}
+
+TEST(EndpointRegistryTest, LookupMissingThrows) {
+  try {
+    EndpointRegistry::instance().lookup("test/no-such");
+    FAIL();
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
+  }
+}
+
+TEST(EndpointRegistryTest, RebindReplacesHandler) {
+  auto& registry = EndpointRegistry::instance();
+  const std::string name = "test/ep-rebind";
+  registry.bind(name, answers("old"));
+  registry.bind(name, answers("new"));
+  EXPECT_EQ(registry.lookup(name)({}, {}).payload.bytes(), bytes_of("new"));
+  registry.unbind(name);
+}
+
+// ---- in-process dispatch ----------------------------------------------------------
+
+TEST(InProcChannelTest, RoundTripAndLedger) {
+  auto& registry = EndpointRegistry::instance();
+  registry.bind("test/inproc", upper_casing_server());
+
+  wire::MessageHeader header;
+  header.request_id = 3;
+  CostLedger ledger;
+  const wire::ReplyEnvelope reply = transport::dispatch(
+      "test/inproc", header, make_payload("abc").view(), ledger);
+  EXPECT_EQ(reply.payload.bytes(), bytes_of("ABC"));
+  EXPECT_EQ(reply.header.request_id, 3u);
+  // The bytes the two frames would have carried: no frame is built.
+  EXPECT_EQ(ledger.bytes_sent(), wire::frame_size(header, 3));
+  EXPECT_EQ(ledger.bytes_received(), wire::frame_size(reply.header, 3));
+  EXPECT_EQ(reply.frame_size, ledger.bytes_received());
+  EXPECT_EQ(ledger.modeled().count(), 0);
+
+  registry.unbind("test/inproc");
+}
+
+TEST(InProcChannelTest, ResolvesPerCall) {
+  auto& registry = EndpointRegistry::instance();
+  const wire::Buffer body = make_payload("x");
+  CostLedger ledger;
+  // Endpoint does not exist yet.
+  EXPECT_THROW(transport::dispatch("test/latebound", {}, body.view(), ledger),
+               TransportError);
+  // Binding afterwards makes the same endpoint name work (migration
+  // depends on this late-binding behaviour).
+  registry.bind("test/latebound", upper_casing_server());
+  EXPECT_EQ(transport::dispatch("test/latebound", {}, body.view(), ledger)
+                .payload.bytes(),
+            bytes_of("X"));
+  registry.unbind("test/latebound");
+}
+
+// ---- over a modeled link -------------------------------------------------------------
+
 TEST(SimChannelTest, ChargesModeledTimeBothWays) {
   auto& registry = EndpointRegistry::instance();
-  registry.bind("test/sim", upper_caser(), upper_casing_server());
+  registry.bind("test/sim", upper_casing_server());
 
   const netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};  // 1 MB/s, 1 us
   const wire::Buffer body = make_payload(std::string(1000, 'a'));
@@ -191,8 +170,8 @@ TEST(SimChannelTest, ChargesModeledTimeBothWays) {
 
 TEST(SimChannelTest, CorruptFlipsTheLastBodyByteOrFailsABareReply) {
   auto& registry = EndpointRegistry::instance();
-  registry.bind("test/sim-body", upper_caser(), upper_casing_server("ok"));
-  registry.bind("test/sim-bare", upper_caser(), upper_casing_server(""));
+  registry.bind("test/sim-body", upper_casing_server("ok"));
+  registry.bind("test/sim-bare", upper_casing_server(""));
   const netsim::LinkSpec link{"lab", 8e6, Nanoseconds(1000)};
   resilience::ScopedFaultPlan plan;
   resilience::FaultSchedule schedule;
@@ -230,9 +209,9 @@ TEST(SimChannelTest, CorruptFlipsTheLastBodyByteOrFailsABareReply) {
 // the server, not a loopback of the request, produced the reply.
 
 FrameHandler frame_upper_caser() {
-  return [](const wire::Buffer& frame) {
+  return [](BytesView frame) {
     BytesView body;
-    wire::MessageHeader header = wire::decode_frame(frame.view(), body);
+    wire::MessageHeader header = wire::decode_frame(frame, body);
     header.type = wire::MessageType::reply;
     wire::Buffer reply_body(body.data(), body.size());
     for (auto& b : reply_body.mutable_view()) {
@@ -284,7 +263,7 @@ TEST(TcpTest, SequentialRequestsOnOneConnection) {
   std::set<std::thread::id> serving_threads;
   int served = 0;
   const FrameHandler echo = frame_upper_caser();
-  TcpListener listener(0, [&](const wire::Buffer& frame) {
+  TcpListener listener(0, [&](BytesView frame) {
     {
       sync::LockGuard lock(mutex);
       serving_threads.insert(std::this_thread::get_id());
@@ -363,7 +342,7 @@ TEST(TcpTest, ServerStopFailsTheNextCall) {
 TEST(TcpTest, HandlerExceptionDropsConnectionOnly) {
   std::atomic<int> calls{0};
   const FrameHandler echo = frame_upper_caser();
-  TcpListener listener(0, [&calls, &echo](const wire::Buffer& frame) {
+  TcpListener listener(0, [&calls, &echo](BytesView frame) {
     if (++calls == 1) throw std::runtime_error("boom");
     return echo(frame);
   });
@@ -522,6 +501,16 @@ TEST(FrameReaderTest, PrefixAboveTheCapThrowsAndTheCapItselfDoesNot) {
 //
 // The handler upper-cases raw bytes, so these requests need no wire header.
 
+FrameHandler upper_caser() {
+  return [](BytesView request) {
+    wire::Buffer reply(request.data(), request.size());
+    for (auto& b : reply.mutable_view()) {
+      if (b >= 'a' && b <= 'z') b = static_cast<std::uint8_t>(b - 'a' + 'A');
+    }
+    return reply;
+  };
+}
+
 std::optional<Bytes> ask(testutil::RawSocket& client, std::string_view text) {
   if (!client.send_all(testutil::framed(bytes_of(text)))) return std::nullopt;
   return client.read_frame();
@@ -586,7 +575,7 @@ TEST(TcpFramingTest, OverCapPrefixDropsOnlyThatConnection) {
 TEST(TcpFramingTest, EofMidFrameDropsTheConnectionUnanswered) {
   std::atomic<int> calls{0};
   const FrameHandler upper = upper_caser();
-  TcpListener listener(0, [&](const wire::Buffer& request) {
+  TcpListener listener(0, [&](BytesView request) {
     ++calls;
     return upper(request);
   });
@@ -688,7 +677,7 @@ class ListenerTest : public ::testing::TestWithParam<ListenerKind> {
   void SetUp() override {
     if (GetParam() == ListenerKind::tcp) {
       tcp_ = std::make_unique<TcpListener>(
-          0, [this, upper = upper_caser()](const wire::Buffer& request) {
+          0, [this, upper = upper_caser()](BytesView request) {
             note_stack();
             return upper(request);
           });

@@ -16,7 +16,10 @@ counts, and gates only those that no runner's speed or noise moves.
             MIN_SERIAL_OVER_BARE of the bare loopback round-trip rate
             measured in the same run (serial/bare calls per second): the
             ORB's overhead on the sync TCP bearer, end to end minus the
-            bare transport.
+            bare transport.  And the reactor arm must send at least
+            MIN_REACTOR_FRAMES_PER_BATCH frames per sendmsg batch
+            (reactor_frames_per_batch): fan-in batching itself, which a
+            build that sends every frame alone fails at 1.
 
   naming    BENCH_naming.json must show (a) World::find_context_of staying
             O(1)-ish — the 512-context arm may cost at most
@@ -120,6 +123,14 @@ def record_value(records: dict, path: str, name: str, key: str) -> float:
 # leader alone.
 MIN_SERIAL_OVER_BARE = 0.34
 
+# Floor on fanin/speedup's reactor_frames_per_batch: under half the lowest
+# of 32 smoke runs (6.8; they spread 6.8-194.2 frames per batch on a
+# 4-vCPU x86-64 VM).  Every frame, a sync leader's included, goes out
+# through one counted sendmsg batch, so a build whose async calls send
+# each frame alone reads 1.0.  Unlike reactor/serial, thread placement
+# does not move this ratio toward the failure.
+MIN_REACTOR_FRAMES_PER_BATCH = 3.0
+
 
 def check_fanin(options: argparse.Namespace) -> int:
     records = load_records(options.json)
@@ -129,6 +140,8 @@ def check_fanin(options: argparse.Namespace) -> int:
                             "inflight")
     serial_over_bare = record_value(records, options.json, "fanin/speedup",
                                     "serial_over_bare")
+    frames_per_batch = record_value(records, options.json, "fanin/speedup",
+                                    "reactor_frames_per_batch")
     if speedup < options.min_speedup:
         return fail(
             f"fanin speedup {speedup:.2f}x @ {inflight:.0f} in flight is "
@@ -138,10 +151,17 @@ def check_fanin(options: argparse.Namespace) -> int:
             f"fanin serial/bare {serial_over_bare:.3f} is below the "
             f"{MIN_SERIAL_OVER_BARE:.3f} floor: the ORB's sync TCP "
             f"path lost ground against the bare loopback round trip")
+    if frames_per_batch < MIN_REACTOR_FRAMES_PER_BATCH:
+        return fail(
+            f"fanin reactor sent {frames_per_batch:.1f} frames per sendmsg "
+            f"batch, below the {MIN_REACTOR_FRAMES_PER_BATCH:.1f} floor: "
+            f"async fan-in lost its batching")
     print(f"check_bench_json: OK: fanin reactor/serial {speedup:.2f}x "
           f"@ {inflight:.0f} in flight (floor {options.min_speedup:.2f}x), "
           f"serial/bare {serial_over_bare:.3f} "
-          f"(floor {MIN_SERIAL_OVER_BARE:.3f})")
+          f"(floor {MIN_SERIAL_OVER_BARE:.3f}), "
+          f"{frames_per_batch:.1f} frames per batch "
+          f"(floor {MIN_REACTOR_FRAMES_PER_BATCH:.1f})")
     return 0
 
 

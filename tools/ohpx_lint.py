@@ -67,11 +67,12 @@ with the Python standard library only, and each is exercised by
   lock-across-send   no ohpx::sync guard may be in scope at a call that
                      blocks for a network roundtrip above the transport
                      layer: a protocol's invoke() (`->invoke(` /
-                     `.invoke(`, where TCP parks on the reactor's reply) or
-                     a roundtrip() call (`transport::roundtrip(`, relay's
-                     in-process frame exchange, which runs the server's
-                     handler; shm's and nexus-tcp's transport::dispatch is
-                     reached only through a protocol's invoke()).  A lock
+                     `.invoke(`, where TCP parks on the reactor's reply),
+                     a `transport::dispatch(` call (the in-process bearers'
+                     one exchange, which runs the server's handler on the
+                     caller's thread: shm, nexus-tcp and relay call it
+                     from invoke(), and relay's gateway forwarder from its
+                     request handler) or any roundtrip() call.  A lock
                      held across a network roundtrip serializes the caller
                      on a peer's latency — copy what you need, drop the
                      lock, then send.
@@ -86,8 +87,8 @@ with the Python standard library only, and each is exercised by
                      transport layer talks through Reactor::submit, which
                      owns nonblocking I/O, fd lifecycle and the
                      inflight-window contract, or through
-                     transport::roundtrip and transport::dispatch for
-                     in-process and simulated calls; a raw blocking
+                     transport::dispatch for in-process and simulated
+                     calls; a raw blocking
                      syscall parks a caller thread the reactor cannot see.
   error-consistency  every ErrorCode enumerator has a name in to_string
                      (src/ohpx/common/error.cpp) and an explicit verdict in
@@ -612,11 +613,13 @@ class Linter:
                 "sync::LockGuard/UniqueLock (annotated + order-validated)")
 
     # Braces, sync guard declarations, and the calls that block for a
-    # network roundtrip: Protocol::invoke and transport::roundtrip.
+    # network roundtrip: Protocol::invoke, transport::dispatch and any
+    # roundtrip().
     SCOPE_RE = re.compile(
         r"(?P<open>\{)|(?P<close>\})"
         r"|(?P<guard>\bsync\s*::\s*(?:LockGuard|UniqueLock)\b)"
         r"|\b(?P<roundtrip>roundtrip)\s*\("
+        r"|\btransport\s*::\s*(?P<dispatch>dispatch)\s*\("
         r"|(?:->|\.)\s*(?P<invoke>invoke)\s*\(")
 
     def check_lock_across_send(self) -> None:
@@ -659,8 +662,8 @@ class Linter:
                 f"::{match.group(1)}() outside src/ohpx/transport/ "
                 "— socket I/O and accepting listeners belong to "
                 "the transport layer (Reactor::submit for outbound "
-                "TCP, transport::roundtrip and transport::dispatch for "
-                "in-process and simulated calls, "
+                "TCP, transport::dispatch for in-process and simulated "
+                "calls, "
                 "TcpListener for accepting sockets); a raw syscall "
                 "parks a thread or owns an fd the reactor cannot see")
 
@@ -871,6 +874,7 @@ INPROC_HPP = """\
 namespace ohpx::transport {
 struct Buffer {};
 Buffer roundtrip(const char* endpoint, const Buffer& request);
+Buffer dispatch(const char* endpoint, const Buffer& request);
 }  // namespace ohpx::transport
 """
 
@@ -1116,7 +1120,7 @@ FIXTURES = [
         " public:\n"
         "  transport::Buffer call() {\n"
         "    sync::LockGuard lock(mutex_);\n"
-        '    return transport::roundtrip("proto.peer", frame_);  // held\n'
+        '    return transport::dispatch("proto.peer", frame_);  // held\n'
         "  }\n"
         " private:\n"
         '  sync::Mutex mutex_{"proto.frame"};\n'
