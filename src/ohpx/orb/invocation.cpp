@@ -8,6 +8,7 @@
 #include "ohpx/protocol/registry.hpp"
 #include "ohpx/protocol/select.hpp"
 #include "ohpx/sync/mutex.hpp"
+#include "ohpx/transport/inproc.hpp"
 #include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::orb {
@@ -124,12 +125,6 @@ CallCore::CallCore(Context& context, ObjectRef ref)
     throw ProtocolError(ErrorCode::protocol_no_match,
                         "object reference carries no usable protocol");
   }
-  for (const auto& protocol : protocols_) {
-    if (!protocol->applicability_is_stable()) {
-      cacheable_ = false;  // e.g. relay: gateway liveness is not epoch-keyed
-      break;
-    }
-  }
   auto& registry = metrics::MetricsRegistry::global();
   calls_total_ = registry.counter_handle(metrics::names::kRmiCalls);
   cache_hits_ = registry.counter_handle(metrics::names::kRmiSelectCacheHit);
@@ -142,18 +137,27 @@ CallCore::CallCore(Context& context, ObjectRef ref)
 
 proto::CallTarget CallCore::resolve_target() const {
   proto::CallTarget target;
-  // A foreign reference — home machine unknown to this world, e.g. a
-  // bootstrap ref naming an explicit TCP endpoint — always dials its home
-  // address.  The location table only tracks this world's placements, and
-  // the well-known directory id legitimately lives at *several* endpoints
-  // at once under a replicated directory: letting a local activation of
-  // that id override a foreign ref would loop a standby's catch-up fetch
-  // back onto itself.
-  if (ref_.home().machine == netsim::kInvalidMachine) {
-    target.address = ref_.home();
+  // A foreign reference always dials its home address, with no in-process
+  // endpoint and no machine here: a bootstrap ref (home machine unknown to
+  // every world), or one minted in another world, whose home names a TCP
+  // endpoint this world never published.  Its ids and endpoint name are
+  // that world's counters, for which the location table and the endpoint
+  // registry would answer with this world's namesakes; and the well-known
+  // directory id legitimately lives at *several* endpoints at once under
+  // a replicated directory: letting a local activation of that id
+  // override a foreign ref would loop a standby's catch-up fetch back
+  // onto itself.
+  const proto::ServerAddress& home = ref_.home();
+  if (home.machine == netsim::kInvalidMachine ||
+      context_.location().foreign(home)) {
+    target.address = home;
+    target.address.machine = netsim::kInvalidMachine;
+    target.address.endpoint.clear();
   } else {
     const auto resolved = context_.location().resolve(ref_.object_id());
-    target.address = resolved ? *resolved : ref_.home();
+    target.address = resolved ? *resolved : home;
+    target.handler =
+        transport::EndpointRegistry::instance().find(target.address.endpoint);
   }
   target.placement = netsim::Placement{context_.machine(),
                                        target.address.machine,
@@ -254,20 +258,22 @@ CallCore::Selection CallCore::select_for_call(
   std::shared_ptr<const CachedSelection> entry;
 
   // Probe the invalidation signals *before* resolving, so a concurrent
-  // republish between the probe and the fill can only make the cached
-  // entry look older than it is (a spurious miss next call, never a
-  // stale hit).  The location probe is two-level: the service-wide
-  // version (one atomic load) is enough while the map is quiet; only
-  // when *some* object republished do we ask the precise per-object
-  // epoch question — and if our object was not the one that moved, the
-  // entry is revalidated at the newer version.
+  // republish, bind or unbind between the probe and the fill can only
+  // make the cached entry look older than it is (a spurious miss next
+  // call, never a stale hit).  The location probe is two-level: the
+  // service-wide version (one atomic load) is enough while the map is
+  // quiet; only when *some* object republished do we ask the precise
+  // per-object epoch question — and if our object was not the one that
+  // moved, the entry is revalidated at the newer version.
   std::uint64_t epoch = 0;
   bool epoch_probed = false;
   std::uint64_t generation = 0;
   std::uint64_t version = 0;
+  std::uint64_t endpoints = 0;
   if (use_cache) {
     version = context_.location().version();
     generation = context_.pool().generation();
+    endpoints = transport::EndpointRegistry::instance().generation();
     {
       sync::LockGuard lock(mutex_);
       entry = cache_;
@@ -286,6 +292,9 @@ CallCore::Selection CallCore::select_for_call(
           cache_invalidate_->fetch_add(1, std::memory_order_relaxed);
           trace::event("cache.invalidate", "epoch-changed");
         }
+      }
+      if (entry != nullptr && entry->endpoints_generation != endpoints) {
+        entry = nullptr;  // a name was bound or unbound: re-find handlers
       }
     } else {
       entry = nullptr;
@@ -327,23 +336,20 @@ CallCore::Selection CallCore::select_for_call(
   // again, or its cooldown probe and the failback would wait for some
   // unrelated invalidation.
   bool diverted = false;
+  proto::EntryGate gate;
   if (breakers) {
-    sel.protocol = &proto::select_protocol_or_throw(
-        protocols_, context_.pool(), sel.resolved, sel.entry_index,
-        [&](std::size_t candidate) {
-          bool admitted = false;
-          const auto transition = breakers->at(candidate).allow(admitted);
-          if (transition == resilience::CircuitBreaker::Transition::probing) {
-            trace::event("breaker.probe", protocols_[candidate]->name());
-          }
-          diverted = diverted || !admitted;
-          return admitted;
-        });
-  } else {
-    sel.protocol = &proto::select_protocol_or_throw(
-        protocols_, context_.pool(), sel.resolved, sel.entry_index,
-        proto::EntryGate{});
+    gate = [&](std::size_t candidate) {
+      bool admitted = false;
+      const auto transition = breakers->at(candidate).allow(admitted);
+      if (transition == resilience::CircuitBreaker::Transition::probing) {
+        trace::event("breaker.probe", protocols_[candidate]->name());
+      }
+      diverted = diverted || !admitted;
+      return admitted;
+    };
   }
+  sel.protocol = &proto::select_protocol_or_throw(
+      protocols_, context_.pool(), sel.resolved, &sel.entry_index, gate);
   std::string described = sel.protocol->describe();
   sel.proto_counter = metrics::MetricsRegistry::global().counter_handle(
       metrics::names::protocol_calls(sel.protocol->name()));
@@ -357,6 +363,7 @@ CallCore::Selection CallCore::select_for_call(
     fresh->location_epoch = epoch;
     fresh->location_version = version;
     fresh->pool_generation = generation;
+    fresh->endpoints_generation = endpoints;
     fresh->described = std::move(described);
     fresh->calls_by_protocol = sel.proto_counter;
     cache_ = std::move(fresh);
@@ -378,7 +385,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   // skip the fine-grained cost clocks (several steady_clock reads per
   // call).  The uncached baseline keeps the always-on accounting of the
   // literal per-request pipeline — it is the fast path's "before" arm.
-  if (!ledger && cacheable_ && cache_enabled_.load(std::memory_order_relaxed)) {
+  if (!ledger && cache_enabled_.load(std::memory_order_relaxed)) {
     local.disable_real_timing();
   }
 
@@ -397,8 +404,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
     // attempts the retry policy would still allow.
     if (resilience::deadline_expired(scope.deadline())) deadline_spent(attempt);
 
-    const bool use_cache =
-        cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
+    const bool use_cache = cache_enabled_.load(std::memory_order_relaxed);
 
     trace::Span select_span(trace::SpanKind::selection, "select");
 
@@ -505,8 +511,7 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
   // version probe plus the breaker gate — instead of paying a re-resolve,
   // a table scan, a describe() build and a metric-name lookup per call.
   const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
-  const bool use_cache =
-      cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
+  const bool use_cache = cache_enabled_.load(std::memory_order_relaxed);
   const Selection sel = select_for_call(use_cache, breakers);
   calls_total_->fetch_add(1, std::memory_order_relaxed);
   sel.proto_counter->fetch_add(1, std::memory_order_relaxed);

@@ -15,15 +15,15 @@
 //
 // Fast path: the paper re-evaluates selection per request, but between two
 // calls nothing that feeds the decision usually changed.  The selection
-// inputs are exactly (object address, pool contents), so CallCore memoizes
-// the chosen protocol keyed on (location epoch, pool generation) and
-// revalidates both probes per call — a republish (migration, enable_tcp)
-// or a pool edit invalidates the cache on the very next call, preserving
-// the adaptivity contract while skipping the re-resolve, the table scan,
-// the describe() string build and the per-call metric-name lookups.
-// References carrying a protocol whose applicability depends on state
-// outside that key (Protocol::applicability_is_stable() == false, e.g.
-// relay) are never cached.
+// inputs are exactly (object address, pool contents, bound endpoints), so
+// CallCore memoizes the chosen protocol, with the handler bound to the
+// target's endpoint, keyed on (location epoch, pool generation, endpoint
+// registry generation) and revalidates the three probes per call — a
+// republish (migration, enable_tcp), a pool edit or a bind or unbind
+// invalidates the cache on the very next call, preserving the adaptivity
+// contract while skipping the re-resolve, the table scan, the endpoint
+// lookup, the describe() string build and the per-call metric-name
+// lookups.
 #pragma once
 
 #include <atomic>
@@ -164,8 +164,9 @@ class CallCore {
   resilience::CircuitBreaker::State breaker_state(std::size_t entry) const;
 
  private:
-  /// One memoized selection: valid while the location epoch and pool
-  /// generation both still match.  `protocol` points into `protocols_`
+  /// One memoized selection: valid while the location epoch, the pool
+  /// generation and the endpoint registry's generation all still match
+  /// (the last keys `target.handler`).  `protocol` points into `protocols_`
   /// (owned by this CallCore, so the pointer is stable).  Entries are
   /// immutable once published (shared_ptr-to-const snapshots), so a hit
   /// copies one pointer instead of a CallTarget full of address strings.
@@ -180,6 +181,7 @@ class CallCore {
     std::uint64_t location_epoch = 0;
     std::uint64_t location_version = 0;
     std::uint64_t pool_generation = 0;
+    std::uint64_t endpoints_generation = 0;
     std::string described;
     metrics::MetricsRegistry::Counter* calls_by_protocol = nullptr;
   };
@@ -248,7 +250,6 @@ class CallCore {
   ObjectRef ref_;
   std::vector<proto::ProtocolPtr> protocols_;  // built once, reused (keeps
                                                // client capability state)
-  bool cacheable_ = true;  // all table entries have stable applicability
   std::atomic<bool> cache_enabled_{true};
 
   // Resilience state.  The deadline budget and the attempt bound are one

@@ -9,8 +9,17 @@ void LocationService::publish(ObjectId object_id,
   sync::LockGuard lock(mutex_);
   const auto it = addresses_.find(object_id);
   address.epoch = (it == addresses_.end()) ? 1 : it->second.epoch + 1;
+  if (!address.tcp_host.empty()) {
+    tcp_endpoints_.emplace(address.tcp_host, address.tcp_port);
+  }
   addresses_[object_id] = std::move(address);
   version_.fetch_add(1, std::memory_order_release);
+}
+
+bool LocationService::foreign(const proto::ServerAddress& address) const {
+  if (address.tcp_host.empty()) return false;
+  sync::LockGuard lock(mutex_);
+  return !tcp_endpoints_.contains({address.tcp_host, address.tcp_port});
 }
 
 std::optional<proto::ServerAddress> LocationService::resolve(

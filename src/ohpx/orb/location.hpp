@@ -10,6 +10,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "ohpx/common/annotations.hpp"
 #include "ohpx/protocol/target.hpp"
@@ -24,6 +27,12 @@ class LocationService {
   /// Publishes (or republishes) an object's current address.  The stored
   /// epoch increments on every republish.
   void publish(ObjectId object_id, proto::ServerAddress address);
+
+  /// Whether `address` names a TCP endpoint this service never published:
+  /// a context of another world, another process's or another World's in
+  /// this one, whose object, machine and context ids and endpoint name
+  /// are that world's counters and mean nothing here.
+  bool foreign(const proto::ServerAddress& address) const;
 
   /// Current address, or nullopt for unknown objects.
   std::optional<proto::ServerAddress> resolve(ObjectId object_id) const;
@@ -48,6 +57,8 @@ class LocationService {
  private:
   mutable sync::Mutex mutex_{"orb.location"};
   std::map<ObjectId, proto::ServerAddress> addresses_ OHPX_GUARDED_BY(mutex_);
+  std::set<std::pair<std::string, std::uint16_t>> tcp_endpoints_
+      OHPX_GUARDED_BY(mutex_);  // every one ever published
   std::atomic<std::uint64_t> version_{1};
 };
 

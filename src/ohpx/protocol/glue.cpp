@@ -31,10 +31,6 @@ bool GlueProtocol::applicable(const CallTarget& target) const {
   return chain_.applicable(target.placement) && delegate_->applicable(target);
 }
 
-bool GlueProtocol::applicability_is_stable() const noexcept {
-  return delegate_->applicability_is_stable();
-}
-
 cap::CallContext GlueProtocol::process_request(wire::MessageHeader& header,
                                                const wire::Buffer& payload,
                                                wire::Buffer& sealed,

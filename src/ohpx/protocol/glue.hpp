@@ -32,10 +32,6 @@ class GlueProtocol final : public Protocol {
   /// constituent capabilities").
   bool applicable(const CallTarget& target) const override;
 
-  /// Stable iff the delegate's is: the chain's applicability is a pure
-  /// function of placement (builtin capabilities are scope-based).
-  bool applicability_is_stable() const noexcept override;
-
   ReplyMessage invoke(const wire::MessageHeader& header,
                       const wire::Buffer& payload,
                       const CallTarget& target, CostLedger& ledger) override;

@@ -18,8 +18,9 @@ ReplyMessage NexusSimProtocol::invoke(const wire::MessageHeader& header,
   // The link follows the placement per call, so a migration across LANs
   // changes the modeled time of the very next call.
   const netsim::LinkSpec link = target.placement.link();
-  ReplyMessage reply = transport::dispatch(target.address.endpoint, header,
-                                           payload.view(), ledger, &link);
+  ReplyMessage reply =
+      transport::dispatch(target.handler, target.address.endpoint, header,
+                          payload.view(), ledger, &link);
   check_reply(reply.header, header.request_id);
   return reply;
 }

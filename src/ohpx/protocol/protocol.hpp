@@ -39,16 +39,12 @@ class Protocol {
 
   /// Whether this protocol can serve a call to `target` (paper §4.3: every
   /// protocol has an applicability attribute; shared memory applies only
-  /// when client and server share a machine).
+  /// when client and server share a machine).  Reads `target` and the
+  /// endpoint registry (e.g. relay: "is the gateway bound?"), and nothing
+  /// else: the ORB memoizes selection keyed on the location epoch, the
+  /// pool generation and the registry's generation, so an answer that
+  /// read other state would be served stale.
   virtual bool applicable(const CallTarget& target) const = 0;
-
-  /// True when applicable() is a pure function of `target` — the common
-  /// case, and what lets the ORB memoize protocol selection keyed on the
-  /// location epoch and pool generation.  Protocols whose applicability
-  /// also depends on external state (e.g. relay: "is the gateway bound
-  /// right now?") must return false so every call re-evaluates, keeping
-  /// the paper's per-request adaptivity contract exact.
-  virtual bool applicability_is_stable() const noexcept { return true; }
 
   /// Carries one request to the server and returns its reply.  The
   /// protocol only reads `payload` (glue seals a copy of its own), so the

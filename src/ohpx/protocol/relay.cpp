@@ -36,7 +36,9 @@ wire::ReplyEnvelope RelayForwarder::handle(const wire::MessageHeader& header,
   }
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   CostLedger ledger;  // the gateway's own cost is not the caller's concern
-  return transport::dispatch(target, header, body, ledger);
+  return transport::dispatch(
+      transport::EndpointRegistry::instance().find(target), target, header,
+      body, ledger);
 }
 
 RelayProtocol::RelayProtocol(std::string gateway_endpoint)
@@ -49,7 +51,8 @@ RelayProtocol::RelayProtocol(std::string gateway_endpoint)
 
 bool RelayProtocol::applicable(const CallTarget& target) const {
   return !target.address.endpoint.empty() &&
-         transport::EndpointRegistry::instance().contains(gateway_endpoint_);
+         transport::EndpointRegistry::instance().find(gateway_endpoint_) !=
+             nullptr;
 }
 
 ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
@@ -75,8 +78,9 @@ ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
     // turnaround; the server's own spans nest inside it time-wise but
     // parent under the client call via the header's trace context.
     trace::Span transport_span(trace::SpanKind::transport, "transport");
-    reply = transport::dispatch(gateway_endpoint_, header, envelope.view(),
-                                ledger);
+    reply = transport::dispatch(
+        transport::EndpointRegistry::instance().find(gateway_endpoint_),
+        gateway_endpoint_, header, envelope.view(), ledger);
   }
   pool.release(std::move(envelope));
   check_reply(reply.header, header.request_id);

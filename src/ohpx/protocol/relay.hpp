@@ -52,14 +52,9 @@ class RelayProtocol final : public Protocol {
 
   std::string_view name() const noexcept override { return "relay"; }
 
-  /// Applicable when the gateway is reachable and the target has an
-  /// endpoint for the gateway to forward to.
+  /// Applicable when the gateway is bound and the target has an endpoint
+  /// for the gateway to forward to.
   bool applicable(const CallTarget& target) const override;
-
-  /// Applicability depends on whether the gateway is bound *right now* —
-  /// external state no location epoch or pool generation tracks — so the
-  /// selection cache must not memoize references that carry a relay entry.
-  bool applicability_is_stable() const noexcept override { return false; }
 
   ReplyMessage invoke(const wire::MessageHeader& header,
                       const wire::Buffer& payload,

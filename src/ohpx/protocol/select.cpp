@@ -6,20 +6,14 @@
 namespace ohpx::proto {
 
 Protocol* select_protocol(const std::vector<ProtocolPtr>& candidates,
-                          const ProtoPool& pool, const CallTarget& target) {
-  std::size_t index = 0;
-  return select_protocol(candidates, pool, target, index, EntryGate{});
-}
-
-Protocol* select_protocol(const std::vector<ProtocolPtr>& candidates,
                           const ProtoPool& pool, const CallTarget& target,
-                          std::size_t& index, const EntryGate& gate) {
+                          std::size_t* index, const EntryGate& gate) {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const auto& candidate = candidates[i];
     if (!pool.allows(std::string(candidate->name()))) continue;
     if (!candidate->applicable(target)) continue;
     if (gate && !gate(i)) continue;
-    index = i;
+    if (index != nullptr) *index = i;
     return candidate.get();
   }
   return nullptr;
@@ -27,15 +21,7 @@ Protocol* select_protocol(const std::vector<ProtocolPtr>& candidates,
 
 Protocol& select_protocol_or_throw(const std::vector<ProtocolPtr>& candidates,
                                    const ProtoPool& pool,
-                                   const CallTarget& target) {
-  std::size_t index = 0;
-  return select_protocol_or_throw(candidates, pool, target, index,
-                                  EntryGate{});
-}
-
-Protocol& select_protocol_or_throw(const std::vector<ProtocolPtr>& candidates,
-                                   const ProtoPool& pool,
-                                   const CallTarget& target, std::size_t& index,
+                                   const CallTarget& target, std::size_t* index,
                                    const EntryGate& gate) {
   Protocol* selected = select_protocol(candidates, pool, target, index, gate);
   if (selected == nullptr) {

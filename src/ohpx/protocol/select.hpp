@@ -24,27 +24,20 @@ namespace ohpx::proto {
 /// first-match rule, no special-case path needed.
 using EntryGate = std::function<bool(std::size_t)>;
 
-/// Returns the first pool-allowed, applicable protocol, or nullptr.
-Protocol* select_protocol(const std::vector<ProtocolPtr>& candidates,
-                          const ProtoPool& pool, const CallTarget& target);
-
-/// As above, also reporting the winning entry's index in `candidates`
-/// through `index` and skipping entries the gate refuses (a null gate
-/// admits everything).
+/// Returns the first pool-allowed, applicable protocol the gate admits (a
+/// null gate admits everything), or nullptr.  A non-null `index` gets the
+/// winner's position in `candidates`.
 Protocol* select_protocol(const std::vector<ProtocolPtr>& candidates,
                           const ProtoPool& pool, const CallTarget& target,
-                          std::size_t& index, const EntryGate& gate);
+                          std::size_t* index = nullptr,
+                          const EntryGate& gate = {});
 
 /// Like select_protocol but throws ProtocolError(protocol_no_match) when
 /// nothing fits.
 Protocol& select_protocol_or_throw(const std::vector<ProtocolPtr>& candidates,
                                    const ProtoPool& pool,
-                                   const CallTarget& target);
-
-/// Indexed, gated variant of select_protocol_or_throw.
-Protocol& select_protocol_or_throw(const std::vector<ProtocolPtr>& candidates,
-                                   const ProtoPool& pool,
-                                   const CallTarget& target, std::size_t& index,
-                                   const EntryGate& gate);
+                                   const CallTarget& target,
+                                   std::size_t* index = nullptr,
+                                   const EntryGate& gate = {});
 
 }  // namespace ohpx::proto

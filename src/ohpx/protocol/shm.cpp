@@ -13,8 +13,8 @@ ReplyMessage ShmProtocol::invoke(const wire::MessageHeader& header,
                                  const wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
   trace::Span span(trace::SpanKind::transport, "proto.shm");
-  ReplyMessage reply = transport::dispatch(target.address.endpoint, header,
-                                           payload.view(), ledger);
+  ReplyMessage reply = transport::dispatch(
+      target.handler, target.address.endpoint, header, payload.view(), ledger);
   check_reply(reply.header, header.request_id);
   return reply;
 }

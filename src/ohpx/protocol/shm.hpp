@@ -3,7 +3,8 @@
 // machine (paper §4.3: "a shared memory based protocol is applicable only
 // for clients and servers running on the same machine").  The request
 // header and the caller's payload go straight to the server context's
-// dispatch (transport::dispatch), and the server's result buffer comes
+// dispatch, the handler found when the target was resolved
+// (transport::dispatch), and the server's result buffer comes
 // back as the reply payload: no frame is encoded, checksummed or copied
 // either way.  The only cost is the real CPU time of dispatch — which is
 // why, as in the paper's Figure 5, it beats every network protocol by

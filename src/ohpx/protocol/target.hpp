@@ -5,13 +5,16 @@
 // ORB resolves the object's current address and placement and passes both
 // here, so protocols and capabilities always judge applicability against
 // the live topology (this is what makes the paper's Figure 3/4 adaptivity
-// work without touching client code).
+// work without touching client code).  With them comes the handler bound
+// to the address's in-process endpoint, found once when the target is
+// resolved, which the in-process bearers dispatch to.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "ohpx/netsim/topology.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx::proto {
 
@@ -29,6 +32,9 @@ struct ServerAddress {
 struct CallTarget {
   netsim::Placement placement;
   ServerAddress address;
+  /// The handler bound to `address.endpoint` when the target was
+  /// resolved; null when no handler was bound or there is no endpoint.
+  transport::EndpointHandle handler;
 };
 
 }  // namespace ohpx::proto

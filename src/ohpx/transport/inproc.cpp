@@ -16,28 +16,23 @@ EndpointRegistry& EndpointRegistry::instance() {
 }
 
 void EndpointRegistry::bind(const std::string& name, RequestHandler handler) {
+  auto bound = std::make_shared<const RequestHandler>(std::move(handler));
   sync::LockGuard lock(mutex_);
-  handlers_[name] = std::move(handler);
+  handlers_[name] = std::move(bound);
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 void EndpointRegistry::unbind(const std::string& name) {
   sync::LockGuard lock(mutex_);
-  handlers_.erase(name);
+  if (handlers_.erase(name) != 0) {
+    generation_.fetch_add(1, std::memory_order_release);
+  }
 }
 
-RequestHandler EndpointRegistry::lookup(const std::string& name) const {
+EndpointHandle EndpointRegistry::find(const std::string& name) const {
   sync::LockGuard lock(mutex_);
   const auto it = handlers_.find(name);
-  if (it == handlers_.end()) {
-    throw TransportError(ErrorCode::transport_unknown_endpoint,
-                         "no endpoint bound to '" + name + "'");
-  }
-  return it->second;
-}
-
-bool EndpointRegistry::contains(const std::string& name) const {
-  sync::LockGuard lock(mutex_);
-  return handlers_.contains(name);
+  return it == handlers_.end() ? nullptr : it->second;
 }
 
 namespace {
@@ -47,7 +42,8 @@ namespace {
 // deadline), the reply's modeled wire time.  Time is charged from the
 // sizes the frames would have had, so a call costs what its framed
 // exchange did.
-wire::ReplyEnvelope dispatch_over(const std::string& endpoint,
+wire::ReplyEnvelope dispatch_over(const EndpointHandle& handler,
+                                  const std::string& endpoint,
                                   const wire::MessageHeader& header,
                                   BytesView body, CostLedger& ledger,
                                   const netsim::LinkSpec& link) {
@@ -74,14 +70,14 @@ wire::ReplyEnvelope dispatch_over(const std::string& endpoint,
       // The network delivered the request twice; the first reply is lost,
       // the second is what the caller sees (server-side counters observe
       // both deliveries).
-      (void)dispatch(endpoint, header, body, ledger);
+      (void)dispatch(handler, endpoint, header, body, ledger);
       break;
     case resilience::FaultKind::none:
     case resilience::FaultKind::corrupt:
       break;
   }
 
-  wire::ReplyEnvelope reply = dispatch(endpoint, header, body, ledger);
+  wire::ReplyEnvelope reply = dispatch(handler, endpoint, header, body, ledger);
   ledger.add_modeled(link.transfer_time(reply.frame_size));
 
   if (fault.kind == resilience::FaultKind::corrupt) {
@@ -100,21 +96,25 @@ wire::ReplyEnvelope dispatch_over(const std::string& endpoint,
 
 }  // namespace
 
-wire::ReplyEnvelope dispatch(const std::string& endpoint,
+wire::ReplyEnvelope dispatch(const EndpointHandle& handler,
+                             const std::string& endpoint,
                              const wire::MessageHeader& header, BytesView body,
                              CostLedger& ledger, const netsim::LinkSpec* link) {
   if (link != nullptr) {
-    return dispatch_over(endpoint, header, body, ledger, *link);
+    return dispatch_over(handler, endpoint, header, body, ledger, *link);
   }
   if (resilience::deadline_expired(resilience::current_deadline_ns())) {
     throw DeadlineExceeded("deadline exceeded before transport send");
   }
-  RequestHandler handler = EndpointRegistry::instance().lookup(endpoint);
+  if (handler == nullptr) {
+    throw TransportError(ErrorCode::transport_unknown_endpoint,
+                         "no endpoint bound to '" + endpoint + "'");
+  }
   ledger.add_bytes_sent(wire::frame_size(header, body.size()));
   wire::ReplyEnvelope reply;
   {
     ScopedRealTime timer(ledger);
-    reply = handler(header, body);
+    reply = (*handler)(header, body);
   }
   reply.frame_size = wire::frame_size(reply.header, reply.payload.size());
   ledger.add_bytes_received(reply.frame_size);

@@ -413,8 +413,9 @@ TEST_F(ExtensionFixture, CustomProtocolParticipatesInSelection) {
                                const wire::Buffer& payload,
                                const proto::CallTarget& target,
                                CostLedger& ledger) override {
-      proto::ReplyMessage reply = transport::dispatch(
-          target.address.endpoint, header, payload.view(), ledger);
+      proto::ReplyMessage reply =
+          transport::dispatch(target.handler, target.address.endpoint, header,
+                              payload.view(), ledger);
       proto::check_reply(reply.header, header.request_id);
       return reply;
     }

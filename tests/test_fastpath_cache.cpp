@@ -1,12 +1,18 @@
 // Fast-path selection cache: the adaptivity contract under memoization.
 //
 // The paper's rule is per-request re-evaluation (§3.2); CallCore memoizes
-// the selection keyed on (location epoch, pool generation).  These tests
-// pin the contract: after *any* event the paper says must change the
-// outcome — a migration republish, a proto-pool edit — the very next call
-// re-selects.  No call is ever served by a stale protocol, with the cache
-// enabled (the default) or disabled (the literal-paper baseline).
+// the selection keyed on (location epoch, pool generation, endpoint
+// registry generation).  These tests pin the contract: after *any* event
+// the paper says must change the outcome — a migration republish, a
+// proto-pool edit, an endpoint bound or unbound — the very next call
+// re-selects.  No call is ever served by a stale protocol or handler,
+// with the cache enabled (the default) or disabled (the literal-paper
+// baseline).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/metrics/metrics.hpp"
@@ -14,6 +20,7 @@
 #include "ohpx/runtime/migration.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
+#include "ohpx/transport/inproc.hpp"
 
 namespace ohpx {
 namespace {
@@ -189,6 +196,119 @@ TEST_F(FastpathCache, CacheToggleRoundTrip) {
   near->ping();
   EXPECT_EQ(misses() - m0, 1u);
   EXPECT_EQ(hits() - h0, 1u);
+}
+
+// A request handler that serves through `context` and counts what it
+// serves.
+transport::RequestHandler counting(orb::Context& context,
+                                   std::atomic<std::uint64_t>& served) {
+  return [&context, &served](const wire::MessageHeader& header,
+                             BytesView body) {
+    served.fetch_add(1, std::memory_order_relaxed);
+    return context.dispatch(header, body);
+  };
+}
+
+TEST_F(FastpathCache, RebindServesTheVeryNextCall) {
+  auto& registry = transport::EndpointRegistry::instance();
+  const std::string& endpoint = server_ctx_->endpoint_name();
+  const transport::EndpointHandle original = registry.find(endpoint);
+  EchoPointer near(*near_ctx_, ref_);
+  near->ping();
+  const std::uint64_t h0 = hits();
+  near->ping();
+  ASSERT_EQ(hits() - h0, 1u) << "the selection is memoized";
+  ASSERT_EQ(near->last_protocol(), "shm");
+
+  std::atomic<std::uint64_t> served{0};
+  registry.bind(endpoint, counting(*server_ctx_, served));
+  EXPECT_EQ(near->ping(), 3u);
+  EXPECT_EQ(served.load(), 1u) << "the new handler serves the next call";
+
+  registry.unbind(endpoint);
+  try {
+    near->ping();
+    ADD_FAILURE() << "no handler is bound to " << endpoint;
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
+  }
+  EXPECT_EQ(served.load(), 1u) << "the unbound handler was called";
+
+  registry.bind(endpoint, *original);
+  EXPECT_EQ(near->ping(), 4u);
+}
+
+TEST_F(FastpathCache, NameBoundAfterAFailedCallServesTheNextCall) {
+  // Late binding, which migration depends on: a name nothing serves
+  // fails the call, and binding it afterwards makes the same reference
+  // work on its next call.
+  auto& registry = transport::EndpointRegistry::instance();
+  const std::string& endpoint = server_ctx_->endpoint_name();
+  const transport::EndpointHandle original = registry.find(endpoint);
+  registry.unbind(endpoint);
+  EchoPointer near(*near_ctx_, ref_);
+  EXPECT_THROW(near->ping(), TransportError);
+
+  registry.bind(endpoint, *original);
+  EXPECT_EQ(near->ping(), 1u);
+  EXPECT_EQ(near->last_protocol(), "shm");
+}
+
+TEST_F(FastpathCache, RebindingUnderMemoizedCallsLosesNoCall) {
+  auto& registry = transport::EndpointRegistry::instance();
+  const std::string& endpoint = server_ctx_->endpoint_name();
+  const transport::EndpointHandle original = registry.find(endpoint);
+  const auto servant = std::make_shared<EchoServant>();
+  const orb::ObjectRef ref =
+      orb::RefBuilder(*server_ctx_, servant).shm().build();
+  std::atomic<std::uint64_t> served_a{0};
+  std::atomic<std::uint64_t> served_b{0};
+  const transport::RequestHandler a = counting(*server_ctx_, served_a);
+  const transport::RequestHandler b = counting(*server_ctx_, served_b);
+  registry.bind(endpoint, a);
+
+  // Callers make memoized shm calls while this thread flips the
+  // server's endpoint between two serving handlers, from after every
+  // caller memoized its first selection.
+  constexpr int kCallers = 3;
+  std::atomic<int> memoized{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> succeeded{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      EchoPointer gp(*near_ctx_, ref);
+      for (bool first = true; !stop.load(std::memory_order_relaxed);
+           first = false) {
+        try {
+          gp->ping();
+          succeeded.fetch_add(1, std::memory_order_relaxed);
+        } catch (const Error&) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (first) memoized.fetch_add(1);
+      }
+    });
+  }
+  while (memoized.load() < kCallers) std::this_thread::yield();
+  constexpr int kMaxFlips = 1'000'000;
+  int flips = 0;
+  while (flips < kMaxFlips &&
+         (flips < 200 || served_a.load() == 0 || served_b.load() == 0)) {
+    registry.bind(endpoint, ++flips % 2 == 0 ? a : b);
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& caller : callers) caller.join();
+  registry.bind(endpoint, *original);
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(served_a.load(), 0u);
+  EXPECT_GT(served_b.load(), 0u);
+  EXPECT_EQ(served_a.load() + served_b.load(), succeeded.load())
+      << "every call was served by one of the two handlers";
+  EXPECT_EQ(servant->pings(), succeeded.load());
 }
 
 }  // namespace

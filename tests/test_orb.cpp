@@ -18,6 +18,7 @@
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/glue_wire.hpp"
 #include "ohpx/runtime/migration.hpp"
+#include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/counter.hpp"
 #include "ohpx/scenario/echo.hpp"
 #include "ohpx/trace/trace.hpp"
@@ -448,7 +449,7 @@ TEST_F(OrbFixture, NexusLedgerChargesTheFramesItNoLongerBuilds) {
   // and the reply, and the frames the framed exchange encoded for them.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string& endpoint = context_.endpoint_name();
-  const transport::RequestHandler serve = registry.lookup(endpoint);
+  const transport::RequestHandler serve = *registry.find(endpoint);
   std::size_t request_frame = 0;
   std::size_t reply_frame = 0;
   std::uint16_t request_flags = 0;
@@ -681,9 +682,68 @@ TEST_F(OrbFixture, ContextDestructionUnbindsEndpoint) {
   {
     Context temporary(Context::allocate_id(), machine_, topology_, location_);
     endpoint = temporary.endpoint_name();
-    EXPECT_TRUE(transport::EndpointRegistry::instance().contains(endpoint));
+    EXPECT_NE(transport::EndpointRegistry::instance().find(endpoint), nullptr);
   }
-  EXPECT_FALSE(transport::EndpointRegistry::instance().contains(endpoint));
+  EXPECT_EQ(transport::EndpointRegistry::instance().find(endpoint), nullptr);
+}
+
+// ---- references minted in another world ------------------------------------
+
+// Two worlds in one process stand for two processes: each numbers its
+// machines from 0, and a world's ids and endpoint names mean nothing in
+// the other, so a reference minted in `home_` and used in `here_` may
+// name ids `here_` uses too.
+class ForeignRefTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (runtime::World* world : {&home_, &here_}) {
+      machine_ = world->add_machine("box", world->add_lan("lan"));
+    }
+    remote_ctx_ = &home_.create_context(machine_);
+    remote_ctx_->enable_tcp();
+    local_ctx_ = &here_.create_context(machine_);
+  }
+
+  runtime::World home_;  // mints the references
+  runtime::World here_;  // uses them
+  netsim::MachineId machine_{};
+  Context* remote_ctx_ = nullptr;
+  Context* local_ctx_ = nullptr;
+};
+
+TEST_F(ForeignRefTest, ForeignRefDialsItsHomeNotALocalNamesake) {
+  constexpr ObjectId kShared = 4242;
+  const auto remote = std::make_shared<EchoServant>();
+  remote_ctx_->activate_with_id(kShared, remote);
+  const ObjectRef ref = RefBuilder(*remote_ctx_, kShared).tcp().build();
+  // This world hosts an object under the same id, over TCP as well.
+  const auto local = std::make_shared<EchoServant>();
+  local_ctx_->enable_tcp();
+  local_ctx_->activate_with_id(kShared, local);
+
+  GlobalPointer<EchoStub> gp(*local_ctx_, ref);
+  for (int i = 0; i < 5; ++i) gp->ping();
+  EXPECT_EQ(remote->pings(), 5u);
+  EXPECT_EQ(local->pings(), 0u) << "the local namesake was called";
+}
+
+TEST_F(ForeignRefTest, ForeignRefIsPlacedOnNoMachineOfThisWorld) {
+  auto auth = std::make_shared<cap::AuthenticationCapability>(
+      crypto::Key128::from_seed(0xf0e1), "foreign", cap::Scope::cross_lan);
+  const ObjectRef ref =
+      RefBuilder(*remote_ctx_, std::make_shared<EchoServant>())
+          .glue({auth}, "tcp")
+          .shm()
+          .tcp()
+          .build();
+  ASSERT_EQ(ref.home().machine, local_ctx_->machine());
+
+  // The shared machine id is a coincidence of two counters: the call
+  // must not take shm into this process's namesake endpoint, and the
+  // cross-LAN authentication applies to a server placed somewhere else.
+  GlobalPointer<EchoStub> gp(*local_ctx_, ref);
+  EXPECT_EQ(gp->ping(), 1u);
+  EXPECT_EQ(gp->last_protocol(), "glue[authentication]->tcp");
 }
 
 }  // namespace

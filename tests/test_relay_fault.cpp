@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 
 #include "ohpx/capability/builtin/fault.hpp"
 #include "ohpx/capability/registry.hpp"
 #include "ohpx/hpcxx/group_pointer.hpp"
+#include "ohpx/metrics/metric_names.hpp"
+#include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/global_pointer.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/protocol/relay.hpp"
@@ -111,7 +114,7 @@ TEST_F(RelayFixture, RelayLedgerChargesTheFramesItNoLongerBuilds) {
   // reply, and the frames a framed exchange would encode for them.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string& endpoint = server_ctx_->endpoint_name();
-  const transport::RequestHandler serve = registry.lookup(endpoint);
+  const transport::RequestHandler serve = *registry.find(endpoint);
   std::size_t request_frame = 0;
   std::size_t reply_frame = 0;
   std::uint16_t request_flags = 0;
@@ -189,8 +192,9 @@ TEST_F(RelayFixture, ForwarderRefusesABodyThatIsNotAnEnvelope) {
   for (const wire::Buffer& body : {wire::Buffer{}, past_end}) {
     CostLedger ledger;
     try {
-      (void)transport::dispatch("gw/malformed", ping_request(ref),
-                                body.view(), ledger);
+      (void)transport::dispatch(
+          transport::EndpointRegistry::instance().find("gw/malformed"),
+          "gw/malformed", ping_request(ref), body.view(), ledger);
       ADD_FAILURE() << "a " << body.size()
                     << "-byte body is not an envelope";
     } catch (const WireError& e) {
@@ -210,8 +214,9 @@ TEST_F(RelayFixture, ForwarderFailsAnEnvelopeNamingNoEndpoint) {
   wire::Encoder(envelope).put_string("ctx/no-such-endpoint");
   CostLedger ledger;
   try {
-    (void)transport::dispatch("gw/nowhere", ping_request(ref),
-                              envelope.view(), ledger);
+    (void)transport::dispatch(
+        transport::EndpointRegistry::instance().find("gw/nowhere"),
+        "gw/nowhere", ping_request(ref), envelope.view(), ledger);
     FAIL() << "the envelope names no bound endpoint";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
@@ -253,6 +258,62 @@ TEST_F(RelayFixture, GatewayDownMakesRelayInapplicable) {
   proto::RelayForwarder gateway("gw/gone");
   EXPECT_EQ(gp->ping(), 2u);
   EXPECT_EQ(gp->last_protocol(), "relay[gw/gone]");
+}
+
+std::uint64_t counter(const char* name) {
+  return metrics::MetricsRegistry::global().counter(name);
+}
+
+TEST_F(RelayFixture, RelayedCallsHitTheSelectionCache) {
+  proto::RelayForwarder gateway("gw/memo");
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .custom(proto::ProtocolEntry{
+                     "relay", proto::RelayProtocol::make_proto_data("gw/memo")})
+                 .build();
+  client_ctx_->pool().enable("relay");
+  EchoPointer gp(*client_ctx_, ref);
+
+  const std::uint64_t hits = counter(metrics::names::kRmiSelectCacheHit);
+  const std::uint64_t misses = counter(metrics::names::kRmiSelectCacheMiss);
+  constexpr std::uint64_t kCalls = 10;
+  for (std::uint64_t i = 1; i <= kCalls; ++i) EXPECT_EQ(gp->ping(), i);
+  EXPECT_EQ(counter(metrics::names::kRmiSelectCacheMiss) - misses, 1u);
+  EXPECT_EQ(counter(metrics::names::kRmiSelectCacheHit) - hits, kCalls - 1)
+      << "a relayed selection is memoized like any other";
+  EXPECT_EQ(gp->last_protocol(), "relay[gw/memo]");
+  EXPECT_EQ(gateway.forwarded(), kCalls);
+}
+
+TEST_F(RelayFixture, ForwarderTeardownReselectsWithoutAFailedAttempt) {
+  auto ref = orb::RefBuilder(*server_ctx_, std::make_shared<EchoServant>())
+                 .custom(proto::ProtocolEntry{
+                     "relay", proto::RelayProtocol::make_proto_data("gw/flap")})
+                 .nexus()
+                 .build();
+  client_ctx_->pool().enable("relay");
+  std::optional<proto::RelayForwarder> gateway(std::in_place, "gw/flap");
+  EchoPointer gp(*client_ctx_, ref);
+  EXPECT_EQ(gp->ping(), 1u);
+  const std::uint64_t hits = counter(metrics::names::kRmiSelectCacheHit);
+  EXPECT_EQ(gp->ping(), 2u);
+  ASSERT_EQ(counter(metrics::names::kRmiSelectCacheHit) - hits, 1u);
+  ASSERT_EQ(gp->last_protocol(), "relay[gw/flap]");
+
+  // Tearing the gateway down unbinds its name: the memoized relay
+  // selection is stale before any call is sent through it.
+  const std::uint64_t retries = counter(metrics::names::kRmiRetries);
+  gateway.reset();
+  EXPECT_EQ(gp->ping(), 3u);
+  EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
+  EXPECT_EQ(counter(metrics::names::kRmiRetries), retries)
+      << "no attempt went to the torn-down gateway";
+
+  // And bringing it back makes relay applicable again on the next call.
+  gateway.emplace("gw/flap");
+  EXPECT_EQ(gp->ping(), 4u);
+  EXPECT_EQ(gp->last_protocol(), "relay[gw/flap]");
+  EXPECT_EQ(gateway->forwarded(), 1u);
+  EXPECT_EQ(counter(metrics::names::kRmiRetries), retries);
 }
 
 TEST_F(RelayFixture, EmptyGatewayNameRejected) {

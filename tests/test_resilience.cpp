@@ -311,7 +311,7 @@ class ResilienceFixture : public ::testing::Test {
       transport::RequestHandler handler) {
     auto& registry = transport::EndpointRegistry::instance();
     const std::string& name = server_ctx_->endpoint_name();
-    const transport::RequestHandler original = registry.lookup(name);
+    const transport::RequestHandler original = *registry.find(name);
     registry.bind(name, std::move(handler));
     return original;
   }
@@ -367,7 +367,7 @@ TEST_F(ResilienceFixture, ExpiredWireDeadlineRefusesServerDispatch) {
   // deadline before the server pipeline runs, so dispatch is refused
   // server-side and the error reply carries deadline_exceeded back.
   const transport::RequestHandler original =
-      transport::EndpointRegistry::instance().lookup(
+      *transport::EndpointRegistry::instance().find(
           server_ctx_->endpoint_name());
   sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
                                         BytesView body) {
@@ -612,7 +612,7 @@ TEST_F(ResilienceFixture, DeadlineSpentInsideTheProtocolIsRecordedOnce) {
   // The server answers in time, but the reply arrives late: the client's
   // reply chain finds the budget spent inside the protocol.
   const transport::RequestHandler original =
-      transport::EndpointRegistry::instance().lookup(
+      *transport::EndpointRegistry::instance().find(
           server_ctx_->endpoint_name());
   sabotage_endpoint([&scoped, original](const wire::MessageHeader& header,
                                         BytesView body) {

@@ -268,7 +268,7 @@ TEST_F(TraceFixture, TransportRetryKeepsTheTraceId) {
   // is the one wrapped.
   auto& registry = transport::EndpointRegistry::instance();
   const std::string endpoint = server_ctx_->endpoint_name();
-  const transport::RequestHandler original = registry.lookup(endpoint);
+  const transport::RequestHandler original = *registry.find(endpoint);
   auto failed_once = std::make_shared<bool>(false);
   registry.bind(endpoint, [original, failed_once](
                               const wire::MessageHeader& header,

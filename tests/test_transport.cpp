@@ -70,30 +70,55 @@ TEST(EndpointRegistryTest, BindLookupUnbind) {
   auto& registry = EndpointRegistry::instance();
   const std::string name = "test/ep-1";
   registry.bind(name, upper_casing_server());
-  EXPECT_TRUE(registry.contains(name));
-  RequestHandler handler = registry.lookup(name);
+  const EndpointHandle handler = registry.find(name);
+  ASSERT_NE(handler, nullptr);
   const wire::Buffer body = make_payload("hi");
-  EXPECT_EQ(handler({}, body.view()).payload.bytes(), bytes_of("HI"));
+  EXPECT_EQ((*handler)({}, body.view()).payload.bytes(), bytes_of("HI"));
   registry.unbind(name);
-  EXPECT_FALSE(registry.contains(name));
+  EXPECT_EQ(registry.find(name), nullptr);
 }
 
 TEST(EndpointRegistryTest, LookupMissingThrows) {
+  // Finding an unbound name yields no handler, and dispatching to none
+  // fails as an unknown endpoint.
+  const EndpointHandle missing =
+      EndpointRegistry::instance().find("test/no-such");
+  EXPECT_EQ(missing, nullptr);
+  CostLedger ledger;
   try {
-    EndpointRegistry::instance().lookup("test/no-such");
+    transport::dispatch(missing, "test/no-such", {}, {}, ledger);
     FAIL();
   } catch (const TransportError& e) {
     EXPECT_EQ(e.code(), ErrorCode::transport_unknown_endpoint);
   }
+  EXPECT_EQ(ledger.bytes_sent(), 0u) << "nothing was sent";
 }
 
 TEST(EndpointRegistryTest, RebindReplacesHandler) {
   auto& registry = EndpointRegistry::instance();
   const std::string name = "test/ep-rebind";
   registry.bind(name, answers("old"));
+  const EndpointHandle old_handler = registry.find(name);
   registry.bind(name, answers("new"));
-  EXPECT_EQ(registry.lookup(name)({}, {}).payload.bytes(), bytes_of("new"));
+  EXPECT_EQ((*registry.find(name))({}, {}).payload.bytes(), bytes_of("new"));
+  // A handle found before the rebind still calls the handler it found.
+  EXPECT_EQ((*old_handler)({}, {}).payload.bytes(), bytes_of("old"));
   registry.unbind(name);
+}
+
+TEST(EndpointRegistryTest, GenerationMovesOnEveryBindingChange) {
+  auto& registry = EndpointRegistry::instance();
+  const std::string name = "test/ep-generation";
+  const std::uint64_t start = registry.generation();
+  registry.bind(name, answers("a"));
+  EXPECT_EQ(registry.generation(), start + 1) << "a bind";
+  registry.bind(name, answers("b"));
+  EXPECT_EQ(registry.generation(), start + 2) << "a rebind";
+  registry.unbind(name);
+  EXPECT_EQ(registry.generation(), start + 3) << "an unbind that removes";
+  registry.unbind(name);
+  EXPECT_EQ(registry.generation(), start + 3)
+      << "an unbind of an unbound name changes nothing";
 }
 
 // ---- in-process dispatch ----------------------------------------------------------
@@ -105,8 +130,9 @@ TEST(InProcChannelTest, RoundTripAndLedger) {
   wire::MessageHeader header;
   header.request_id = 3;
   CostLedger ledger;
-  const wire::ReplyEnvelope reply = transport::dispatch(
-      "test/inproc", header, make_payload("abc").view(), ledger);
+  const wire::ReplyEnvelope reply =
+      transport::dispatch(registry.find("test/inproc"), "test/inproc", header,
+                          make_payload("abc").view(), ledger);
   EXPECT_EQ(reply.payload.bytes(), bytes_of("ABC"));
   EXPECT_EQ(reply.header.request_id, 3u);
   // The bytes the two frames would have carried: no frame is built.
@@ -116,22 +142,6 @@ TEST(InProcChannelTest, RoundTripAndLedger) {
   EXPECT_EQ(ledger.modeled().count(), 0);
 
   registry.unbind("test/inproc");
-}
-
-TEST(InProcChannelTest, ResolvesPerCall) {
-  auto& registry = EndpointRegistry::instance();
-  const wire::Buffer body = make_payload("x");
-  CostLedger ledger;
-  // Endpoint does not exist yet.
-  EXPECT_THROW(transport::dispatch("test/latebound", {}, body.view(), ledger),
-               TransportError);
-  // Binding afterwards makes the same endpoint name work (migration
-  // depends on this late-binding behaviour).
-  registry.bind("test/latebound", upper_casing_server());
-  EXPECT_EQ(transport::dispatch("test/latebound", {}, body.view(), ledger)
-                .payload.bytes(),
-            bytes_of("X"));
-  registry.unbind("test/latebound");
 }
 
 // ---- over a modeled link -------------------------------------------------------------
@@ -145,8 +155,9 @@ TEST(SimChannelTest, ChargesModeledTimeBothWays) {
   wire::MessageHeader header;
   header.request_id = 7;
   CostLedger ledger;
-  const wire::ReplyEnvelope reply =
-      transport::dispatch("test/sim", header, body.view(), ledger, &link);
+  const wire::ReplyEnvelope reply = transport::dispatch(
+      registry.find("test/sim"), "test/sim", header, body.view(), ledger,
+      &link);
   EXPECT_EQ(reply.payload.bytes(), bytes_of(std::string(1000, 'A')));
   // Each direction: 1000 ns latency + the frame the call would have
   // carried (1,000 bytes of body behind a 32-byte header) at 1 MBps.
@@ -180,21 +191,22 @@ TEST(SimChannelTest, CorruptFlipsTheLastBodyByteOrFailsABareReply) {
   plan.add("test/sim-bare", schedule);
 
   // The byte a reply frame ends with: the body's last byte...
+  const EndpointHandle bare = registry.find("test/sim-bare");
   CostLedger ledger;
-  const wire::ReplyEnvelope reply =
-      transport::dispatch("test/sim-body", {}, {}, ledger, &link);
+  const wire::ReplyEnvelope reply = transport::dispatch(
+      registry.find("test/sim-body"), "test/sim-body", {}, {}, ledger, &link);
   EXPECT_EQ(reply.payload.bytes(), (Bytes{'O', 'K' ^ 0xff}));
   // ...or, with no body, the header's CRC: the call fails as the frame
   // would have failed to decode.
   try {
-    transport::dispatch("test/sim-bare", {}, {}, ledger, &link);
+    transport::dispatch(bare, "test/sim-bare", {}, {}, ledger, &link);
     FAIL() << "a corrupted bare reply must not be delivered";
   } catch (const WireError& e) {
     EXPECT_EQ(e.code(), ErrorCode::wire_bad_checksum);
   }
   // The fault was scripted for the first call only.
   EXPECT_TRUE(
-      transport::dispatch("test/sim-bare", {}, {}, ledger, &link)
+      transport::dispatch(bare, "test/sim-bare", {}, {}, ledger, &link)
           .payload.empty());
 
   registry.unbind("test/sim-body");

@@ -102,6 +102,17 @@ with the Python standard library only, and each is exercised by
                      load_be / store_be / load_le / store_le.  Shifts by a
                      computed amount (a keystream's `>> (8 * b)`) are out
                      of scope
+  endpoint-lookup    no `EndpointRegistry::instance().find(` in src/ (nor a
+                     `.find(` on a reference bound to
+                     `EndpointRegistry::instance()`) outside
+                     src/ohpx/orb/invocation.cpp, where selection finds a
+                     target's handler once per memoized selection,
+                     src/ohpx/protocol/relay.cpp (the gateway, which no
+                     target names, and the forwarder's target) and
+                     src/ohpx/transport/.  A bearer dispatches to the
+                     handle in its CallTarget; one that finds its
+                     endpoint by name is back to a per-call lookup under
+                     the registry's process-wide mutex
   number-parse       no std::sto* (stoi, stoul, stod, ...), strto* (strtol,
                      strtoull, strtod, ...) or ato* (atoi, atol, atof) call
                      in src/, tools/ or bench/ outside
@@ -740,6 +751,29 @@ class Linter:
                     "use load_be/store_be/load_le/store_le from "
                     f"{self.ENDIAN_HPP}")
 
+    # Selection finds a target's handler once; relay finds its gateway
+    # (and the forwarder its target) by name; the registry is transport's.
+    ENDPOINT_FINDERS = ("src/ohpx/orb/invocation.cpp",
+                        "src/ohpx/protocol/relay.cpp", TRANSPORT_DIR)
+    REGISTRY = r"\bEndpointRegistry\s*::\s*instance\s*\(\s*\)"
+    ENDPOINT_FIND_RE = re.compile(REGISTRY + r"\s*\.\s*find\s*\(")
+    REGISTRY_ALIAS_RE = re.compile(r"(\w+)\s*=\s*[\w:]*" + REGISTRY)
+
+    def check_endpoint_lookup(self) -> None:
+        for source, text in self.sources(skip=self.ENDPOINT_FINDERS):
+            clean = strip_comments_and_strings(text)
+            finds = [m.start() for m in self.ENDPOINT_FIND_RE.finditer(clean)]
+            for alias in set(self.REGISTRY_ALIAS_RE.findall(clean)):
+                finds += [m.start() for m in re.finditer(
+                    r"\b" + alias + r"\s*\.\s*find\s*\(", clean)]
+            for at in sorted(finds):
+                self.report(
+                    source, clean.count("\n", 0, at) + 1, "endpoint-lookup",
+                    "endpoint found by name outside selection — dispatch "
+                    "to the handle the CallTarget carries (target.handler); "
+                    "a find per call takes the registry's process-wide "
+                    "mutex")
+
     PARSE_CPP = "src/ohpx/common/parse.cpp"
     NUMBER_PARSE_RE = re.compile(
         r"\b(sto(?:i|l|ll|ul|ull|f|d|ld)"
@@ -762,7 +796,7 @@ class Linter:
              "cap-pairs", "chain-contract", "span-names", "anomaly-sites",
              "metric-names", "no-test-sleeps", "naked-mutex",
              "lock-across-send", "blocking-socket", "error-consistency",
-             "byte-order", "number-parse")
+             "byte-order", "endpoint-lookup", "number-parse")
 
     def lint(self) -> list[str]:
         """Runs every rule; the findings, deduplicated and sorted."""
@@ -1295,6 +1329,60 @@ FIXTURES = [
         "  return (static_cast<std::uint32_t>(p[1]) << 8) | p[0];\n"
         "}\n"
         "}  // namespace ohpx::naming\n"}),
+    # -- endpoint-lookup: a bearer finding its endpoint per call, directly
+    # and through a reference to the registry
+    (["[endpoint-lookup]"], {"src/ohpx/protocol/shm.cpp":
+        "namespace ohpx::proto {\n"
+        "Reply ShmProtocol::invoke(const Header& h, const Target& target) {\n"
+        "  return transport::dispatch(\n"
+        "      transport::EndpointRegistry::instance().find(\n"
+        "          target.address.endpoint),\n"
+        "      target.address.endpoint, h);\n"
+        "}\n"
+        "}  // namespace ohpx::proto\n"}),
+    (["[endpoint-lookup]"], {"src/ohpx/protocol/mcast.cpp":
+        "namespace ohpx::proto {\n"
+        "Reply McastProtocol::invoke(const Header& h, const Target& target) {\n"
+        "  auto& registry = transport::EndpointRegistry::instance();\n"
+        "  const auto handler = registry.find(target.address.endpoint);\n"
+        "  return transport::dispatch(handler, target.address.endpoint, h);\n"
+        "}\n"
+        "}  // namespace ohpx::proto\n"}),
+    # Selection, relay and the transport find; binding is fine anywhere,
+    # and so are other maps' find() and a mention in a comment.
+    ([], {"src/ohpx/orb/invocation.cpp":
+              "namespace ohpx::orb {\n"
+              "Target CallCore::resolve_target() const {\n"
+              "  Target target;\n"
+              "  target.handler =\n"
+              "      transport::EndpointRegistry::instance().find(\n"
+              "          target.address.endpoint);\n"
+              "  return target;\n"
+              "}\n"
+              "}  // namespace ohpx::orb\n",
+          "src/ohpx/protocol/relay.cpp":
+              "namespace ohpx::proto {\n"
+              "bool RelayProtocol::applicable(const Target&) const {\n"
+              "  auto& registry = transport::EndpointRegistry::instance();\n"
+              "  return registry.find(gateway_endpoint_) != nullptr;\n"
+              "}\n"
+              "}  // namespace ohpx::proto\n",
+          "src/ohpx/transport/registry_ok.cpp":
+              "namespace ohpx::transport {\n"
+              "Handle lookup(const std::string& name) {\n"
+              "  return EndpointRegistry::instance().find(name);\n"
+              "}\n"
+              "}  // namespace ohpx::transport\n",
+          "src/ohpx/orb/binds.cpp":
+              "namespace ohpx::orb {\n"
+              "// not EndpointRegistry::instance().find(name) per call\n"
+              "void Binds::bind(const std::string& name) {\n"
+              "  auto& registry = transport::EndpointRegistry::instance();\n"
+              "  registry.bind(name, handler_);\n"
+              "  (void)servants_.find(name);\n"
+              "  transport::EndpointRegistry::instance().unbind(name);\n"
+              "}\n"
+              "}  // namespace ohpx::orb\n"}),
     # -- number-parse: one seeded reader per scanned directory
     (["[number-parse]"], {"src/ohpx/netsim/dsl.cpp":
         "namespace ohpx::netsim {\n"
